@@ -24,11 +24,12 @@ from .model import (
     build_single_particle_hamiltonian,
     flatten_index,
     kappa_eff,
-    swap_permutation,
+    swap_indices,
     unflatten_index,
 )
 from .observables import (
     ObservableSeries,
+    Populations,
     RefocusReport,
     boundary_population,
     breathing_width,

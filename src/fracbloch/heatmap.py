@@ -9,11 +9,10 @@ external tools.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidParameterError
+from .model import diagonal_indices, square_side
 
 AXES = ("1d-vs-z", "diagonal-vs-z", "full-2d-slice")
 NORMALIZATIONS = ("per-column", "global")
@@ -45,15 +44,6 @@ def write_pgm(path: str, image: np.ndarray):
         fh.write(samples.tobytes())
 
 
-def _square_side(dim: int) -> int:
-    n = math.isqrt(dim)
-    if n * n != dim:
-        raise InvalidParameterError(
-            f"axis needs a square lattice, got dimension {dim}"
-        )
-    return n
-
-
 def probability_image(
     probs: np.ndarray,
     axis: str,
@@ -68,9 +58,8 @@ def probability_image(
     if axis == "1d-vs-z":
         return probs.T.copy()
     if axis == "diagonal-vs-z":
-        n = _square_side(probs.shape[1])
-        diag = np.arange(n) * n + np.arange(n)
-        return probs[:, diag].T.copy()
+        n = square_side(probs.shape[1])
+        return probs[:, diagonal_indices(n)].T.copy()
     if axis == "full-2d-slice":
         if z is None:
             k = probs.shape[0] - 1
@@ -78,7 +67,7 @@ def probability_image(
             if z_samples is None:
                 raise InvalidParameterError("z selection needs the z samples")
             k = int(np.argmin(np.abs(z_samples - z)))
-        n = _square_side(probs.shape[1])
+        n = square_side(probs.shape[1])
         return probs[k].reshape(n, n).copy()
     raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
 
@@ -91,8 +80,6 @@ def render_heatmap(
     z: float | None = None,
 ) -> str:
     """Render a trajectory to a P5 pixmap file; returns the path."""
-    if axis in ("diagonal-vs-z", "full-2d-slice"):
-        _square_side(traj.dim)  # raises on incompatible geometry
     image = probability_image(
         traj.probabilities, axis, z_samples=traj.z_samples, z=z
     )
@@ -120,8 +107,9 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
                     rows.append([])
                 rows[-1].append(float(p_str))
             dims = {len(r) for r in rows}
-            if len(dims) != 1 or _square_side(dims.pop()) == 0:
+            if len(dims) != 1:
                 raise InvalidParameterError(f"ragged trajectory CSV: {path}")
+            square_side(dims.pop())
             return np.array(z_list), np.array(rows), "pair"
         if header.startswith("z_cm,p0"):
             data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -17,6 +17,7 @@ attractive on-site interaction is u0 < 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +41,19 @@ def flatten_index(n: int, m: int, n_sites: int) -> int:
 def unflatten_index(index: int, n_sites: int) -> tuple[int, int]:
     """Invert :func:`flatten_index`."""
     return divmod(index, n_sites)
+
+
+def square_side(dim: int) -> int:
+    """Chain length N of an N x N pair lattice with ``dim`` sites."""
+    n = math.isqrt(dim)
+    if n * n != dim:
+        raise InvalidParameterError(f"dimension {dim} is not a square lattice")
+    return n
+
+
+def diagonal_indices(n_sites: int) -> np.ndarray:
+    """Flat indices of the pair-lattice main diagonal (n, n)."""
+    return np.arange(n_sites) * n_sites + np.arange(n_sites)
 
 
 class SiteIndex2D(NamedTuple):
@@ -93,6 +107,10 @@ class ModelParams:
     near_diag_defect: float | None = None
 
     def __post_init__(self):
+        for name in ("kappa", "kappa1", "rho", "u0", "fd", "j_hop", "near_diag_defect"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.kappa < 0:
             raise InvalidParameterError(f"kappa must be >= 0, got {self.kappa}")
         if self.fd < 0:
@@ -270,11 +288,6 @@ def build_effective_hamiltonian(params: ModelParams) -> HermitianOperator:
     )
 
 
-def swap_permutation(n_sites: int) -> np.ndarray:
-    """Permutation matrix of the (n, m) -> (m, n) site swap."""
-    dim = n_sites * n_sites
-    p = np.zeros((dim, dim))
-    for a in range(n_sites):
-        for b in range(n_sites):
-            p[flatten_index(b, a, n_sites), flatten_index(a, b, n_sites)] = 1.0
-    return p
+def swap_indices(n_sites: int) -> np.ndarray:
+    """Index permutation of the (n, m) -> (m, n) swap: state[p] is the swapped state."""
+    return np.arange(n_sites * n_sites).reshape(n_sites, n_sites).T.ravel()

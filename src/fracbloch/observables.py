@@ -1,4 +1,4 @@
-"""Diagnostics reduced from sampled trajectories.
+"""Diagnostics reduced from sampled site populations.
 
 Covers the quantities the experiments are judged by: population confined to
 the pair-lattice main diagonal, breathing width of the light distribution,
@@ -10,17 +10,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import HermitianOperator
+from .model import HermitianOperator, diagonal_indices, square_side
 
 #: A sample whose boundary population exceeds this marks a series truncated.
 EDGE_TRUNCATION_TOL = 1e-3
 
 #: Default refocus detection threshold on a return-probability series.
 REFOCUS_THRESHOLD = 0.8
+
+
+class Populations(NamedTuple):
+    """Site populations |c|^2, one row per z sample: what every observable reads.
+
+    A :class:`~fracbloch.propagator.Trajectory` offers the same two fields;
+    this record carries populations that come without phases, such as a
+    trajectory CSV read back from disk.
+    """
+
+    z_samples: np.ndarray
+    probabilities: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,21 +86,14 @@ class RefocusReport:
         object.__setattr__(self, "peak_values", peaks)
 
 
-def _diagonal_site_count(dim: int) -> int:
-    n = math.isqrt(dim)
-    if n * n != dim:
-        raise InvalidParameterError(f"trajectory dimension {dim} is not a square")
-    return n
-
-
 def diagonal_confinement(traj, n_sites: int) -> ObservableSeries:
     """Total population on the pair-lattice main diagonal, sum_n |c_nn|^2."""
-    if traj.dim != n_sites * n_sites:
+    probs = traj.probabilities
+    if probs.shape[1] != n_sites * n_sites:
         raise InvalidParameterError(
-            f"trajectory dimension {traj.dim} is not {n_sites}^2"
+            f"trajectory dimension {probs.shape[1]} is not {n_sites}^2"
         )
-    diag = np.arange(n_sites) * n_sites + np.arange(n_sites)
-    values = np.sum(np.abs(traj.states[:, diag]) ** 2, axis=1)
+    values = np.sum(probs[:, diagonal_indices(n_sites)], axis=1)
     return ObservableSeries(traj.z_samples, values, "diagonal_confinement")
 
 
@@ -98,13 +104,12 @@ def breathing_width(traj, geometry: str = "1d", origin: int | None = None) -> Ob
     diagonal from the populations |c_nn|^2 renormalized by the diagonal
     confinement; samples with no diagonal population are flagged NaN.
     """
+    populations = traj.probabilities
     if geometry == "1d":
-        populations = np.abs(traj.states) ** 2
-        coords = np.arange(traj.dim)
+        coords = np.arange(populations.shape[1])
     elif geometry == "2d-diagonal":
-        n = _diagonal_site_count(traj.dim)
-        diag = np.arange(n) * n + np.arange(n)
-        populations = np.abs(traj.states[:, diag]) ** 2
+        n = square_side(populations.shape[1])
+        populations = populations[:, diagonal_indices(n)]
         weight = populations.sum(axis=1)
         safe = np.where(weight > 1e-15, weight, np.nan)
         populations = populations / safe[:, None]
@@ -119,26 +124,26 @@ def breathing_width(traj, geometry: str = "1d", origin: int | None = None) -> Ob
 
 def participation_ratio(traj) -> ObservableSeries:
     """Inverse participation ratio 1 / sum_i p_i^2; secondary width diagnostic."""
-    populations = np.abs(traj.states) ** 2
     return ObservableSeries(
         traj.z_samples,
-        1.0 / np.sum(populations**2, axis=1),
+        1.0 / np.sum(traj.probabilities**2, axis=1),
         "participation_ratio",
     )
 
 
 def boundary_population(traj, geometry: str) -> ObservableSeries:
     """Total population on the open-boundary sites (truncation monitor)."""
+    probs = traj.probabilities
     if geometry == "1d":
-        edges = np.array([0, traj.dim - 1])
+        edges = np.array([0, probs.shape[1] - 1])
     elif geometry == "2d":
-        n = _diagonal_site_count(traj.dim)
-        grid_n, grid_m = np.divmod(np.arange(traj.dim), n)
-        on_edge = (grid_n == 0) | (grid_n == n - 1) | (grid_m == 0) | (grid_m == n - 1)
+        n = square_side(probs.shape[1])
+        on_edge = np.ones((n, n), dtype=bool)
+        on_edge[1:-1, 1:-1] = False
         edges = np.flatnonzero(on_edge)
     else:
         raise InvalidParameterError(f"unknown geometry {geometry!r}")
-    values = np.sum(np.abs(traj.states[:, edges]) ** 2, axis=1)
+    values = np.sum(probs[:, edges], axis=1)
     return ObservableSeries(traj.z_samples, values, "boundary_population")
 
 

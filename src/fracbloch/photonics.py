@@ -58,13 +58,14 @@ class WaveguideArraySpec:
             )
         if match.group(1) is not None and match.group(1) != match.group(2):
             raise InvalidParameterError(f"square shape must be NxN, got {self.shape!r}")
-        if self.spacing_d <= 0:
+        # the "not (x > 0)" form also rejects NaN
+        if not (self.spacing_d > 0):
             raise InvalidParameterError("spacing_d must be positive")
-        if self.length_l <= 0:
+        if not (self.length_l > 0):
             raise InvalidParameterError("length_l must be positive")
-        if not (self.bend_radius > 0):  # also rejects NaN
+        if not (self.bend_radius > 0):
             raise InvalidParameterError("bend_radius must be positive or infinite")
-        if self.wavelength <= 0 or self.n_eff <= 0:
+        if not (self.wavelength > 0 and self.n_eff > 0):
             raise InvalidParameterError("wavelength and n_eff must be positive")
 
     @property
@@ -76,12 +77,12 @@ class WaveguideArraySpec:
         match = _SHAPE_RE.match(self.shape)
         return int(match.group(1) or match.group(3))
 
-    @property
-    def bend_plane_pitch(self) -> float:
-        """Per-site pitch projected on the bending plane, in um."""
-        if self.kind == "square":
-            return self.spacing_d / math.sqrt(2.0)
-        return self.spacing_d
+
+def bend_plane_pitch(kind: str, spacing: float) -> float:
+    """Per-site pitch of an array of this kind projected on the bending plane."""
+    if kind == "square":
+        return spacing / math.sqrt(2.0)
+    return spacing
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,6 @@ class ForceCalibration:
         if self.kind not in ("square", "linear"):
             raise InvalidParameterError(f"unknown calibration kind {self.kind!r}")
 
-    @property
-    def bend_plane_pitch(self) -> float:
-        if self.kind == "square":
-            return self.spacing / math.sqrt(2.0)
-        return self.spacing
-
 
 DEFAULT_FORCE_CALIBRATION = ForceCalibration()
 
@@ -155,15 +150,16 @@ def curvature_to_force(
     """
     if math.isinf(spec.bend_radius):
         return 0.0
+    pitch = bend_plane_pitch(spec.kind, spec.spacing_d)
     if first_principles:
-        pitch_cm = spec.bend_plane_pitch * 1e-4
+        pitch_cm = pitch * 1e-4
         wavelength_cm = spec.wavelength * 1e-7
         return 2.0 * math.pi * spec.n_eff * pitch_cm / (wavelength_cm * spec.bend_radius)
     if calibration is None:
         raise InvalidParameterError("calibrated force mode needs a calibration point")
     fd_cal = math.pi / calibration.l_foc
     radius_scale = calibration.bend_radius / spec.bend_radius
-    pitch_scale = spec.bend_plane_pitch / calibration.bend_plane_pitch
+    pitch_scale = pitch / bend_plane_pitch(calibration.kind, calibration.spacing)
     return fd_cal * radius_scale * pitch_scale
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,10 +110,12 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.z_samples.size
 
-    @property
+    @cached_property
     def probabilities(self) -> np.ndarray:
-        """Site populations, shape (n_samples, dim)."""
-        return np.abs(self.states) ** 2
+        """Site populations, shape (n_samples, dim); computed once, read-only."""
+        probs = np.abs(self.states) ** 2
+        probs.setflags(write=False)
+        return probs
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k])
@@ -195,12 +198,13 @@ def propagate(
     return SpectralPropagator(h, dim_cap=dim_cap).trajectory(psi0, z_max, dz)
 
 
-def return_probability(traj: Trajectory, site: int) -> ObservableSeries:
-    """|amplitude|^2 at one site along the trajectory."""
-    if not 0 <= site < traj.dim:
-        raise InvalidParameterError(f"site {site} outside [0, {traj.dim})")
+def return_probability(traj, site: int) -> ObservableSeries:
+    """Population of one site along a trajectory (or any populations record)."""
+    dim = traj.probabilities.shape[1]
+    if not 0 <= site < dim:
+        raise InvalidParameterError(f"site {site} outside [0, {dim})")
     return ObservableSeries(
         z_samples=traj.z_samples,
-        values=np.abs(traj.states[:, site]) ** 2,
+        values=traj.probabilities[:, site],
         label=f"return_probability[site={site}]",
     )

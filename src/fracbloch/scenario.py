@@ -26,11 +26,13 @@ from .model import (
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     flatten_index,
+    square_side,
 )
 from .observables import (
     EDGE_TRUNCATION_TOL,
     REFOCUS_THRESHOLD,
     ObservableSeries,
+    Populations,
     boundary_population,
     breathing_width,
     diagonal_confinement,
@@ -94,8 +96,8 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 "exactly one parameter source (params or waveguides) is required"
             )
-        if self.z_max <= 0:
-            raise InvalidParameterError("z_max must be positive")
+        if not 0 < self.z_max < math.inf:
+            raise InvalidParameterError("z_max must be positive and finite")
         if self.observables is not None:
             unknown = set(self.observables) - set(OBSERVABLE_NAMES)
             if unknown:
@@ -324,15 +326,19 @@ def _get_float(cfg, text, filename, section, key, default=None):
     if raw is None or raw.strip() == "":
         return default
     raw = raw.strip()
-    if raw.lower() in ("inf", "infinite", "infinity"):
-        return math.inf
     try:
-        return float(raw)
+        value = math.inf if raw.lower() == "infinite" else float(raw)
     except ValueError:
         raise ConfigError(
             f"key '{key}' must be a number, got {raw!r}",
             filename, _line_of(text, section, key),
         ) from None
+    if math.isnan(value) or (math.isinf(value) and key != "bend_radius_cm"):
+        raise ConfigError(
+            f"key '{key}' must be finite, got {raw!r}",
+            filename, _line_of(text, section, key),
+        )
+    return value
 
 
 def _get_int(cfg, text, filename, section, key, default=None):
@@ -604,6 +610,47 @@ def _refocus_summary(return_series, width_series) -> dict:
     return summary
 
 
+def summarize_populations(
+    pops, pair: bool, site: int
+) -> tuple[dict, dict[str, ObservableSeries]]:
+    """Summary fields computed from site populations, with their series.
+
+    pops carries ``z_samples`` and ``probabilities`` (a Trajectory, or a
+    :class:`Populations` read back from CSV); pair selects the pair-lattice
+    geometry; site is the excitation site whose return probability drives
+    the refocus report. Both ``run`` and ``analyze`` go through here.
+    """
+    probs = pops.probabilities
+    series: dict[str, ObservableSeries] = {
+        "return_probability": return_probability(pops, site),
+        "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
+        "breathing_width": breathing_width(pops, "2d-diagonal" if pair else "1d"),
+    }
+    edge = series["boundary_population"].values
+    fields: dict = {
+        "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
+        "truncated": bool(np.any(edge > EDGE_TRUNCATION_TOL)),
+        "refocus": _refocus_summary(
+            series["return_probability"], series["breathing_width"]
+        ),
+    }
+    width = series["breathing_width"].values
+    if np.any(np.isfinite(width)):
+        k = int(np.nanargmax(width))
+        fields["breathing_width"] = {
+            "max": float(width[k]),
+            "z_at_max": float(pops.z_samples[k]),
+        }
+    if pair:
+        conf = diagonal_confinement(pops, square_side(probs.shape[1]))
+        series["diagonal_confinement"] = conf
+        fields["diagonal_confinement"] = {
+            "min": float(conf.values.min()),
+            "max": float(conf.values.max()),
+        }
+    return fields, series
+
+
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | None = None,
@@ -623,36 +670,17 @@ def run_scenario(
     plan = SpectralPropagator(operator, dim_cap=dim_cap)
     traj = plan.trajectory(psi0, config.z_max, config.dz)
 
-    probs = traj.probabilities
-    norm_dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-
     is_pair = config.model == "fock"
     site = (
         flatten_index(excitation[0], excitation[1], n_sites)
         if is_pair
         else excitation[0]
     )
-    geometry = "2d" if is_pair else "1d"
-    edge_series = boundary_population(traj, geometry)
-    truncated = bool(np.any(edge_series.values > EDGE_TRUNCATION_TOL))
-    truncation_z = (
-        float(traj.z_samples[np.argmax(edge_series.values > EDGE_TRUNCATION_TOL)])
-        if truncated
-        else None
-    )
-
-    series: dict[str, ObservableSeries] = {
-        "return_probability": return_probability(traj, site),
-        "boundary_population": edge_series,
-        "breathing_width": breathing_width(
-            traj, "2d-diagonal" if is_pair else "1d"
-        ),
-    }
-    if is_pair:
-        series["diagonal_confinement"] = diagonal_confinement(traj, n_sites)
+    fields, series = summarize_populations(traj, is_pair, site)
     if "participation_ratio" in config.resolve_observables():
         series["participation_ratio"] = participation_ratio(traj)
-    if truncated:
+    over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
+    if fields["truncated"]:
         series = {
             name: dataclasses.replace(s, truncated=True)
             for name, s in series.items()
@@ -674,26 +702,11 @@ def run_scenario(
         "dz": config.dz,
         "excitation": list(excitation),
         "generator_id": traj.generator_id,
-        "norm_max_deviation": norm_dev,
-        "truncated": truncated,
-        "truncation_z": truncation_z,
-        "refocus": _refocus_summary(
-            series["return_probability"], series["breathing_width"]
+        "truncation_z": (
+            float(traj.z_samples[np.argmax(over_edge)]) if fields["truncated"] else None
         ),
+        **fields,
     }
-    width = series["breathing_width"].values
-    if np.any(np.isfinite(width)):
-        k = int(np.nanargmax(width))
-        summary["breathing_width"] = {
-            "max": float(width[k]),
-            "z_at_max": float(traj.z_samples[k]),
-        }
-    if is_pair:
-        conf = series["diagonal_confinement"].values
-        summary["diagonal_confinement"] = {
-            "min": float(conf.min()),
-            "max": float(conf.max()),
-        }
 
     outputs = {"trajectory": "trajectory.csv", "summary": "summary.json",
                "heatmap": "heatmap.pgm"}
@@ -733,37 +746,5 @@ def analyze_probabilities(z: np.ndarray, probs: np.ndarray, kind: str) -> dict:
     the excitation site is taken as the brightest site of the first sample.
     """
     site = int(np.argmax(probs[0]))
-    ret = ObservableSeries(z, probs[:, site], f"return_probability[site={site}]")
-    result: dict = {
-        "kind": kind,
-        "excitation_site": site,
-        "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
-    }
-    if kind == "pair":
-        n = math.isqrt(probs.shape[1])
-        diag = np.arange(n) * n + np.arange(n)
-        pdiag = probs[:, diag]
-        conf = pdiag.sum(axis=1)
-        result["diagonal_confinement"] = {
-            "min": float(conf.min()), "max": float(conf.max()),
-        }
-        weight = np.where(conf > 1e-15, conf, np.nan)
-        origin = int(np.argmax(pdiag[0]))
-        width_values = np.sqrt(
-            (pdiag / weight[:, None]) @ (np.arange(n) - origin) ** 2
-        )
-        grid_n, grid_m = np.divmod(np.arange(probs.shape[1]), n)
-        on_edge = (grid_n == 0) | (grid_n == n - 1) | (grid_m == 0) | (grid_m == n - 1)
-        edge = probs[:, on_edge].sum(axis=1)
-    else:
-        origin = site
-        width_values = np.sqrt(probs @ (np.arange(probs.shape[1]) - origin) ** 2)
-        edge = probs[:, [0, -1]].sum(axis=1)
-    width = ObservableSeries(z, width_values, "breathing_width")
-    result["truncated"] = bool(np.any(edge > EDGE_TRUNCATION_TOL))
-    if np.any(np.isfinite(width_values)):
-        k = int(np.nanargmax(width_values))
-        result["breathing_width"] = {"max": float(width_values[k]),
-                                     "z_at_max": float(z[k])}
-    result["refocus"] = _refocus_summary(ret, width)
-    return result
+    fields, _ = summarize_populations(Populations(z, probs), kind == "pair", site)
+    return {"kind": kind, "excitation_site": site, **fields}

@@ -34,7 +34,7 @@ from fracbloch import (
     propagate,
     return_probability,
     strongest_interior_peak,
-    swap_permutation,
+    swap_indices,
     wannier_stark_spacing,
 )
 from fracbloch.scenario import preset_config, run_scenario
@@ -180,10 +180,10 @@ def test_criterion_7_invariant_suite(pair_params, pair_trajectory):
     unitarity = float(np.max(np.abs(norms - 1.0)))
 
     h = build_fock_hamiltonian(pair_params)
-    swap = swap_permutation(N_PAIR)
+    swap = swap_indices(N_PAIR)
     traj_sym = propagate(h, StateVector.pair_excitation(N_PAIR, 6, 8), 5.0, 0.05)
     swap_dev = max(
-        float(np.max(np.abs(swap @ state - state))) for state in traj_sym.states
+        float(np.max(np.abs(state[swap] - state))) for state in traj_sym.states
     )
 
     n = 11

@@ -1,5 +1,7 @@
 """Operator builders: transcription examples, oracle equivalence, symmetries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from fracbloch import (
     flatten_index,
     kappa_eff,
     operator_from_bonds,
-    swap_permutation,
+    swap_indices,
     unflatten_index,
 )
 
@@ -90,8 +92,17 @@ def test_fock_matches_bond_enumerator_with_all_ebh_features():
 
 def test_fock_swap_symmetry_exact(pair_params):
     h = build_fock_hamiltonian(pair_params).entries
-    p = swap_permutation(pair_params.n_sites)
-    assert np.array_equal(p @ h, h @ p)
+    p = swap_indices(pair_params.n_sites)
+    assert np.array_equal(h[p][:, p], h)
+
+
+def test_swap_indices_maps_nm_to_mn():
+    n = 4
+    state = np.arange(n * n, dtype=float)
+    swapped = state[swap_indices(n)]
+    for a in range(n):
+        for b in range(n):
+            assert swapped[flatten_index(a, b, n)] == state[flatten_index(b, a, n)]
 
 
 def test_fock_tilt_changes_only_the_diagonal(pair_params):
@@ -189,6 +200,11 @@ def test_model_params_validation():
         ModelParams(kappa=0.1, rho=0.0, u0=0.0, fd=0.0, n_sites=1)
     with pytest.raises(InvalidParameterError):
         ModelParams(kappa=0.1, rho=0.0, u0=0.0, fd=0.0, n_sites=5, eps=1.5)
+    base = dict(kappa=0.1, rho=0.0, u0=0.0, fd=0.0, n_sites=5)
+    for name in ("kappa", "kappa1", "rho", "u0", "fd"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match=name):
+                ModelParams(**{**base, name: bad})
 
 
 def test_model_params_ebh_consistency_checks():
@@ -246,7 +262,7 @@ def test_fock_builder_properties(n_sites, kappa, kappa1, rho, u0, fd):
     )
     h = build_fock_hamiltonian(params).entries
     assert np.array_equal(h, h.T)
-    p = swap_permutation(n_sites)
-    assert np.array_equal(p @ h, h @ p)
+    p = swap_indices(n_sites)
+    assert np.array_equal(h[p][:, p], h)
     bonds, energies = enumerate_fock_bonds(params)
     assert np.array_equal(h, operator_from_bonds(n_sites, bonds, energies))

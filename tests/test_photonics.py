@@ -191,6 +191,12 @@ def test_spec_shape_parsing_and_validation():
         WaveguideArraySpec("linear-23", -1.0, math.inf, 2.5, 0.0)
     with pytest.raises(InvalidParameterError):
         WaveguideArraySpec("linear-23", 19.0, -5.0, 2.5, 0.0)
+    with pytest.raises(InvalidParameterError, match="spacing_d"):
+        WaveguideArraySpec("linear-23", math.nan, math.inf, 2.5, 0.0)
+    with pytest.raises(InvalidParameterError, match="length_l"):
+        WaveguideArraySpec("linear-23", 19.0, math.inf, math.nan, 0.0)
+    with pytest.raises(InvalidParameterError, match="wavelength"):
+        WaveguideArraySpec("linear-23", 19.0, math.inf, 2.5, 0.0, n_eff=math.nan)
 
 
 def test_calibration_validation():

@@ -20,7 +20,7 @@ from fracbloch import (
     build_single_particle_hamiltonian,
     propagate,
     return_probability,
-    swap_permutation,
+    swap_indices,
     two_site_coupler,
 )
 
@@ -112,9 +112,9 @@ def test_swap_symmetry_preserved(pair_params):
     h = build_fock_hamiltonian(pair_params)
     psi0 = StateVector.pair_excitation(N_PAIR, 6, 8)  # symmetrized off-diagonal
     traj = propagate(h, psi0, 5.0, 0.05)
-    p = swap_permutation(N_PAIR)
+    p = swap_indices(N_PAIR)
     for state in traj.states:
-        assert np.max(np.abs(p @ state - state)) <= 1e-10
+        assert np.max(np.abs(state[p] - state)) <= 1e-10
 
 
 def test_exact_revival_up_to_global_phase():
@@ -183,6 +183,15 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.0]), good, "tag")  # strictly increasing
     with pytest.raises(InvalidParameterError):
         Trajectory(z, 0.5 * good, "tag")  # norm violated
+
+
+def test_trajectory_probabilities_computed_once_and_read_only(pair_trajectory):
+    probs = pair_trajectory.probabilities
+    assert probs is pair_trajectory.probabilities
+    assert not probs.flags.writeable
+    assert np.array_equal(probs, np.abs(pair_trajectory.states) ** 2)
+    ret = return_probability(pair_trajectory, 7 * N_PAIR + 7)
+    assert np.array_equal(ret.values, probs[:, 7 * N_PAIR + 7])
 
 
 @settings(max_examples=60, deadline=None)

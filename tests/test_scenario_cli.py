@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fracbloch import StateVector, Trajectory, frequency_ratio, propagate
-from fracbloch import build_single_particle_hamiltonian
+from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
 from fracbloch.cli import main
 from fracbloch.errors import ConfigError, InvalidParameterError
 from fracbloch.heatmap import (
@@ -21,6 +21,7 @@ from fracbloch.observables import RefocusReport
 from fracbloch.scenario import (
     PRESETS,
     ScenarioConfig,
+    analyze_probabilities,
     list_presets,
     parse_config,
     preset_config,
@@ -326,6 +327,34 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert "typo" in capsys.readouterr().err
 
 
+NON_FINITE_CASES = [
+    (MODEL_CONFIG, "kappa = 0.95", "kappa = inf"),
+    (MODEL_CONFIG, "u0 = -4", "u0 = inf"),
+    (MODEL_CONFIG, "fd = 0.4833", "fd = inf"),
+    (MODEL_CONFIG, "kappa = 0.95", "kappa = nan"),
+    (MODEL_CONFIG, "rho = 0.3", "rho = nan"),
+    (MODEL_CONFIG, "z_max = 8.5", "z_max = inf"),
+    (WAVEGUIDE_CONFIG, "spacing_um = 19", "spacing_um = nan"),
+    (WAVEGUIDE_CONFIG, "length_cm = 2.5", "length_cm = nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, old, new",
+    NON_FINITE_CASES,
+    ids=[new.replace(" ", "") for _, _, new in NON_FINITE_CASES],
+)
+def test_cli_non_finite_value_fails_closed(tmp_path, capsys, base, old, new):
+    text = base.replace(old, new)
+    config_path = write_config(tmp_path, text)
+    line = text.splitlines().index(new) + 1
+    assert main(["run", config_path, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{config_path}:{line}:" in err
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_exit_code_missing_out(tmp_path, capsys):
     config_path = write_config(tmp_path, MODEL_CONFIG)
     assert main(["run", config_path]) == 2
@@ -374,13 +403,77 @@ def test_cli_analyze_out_file(fig4b_run, tmp_path, capsys):
     assert json.loads(target.read_text())["kind"] == "chain"
 
 
-def test_analyze_matches_summary(fig4b_run, capsys):
-    summary, out = fig4b_run
-    assert main(["analyze", str(out / "trajectory.csv")]) == 0
-    analysis = json.loads(capsys.readouterr().out)
-    assert analysis["refocus"]["period_estimate"] == pytest.approx(
-        summary["refocus"]["period_estimate"], rel=1e-6
+#: analyze output fields that the run's summary.json also carries.
+SHARED_FIELDS = (
+    "norm_max_deviation", "truncated", "diagonal_confinement",
+    "breathing_width", "refocus",
+)
+
+
+def _preset_trajectory(config):
+    params = config.resolve_params()
+    n, center = params.n_sites, params.n_sites // 2
+    if config.model == "fock":
+        h = build_fock_hamiltonian(params)
+        psi0 = StateVector.pair_excitation(n, center, center)
+    else:
+        h = build_single_particle_hamiltonian(n, params.kappa, params.fd)
+        psi0 = StateVector.delta(n, center)
+    return propagate(h, psi0, config.z_max, config.dz)
+
+
+def _leaves(tree, path=""):
+    """Flatten nested dicts and lists into {path: leaf}."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return {path: tree}
+    leaves = {}
+    for key, sub in items:
+        leaves.update(_leaves(sub, f"{path}/{key}"))
+    return leaves
+
+
+def _assert_close_tree(actual, expected, tol):
+    got, want = _leaves(actual), _leaves(expected)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=tol, abs=tol), key
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("name", ["fig4b-single-bo", "fig3c-bh-only"])
+def test_analyze_matches_summary(name, tmp_path, capsys):
+    config = preset_config(name)
+    summary = run_scenario(config, out_dir=str(tmp_path))
+    shared = {key: summary[key] for key in SHARED_FIELDS if key in summary}
+    kind = "pair" if config.model == "fock" else "chain"
+
+    # the same populations give the same fields, bit for bit
+    traj = _preset_trajectory(config)
+    in_memory = analyze_probabilities(traj.z_samples, traj.probabilities, kind)
+    assert {key: in_memory[key] for key in shared} == shared
+
+    # the CSV round trip keeps 12 significant digits
+    assert main(["analyze", str(tmp_path / "trajectory.csv")]) == 0
+    reloaded = json.loads(capsys.readouterr().out)
+    assert reloaded["kind"] == kind
+    _assert_close_tree({key: reloaded[key] for key in shared}, shared, 1e-9)
+
+
+def test_analyze_off_center_pair_matches_run(tmp_path, capsys):
+    # an off-diagonal pair starts with no diagonal population; the width is
+    # undefined at z = 0 on both paths, not measured from round-off
+    config = ScenarioConfig(
+        model="fock", z_max=3.0, dz=0.02, excitation=(4, 6),
+        params=preset_config("fig3c-bh-only").params,
     )
-    assert analysis["breathing_width"]["max"] == pytest.approx(
-        summary["breathing_width"]["max"], rel=1e-6
-    )
+    summary = run_scenario(config, out_dir=str(tmp_path))
+    assert main(["analyze", str(tmp_path / "trajectory.csv")]) == 0
+    reloaded = json.loads(capsys.readouterr().out)
+    shared = {key: summary[key] for key in SHARED_FIELDS if key in summary}
+    _assert_close_tree({key: reloaded[key] for key in shared}, shared, 1e-9)
