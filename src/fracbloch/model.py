@@ -236,30 +236,23 @@ def build_fock_hamiltonian(
     if dim > dim_cap:
         raise DimensionCapError(dim, dim_cap)
 
-    h = np.zeros((dim, dim))
     origin = n // 2
-    defect = params.near_diagonal_defect()
-    for a in range(n):
-        for b in range(n):
-            i = flatten_index(a, b, n)
-            energy = params.fd * ((a - origin) + (b - origin))
-            if a == b:
-                energy += params.u0
-            elif abs(a - b) == 1:
-                energy += defect
-            h[i, i] = energy
-            for da, db in ((1, 0), (0, 1)):
-                aa, bb = a + da, b + db
-                if aa >= n or bb >= n:
-                    continue
-                j = flatten_index(aa, bb, n)
-                rate = params.kappa1 if (a == b or aa == bb) else params.kappa
-                h[i, j] = -rate
-                h[j, i] = -rate
-            if a == b and a + 1 < n:
-                j = flatten_index(a + 1, b + 1, n)
-                h[i, j] = -params.rho
-                h[j, i] = -params.rho
+    a, b = np.divmod(np.arange(dim), n)
+    energy = params.fd * ((a - origin) + (b - origin)).astype(float)
+    energy[a == b] += params.u0
+    energy[np.abs(a - b) == 1] += params.near_diagonal_defect()
+    h = np.diag(energy)
+    # Bonds from (a, b) to (a + 1, b), i.e. to index + n, and to (a, b + 1);
+    # a bond touching the main diagonal carries kappa1.
+    for step, head, tail in ((n, a + 1, b), (1, a, b + 1)):
+        i = np.flatnonzero((head < n) & (tail < n))
+        touches = (a[i] == b[i]) | (head[i] == tail[i])
+        rate = np.where(touches, -params.kappa1, -params.kappa)
+        h[i, i + step] = rate
+        h[i + step, i] = rate
+    i = diagonal_indices(n)[:-1]
+    h[i, i + n + 1] = -params.rho
+    h[i + n + 1, i] = -params.rho
     return HermitianOperator(h)
 
 

@@ -1,20 +1,27 @@
 """Exact unitary z-evolution by eigendecomposition of the generator.
 
-The generator is diagonalized once (dense real-symmetric / Hermitian solve)
-and every sampled state is synthesized spectrally, so unitarity holds to
-machine precision and revival positions are not integration artifacts.
+The generator is diagonalized once per invariant sector and every sampled
+state is synthesized spectrally, so unitarity holds to machine precision and
+revival positions are not integration artifacts. A generator on an N x N
+lattice that commutes exactly with the (n, m) swap (every pair-lattice
+operator does) splits into its symmetric sector, of dimension N(N+1)/2, and
+its antisymmetric sector, of dimension N(N-1)/2; any other generator is one
+sector. Sectors are dense real-symmetric / Hermitian solves, and a real
+sector is synthesized in real arithmetic.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
-from .model import DEFAULT_DIM_CAP, HermitianOperator, flatten_index
+from .model import DEFAULT_DIM_CAP, HermitianOperator, flatten_index, swap_indices
 from .observables import ObservableSeries
 
 _NORM_TOL = 1e-12
@@ -128,11 +135,69 @@ def _generator_id(entries: np.ndarray) -> str:
     return digest.hexdigest()[:12]
 
 
-class SpectralPropagator:
-    """Immutable propagation plan: one eigendecomposition, many syntheses.
+class _Sector(NamedTuple):
+    """Eigenpairs of one invariant block, eigenvectors embedded in the full basis."""
 
+    energies: np.ndarray
+    vectors: np.ndarray  # (dim, block dim)
+
+
+def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _swap_side(entries: np.ndarray) -> int | None:
+    """N when entries act on an N x N lattice and commute exactly with the swap."""
+    n = math.isqrt(entries.shape[0])
+    if n * n != entries.shape[0]:
+        return None
+    grid = entries.reshape(n, n, n, n)
+    return n if np.array_equal(grid, grid.transpose(1, 0, 3, 2)) else None
+
+
+def _swap_sector(entries: np.ndarray, n: int, sign: int) -> _Sector:
+    """Diagonalize entries on the swap-symmetric (sign 1) or antisymmetric sector.
+
+    Basis state I is |a, a> on the diagonal, else (|a, b> + sign |b, a>) / sqrt 2
+    with a < b. Block entries are gathered by index: for swap-invariant entries,
+    <I|H|J> = g_I g_J (H[ab, cd] + sign H[ab, dc]) with g = 1/sqrt 2 on the
+    diagonal and 1 off it.
+    """
+    a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
+    rep, partner = a * n + b, b * n + a
+    on_diagonal = a == b
+    block = entries[np.ix_(rep, rep)] + sign * entries[np.ix_(rep, partner)]
+    g = np.where(on_diagonal, math.sqrt(0.5), 1.0)
+    block *= g[:, None]
+    block *= g
+    energies, v = _eigh(block)
+    vectors = np.zeros((n * n, rep.size), dtype=v.dtype)
+    vectors[rep] = np.where(on_diagonal, 1.0, math.sqrt(0.5))[:, None] * v
+    vectors[partner] = sign * vectors[rep]
+    return _Sector(energies, vectors)
+
+
+def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex b; a real a acts on b's real and imaginary parts in
+    one real product instead of being cast to complex."""
+    if np.iscomplexobj(a):
+        return a @ b
+    b = np.ascontiguousarray(b, dtype=complex)
+    pairs = b.view(np.float64).reshape(b.shape[0], -1)
+    return (a @ pairs).view(complex).reshape(a.shape[0], *b.shape[1:])
+
+
+class SpectralPropagator:
+    """Immutable propagation plan: one eigendecomposition per sector, many syntheses.
+
+    For a swap-invariant generator the symmetric sector is diagonalized here;
+    the antisymmetric one only when a state first reaches it, and then once.
     Safe to share across threads; independent trajectories need no
-    coordination.
+    coordination (two threads reaching the antisymmetric sector first at the
+    same time may both diagonalize it, with the same result).
     """
 
     def __init__(self, h: HermitianOperator, dim_cap: int = DEFAULT_DIM_CAP):
@@ -143,31 +208,52 @@ class SpectralPropagator:
         if bad.size:
             i, j = bad[0]
             raise NumericError(f"non-finite generator entry at ({i}, {j})")
-        try:
-            eigenvalues, eigenvectors = np.linalg.eigh(entries)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        eigenvalues.setflags(write=False)
-        eigenvectors.setflags(write=False)
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
+        self._entries = entries
+        self._side = _swap_side(entries)
+        # The symmetric sector, or the whole space without swap symmetry.
+        if self._side is None:
+            self._first = _Sector(*_eigh(entries))
+        else:
+            self._first = _swap_sector(entries, self._side, 1)
         self.generator_id = _generator_id(entries)
         self.dim = h.dim
+
+    @cached_property
+    def _antisymmetric(self) -> _Sector:
+        return _swap_sector(self._entries, self._side, -1)
+
+    def _sectors(self, psi: np.ndarray) -> tuple[_Sector, ...]:
+        """The sectors psi has weight in; the second only if psi is not swap-symmetric."""
+        if self._side is None or np.array_equal(psi, psi[swap_indices(self._side)]):
+            return (self._first,)
+        return (self._first, self._antisymmetric)
+
+    def _synthesize(self, psi0: StateVector, z: np.ndarray) -> np.ndarray:
+        """exp(-i H z_k) psi0 for every z_k, as the columns of a (dim, len(z)) array."""
+        psi = psi0.amplitudes
+        columns = None
+        for sector in self._sectors(psi):
+            coeffs = _apply(sector.vectors.conj().T, psi)
+            phases = np.exp(-1j * np.outer(sector.energies, z))
+            phases *= coeffs[:, None]
+            part = _apply(sector.vectors, phases)
+            del phases
+            if columns is None:
+                columns = part
+            else:
+                columns += part
+        return columns
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0."""
         self._check_dim(psi0)
-        coeffs = self.eigenvectors.conj().T @ psi0.amplitudes
-        coeffs = coeffs * np.exp(-1j * self.eigenvalues * z)
-        return StateVector(self.eigenvectors @ coeffs)
+        return StateVector(self._synthesize(psi0, np.array([z]))[:, 0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
         """Sample exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
         z = _sample_grid(z_max, dz)
-        coeffs = self.eigenvectors.conj().T @ psi0.amplitudes
-        phases = np.exp(-1j * np.outer(z, self.eigenvalues))
-        states = (phases * coeffs) @ self.eigenvectors.T
+        states = self._synthesize(psi0, z).T
         return Trajectory(z_samples=z, states=states, generator_id=self.generator_id)
 
     def _check_dim(self, psi0: StateVector):

@@ -1,16 +1,20 @@
-"""Spectral propagation: closed-form checks, unitarity, composition, revival."""
+"""Spectral propagation: closed-form checks, unitarity, composition, revival,
+and the swap-sector path against a dense eigendecomposition of the full lattice."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracbloch import (
     HermitianOperator,
     InvalidParameterError,
+    ModelParams,
     NumericError,
     SpectralPropagator,
     StateVector,
@@ -212,3 +216,124 @@ def test_random_generator_unitarity_and_composition(matrix, z1, z2):
     b = plan.evolve(psi0, z1 + z2)
     assert abs(np.sum(np.abs(a.amplitudes) ** 2) - 1.0) <= 1e-12
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Swap sectors: every case against np.linalg.eigh of the full entries
+# ---------------------------------------------------------------------------
+
+SECTOR_TOL = 1e-12
+
+
+@contextlib.contextmanager
+def eigh_dims():
+    """Record the matrix dimension of every np.linalg.eigh call in the block."""
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", counting):
+        yield dims
+
+
+def dense_states(h, psi0, z):
+    """exp(-i H z_k) psi0 as rows, from the eigenpairs of the full matrix."""
+    energies, vectors = np.linalg.eigh(h.entries)
+    coeffs = vectors.conj().T @ psi0.amplitudes
+    return (np.exp(-1j * np.outer(z, energies)) * coeffs) @ vectors.T
+
+
+def assert_matches_dense(h, psi0, z_max=3.0, dz=0.05):
+    plan = SpectralPropagator(h)
+    traj = plan.trajectory(psi0, z_max, dz)
+    oracle = dense_states(h, psi0, traj.z_samples)
+    assert np.max(np.abs(traj.states - oracle)) <= SECTOR_TOL
+    for k in (1, traj.n_samples // 2, traj.n_samples - 1):
+        state = plan.evolve(psi0, traj.z_samples[k])
+        assert np.max(np.abs(state.amplitudes - oracle[k])) <= SECTOR_TOL
+
+
+def _pair_state(kind, n):
+    if kind == "doublon":
+        return StateVector.pair_excitation(n, n // 2, n // 2)
+    if kind == "symmetrized":
+        return StateVector.pair_excitation(n, n // 2 - 2, n // 2 + 1)
+    return StateVector.delta(n * n, (n // 2 - 2) * n + n // 2 + 1)
+
+
+@pytest.mark.parametrize("kind", ["doublon", "symmetrized", "unsymmetrized"])
+def test_sector_path_matches_dense_eigh(pair_params, kind):
+    h = build_fock_hamiltonian(pair_params)
+    assert_matches_dense(h, _pair_state(kind, N_PAIR))
+
+
+@pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
+def test_sector_path_matches_dense_eigh_with_ebh_features(kind):
+    params = ModelParams.from_ebh(j_hop=9.0, eps=0.19, u0=-4.0, fd=0.5, n_sites=11)
+    assert params.kappa1 != params.kappa and params.near_diagonal_defect() != 0.0
+    assert_matches_dense(build_fock_hamiltonian(params), _pair_state(kind, 11))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix=arrays(np.float64, (9, 9), elements=st.floats(min_value=-3.0, max_value=3.0)),
+    parts=arrays(np.float64, (2, 9), elements=st.floats(min_value=-1.0, max_value=1.0)),
+    z=st.floats(min_value=0.01, max_value=5.0),
+)
+def test_random_swap_symmetric_generator_matches_dense(matrix, parts, z):
+    symmetric = (matrix + matrix.T) / 2.0
+    p = swap_indices(3)
+    h = HermitianOperator((symmetric + symmetric[p][:, p]) / 2.0)
+    amp = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(amp)
+    assume(norm > 1e-3)
+    psi0 = StateVector(amp / norm)
+    with eigh_dims() as dims:
+        plan = SpectralPropagator(h)
+        state = plan.evolve(psi0, z)
+        traj = plan.trajectory(psi0, z, z / 4)
+    assert sorted(dims) == ([3, 6] if np.any(psi0.amplitudes[p] != psi0.amplitudes) else [6])
+    oracle = dense_states(h, psi0, traj.z_samples)
+    assert np.max(np.abs(state.amplitudes - oracle[-1])) <= SECTOR_TOL
+    assert np.max(np.abs(traj.states - oracle)) <= SECTOR_TOL
+
+
+@pytest.mark.parametrize("side", [3, None])
+def test_complex_generator_matches_dense(side):
+    rng = np.random.default_rng(7)
+    dim = 9 if side else 7
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = (m + m.conj().T) / 2.0
+    if side:
+        p = swap_indices(side)
+        m = (m + m[p][:, p]) / 2.0
+    amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    with eigh_dims() as dims:
+        assert_matches_dense(HermitianOperator(m), StateVector(amp / np.linalg.norm(amp)))
+    assert dims == ([6, 3, 9] if side else [7, 7])  # the plan's sectors, then the oracle's
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_chain_of_square_length_stays_one_block(n):
+    h = build_single_particle_hamiltonian(n, KAPPA, FD)
+    with eigh_dims() as dims:
+        assert_matches_dense(h, StateVector.delta(n, n // 2))
+    assert dims == [n, n]  # the plan's, then the oracle's
+
+
+def test_sector_work_count(pair_params):
+    n = N_PAIR
+    h = build_fock_hamiltonian(pair_params)
+    with eigh_dims() as dims:
+        plan = SpectralPropagator(h)
+        plan.trajectory(_pair_state("doublon", n), 2.0, 0.1)
+        plan.evolve(_pair_state("symmetrized", n), 1.0)
+    assert dims == [n * (n + 1) // 2]
+    with eigh_dims() as dims:
+        plan.trajectory(_pair_state("unsymmetrized", n), 2.0, 0.1)
+        plan.evolve(_pair_state("unsymmetrized", n), 1.0)
+        plan.trajectory(_pair_state("doublon", n), 2.0, 0.1)
+    assert dims == [n * (n - 1) // 2]

@@ -3,10 +3,13 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracbloch
 from fracbloch import StateVector, Trajectory, frequency_ratio, propagate
 from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
 from fracbloch.cli import main
@@ -319,6 +322,20 @@ def test_cli_preset_default_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["preset", "effective-pair"]) == 0
     assert (tmp_path / "effective-pair" / "summary.json").exists()
+
+
+def test_cli_runs_as_module():
+    src = os.path.dirname(os.path.dirname(fracbloch.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracbloch", "presets"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "fig4a-fractional-bo" in done.stdout
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
