@@ -6,7 +6,14 @@ class FracblochError(Exception):
 
 
 class InvalidParameterError(FracblochError, ValueError):
-    """A physical or structural parameter violates its contract."""
+    """A physical or structural parameter violates its contract.
+
+    field names the one record field at fault, when a single field is.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SingularParameterError(InvalidParameterError):

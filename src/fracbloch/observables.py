@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .model import HermitianOperator, diagonal_indices, square_side
 
-#: A sample whose boundary population exceeds this marks a series truncated.
+#: A sample whose boundary population exceeds this marks the run truncated.
 EDGE_TRUNCATION_TOL = 1e-3
 
 #: Default refocus detection threshold on a return-probability series.
@@ -43,7 +43,6 @@ class ObservableSeries:
     z_samples: np.ndarray
     values: np.ndarray
     label: str
-    truncated: bool = False
 
     def __post_init__(self):
         z = np.asarray(self.z_samples, dtype=float)

@@ -81,7 +81,11 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: states[k] is the state vector at z_samples[k]."""
+    """Sampled evolution: states[k] is the state vector at z_samples[k].
+
+    The states are copied unless they come as a C-ordered, read-only array
+    that owns its memory, which the trajectory then keeps as it is.
+    """
 
     z_samples: np.ndarray
     states: np.ndarray
@@ -96,18 +100,22 @@ class Trajectory:
             raise InvalidParameterError(
                 "z samples must strictly increase starting at 0"
             )
-        norms = np.sum(np.abs(states) ** 2, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
+        z = z.copy()
+        flags = states.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous):
+            states = states.copy()
+        probs = np.abs(states)
+        np.square(probs, out=probs)
+        worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
         if worst > _NORM_TOL:
             raise InvalidParameterError(
                 f"trajectory state norm^2 deviates from 1 by {worst:.3e}"
             )
-        z = z.copy()
-        states = states.copy()
-        z.setflags(write=False)
-        states.setflags(write=False)
+        for array in (z, states, probs):
+            array.setflags(write=False)
         object.__setattr__(self, "z_samples", z)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_probabilities", probs)
 
     @property
     def dim(self) -> int:
@@ -117,12 +125,10 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.z_samples.size
 
-    @cached_property
+    @property
     def probabilities(self) -> np.ndarray:
         """Site populations, shape (n_samples, dim); computed once, read-only."""
-        probs = np.abs(self.states) ** 2
-        probs.setflags(write=False)
-        return probs
+        return self._probabilities
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.states[k])
@@ -253,7 +259,9 @@ class SpectralPropagator:
         """Sample exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
         z = _sample_grid(z_max, dz)
-        states = self._synthesize(psi0, z).T
+        # handed over C-ordered and read-only, so Trajectory needs no copy
+        states = np.ascontiguousarray(self._synthesize(psi0, z).T)
+        states.setflags(write=False)
         return Trajectory(z_samples=z, states=states, generator_id=self.generator_id)
 
     def _check_dim(self, psi0: StateVector):

@@ -9,11 +9,12 @@ a JSON summary, and a heatmap pixmap. Reruns are byte-identical.
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import contextlib
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,17 +92,26 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise InvalidParameterError(f"model must be one of {MODELS}")
+            raise InvalidParameterError(
+                f"model must be one of {', '.join(MODELS)}, got {self.model!r}",
+                "model",
+            )
         if (self.params is None) == (self.waveguides is None):
             raise InvalidParameterError(
                 "exactly one parameter source (params or waveguides) is required"
             )
         if not 0 < self.z_max < math.inf:
-            raise InvalidParameterError("z_max must be positive and finite")
+            raise InvalidParameterError("z_max must be positive and finite", "z_max")
+        if not 0 < self.dz <= self.z_max:
+            raise InvalidParameterError(
+                f"need 0 < dz <= z_max, got dz={self.dz}, z_max={self.z_max}", "dz"
+            )
         if self.observables is not None:
             unknown = set(self.observables) - set(OBSERVABLE_NAMES)
             if unknown:
-                raise InvalidParameterError(f"unknown observables: {sorted(unknown)}")
+                raise InvalidParameterError(
+                    f"unknown observables: {sorted(unknown)}", "observables"
+                )
 
     def resolve_params(self) -> ModelParams:
         if self.params is not None:
@@ -122,11 +132,13 @@ class ScenarioConfig:
         if len(self.excitation) != want:
             raise InvalidParameterError(
                 f"{self.model} model takes {want} excitation index(es), "
-                f"got {self.excitation}"
+                f"got {self.excitation}",
+                "excitation",
             )
         if any(not 0 <= x < n_sites for x in self.excitation):
             raise InvalidParameterError(
-                f"excitation {self.excitation} outside the {n_sites}-site lattice"
+                f"excitation {self.excitation} outside the {n_sites}-site lattice",
+                "excitation",
             )
         return self.excitation
 
@@ -286,242 +298,208 @@ def list_presets() -> list[dict]:
 # Config file parsing (fail-closed INI; see scenario_schema.ini)
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "scenario": {
-        "model", "z_max", "dz", "excite", "observables", "out", "label",
-    },
-    "model": {
-        "kappa", "kappa1", "rho", "u0", "fd", "n_sites", "eps", "j_hop",
-        "near_diag_defect",
-    },
-    "waveguides": {
-        "shape", "spacing_um", "bend_radius_cm", "length_cm", "detuning_db",
-        "wavelength_nm", "n_eff", "force_mode",
-    },
-    "calibration": {
-        "reference_spacing_um", "kappa", "rho", "decay_gamma", "l_foc_cm",
-        "calibration_radius_cm",
-    },
-}
+_REQUIRED = object()
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int:
-    """Best-effort line number of a section or key for diagnostics."""
-    in_section = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            if key is None and stripped == f"[{section}]":
-                return lineno
-            in_section = stripped == f"[{section}]"
-        elif key is not None and in_section:
-            name = stripped.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
-                return lineno
-    return 0
+class _Key(NamedTuple):
+    """What one INI key feeds: a record field, through a conversion."""
+
+    record: type
+    field: str
+    convert: Callable[[str, str], object]
+    default: object = None
 
 
-def _get_float(cfg, text, filename, section, key, default=None):
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None or raw.strip() == "":
-        return default
-    raw = raw.strip()
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+def _float(key: str, raw: str, finite: bool = True) -> float | None:
+    if not raw:
+        return None
     try:
         value = math.inf if raw.lower() == "infinite" else float(raw)
     except ValueError:
-        raise ConfigError(
-            f"key '{key}' must be a number, got {raw!r}",
-            filename, _line_of(text, section, key),
-        ) from None
-    if math.isnan(value) or (math.isinf(value) and key != "bend_radius_cm"):
-        raise ConfigError(
-            f"key '{key}' must be finite, got {raw!r}",
-            filename, _line_of(text, section, key),
-        )
+        raise ValueError(f"key '{key}' must be a number, got {raw!r}") from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ValueError(f"key '{key}' must be finite, got {raw!r}")
     return value
 
 
-def _get_int(cfg, text, filename, section, key, default=None):
-    raw = cfg.get(section, key, fallback=None)
-    if raw is None or raw.strip() == "":
-        return default
+def _radius(key: str, raw: str) -> float | None:
+    """A bend radius: a number, or inf for a straight guide."""
+    return _float(key, raw, finite=False)
+
+
+def _int(key: str, raw: str) -> int | None:
+    if not raw:
+        return None
     try:
-        return int(raw.strip())
+        return int(raw)
     except ValueError:
-        raise ConfigError(
-            f"key '{key}' must be an integer, got {raw!r}",
-            filename, _line_of(text, section, key),
+        raise ValueError(f"key '{key}' must be an integer, got {raw!r}") from None
+
+
+def _excitation(key: str, raw: str) -> tuple[int, ...] | None:
+    if raw == "center":
+        return None
+    try:
+        return tuple(int(part) for part in raw.split(","))
+    except ValueError:
+        raise ValueError(
+            f"excite must be 'center' or comma-separated integers, got {raw!r}"
         ) from None
 
 
+def _names(key: str, raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _force_mode(key: str, raw: str) -> bool:
+    if raw not in ("calibrated", "first-principles"):
+        raise ValueError(
+            f"force_mode must be 'calibrated' or 'first-principles', got {raw!r}"
+        )
+    return raw == "first-principles"
+
+
+#: Every (section, key) of the scenario INI, once: the record field it feeds,
+#: the conversion of its text, and a parser default only where the record has
+#: none (_REQUIRED: the key must be given). A conversion that returns None
+#: leaves the field unset.
+_KEYS = {
+    ("scenario", "model"): _Key(ScenarioConfig, "model", _text, _REQUIRED),
+    ("scenario", "z_max"): _Key(ScenarioConfig, "z_max", _float, _REQUIRED),
+    ("scenario", "dz"): _Key(ScenarioConfig, "dz", _float),
+    ("scenario", "excite"): _Key(ScenarioConfig, "excitation", _excitation),
+    ("scenario", "observables"): _Key(ScenarioConfig, "observables", _names),
+    ("scenario", "out"): _Key(ScenarioConfig, "out_dir", _text),
+    ("scenario", "label"): _Key(ScenarioConfig, "preset", _text),
+    ("model", "n_sites"): _Key(ModelParams, "n_sites", _int, _REQUIRED),
+    ("model", "kappa"): _Key(ModelParams, "kappa", _float, 0.0),
+    ("model", "kappa1"): _Key(ModelParams, "kappa1", _float),
+    ("model", "rho"): _Key(ModelParams, "rho", _float, 0.0),
+    ("model", "u0"): _Key(ModelParams, "u0", _float, 0.0),
+    ("model", "fd"): _Key(ModelParams, "fd", _float, 0.0),
+    ("model", "eps"): _Key(ModelParams, "eps", _float),
+    ("model", "j_hop"): _Key(ModelParams, "j_hop", _float),
+    ("model", "near_diag_defect"): _Key(ModelParams, "near_diag_defect", _float),
+    ("waveguides", "shape"): _Key(WaveguideArraySpec, "shape", _text, _REQUIRED),
+    ("waveguides", "spacing_um"): _Key(WaveguideArraySpec, "spacing_d", _float, 19.0),
+    ("waveguides", "bend_radius_cm"): _Key(WaveguideArraySpec, "bend_radius", _radius, math.inf),
+    ("waveguides", "length_cm"): _Key(WaveguideArraySpec, "length_l", _float, 1.0),
+    ("waveguides", "detuning_db"): _Key(WaveguideArraySpec, "detuning_db", _float, 0.0),
+    ("waveguides", "wavelength_nm"): _Key(WaveguideArraySpec, "wavelength", _float),
+    ("waveguides", "n_eff"): _Key(WaveguideArraySpec, "n_eff", _float),
+    ("waveguides", "force_mode"): _Key(ScenarioConfig, "first_principles_force", _force_mode),
+    ("calibration", "reference_spacing_um"): _Key(CouplingCalibration, "reference_spacing", _float),
+    ("calibration", "kappa"): _Key(CouplingCalibration, "kappa_ref", _float),
+    ("calibration", "rho"): _Key(CouplingCalibration, "rho_ref", _float),
+    ("calibration", "decay_gamma"): _Key(CouplingCalibration, "decay_gamma", _float),
+    ("calibration", "l_foc_cm"): _Key(ForceCalibration, "l_foc", _float),
+    ("calibration", "calibration_radius_cm"): _Key(ForceCalibration, "bend_radius", _float),
+}
+
+
+def _line_numbers(text: str) -> dict:
+    """Line of each section header, keyed (section, None), and of each key."""
+    lines: dict = {}
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("[") and stripped.endswith("]"):
+            section = stripped[1:-1]
+            lines.setdefault((section, None), lineno)
+        elif section is not None:
+            name = stripped.split("=", 1)[0].split(":", 1)[0].strip().lower()
+            lines.setdefault((section, name), lineno)
+    return lines
+
+
 def parse_config(path: str) -> ScenarioConfig:
-    """Read and validate a scenario config file. Unknown keys are errors."""
+    """Read and validate a scenario config file. Unknown keys are errors.
+
+    Params and excitation are resolved here, so every bad value fails at the
+    line of its key, or else at the header of the section that holds it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path, 0) from exc
 
-    cfg = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an ordinary section
+    cfg = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cfg.read_string(text, source=path)
     except configparser.Error as exc:
-        line = getattr(exc, "lineno", 0) or 0
+        errors = getattr(exc, "errors", None)  # a ParsingError's (line, text)
+        line = errors[0][0] if errors else getattr(exc, "lineno", 0)
         raise ConfigError(f"malformed config: {exc.message}", path, line) from exc
+    lines = _line_numbers(text)
 
+    def error(message, section=None, key=None):
+        line = lines.get((section, key)) or lines.get((section, None), 0)
+        return ConfigError(message, path, line)
+
+    @contextlib.contextmanager
+    def located(section):
+        """A record's rejection, at the key feeding the field it names."""
+        try:
+            yield
+        except InvalidParameterError as exc:
+            key = next((k for (s, k), spec in _KEYS.items()
+                        if s == section and spec.field == exc.field), None)
+            raise error(str(exc), section, key) from exc
+
+    fields = {spec.record: {} for spec in _KEYS.values()}
     for section in cfg.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(
-                f"unknown section [{section}]", path, _line_of(text, section)
-            )
-        for key in cfg.options(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key '{key}' in [{section}]",
-                    path, _line_of(text, section, key),
-                )
+        if not any(s == section for s, _ in _KEYS):
+            raise error(f"unknown section [{section}]", section)
+        for key, raw in cfg.items(section):
+            spec = _KEYS.get((section, key))
+            if spec is None:
+                raise error(f"unknown key '{key}' in [{section}]", section, key)
+            try:
+                value = spec.convert(key, raw)
+            except ValueError as exc:
+                raise error(str(exc), section, key) from None
+            if value is not None:
+                fields[spec.record][spec.field] = value
 
     if not cfg.has_section("scenario"):
-        raise ConfigError("missing [scenario] section", path, 0)
-    model = cfg.get("scenario", "model", fallback=None)
-    if model is None:
-        raise ConfigError(
-            "missing 'model' in [scenario]", path, _line_of(text, "scenario")
-        )
-    if model not in MODELS:
-        raise ConfigError(
-            f"model must be one of {', '.join(MODELS)}, got {model!r}",
-            path, _line_of(text, "scenario", "model"),
-        )
+        raise error("missing [scenario] section")
+    if cfg.has_section("model") == cfg.has_section("waveguides"):
+        raise error("exactly one of [model] or [waveguides] must be present")
+    if cfg.has_section("calibration") and not cfg.has_section("waveguides"):
+        raise error("[calibration] is allowed only with [waveguides]", "calibration")
 
-    has_model = cfg.has_section("model")
-    has_guides = cfg.has_section("waveguides")
-    if has_model == has_guides:
-        raise ConfigError(
-            "exactly one of [model] or [waveguides] must be present", path, 0
-        )
+    def build(record, section, **given):
+        values = {**given, **fields[record]}
+        for (s, key), spec in _KEYS.items():
+            if spec.record is record and spec.field not in values:
+                if spec.default is _REQUIRED:
+                    raise error(f"missing '{key}' in [{s}]", s)
+                if spec.default is not None:
+                    values[spec.field] = spec.default
+        with located(section):
+            return record(**values)
 
-    params = waveguides = calibration = None
-    force_cal = DEFAULT_FORCE_CALIBRATION
-    first_principles = False
-    try:
-        if has_model:
-            n_sites = _get_int(cfg, text, path, "model", "n_sites")
-            if n_sites is None:
-                raise ConfigError(
-                    "missing 'n_sites' in [model]", path, _line_of(text, "model")
-                )
-            params = ModelParams(
-                kappa=_get_float(cfg, text, path, "model", "kappa", 0.0),
-                rho=_get_float(cfg, text, path, "model", "rho", 0.0),
-                u0=_get_float(cfg, text, path, "model", "u0", 0.0),
-                fd=_get_float(cfg, text, path, "model", "fd", 0.0),
-                n_sites=n_sites,
-                kappa1=_get_float(cfg, text, path, "model", "kappa1"),
-                eps=_get_float(cfg, text, path, "model", "eps"),
-                j_hop=_get_float(cfg, text, path, "model", "j_hop"),
-                near_diag_defect=_get_float(
-                    cfg, text, path, "model", "near_diag_defect"
-                ),
-            )
-        else:
-            shape = cfg.get("waveguides", "shape", fallback=None)
-            if shape is None:
-                raise ConfigError(
-                    "missing 'shape' in [waveguides]",
-                    path, _line_of(text, "waveguides"),
-                )
-            waveguides = WaveguideArraySpec(
-                shape=shape.strip(),
-                spacing_d=_get_float(
-                    cfg, text, path, "waveguides", "spacing_um", 19.0
-                ),
-                bend_radius=_get_float(
-                    cfg, text, path, "waveguides", "bend_radius_cm", math.inf
-                ),
-                length_l=_get_float(cfg, text, path, "waveguides", "length_cm", 1.0),
-                detuning_db=_get_float(
-                    cfg, text, path, "waveguides", "detuning_db", 0.0
-                ),
-                wavelength=_get_float(
-                    cfg, text, path, "waveguides", "wavelength_nm", 633.0
-                ),
-                n_eff=_get_float(cfg, text, path, "waveguides", "n_eff", 1.45),
-            )
-            mode = cfg.get("waveguides", "force_mode", fallback="calibrated").strip()
-            if mode not in ("calibrated", "first-principles"):
-                raise ConfigError(
-                    f"force_mode must be 'calibrated' or 'first-principles', "
-                    f"got {mode!r}",
-                    path, _line_of(text, "waveguides", "force_mode"),
-                )
-            first_principles = mode == "first-principles"
-            if cfg.has_section("calibration"):
-                calibration = CouplingCalibration(
-                    reference_spacing=_get_float(
-                        cfg, text, path, "calibration", "reference_spacing_um", 19.0
-                    ),
-                    kappa_ref=_get_float(cfg, text, path, "calibration", "kappa", 0.95),
-                    rho_ref=_get_float(cfg, text, path, "calibration", "rho", 0.3),
-                    decay_gamma=_get_float(
-                        cfg, text, path, "calibration", "decay_gamma"
-                    ),
-                )
-                force_cal = ForceCalibration(
-                    l_foc=_get_float(cfg, text, path, "calibration", "l_foc_cm", 6.5),
-                    bend_radius=_get_float(
-                        cfg, text, path, "calibration", "calibration_radius_cm", 400.0
-                    ),
-                )
-
-        z_max = _get_float(cfg, text, path, "scenario", "z_max")
-        if z_max is None:
-            if waveguides is not None:
-                z_max = waveguides.length_l
-            else:
-                raise ConfigError(
-                    "missing 'z_max' in [scenario]",
-                    path, _line_of(text, "scenario"),
-                )
-        excitation = _parse_excitation(
-            cfg.get("scenario", "excite", fallback="center"), path, text
-        )
-        observables = None
-        raw_obs = cfg.get("scenario", "observables", fallback=None)
-        if raw_obs is not None:
-            observables = tuple(
-                name.strip() for name in raw_obs.split(",") if name.strip()
-            )
-        return ScenarioConfig(
-            model=model,
-            z_max=z_max,
-            dz=_get_float(cfg, text, path, "scenario", "dz", 0.01),
-            excitation=excitation,
-            params=params,
-            waveguides=waveguides,
-            calibration=calibration,
-            force_calibration=force_cal,
-            first_principles_force=first_principles,
-            observables=observables,
-            out_dir=cfg.get("scenario", "out", fallback=None),
-            preset=cfg.get("scenario", "label", fallback=None),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), path, 0) from exc
-
-
-def _parse_excitation(raw: str, path: str, text: str):
-    raw = raw.strip()
-    if raw == "center":
-        return None
-    try:
-        indices = tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"excite must be 'center' or comma-separated integers, got {raw!r}",
-            path, _line_of(text, "scenario", "excite"),
-        ) from None
-    return indices
+    given = {}
+    if cfg.has_section("model"):
+        given["params"] = build(ModelParams, "model")
+    else:
+        guides = given["waveguides"] = build(WaveguideArraySpec, "waveguides")
+        given["z_max"] = guides.length_l  # unless [scenario] sets z_max
+        if cfg.has_section("calibration"):
+            given["calibration"] = build(CouplingCalibration, "calibration")
+            given["force_calibration"] = build(ForceCalibration, "calibration")
+    config = build(ScenarioConfig, "scenario", **given)
+    with located("waveguides"):
+        n_sites = config.resolve_params().n_sites
+    with located("scenario"):
+        config.resolve_excitation(n_sites)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +638,6 @@ def run_scenario(
     out_dir = out_dir or config.out_dir
     if out_dir is None:
         raise InvalidParameterError("no output directory given")
-    os.makedirs(out_dir, exist_ok=True)
 
     params = config.resolve_params()
     n_sites = params.n_sites
@@ -680,11 +657,6 @@ def run_scenario(
     if "participation_ratio" in config.resolve_observables():
         series["participation_ratio"] = participation_ratio(traj)
     over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
-    if fields["truncated"]:
-        series = {
-            name: dataclasses.replace(s, truncated=True)
-            for name, s in series.items()
-        }
 
     summary: dict = {
         "preset": config.preset,
@@ -710,6 +682,7 @@ def run_scenario(
 
     outputs = {"trajectory": "trajectory.csv", "summary": "summary.json",
                "heatmap": "heatmap.pgm"}
+    os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(
         os.path.join(out_dir, "trajectory.csv"), traj, config.model, n_sites
     )

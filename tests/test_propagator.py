@@ -198,6 +198,23 @@ def test_trajectory_probabilities_computed_once_and_read_only(pair_trajectory):
     assert np.array_equal(ret.values, probs[:, 7 * N_PAIR + 7])
 
 
+def test_trajectory_keeps_no_memory_the_caller_can_write(pair_trajectory):
+    z = np.array([0.0, 1.0])
+    amp = np.zeros((2, 4), dtype=complex)
+    amp[:, 1] = 1.0
+    read_only_view = amp[:, :]
+    read_only_view.setflags(write=False)
+    trajs = [Trajectory(z, amp, "tag"), Trajectory(z, read_only_view, "tag")]
+    amp[:, 1], amp[:, 2] = 0.0, 1.0
+    for traj in trajs:
+        assert traj.states[0, 1] == 1.0 and traj.probabilities[0, 1] == 1.0
+        assert not traj.states.flags.writeable
+    # the propagator's states are C-ordered, owned and read-only
+    states = pair_trajectory.states
+    assert states.flags.owndata and states.flags.c_contiguous
+    assert not states.flags.writeable
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=arrays(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from fracbloch.heatmap import (
 )
 from fracbloch.observables import RefocusReport
 from fracbloch.scenario import (
+    _KEYS,
     PRESETS,
     ScenarioConfig,
     analyze_probabilities,
@@ -112,6 +114,18 @@ def test_bad_number_reports_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write_config(tmp_path, text))
     assert "kappa" in str(err.value)
+
+
+def test_schema_file_documents_exactly_the_parsed_keys():
+    path = os.path.join(os.path.dirname(fracbloch.__file__), "scenario_schema.ini")
+    documented, section = set(), None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("["):
+                section = line.strip()[1:-1]
+            elif section and (match := re.match(r"# (\w+) = ", line)):
+                documented.add((section, match.group(1)))
+    assert documented == set(_KEYS)
 
 
 def test_scenario_config_validation(pair_params):
@@ -372,6 +386,109 @@ def test_cli_non_finite_value_fails_closed(tmp_path, capsys, base, old, new):
     assert "Traceback" not in err
 
 
+def _with(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+#: (id, config text, the line the diagnostic points at (None: line 0), and the
+#: message; "{path}" stands for the config path). One case per error that the
+#: parser raises for a key or a section.
+CONFIG_ERRORS = [
+    ("unknown-section", MODEL_CONFIG + "\n[mystery]\nx = 1\n", "[mystery]",
+     "unknown section [mystery]"),
+    ("unknown-key", MODEL_CONFIG + "typo_key = 1\n", "typo_key = 1",
+     "unknown key 'typo_key' in [model]"),
+    ("missing-scenario", MODEL_CONFIG.split("\n\n", 1)[1], None,
+     "missing [scenario] section"),
+    ("missing-model", _with(MODEL_CONFIG, "model = effective\n", ""), "[scenario]",
+     "missing 'model' in [scenario]"),
+    ("bad-model", _with(MODEL_CONFIG, "effective", "warp"), "model = warp",
+     "model must be one of fock, single, effective, got 'warp'"),
+    ("missing-n_sites", _with(MODEL_CONFIG, "n_sites = 15\n", ""), "[model]",
+     "missing 'n_sites' in [model]"),
+    ("missing-shape", _with(WAVEGUIDE_CONFIG, "shape = square-15x15\n", ""),
+     "[waveguides]", "missing 'shape' in [waveguides]"),
+    ("missing-z_max", _with(MODEL_CONFIG, "z_max = 8.5\n", ""), "[scenario]",
+     "missing 'z_max' in [scenario]"),
+    ("bad-number", _with(MODEL_CONFIG, "kappa = 0.95", "kappa = fast"),
+     "kappa = fast", "key 'kappa' must be a number, got 'fast'"),
+    ("bad-integer", _with(MODEL_CONFIG, "n_sites = 15", "n_sites = 15.5"),
+     "n_sites = 15.5", "key 'n_sites' must be an integer, got '15.5'"),
+    ("bad-excite", _with(MODEL_CONFIG, "dz = 0.01", "dz = 0.01\nexcite = a,b"),
+     "excite = a,b",
+     "excite must be 'center' or comma-separated integers, got 'a,b'"),
+    ("bad-force_mode",
+     _with(WAVEGUIDE_CONFIG, "detuning_db = -4", "detuning_db = -4\nforce_mode = magic"),
+     "force_mode = magic",
+     "force_mode must be 'calibrated' or 'first-principles', got 'magic'"),
+    ("non-finite", _with(MODEL_CONFIG, "u0 = -4", "u0 = infinite"),
+     "u0 = infinite", "key 'u0' must be finite, got 'infinite'"),
+    ("non-finite-calibration", WAVEGUIDE_CONFIG + "calibration_radius_cm = inf\n",
+     "calibration_radius_cm = inf",
+     "key 'calibration_radius_cm' must be finite, got 'inf'"),
+    ("both-sources", MODEL_CONFIG + "\n[waveguides]\nshape = linear-23\n", None,
+     "exactly one of [model] or [waveguides] must be present"),
+    ("no-source", "[scenario]\nmodel = fock\nz_max = 1\n", None,
+     "exactly one of [model] or [waveguides] must be present"),
+    ("malformed", "model = fock\n" + MODEL_CONFIG, "model = fock",
+     "malformed config: File contains no section headers."),
+]
+
+#: Errors that a record raises on the values it is given: they point at the
+#: key at fault, or else at the header of the section whose record rejected
+#: them, and they are found before any output directory is made.
+VALUE_ERRORS = [
+    ("calibration-with-model", MODEL_CONFIG + "\n[calibration]\nkappa = 0.5\n",
+     "[calibration]", "[calibration] is allowed only with [waveguides]"),
+    ("negative-kappa", _with(MODEL_CONFIG, "kappa = 0.95", "kappa = -0.95"),
+     "[model]", "kappa must be >= 0, got -0.95"),
+    ("negative-dz", _with(MODEL_CONFIG, "dz = 0.01", "dz = -0.01"), "dz = -0.01",
+     "need 0 < dz <= z_max, got dz=-0.01, z_max=8.5"),
+    ("dz-above-z_max", _with(MODEL_CONFIG, "z_max = 8.5\ndz = 0.01", "z_max = 2\ndz = 5"),
+     "dz = 5", "need 0 < dz <= z_max, got dz=5.0, z_max=2.0"),
+    ("dz-above-length", _with(WAVEGUIDE_CONFIG, "dz = 0.05", "dz = 3"), "dz = 3",
+     "need 0 < dz <= z_max, got dz=3.0, z_max=2.5"),
+    ("negative-z_max", _with(MODEL_CONFIG, "z_max = 8.5", "z_max = -1"),
+     "z_max = -1", "z_max must be positive and finite"),
+    ("excite-outside",
+     _with(MODEL_CONFIG, "model = effective\n", "model = fock\nexcite = 3,40\n"),
+     "excite = 3,40", "excitation (3, 40) outside the 15-site lattice"),
+    ("excite-count", _with(MODEL_CONFIG, "dz = 0.01", "dz = 0.01\nexcite = 3,4"),
+     "excite = 3,4", "effective model takes 1 excitation index(es), got (3, 4)"),
+    ("unknown-observable",
+     _with(MODEL_CONFIG, "dz = 0.01", "dz = 0.01\nobservables = width"),
+     "observables = width", "unknown observables: ['width']"),
+    ("bad-shape", _with(WAVEGUIDE_CONFIG, "square-15x15", "hex-7"), "[waveguides]",
+     "shape must be 'square-NxN' or 'linear-N', got 'hex-7'"),
+    ("spacing-without-gamma", _with(WAVEGUIDE_CONFIG, "spacing_um = 19", "spacing_um = 20"),
+     "[waveguides]",
+     "spacing 20.0 um differs from the calibrated 19.0 um and no decay_gamma was given"),
+    ("bad-calibration", _with(WAVEGUIDE_CONFIG, "rho = 0.3", "rho = 2"), "[calibration]",
+     "calibration requires kappa_ref > rho_ref > 0"),
+    ("parse-error", MODEL_CONFIG + "no delimiter\n", "no delimiter",
+     "malformed config: Source contains parsing errors: '{path}'"),
+    ("default-section", "[DEFAULT]\n" + MODEL_CONFIG, "[DEFAULT]",
+     "unknown section [DEFAULT]"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, at, message",
+    [case[1:] for case in CONFIG_ERRORS + VALUE_ERRORS],
+    ids=[case[0] for case in CONFIG_ERRORS + VALUE_ERRORS],
+)
+def test_cli_config_error_diagnostic(tmp_path, capsys, text, at, message):
+    config_path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    line = text.splitlines().index(at) + 1 if at else 0
+    assert main(["run", config_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    expected = f"config error: {config_path}:{line}: {message.format(path=config_path)}"
+    assert err.startswith(expected), err
+    assert not out.exists()
+
+
 def test_cli_exit_code_missing_out(tmp_path, capsys):
     config_path = write_config(tmp_path, MODEL_CONFIG)
     assert main(["run", config_path]) == 2
@@ -382,6 +499,7 @@ def test_cli_exit_code_resource_cap(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path, WAVEGUIDE_CONFIG)
     assert main(["run", config_path, "--out", str(tmp_path / "x")]) == 3
     assert "100" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_exit_code_bad_cap_env(tmp_path, monkeypatch, capsys):
