@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .model import DEFAULT_DIM_CAP
+from .observables import Populations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,8 +83,7 @@ def _cmd_render(args) -> int:
     if out is None:
         stem, _ = os.path.splitext(args.trajectory)
         out = f"{stem}.pgm"
-    image = heatmap.probability_image(probs, axis, z_samples=z, z=args.z)
-    heatmap.write_pgm(out, heatmap.normalize(image, args.norm))
+    heatmap.render_heatmap(Populations(z, probs), axis, args.norm, out, z=args.z)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -9,6 +9,8 @@ external tools.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -91,27 +93,55 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     """Read a trajectory CSV back as (z, probabilities, kind).
 
     Accepts both writer layouts: long form "z_cm,n,m,probability" (pair
-    lattice, kind "pair") and wide form "z_cm,p0,..." (chain, kind "chain").
+    lattice, kind "pair") and wide form "z_cm,p0,...,p{N-1}" (chain, kind
+    "chain"). Fails closed on anything the writer does not produce: a file
+    without samples, a value that is not a finite number, rows whose width
+    differs from the header, long-form rows that do not run through whole
+    N x N samples with (n, m) in writer order and one z per sample, and a z
+    that does not strictly increase from sample to sample.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
+        columns = header.split(",")
         if header == "z_cm,n,m,probability":
-            z_list: list[float] = []
-            rows: list[list[float]] = []
-            current_z = None
-            for line in fh:
-                z_str, n_str, m_str, p_str = line.rstrip("\n").split(",")
-                if current_z != z_str:
-                    current_z = z_str
-                    z_list.append(float(z_str))
-                    rows.append([])
-                rows[-1].append(float(p_str))
-            dims = {len(r) for r in rows}
-            if len(dims) != 1:
-                raise InvalidParameterError(f"ragged trajectory CSV: {path}")
-            square_side(dims.pop())
-            return np.array(z_list), np.array(rows), "pair"
-        if header.startswith("z_cm,p0"):
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            return data[:, 0], data[:, 1:], "chain"
-    raise InvalidParameterError(f"unrecognized trajectory CSV header: {header!r}")
+            kind = "pair"
+        elif len(columns) > 1 and columns == ["z_cm"] + [f"p{i}" for i in range(len(columns) - 1)]:
+            kind = "chain"
+        else:
+            raise InvalidParameterError(
+                f"{path}: unrecognized trajectory CSV header {header!r}"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: rejected below
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
+        raise InvalidParameterError(f"{path}: trajectory CSV holds no samples")
+    if not np.all(np.isfinite(data)):
+        raise InvalidParameterError(f"{path}: trajectory CSV holds a value that is not finite")
+    if data.shape[1] != len(columns):
+        raise InvalidParameterError(
+            f"{path}: rows have {data.shape[1]} values, the header names {len(columns)}"
+        )
+    if kind == "chain":
+        z, probs = data[:, 0], data[:, 1:]
+    else:
+        # a sample starts with n = 0 for m = 0 .. N-1, so n first changes at row N
+        n = int(np.argmax(data[:, 1] != 0))
+        if n < 2 or data.shape[0] % (n * n):
+            raise InvalidParameterError(
+                f"{path}: {data.shape[0]} rows are not whole samples of N x N sites"
+            )
+        samples = data.reshape(-1, n * n, 4)
+        site = np.arange(n * n)
+        if np.any(samples[:, :, 1] != site // n) or np.any(samples[:, :, 2] != site % n):
+            raise InvalidParameterError(f"{path}: n,m columns are not in writer order")
+        if np.any(samples[:, :, 0] != samples[:, :1, 0]):
+            raise InvalidParameterError(f"{path}: z_cm changes within a sample")
+        z = np.ascontiguousarray(samples[:, 0, 0])
+        probs = np.ascontiguousarray(samples[:, :, 3])
+    if np.any(np.diff(z) <= 0):
+        raise InvalidParameterError(f"{path}: z_cm does not strictly increase")
+    return z, probs, kind

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +37,6 @@ def flatten_index(n: int, m: int, n_sites: int) -> int:
     return n * n_sites + m
 
 
-def unflatten_index(index: int, n_sites: int) -> tuple[int, int]:
-    """Invert :func:`flatten_index`."""
-    return divmod(index, n_sites)
-
-
 def square_side(dim: int) -> int:
     """Chain length N of an N x N pair lattice with ``dim`` sites."""
     n = math.isqrt(dim)
@@ -54,16 +48,6 @@ def square_side(dim: int) -> int:
 def diagonal_indices(n_sites: int) -> np.ndarray:
     """Flat indices of the pair-lattice main diagonal (n, n)."""
     return np.arange(n_sites) * n_sites + np.arange(n_sites)
-
-
-class SiteIndex2D(NamedTuple):
-    """Coordinates of one pair-lattice site; (n, m) = particle positions."""
-
-    n: int
-    m: int
-
-    def flat(self, n_sites: int) -> int:
-        return flatten_index(self.n, self.m, n_sites)
 
 
 @dataclass(frozen=True)
@@ -264,7 +248,7 @@ def kappa_eff(kappa: float, rho: float, u0: float) -> float:
     """
     if u0 == 0:
         raise SingularParameterError(
-            "kappa_eff diverges at u0 = 0 (second-order pair tunneling)"
+            "kappa_eff diverges at u0 = 0 (second-order pair tunneling)", "u0"
         )
     return -2.0 * kappa * kappa / u0 + rho
 

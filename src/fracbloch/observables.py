@@ -2,8 +2,7 @@
 
 Covers the quantities the experiments are judged by: population confined to
 the pair-lattice main diagonal, breathing width of the light distribution,
-refocusing positions and the oscillation frequency they imply, and the
-eigenvalue ladder spacing of a tilted chain.
+and refocusing positions with the oscillation frequency they imply.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import HermitianOperator, diagonal_indices, square_side
+from .model import diagonal_indices, square_side
 
 #: A sample whose boundary population exceeds this marks the run truncated.
 EDGE_TRUNCATION_TOL = 1e-3
@@ -96,8 +95,10 @@ def diagonal_confinement(traj, n_sites: int) -> ObservableSeries:
     return ObservableSeries(traj.z_samples, values, "diagonal_confinement")
 
 
-def breathing_width(traj, geometry: str = "1d", origin: int | None = None) -> ObservableSeries:
+def breathing_width(traj, geometry: str = "1d") -> ObservableSeries:
     """RMS displacement from the excitation site, in site units.
+
+    The excitation site is the brightest site of the first sample.
 
     For ``geometry="2d-diagonal"`` the width is measured along the main
     diagonal from the populations |c_nn|^2 renormalized by the diagonal
@@ -115,8 +116,7 @@ def breathing_width(traj, geometry: str = "1d", origin: int | None = None) -> Ob
         coords = np.arange(n)
     else:
         raise InvalidParameterError(f"unknown geometry {geometry!r}")
-    if origin is None:
-        origin = int(np.argmax(populations[0]))
+    origin = int(np.argmax(populations[0]))
     values = np.sqrt(populations @ (coords - origin) ** 2)
     return ObservableSeries(traj.z_samples, values, f"breathing_width[{geometry}]")
 
@@ -238,36 +238,3 @@ def period_from_width_maximum(width_series: ObservableSeries) -> RefocusReport:
         period_estimate=period,
         frequency_estimate=2.0 * math.pi / period,
     )
-
-
-def frequency_ratio(pair_report: RefocusReport, single_report: RefocusReport) -> float:
-    """Ratio of oscillation frequencies, pair over single."""
-    if pair_report.frequency_estimate is None or single_report.frequency_estimate is None:
-        raise InvalidParameterError("both reports must carry frequency estimates")
-    return pair_report.frequency_estimate / single_report.frequency_estimate
-
-
-def wannier_stark_spacing(
-    h: HermitianOperator, interior_fraction: float
-) -> tuple[float, float]:
-    """Mean and spread of consecutive eigenvalue gaps in the spectrum center.
-
-    Sorts the eigenvalues, keeps the central ``interior_fraction`` of them,
-    and returns (mean, standard deviation) of the consecutive differences.
-    Edge-localized states are excluded this way, exposing the equally spaced
-    ladder of the tilted chain.
-    """
-    if not 0.0 < interior_fraction <= 1.0:
-        raise InvalidParameterError(
-            f"interior_fraction must lie in (0, 1], got {interior_fraction}"
-        )
-    dim = h.dim
-    keep = int(round(dim * interior_fraction))
-    if keep < 3:
-        raise InvalidParameterError(
-            f"only {keep} interior eigenvalues selected; need at least 3"
-        )
-    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
-    start = (dim - keep) // 2
-    gaps = np.diff(eigenvalues[start : start + keep])
-    return float(np.mean(gaps)), float(np.std(gaps))

@@ -130,9 +130,6 @@ class Trajectory:
         """Site populations, shape (n_samples, dim); computed once, read-only."""
         return self._probabilities
 
-    def state(self, k: int) -> StateVector:
-        return StateVector(self.states[k])
-
 
 def _generator_id(entries: np.ndarray) -> str:
     digest = hashlib.sha256()

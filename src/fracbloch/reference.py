@@ -10,12 +10,12 @@ pair lattice, and a rule-by-rule bond enumerator for the pair lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import ModelParams, SiteIndex2D
+from .model import ModelParams
 
 
 def bessel_j_series(n: int, x: float, terms: int = 80) -> float:
@@ -96,49 +96,18 @@ def bessel_j_all(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Integer-order J_n(x) via the downward recurrence."""
-    return float(bessel_j_all(abs(n), x)[abs(n) + n])
-
-
-@dataclass(frozen=True)
-class BesselOracleParams:
-    """Arguments of the closed-form tilted-chain amplitude.
-
-    kappa and fd are the hopping and tilt step of the chain (cm^-1), z the
-    propagation distance (cm), n the site offset from the excited site.
-    Assumes an effectively infinite lattice (negligible edge population).
-    """
-
-    kappa: float
-    fd: float
-    z: float
-    n: int
-
-    def __post_init__(self):
-        if self.fd <= 0:
-            raise InvalidParameterError(
-                "closed-form breathing solution needs fd > 0 (no ladder at fd = 0)"
-            )
-
-
 def ws_breathing_argument(kappa: float, fd: float, z: float) -> float:
     """The Bessel argument zeta(z) = (4 kappa / fd) |sin(fd z / 2)|."""
     return (4.0 * kappa / fd) * abs(math.sin(fd * z / 2.0))
 
 
-def analytic_ws_amplitude(params: BesselOracleParams) -> float:
-    """|A_n(z)| for a delta excitation of the infinite tilted chain.
-
-    Equals |J_n(zeta(z))|; periodic in z with period 2*pi/fd by construction,
-    so a full revival (delta profile) recurs at every multiple of the period.
-    """
-    zeta = ws_breathing_argument(params.kappa, params.fd, params.z)
-    return abs(bessel_j(params.n, zeta))
-
-
 def analytic_ws_profile(kappa: float, fd: float, z: float, n_max: int) -> np.ndarray:
-    """|A_n(z)| for all offsets n in [-n_max, n_max] at once."""
+    """|A_n(z)| = |J_n(zeta(z))| for a delta excitation of the infinite tilted chain.
+
+    Entry [i] holds the offset n = i - n_max from the excited site. Periodic
+    in z with period 2*pi/fd, so a full revival recurs at every multiple of
+    the period. Assumes negligible edge population.
+    """
     if fd <= 0:
         raise InvalidParameterError("closed-form breathing solution needs fd > 0")
     zeta = ws_breathing_argument(kappa, fd, z)
@@ -183,6 +152,13 @@ def bound_pair_weights(kappa: float, rho: float, u0: float, n_k: int) -> np.ndar
     interaction = np.abs(u0 - 2.0 * rho * np.cos(k))
     # |K| < pi on the midpoint grid, so cos(K/2) > 0 and |E_K| > 0
     return interaction / np.hypot(interaction, 4.0 * kappa * np.cos(k / 2.0))
+
+
+class SiteIndex2D(NamedTuple):
+    """Coordinates of one pair-lattice site; (n, m) = particle positions."""
+
+    n: int
+    m: int
 
 
 Bond = tuple[SiteIndex2D, SiteIndex2D, float]
@@ -241,9 +217,10 @@ def operator_from_bonds(
     dim = n_sites * n_sites
     h = np.zeros((dim, dim))
     for site, energy in energies:
-        h[site.flat(n_sites), site.flat(n_sites)] = energy
+        i = site.n * n_sites + site.m
+        h[i, i] = energy
     for a, b, amplitude in bonds:
-        i, j = a.flat(n_sites), b.flat(n_sites)
+        i, j = a.n * n_sites + a.m, b.n * n_sites + b.m
         h[i, j] = amplitude
         h[j, i] = amplitude
     return h

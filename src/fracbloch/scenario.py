@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import heatmap
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, DimensionCapError, InvalidParameterError
 from .model import (
     DEFAULT_DIM_CAP,
     ModelParams,
@@ -27,6 +27,7 @@ from .model import (
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     flatten_index,
+    kappa_eff,
     square_side,
 )
 from .observables import (
@@ -106,6 +107,8 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"need 0 < dz <= z_max, got dz={self.dz}, z_max={self.z_max}", "dz"
             )
+        if self.out_dir == "":
+            raise InvalidParameterError("out must name a directory, got ''", "out_dir")
         if self.observables is not None:
             unknown = set(self.observables) - set(OBSERVABLE_NAMES)
             if unknown:
@@ -495,10 +498,12 @@ def parse_config(path: str) -> ScenarioConfig:
             given["calibration"] = build(CouplingCalibration, "calibration")
             given["force_calibration"] = build(ForceCalibration, "calibration")
     config = build(ScenarioConfig, "scenario", **given)
-    with located("waveguides"):
-        n_sites = config.resolve_params().n_sites
+    with located("model" if "params" in given else "waveguides"):
+        params = config.resolve_params()
+        if config.model == "effective":
+            kappa_eff(params.kappa, params.rho, params.u0)  # diverges at u0 = 0
     with located("scenario"):
-        config.resolve_excitation(n_sites)
+        config.resolve_excitation(params.n_sites)
     return config
 
 
@@ -508,6 +513,9 @@ def parse_config(path: str) -> ScenarioConfig:
 
 
 def _build_operator(config: ScenarioConfig, params: ModelParams, dim_cap: int):
+    dim = params.n_sites**2 if config.model == "fock" else params.n_sites
+    if dim > dim_cap:
+        raise DimensionCapError(dim, dim_cap)
     if config.model == "fock":
         return build_fock_hamiltonian(params, dim_cap=dim_cap)
     if config.model == "single":

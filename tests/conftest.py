@@ -1,15 +1,19 @@
-"""Shared fixtures: the measured array parameters and cached preset runs."""
+"""Shared fixtures: the measured array parameters, cached preset runs, and
+the spectral helpers that only tests use."""
 
 import numpy as np
 import pytest
 
 from fracbloch import (
+    HermitianOperator,
+    InvalidParameterError,
     ModelParams,
     StateVector,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     propagate,
 )
+from fracbloch.observables import RefocusReport
 from fracbloch.scenario import preset_config, run_scenario
 
 KAPPA = 0.95
@@ -57,3 +61,36 @@ def fig4b_run(tmp_path_factory):
 
 def assert_allclose(actual, desired, atol=0.0, rtol=1e-12):
     np.testing.assert_allclose(actual, desired, atol=atol, rtol=rtol)
+
+
+def frequency_ratio(pair_report: RefocusReport, single_report: RefocusReport) -> float:
+    """Ratio of oscillation frequencies, pair over single."""
+    if pair_report.frequency_estimate is None or single_report.frequency_estimate is None:
+        raise InvalidParameterError("both reports must carry frequency estimates")
+    return pair_report.frequency_estimate / single_report.frequency_estimate
+
+
+def wannier_stark_spacing(
+    h: HermitianOperator, interior_fraction: float
+) -> tuple[float, float]:
+    """Mean and spread of consecutive eigenvalue gaps in the spectrum center.
+
+    Sorts the eigenvalues, keeps the central ``interior_fraction`` of them,
+    and returns (mean, standard deviation) of the consecutive differences.
+    Edge-localized states are excluded this way, exposing the equally spaced
+    ladder of the tilted chain.
+    """
+    if not 0.0 < interior_fraction <= 1.0:
+        raise InvalidParameterError(
+            f"interior_fraction must lie in (0, 1], got {interior_fraction}"
+        )
+    dim = h.dim
+    keep = int(round(dim * interior_fraction))
+    if keep < 3:
+        raise InvalidParameterError(
+            f"only {keep} interior eigenvalues selected; need at least 3"
+        )
+    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
+    start = (dim - keep) // 2
+    gaps = np.diff(eigenvalues[start : start + keep])
+    return float(np.mean(gaps)), float(np.std(gaps))

@@ -35,27 +35,27 @@ import pytest
 from fracbloch import (
     ModelParams,
     StateVector,
-    analytic_ws_profile,
     boundary_population,
-    bound_pair_weights,
     breathing_width,
     build_effective_hamiltonian,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     diagonal_confinement,
-    enumerate_fock_bonds,
     find_refocus,
-    operator_from_bonds,
-    period_from_width_maximum,
     propagate,
     return_probability,
-    strongest_interior_peak,
     swap_indices,
-    wannier_stark_spacing,
+)
+from fracbloch.observables import period_from_width_maximum, strongest_interior_peak
+from fracbloch.reference import (
+    analytic_ws_profile,
+    bound_pair_weights,
+    enumerate_fock_bonds,
+    operator_from_bonds,
 )
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0
+from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, wannier_stark_spacing
 
 
 def _criterion(name, clauses):

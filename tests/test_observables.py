@@ -8,8 +8,6 @@ import pytest
 from fracbloch import (
     InvalidParameterError,
     ModelParams,
-    ObservableSeries,
-    RefocusReport,
     StateVector,
     boundary_population,
     breathing_width,
@@ -18,15 +16,13 @@ from fracbloch import (
     build_single_particle_hamiltonian,
     diagonal_confinement,
     find_refocus,
-    frequency_ratio,
     participation_ratio,
-    period_from_width_maximum,
     propagate,
     return_probability,
-    wannier_stark_spacing,
 )
+from fracbloch.observables import ObservableSeries, RefocusReport, period_from_width_maximum
 
-from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0
+from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, frequency_ratio, wannier_stark_spacing
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import pytest
 
 from fracbloch import (
     CouplingCalibration,
-    DEFAULT_FORCE_CALIBRATION,
     ForceCalibration,
     InvalidParameterError,
     StateVector,
@@ -16,13 +15,13 @@ from fracbloch import (
     build_effective_hamiltonian,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
-    curvature_to_force,
     find_refocus,
     project_single_particle_radius,
     propagate,
     return_probability,
     waveguide_to_model,
 )
+from fracbloch.photonics import DEFAULT_FORCE_CALIBRATION, curvature_to_force
 
 
 def square_spec(bend_radius=math.inf, detuning=-4.0, length=2.5, **kwargs):

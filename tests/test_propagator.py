@@ -19,14 +19,13 @@ from fracbloch import (
     SpectralPropagator,
     StateVector,
     Trajectory,
-    analytic_ws_profile,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     propagate,
     return_probability,
     swap_indices,
-    two_site_coupler,
 )
+from fracbloch.reference import analytic_ws_profile, two_site_coupler
 
 from conftest import FD, KAPPA, N_PAIR
 

@@ -7,18 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbloch import (
-    BesselOracleParams,
-    InvalidParameterError,
-    ModelParams,
+from fracbloch import InvalidParameterError, ModelParams, build_fock_hamiltonian
+from fracbloch.reference import (
     SiteIndex2D,
-    analytic_ws_amplitude,
     analytic_ws_profile,
-    bessel_j,
     bessel_j_all,
     bessel_j_series,
     bound_pair_weights,
-    build_fock_hamiltonian,
     enumerate_fock_bonds,
     operator_from_bonds,
     two_site_coupler,
@@ -31,7 +26,8 @@ from conftest import FD, KAPPA, N_PAIR, RHO, U0
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, -1, -4])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.7, 3.93, 7.8626, 12.5])
 def test_recurrence_matches_series(n, x):
-    assert bessel_j(n, x) == pytest.approx(bessel_j_series(n, x), abs=1e-12)
+    recurrence = bessel_j_all(abs(n), x)[abs(n) + n]
+    assert recurrence == pytest.approx(bessel_j_series(n, x), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -40,13 +36,12 @@ def test_recurrence_matches_series(n, x):
     x=st.floats(min_value=-15.0, max_value=15.0),
 )
 def test_recurrence_matches_series_property(n, x):
-    assert abs(bessel_j(n, x) - bessel_j_series(n, x)) < 1e-9
+    recurrence = bessel_j_all(abs(n), x)[abs(n) + n]
+    assert abs(recurrence - bessel_j_series(n, x)) < 1e-9
 
 
 def test_bessel_j_all_layout():
     values = bessel_j_all(6, 2.7)
-    for n in range(-6, 7):
-        assert values[6 + n] == pytest.approx(bessel_j(n, 2.7), abs=1e-15)
     # parity J_{-n} = (-1)^n J_n
     assert values[6 - 3] == pytest.approx(-values[6 + 3], abs=1e-15)
 
@@ -59,19 +54,17 @@ def test_bessel_sum_rule(x):
 
 
 def test_ws_amplitude_delta_at_origin_and_revival():
-    assert analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, 0.0, 0)) == 1.0
-    assert analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, 0.0, 3)) == 0.0
+    assert analytic_ws_profile(KAPPA, FD, 0.0, 0)[0] == 1.0
+    assert analytic_ws_profile(KAPPA, FD, 0.0, 3)[3 + 3] == 0.0
     period = 2 * math.pi / FD
-    assert analytic_ws_amplitude(
-        BesselOracleParams(KAPPA, FD, period, 0)
-    ) == pytest.approx(1.0, abs=1e-10)
+    assert analytic_ws_profile(KAPPA, FD, period, 0)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ws_amplitude_periodicity():
     period = 2 * math.pi / FD
     for z in (0.7, 2.31, 5.5):
-        a = analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, z, 2))
-        b = analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, z + period, 2))
+        a = analytic_ws_profile(KAPPA, FD, z, 2)[2 + 2]
+        b = analytic_ws_profile(KAPPA, FD, z + period, 2)[2 + 2]
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -79,22 +72,12 @@ def test_ws_amplitude_half_period_value():
     # zeta(6.5 cm) = 7.862611; |J_0| there frozen from the series evaluation
     zeta = ws_breathing_argument(KAPPA, FD, 6.5)
     assert zeta == pytest.approx(7.862611, abs=1e-5)
-    value = analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, 6.5, 0))
+    value = analytic_ws_profile(KAPPA, FD, 6.5, 0)[0]
     assert value == pytest.approx(0.2024382, abs=1e-6)
     assert value == pytest.approx(abs(bessel_j_series(0, zeta)), abs=1e-13)
 
 
-def test_ws_profile_matches_scalar():
-    profile = analytic_ws_profile(KAPPA, FD, 3.3, 8)
-    for n in range(-8, 9):
-        assert profile[8 + n] == pytest.approx(
-            analytic_ws_amplitude(BesselOracleParams(KAPPA, FD, 3.3, n)), abs=1e-15
-        )
-
-
 def test_ws_params_reject_zero_tilt():
-    with pytest.raises(InvalidParameterError):
-        BesselOracleParams(kappa=1.0, fd=0.0, z=1.0, n=0)
     with pytest.raises(InvalidParameterError):
         analytic_ws_profile(1.0, 0.0, 1.0, 4)
 

@@ -1,5 +1,6 @@
 """Config parsing, the batch runner's artifacts, pixmaps, and the CLI contract."""
 
+import inspect
 import json
 import os
 import re
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import fracbloch
-from fracbloch import StateVector, Trajectory, frequency_ratio, propagate
+from fracbloch import StateVector, Trajectory, propagate
 from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
+from fracbloch import scenario
 from fracbloch.cli import main
 from fracbloch.errors import ConfigError, InvalidParameterError
 from fracbloch.heatmap import (
@@ -33,7 +35,7 @@ from fracbloch.scenario import (
     run_scenario,
 )
 
-from conftest import N_PAIR
+from conftest import N_PAIR, frequency_ratio
 
 MODEL_CONFIG = """\
 [scenario]
@@ -126,6 +128,21 @@ def test_schema_file_documents_exactly_the_parsed_keys():
             elif section and (match := re.match(r"# (\w+) = ", line)):
                 documented.add((section, match.group(1)))
     assert documented == set(_KEYS)
+
+
+def test_public_names_are_exactly_the_documented_ones():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    # the names are listed before the section's first code example
+    documented = set(re.findall(r"`(\w+)`", section.split("```", 1)[0]))
+    exported = {
+        name for name, value in vars(fracbloch).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert len(fracbloch.__all__) == len(set(fracbloch.__all__))
+    assert set(fracbloch.__all__) == documented
+    assert exported == documented
 
 
 def test_scenario_config_validation(pair_params):
@@ -470,6 +487,15 @@ VALUE_ERRORS = [
      "malformed config: Source contains parsing errors: '{path}'"),
     ("default-section", "[DEFAULT]\n" + MODEL_CONFIG, "[DEFAULT]",
      "unknown section [DEFAULT]"),
+    ("empty-out", _with(MODEL_CONFIG, "dz = 0.01", "dz = 0.01\nout ="), "out =",
+     "out must name a directory, got ''"),
+    ("effective-u0-zero", _with(MODEL_CONFIG, "u0 = -4", "u0 = 0"), "u0 = 0",
+     "kappa_eff diverges at u0 = 0 (second-order pair tunneling)"),
+    ("effective-without-u0", _with(MODEL_CONFIG, "u0 = -4\n", ""), "[model]",
+     "kappa_eff diverges at u0 = 0 (second-order pair tunneling)"),
+    ("effective-zero-detuning",
+     _with(_with(WAVEGUIDE_CONFIG, "fock", "effective"), "detuning_db = -4", "detuning_db = 0"),
+     "[waveguides]", "kappa_eff diverges at u0 = 0 (second-order pair tunneling)"),
 ]
 
 
@@ -502,6 +528,23 @@ def test_cli_exit_code_resource_cap(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("model, n_sites", [("fock", 11), ("single", 101), ("effective", 101)])
+def test_cli_dimension_cap_checked_before_build(
+    tmp_path, monkeypatch, capsys, model, n_sites
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built past the dimension cap")
+
+    for builder in ("build_fock_hamiltonian", "build_single_particle_hamiltonian",
+                    "build_effective_hamiltonian"):
+        monkeypatch.setattr(scenario, builder, no_build)
+    monkeypatch.setenv("FRACBLOCH_DIM_CAP", "100")
+    text = _with(_with(MODEL_CONFIG, "effective", model), "n_sites = 15", f"n_sites = {n_sites}")
+    assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x")]) == 3
+    assert "exceeds the cap of 100" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_exit_code_bad_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FRACBLOCH_DIM_CAP", "many")
     config_path = write_config(tmp_path, MODEL_CONFIG)
@@ -522,6 +565,35 @@ def test_config_out_key_used(tmp_path, monkeypatch):
     config_path = write_config(tmp_path, text)
     assert main(["run", config_path]) == 0
     assert (tmp_path / "from-config" / "summary.json").exists()
+
+
+#: Trajectory CSVs that the writer never produces, with a word of the reason.
+MALFORMED_CSVS = [
+    ("not-a-number", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,abc\n0,1,0,0\n0,1,1,0\n",
+     "could not convert"),
+    ("not-finite", "z_cm,p0,p1\n0,nan,0\n0.1,1,0\n", "not finite"),
+    ("narrow-rows", "z_cm,p0,p1\n0,1\n0.1,1\n", "header names 3"),
+    ("no-samples", "z_cm,p0,p1\n", "no samples"),
+    ("partial-sample", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n",
+     "not whole samples"),
+    ("out-of-order", "z_cm,n,m,probability\n0,0,1,0\n0,0,0,1\n0,1,0,0\n0,1,1,0\n",
+     "writer order"),
+    ("z-decreasing", "z_cm,p0,p1\n0.1,1,0\n0,1,0\n", "strictly increase"),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "render"])
+@pytest.mark.parametrize(
+    "text, reason", [case[1:] for case in MALFORMED_CSVS], ids=[case[0] for case in MALFORMED_CSVS]
+)
+def test_cli_malformed_trajectory_csv_fails_closed(tmp_path, capsys, command, text, reason):
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {csv}: ") and reason in err, err
+    assert not out.exists()
 
 
 def test_cli_render_rejects_incompatible_axis(fig4b_run, capsys):
