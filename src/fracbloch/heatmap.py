@@ -9,6 +9,7 @@ external tools.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -68,6 +69,8 @@ def probability_image(
         else:
             if z_samples is None:
                 raise InvalidParameterError("z selection needs the z samples")
+            if not math.isfinite(z):
+                raise InvalidParameterError(f"slice z must be finite, got {z}")
             k = int(np.argmin(np.abs(z_samples - z)))
         n = square_side(probs.shape[1])
         return probs[k].reshape(n, n).copy()

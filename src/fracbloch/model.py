@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,7 +191,7 @@ def _tilted_chain(n_sites: int, hopping: float, tilt_step: float) -> np.ndarray:
 
 
 def build_single_particle_hamiltonian(
-    n_sites: int, kappa: float, fd: float
+    n_sites: int, kappa: float, fd: float, dim_cap: int = DEFAULT_DIM_CAP
 ) -> HermitianOperator:
     """Tilted open chain: H[n][n+-1] = -kappa, H[n][n] = fd * (n - N//2).
 
@@ -200,12 +202,122 @@ def build_single_particle_hamiltonian(
         raise InvalidParameterError(f"n_sites must be >= 2, got {n_sites}")
     if kappa < 0:
         raise InvalidParameterError(f"kappa must be >= 0, got {kappa}")
+    if n_sites > dim_cap:
+        raise DimensionCapError(n_sites, dim_cap)
     return HermitianOperator(_tilted_chain(n_sites, kappa, fd))
+
+
+class SwapBlock(NamedTuple):
+    """The pair-lattice generator on one sector of the (n, m) swap.
+
+    Basis state I is |a, a> when rep[I] == partner[I], else
+    (|a, b> + sign |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
+    flat indices of (a, b) and (b, a), and weight[I] is the state's amplitude
+    on rep[I] (1 or 1/sqrt 2).
+    """
+
+    entries: np.ndarray  # (block, block), real symmetric
+    sign: int
+    rep: np.ndarray
+    partner: np.ndarray
+    weight: np.ndarray
+
+
+def _pair_terms(params: ModelParams):
+    """Site energies and bonds of the pair lattice, by flat index.
+
+    Returns (energy, rows, cols, rates): H[i, i] = energy[i] and
+    H[rows[k], cols[k]] = rates[k], every bond listed in both directions.
+    """
+    n = params.n_sites
+    origin = n // 2
+    a, b = np.divmod(np.arange(n * n), n)
+    energy = params.fd * ((a - origin) + (b - origin)).astype(float)
+    energy[a == b] += params.u0
+    energy[np.abs(a - b) == 1] += params.near_diagonal_defect()
+    rows, cols, rates = [], [], []
+    # Bonds from (a, b) to (a + 1, b), i.e. to index + n, and to (a, b + 1);
+    # a bond touching the main diagonal carries kappa1.
+    for step, head, tail in ((n, a + 1, b), (1, a, b + 1)):
+        i = np.flatnonzero((head < n) & (tail < n))
+        touches = (a[i] == b[i]) | (head[i] == tail[i])
+        rows.append(i)
+        cols.append(i + step)
+        rates.append(np.where(touches, -params.kappa1, -params.kappa))
+    # Consecutive main-diagonal sites are cross-coupled with -rho.
+    i = diagonal_indices(n)[:-1]
+    rows.append(i)
+    cols.append(i + n + 1)
+    rates.append(np.full(i.size, -params.rho))
+    rows, cols, rates = (np.concatenate(x) for x in (rows, cols, rates))
+    return energy, np.r_[rows, cols], np.r_[cols, rows], np.r_[rates, rates]
+
+
+@dataclass(frozen=True)
+class PairOperator:
+    """Two-boson pair-lattice generator, built from its rates on demand.
+
+    It has the HermitianOperator interface: ``dim`` and read-only dense
+    ``entries`` (N^2 x N^2), which are built the first time they are read.
+    ``swap_block(sign)`` builds the generator on the swap-symmetric (sign 1,
+    N(N+1)/2 states) or antisymmetric (sign -1, N(N-1)/2 states) sector
+    straight from the bond rules, without the dense matrix.
+    """
+
+    params: ModelParams
+
+    @property
+    def dim(self) -> int:
+        return self.params.n_sites**2
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        energy, rows, cols, rates = _pair_terms(self.params)
+        h = np.diag(energy)
+        h[rows, cols] = rates
+        h.setflags(write=False)
+        return h
+
+    def swap_block(self, sign: int) -> SwapBlock:
+        """The generator on the swap sector of the given sign.
+
+        Block entries are g_I g_J (H[ab, cd] + sign H[ab, dc]) for basis states
+        I ~ (a, b) and J ~ (c, d), with g = 1/sqrt 2 on the main diagonal and
+        1 off it: the values, bit for bit, of gathering them from ``entries``.
+        """
+        if sign not in (1, -1):
+            raise InvalidParameterError(f"swap sign must be 1 or -1, got {sign}")
+        n = self.params.n_sites
+        a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
+        rep, partner = a * n + b, b * n + a
+        on_diagonal = a == b
+        states = np.arange(rep.size)
+        row_of, col_of = np.full((2, n * n), -1)
+        row_of[rep] = states
+        col_of[partner] = states
+        energy, rows, cols, rates = _pair_terms(self.params)
+        # same[I, J] = H[rep_I, rep_J] and swapped[I, J] = H[rep_I, partner_J]
+        same = np.zeros((rep.size, rep.size))
+        swapped = np.zeros_like(same)
+        same[states, states] = energy[rep]
+        swapped[states[on_diagonal], states[on_diagonal]] = energy[rep[on_diagonal]]
+        i = row_of[rows]
+        for block, j in ((same, row_of[cols]), (swapped, col_of[cols])):
+            bond = (i >= 0) & (j >= 0)
+            block[i[bond], j[bond]] = rates[bond]
+        swapped *= sign
+        same += swapped
+        del swapped
+        # g = 1 leaves a row or column as it is
+        same[on_diagonal] *= math.sqrt(0.5)
+        same[:, on_diagonal] *= math.sqrt(0.5)
+        weight = np.where(on_diagonal, 1.0, math.sqrt(0.5))
+        return SwapBlock(same, sign, rep, partner, weight)
 
 
 def build_fock_hamiltonian(
     params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP
-) -> HermitianOperator:
+) -> PairOperator:
     """Two-boson pair lattice: one particle on an N x N square lattice.
 
     Site (n, m) carries energy fd * ((n - N//2) + (m - N//2)), plus u0 on
@@ -213,31 +325,13 @@ def build_fock_hamiltonian(
     Nearest-neighbour bonds carry -kappa, except the four bonds incident on
     each main-diagonal site, which carry -kappa1. Consecutive main-diagonal
     sites are additionally cross-coupled with -rho. The result commutes with
-    the (n, m) swap exactly.
+    the (n, m) swap exactly. Nothing is allocated here: the operator builds
+    its dense entries or its swap blocks when they are asked for.
     """
-    n = params.n_sites
-    dim = n * n
+    dim = params.n_sites**2
     if dim > dim_cap:
         raise DimensionCapError(dim, dim_cap)
-
-    origin = n // 2
-    a, b = np.divmod(np.arange(dim), n)
-    energy = params.fd * ((a - origin) + (b - origin)).astype(float)
-    energy[a == b] += params.u0
-    energy[np.abs(a - b) == 1] += params.near_diagonal_defect()
-    h = np.diag(energy)
-    # Bonds from (a, b) to (a + 1, b), i.e. to index + n, and to (a, b + 1);
-    # a bond touching the main diagonal carries kappa1.
-    for step, head, tail in ((n, a + 1, b), (1, a, b + 1)):
-        i = np.flatnonzero((head < n) & (tail < n))
-        touches = (a[i] == b[i]) | (head[i] == tail[i])
-        rate = np.where(touches, -params.kappa1, -params.kappa)
-        h[i, i + step] = rate
-        h[i + step, i] = rate
-    i = diagonal_indices(n)[:-1]
-    h[i, i + n + 1] = -params.rho
-    h[i + n + 1, i] = -params.rho
-    return HermitianOperator(h)
+    return PairOperator(params)
 
 
 def kappa_eff(kappa: float, rho: float, u0: float) -> float:
@@ -253,12 +347,16 @@ def kappa_eff(kappa: float, rho: float, u0: float) -> float:
     return -2.0 * kappa * kappa / u0 + rho
 
 
-def build_effective_hamiltonian(params: ModelParams) -> HermitianOperator:
+def build_effective_hamiltonian(
+    params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP
+) -> HermitianOperator:
     """Bound-pair chain: the single-particle structure with kappa_eff and 2 fd.
 
     The effective hopping may be negative for repulsive interaction with a
     positive cross-coupling; that is a legitimate gauge and is accepted.
     """
+    if params.n_sites > dim_cap:
+        raise DimensionCapError(params.n_sites, dim_cap)
     hopping = kappa_eff(params.kappa, params.rho, params.u0)
     return HermitianOperator(
         _tilted_chain(params.n_sites, hopping, 2.0 * params.fd)

@@ -2,18 +2,21 @@
 
 The generator is diagonalized once per invariant sector and every sampled
 state is synthesized spectrally, so unitarity holds to machine precision and
-revival positions are not integration artifacts. A generator on an N x N
-lattice that commutes exactly with the (n, m) swap (every pair-lattice
-operator does) splits into its symmetric sector, of dimension N(N+1)/2, and
-its antisymmetric sector, of dimension N(N-1)/2; any other generator is one
-sector. Sectors are dense real-symmetric / Hermitian solves, and a real
-sector is synthesized in real arithmetic.
+revival positions are not integration artifacts. A pair-lattice operator
+(``model.PairOperator``) supplies its swap blocks, built from the rates: the
+symmetric sector, of dimension N(N+1)/2, and the antisymmetric sector, of
+dimension N(N-1)/2, which is built only when a state reaches it. Any other
+generator is one sector, its dense entries. Sectors are dense
+real-symmetric / Hermitian solves, and a real sector is synthesized in real
+arithmetic. Synthesis stays in the sector basis: each sector's part of the
+samples is written straight into the rows of the (samples, dim) states, and
+the full-basis eigenvectors are never formed. ``generator_id`` hashes the
+first sector's block.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -21,7 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
-from .model import DEFAULT_DIM_CAP, HermitianOperator, flatten_index, swap_indices
+from .model import (
+    DEFAULT_DIM_CAP,
+    HermitianOperator,
+    PairOperator,
+    SwapBlock,
+    flatten_index,
+)
 from .observables import ObservableSeries
 
 _NORM_TOL = 1e-12
@@ -139,10 +148,40 @@ def _generator_id(entries: np.ndarray) -> str:
 
 
 class _Sector(NamedTuple):
-    """Eigenpairs of one invariant block, eigenvectors embedded in the full basis."""
+    """Eigenpairs of one invariant block and the block's place in the full basis.
+
+    Without rep the block is the whole space. With it, vectors[I, k] is
+    eigenvector k's amplitude on site rep[I], and it carries sign times that
+    on site partner[I] (the same site on the main diagonal).
+    """
 
     energies: np.ndarray
-    vectors: np.ndarray  # (dim, block dim)
+    vectors: np.ndarray  # (block dim, block dim)
+    rep: np.ndarray | None = None
+    partner: np.ndarray | None = None
+    sign: int = 1
+
+    def fold(self, psi: np.ndarray) -> np.ndarray:
+        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] on the diagonal."""
+        if self.rep is None:
+            return psi
+        rep, partner = self.rep, self.partner
+        return np.where(rep == partner, psi[rep], psi[rep] + self.sign * psi[partner])
+
+    def place(self, states: np.ndarray, rows: np.ndarray):
+        """Put this sector's (S, block) part into the (S, dim) states.
+
+        The whole space or the symmetric sector comes first and writes every
+        site; the antisymmetric sector, which has no diagonal site, adds.
+        """
+        if self.rep is None:
+            states[...] = rows
+        elif self.sign > 0:  # a diagonal site is its own partner
+            states[:, self.partner] = rows
+            states[:, self.rep] = rows
+        else:
+            states[:, self.rep] += rows
+            states[:, self.partner] -= rows
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,35 +191,10 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _swap_side(entries: np.ndarray) -> int | None:
-    """N when entries act on an N x N lattice and commute exactly with the swap."""
-    n = math.isqrt(entries.shape[0])
-    if n * n != entries.shape[0]:
-        return None
-    grid = entries.reshape(n, n, n, n)
-    return n if np.array_equal(grid, grid.transpose(1, 0, 3, 2)) else None
-
-
-def _swap_sector(entries: np.ndarray, n: int, sign: int) -> _Sector:
-    """Diagonalize entries on the swap-symmetric (sign 1) or antisymmetric sector.
-
-    Basis state I is |a, a> on the diagonal, else (|a, b> + sign |b, a>) / sqrt 2
-    with a < b. Block entries are gathered by index: for swap-invariant entries,
-    <I|H|J> = g_I g_J (H[ab, cd] + sign H[ab, dc]) with g = 1/sqrt 2 on the
-    diagonal and 1 off it.
-    """
-    a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
-    rep, partner = a * n + b, b * n + a
-    on_diagonal = a == b
-    block = entries[np.ix_(rep, rep)] + sign * entries[np.ix_(rep, partner)]
-    g = np.where(on_diagonal, math.sqrt(0.5), 1.0)
-    block *= g[:, None]
-    block *= g
-    energies, v = _eigh(block)
-    vectors = np.zeros((n * n, rep.size), dtype=v.dtype)
-    vectors[rep] = np.where(on_diagonal, 1.0, math.sqrt(0.5))[:, None] * v
-    vectors[partner] = sign * vectors[rep]
-    return _Sector(energies, vectors)
+def _diagonalize(swap: SwapBlock) -> _Sector:
+    energies, v = _eigh(swap.entries)
+    v *= swap.weight[:, None]
+    return _Sector(energies, v, swap.rep, swap.partner, swap.sign)
 
 
 def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +210,7 @@ def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SpectralPropagator:
     """Immutable propagation plan: one eigendecomposition per sector, many syntheses.
 
-    For a swap-invariant generator the symmetric sector is diagonalized here;
+    For a pair-lattice operator the symmetric sector is diagonalized here;
     the antisymmetric one only when a state first reaches it, and then once.
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching the antisymmetric sector first at the
@@ -204,60 +218,61 @@ class SpectralPropagator:
     """
 
     def __init__(self, h: HermitianOperator, dim_cap: int = DEFAULT_DIM_CAP):
-        entries = h.entries
         if h.dim > dim_cap:
             raise DimensionCapError(h.dim, dim_cap)
+        self._pair = h if isinstance(h, PairOperator) else None
+        # The symmetric sector, or the whole space without swap blocks.
+        first = h.swap_block(1) if self._pair is not None else None
+        entries = h.entries if first is None else first.entries
         bad = np.argwhere(~np.isfinite(entries))
         if bad.size:
             i, j = bad[0]
             raise NumericError(f"non-finite generator entry at ({i}, {j})")
-        self._entries = entries
-        self._side = _swap_side(entries)
-        # The symmetric sector, or the whole space without swap symmetry.
-        if self._side is None:
+        self.generator_id = _generator_id(entries)
+        if first is None:
             self._first = _Sector(*_eigh(entries))
         else:
-            self._first = _swap_sector(entries, self._side, 1)
-        self.generator_id = _generator_id(entries)
+            self._first = _diagonalize(first)
         self.dim = h.dim
 
     @cached_property
     def _antisymmetric(self) -> _Sector:
-        return _swap_sector(self._entries, self._side, -1)
+        return _diagonalize(self._pair.swap_block(-1))
 
     def _sectors(self, psi: np.ndarray) -> tuple[_Sector, ...]:
         """The sectors psi has weight in; the second only if psi is not swap-symmetric."""
-        if self._side is None or np.array_equal(psi, psi[swap_indices(self._side)]):
-            return (self._first,)
-        return (self._first, self._antisymmetric)
+        first = self._first
+        if first.rep is None or np.array_equal(psi[first.rep], psi[first.partner]):
+            return (first,)
+        return (first, self._antisymmetric)
 
     def _synthesize(self, psi0: StateVector, z: np.ndarray) -> np.ndarray:
-        """exp(-i H z_k) psi0 for every z_k, as the columns of a (dim, len(z)) array."""
+        """exp(-i H z_k) psi0 for every z_k, as the rows of a C-ordered (len(z), dim) array."""
         psi = psi0.amplitudes
-        columns = None
+        states = None
         for sector in self._sectors(psi):
-            coeffs = _apply(sector.vectors.conj().T, psi)
+            coeffs = _apply(sector.vectors.conj().T, sector.fold(psi))
             phases = np.exp(-1j * np.outer(sector.energies, z))
             phases *= coeffs[:, None]
             part = _apply(sector.vectors, phases)
             del phases
-            if columns is None:
-                columns = part
-            else:
-                columns += part
-        return columns
+            if states is None:  # after phases is freed: the peak holds states and one part
+                states = np.empty((z.size, self.dim), dtype=complex)
+            sector.place(states, part.T)
+            del part
+        return states
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0."""
         self._check_dim(psi0)
-        return StateVector(self._synthesize(psi0, np.array([z]))[:, 0])
+        return StateVector(self._synthesize(psi0, np.array([z]))[0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
         """Sample exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
         z = _sample_grid(z_max, dz)
         # handed over C-ordered and read-only, so Trajectory needs no copy
-        states = np.ascontiguousarray(self._synthesize(psi0, z).T)
+        states = self._synthesize(psi0, z)
         states.setflags(write=False)
         return Trajectory(z_samples=z, states=states, generator_id=self.generator_id)
 

@@ -520,9 +520,9 @@ def _build_operator(config: ScenarioConfig, params: ModelParams, dim_cap: int):
         return build_fock_hamiltonian(params, dim_cap=dim_cap)
     if config.model == "single":
         return build_single_particle_hamiltonian(
-            params.n_sites, params.kappa, params.fd
+            params.n_sites, params.kappa, params.fd, dim_cap=dim_cap
         )
-    return build_effective_hamiltonian(params)
+    return build_effective_hamiltonian(params, dim_cap=dim_cap)
 
 
 def _initial_state(config: ScenarioConfig, excitation, n_sites: int) -> StateVector:

@@ -19,7 +19,9 @@ from fracbloch import (
     kappa_eff,
     swap_indices,
 )
+from fracbloch import model
 from fracbloch.errors import SingularParameterError
+from fracbloch.model import DEFAULT_DIM_CAP
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 
 from conftest import FD, KAPPA, N_PAIR, RHO, U0
@@ -126,6 +128,28 @@ def test_fock_dimension_cap():
     assert "10" in str(err.value)
     with pytest.raises(DimensionCapError):
         build_fock_hamiltonian(ModelParams(kappa=1, rho=0, u0=0, fd=0, n_sites=70))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cap: build_single_particle_hamiltonian(200000, KAPPA, FD, dim_cap=cap),
+        lambda cap: build_effective_hamiltonian(
+            ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=200000), dim_cap=cap
+        ),
+    ],
+    ids=["single", "effective"],
+)
+def test_chain_builders_check_the_cap_before_allocating(monkeypatch, build):
+    def no_chain(*args):
+        raise AssertionError("a chain was allocated past the dimension cap")
+
+    monkeypatch.setattr(model, "_tilted_chain", no_chain)
+    with pytest.raises(DimensionCapError) as err:
+        build(DEFAULT_DIM_CAP)
+    assert "200000" in str(err.value)
+    with pytest.raises(DimensionCapError):
+        build(10**5)
 
 
 def test_kappa_eff_values():
@@ -264,3 +288,87 @@ def test_fock_builder_properties(n_sites, kappa, kappa1, rho, u0, fd):
     assert np.array_equal(h[p][:, p], h)
     bonds, energies = enumerate_fock_bonds(params)
     assert np.array_equal(h, operator_from_bonds(n_sites, bonds, energies))
+
+
+# ---------------------------------------------------------------------------
+# Swap blocks: built from the rates, against gathering them from the entries
+# ---------------------------------------------------------------------------
+
+
+def gathered_swap_block(entries: np.ndarray, n: int, sign: int) -> np.ndarray:
+    """The swap-sector block gathered by index from the dense N^2 x N^2 entries.
+
+    Basis state I is |a, a> on the diagonal, else (|a, b> + sign |b, a>) / sqrt 2
+    with a < b. For swap-invariant entries <I|H|J> = g_I g_J (H[ab, cd] +
+    sign H[ab, dc]), with g = 1/sqrt 2 on the diagonal and 1 off it.
+    """
+    a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
+    rep, partner = a * n + b, b * n + a
+    block = entries[np.ix_(rep, rep)] + sign * entries[np.ix_(rep, partner)]
+    g = np.where(a == b, math.sqrt(0.5), 1.0)
+    block *= g[:, None]
+    block *= g
+    return block
+
+
+def assert_blocks_match_gather(params: ModelParams):
+    n = params.n_sites
+    h = build_fock_hamiltonian(params)
+    for sign, size in ((1, n * (n + 1) // 2), (-1, n * (n - 1) // 2)):
+        swap = h.swap_block(sign)
+        assert swap.entries.shape == (size, size)
+        assert swap.entries.tobytes() == gathered_swap_block(h.entries, n, sign).tobytes()
+        assert np.array_equal(swap.entries, swap.entries.T)
+        a, b = np.divmod(swap.rep, n)
+        assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
+        expected_weight = np.where(a == b, 1.0, math.sqrt(0.5))
+        assert np.array_equal(swap.weight, expected_weight)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=N_PAIR),
+        ModelParams.from_ebh(j_hop=9.0, eps=0.19, u0=-4.0, fd=0.5, n_sites=9),
+        ModelParams(kappa=0.0, rho=0.0, u0=0.0, fd=0.0, n_sites=6),  # -0.0 rates
+        *(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n) for n in (2, 3, 16)),
+    ],
+    ids=["fixture", "from_ebh", "zero-rates", "n2", "n3", "n16"],
+)
+def test_swap_blocks_equal_the_gathered_blocks(params):
+    if params.eps is not None:
+        assert params.kappa1 != params.kappa and params.near_diagonal_defect() != 0.0
+    assert_blocks_match_gather(params)
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3)
+non_negative = st.floats(min_value=0.0, max_value=1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_sites=st.integers(min_value=2, max_value=8),
+    kappa=non_negative,
+    kappa1=non_negative,
+    rho=finite,
+    u0=finite,
+    fd=non_negative,
+    defect=st.none() | finite,
+)
+def test_swap_blocks_equal_the_gathered_blocks_for_any_rates(
+    n_sites, kappa, kappa1, rho, u0, fd, defect
+):
+    assert_blocks_match_gather(
+        ModelParams(
+            kappa=kappa, rho=rho, u0=u0, fd=fd, n_sites=n_sites, kappa1=kappa1,
+            near_diag_defect=defect,
+        )
+    )
+
+
+def test_pair_operator_entries_are_built_once_and_read_only(pair_params):
+    h = build_fock_hamiltonian(pair_params)
+    assert h.dim == N_PAIR**2
+    assert h.entries is h.entries
+    with pytest.raises(ValueError):
+        h.entries[0, 0] = 7.0

@@ -25,7 +25,9 @@ from fracbloch import (
     return_probability,
     swap_indices,
 )
+from fracbloch.model import PairOperator
 from fracbloch.reference import analytic_ws_profile, two_site_coupler
+from fracbloch.scenario import preset_config, run_scenario
 
 from conftest import FD, KAPPA, N_PAIR
 
@@ -311,7 +313,7 @@ def test_random_swap_symmetric_generator_matches_dense(matrix, parts, z):
         plan = SpectralPropagator(h)
         state = plan.evolve(psi0, z)
         traj = plan.trajectory(psi0, z, z / 4)
-    assert sorted(dims) == ([3, 6] if np.any(psi0.amplitudes[p] != psi0.amplitudes) else [6])
+    assert dims == [9]  # a hand-built operator is one dense block, swap-invariant or not
     oracle = dense_states(h, psi0, traj.z_samples)
     assert np.max(np.abs(state.amplitudes - oracle[-1])) <= SECTOR_TOL
     assert np.max(np.abs(traj.states - oracle)) <= SECTOR_TOL
@@ -329,7 +331,7 @@ def test_complex_generator_matches_dense(side):
     amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     with eigh_dims() as dims:
         assert_matches_dense(HermitianOperator(m), StateVector(amp / np.linalg.norm(amp)))
-    assert dims == ([6, 3, 9] if side else [7, 7])  # the plan's sectors, then the oracle's
+    assert dims == [dim, dim]  # the plan's one dense block, then the oracle's
 
 
 @pytest.mark.parametrize("n", [9, 16])
@@ -338,6 +340,28 @@ def test_chain_of_square_length_stays_one_block(n):
     with eigh_dims() as dims:
         assert_matches_dense(h, StateVector.delta(n, n // 2))
     assert dims == [n, n]  # the plan's, then the oracle's
+
+
+@pytest.fixture
+def no_dense_pair_entries(monkeypatch):
+    """Make reading a pair operator's dense N^2 x N^2 entries an error."""
+
+    def dense(self):
+        raise AssertionError("the dense pair-lattice matrix was built")
+
+    monkeypatch.setattr(PairOperator, "entries", property(dense))
+
+
+@pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
+def test_pair_propagation_never_builds_the_dense_matrix(pair_params, no_dense_pair_entries, kind):
+    plan = SpectralPropagator(build_fock_hamiltonian(pair_params))
+    traj = plan.trajectory(_pair_state(kind, N_PAIR), 2.0, 0.1)
+    assert traj.dim == N_PAIR**2
+
+
+def test_pair_scenario_never_builds_the_dense_matrix(no_dense_pair_entries, tmp_path):
+    summary = run_scenario(preset_config("fig4a-fractional-bo"), out_dir=str(tmp_path))
+    assert summary["model"] == "fock"
 
 
 def test_sector_work_count(pair_params):

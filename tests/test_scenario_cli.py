@@ -603,6 +603,16 @@ def test_cli_render_rejects_incompatible_axis(fig4b_run, capsys):
     assert "square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_cli_render_rejects_non_finite_slice_z(fig4a_run, tmp_path, capsys, z):
+    _, out = fig4a_run
+    target = tmp_path / "slice.pgm"
+    argv = ["render", str(out / "trajectory.csv"), "--axis", "full-2d-slice"]
+    assert main(argv + [f"--z={z}", "--out", str(target)]) == 2
+    assert "slice z must be finite" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_cli_analyze_out_file(fig4b_run, tmp_path, capsys):
     _, out = fig4b_run
     target = tmp_path / "analysis.json"
