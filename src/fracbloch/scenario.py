@@ -66,7 +66,8 @@ OBSERVABLE_NAMES = (
     "boundary_population",
 )
 
-_FLOAT_FMT = "{:.12e}"
+#: printf format of every float that the CSV artifacts carry.
+_FLOAT_FMT = "%.12e"
 
 #: The strongest interior return peak defines a period only when it recovers
 #: at least this much probability (a majority refocus); lower bumps are
@@ -532,31 +533,35 @@ def _initial_state(config: ScenarioConfig, excitation, n_sites: int) -> StateVec
 
 
 def write_series_csv(path: str, series: ObservableSeries):
+    pairs = np.column_stack([series.z_samples, series.values]).ravel().tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("z_cm,value\n")
-        for z, v in zip(series.z_samples, series.values):
-            fh.write(f"{_FLOAT_FMT.format(z)},{_FLOAT_FMT.format(v)}\n")
+        fh.write(f"{_FLOAT_FMT},{_FLOAT_FMT}\n" * len(series.z_samples) % tuple(pairs))
 
 
 def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
-    """Long form (z, n, m, probability) for the pair lattice, wide for chains."""
+    """Long form (z, n, m, probability) for the pair lattice, wide for chains.
+
+    One ``%`` over a per-file template formats a whole sample, and only that
+    sample's text is held at a time.
+    """
     probs = traj.probabilities
+    z_samples = traj.z_samples.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if model == "fock":
             fh.write("z_cm,n,m,probability\n")
-            for k, z in enumerate(traj.z_samples):
-                zs = _FLOAT_FMT.format(z)
-                row = probs[k]
-                for n in range(n_sites):
-                    base = n * n_sites
-                    for m in range(n_sites):
-                        fh.write(f"{zs},{n},{m},{_FLOAT_FMT.format(row[base + m])}\n")
+            # z goes between the parts: "" z ",0,0,%.12e\n" z ",0,1,%.12e\n" ...
+            parts = [""] + [
+                f",{n},{m},{_FLOAT_FMT}\n" for n in range(n_sites) for m in range(n_sites)
+            ]
+            for z, row in zip(z_samples, probs):
+                fh.write((_FLOAT_FMT % z).join(parts) % tuple(row.tolist()))
         else:
             header = ",".join(f"p{i}" for i in range(n_sites))
             fh.write(f"z_cm,{header}\n")
-            for k, z in enumerate(traj.z_samples):
-                values = ",".join(_FLOAT_FMT.format(p) for p in probs[k])
-                fh.write(f"{_FLOAT_FMT.format(z)},{values}\n")
+            template = ",".join([_FLOAT_FMT] * (n_sites + 1)) + "\n"
+            for z, row in zip(z_samples, probs):
+                fh.write(template % (z, *row.tolist()))
 
 
 def _refocus_summary(return_series, width_series) -> dict:

@@ -14,7 +14,7 @@ import pytest
 import fracbloch
 from fracbloch import StateVector, Trajectory, propagate
 from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
-from fracbloch import scenario
+from fracbloch import heatmap, scenario
 from fracbloch.cli import main
 from fracbloch.errors import ConfigError, InvalidParameterError
 from fracbloch.heatmap import (
@@ -579,6 +579,9 @@ MALFORMED_CSVS = [
     ("out-of-order", "z_cm,n,m,probability\n0,0,1,0\n0,0,0,1\n0,1,0,0\n0,1,1,0\n",
      "writer order"),
     ("z-decreasing", "z_cm,p0,p1\n0.1,1,0\n0,1,0\n", "strictly increase"),
+    ("comment", "z_cm,p0,p1\n0.0,1.0,0.0 # note\n0.1,1,0\n", "could not convert"),
+    ("comment-line", "z_cm,p0,p1\n0,1,0\n# note\n0.1,1,0\n", "header names 3"),
+    ("blank-line", "z_cm,p0,p1\n0,1,0\n\n0.1,1,0\n", "blank line"),
 ]
 
 
@@ -594,6 +597,74 @@ def test_cli_malformed_trajectory_csv_fails_closed(tmp_path, capsys, command, te
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {csv}: ") and reason in err, err
     assert not out.exists()
+
+
+#: (text, file line the diagnostic names); the header is line 1.
+LINE_NUMBERED_CSVS = {
+    "header": ("z_cm;p0\n0,1\n", 1),
+    "not-a-number": ("z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,abc,0\n", 4),
+    "underscore": ("z_cm,p0,p1\n0,1,0\n0.1,1_0,0\n", 3),
+    "comment": ("z_cm,p0,p1\n0,1,0\n0.1,1,0 # note\n", 3),
+    "comment-first-line": ("z_cm,p0,p1\n# note\n0,1,0\n", 2),
+    "blank-first-line": ("z_cm,p0,p1\n\n0,1,0\n", 2),
+    "blank-last-line": ("z_cm,p0,p1\n0,1,0\n0.1,1,0\n\n", 4),
+    "blank-crlf": ("z_cm,p0,p1\r\n0,1,0\r\n\r\n0.1,1,0\r\n", 3),
+    "fault-before-blank": ("z_cm,p0,p1\n0,x,0\n\n0.1,1,0\n", 2),
+    "blank-before-bad-bytes": (b"z_cm,p0,p1\n0,1,0\n\n0.1,\xff,0\n", 3),
+    "ragged": ("z_cm,p0,p1\n0,1,0\n0.1,1\n", 3),
+    "narrow": ("z_cm,p0,p1\n0,1\n0.1,1\n", 2),
+    "not-finite": ("z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,inf,0\n", 4),
+    "z-decreasing": ("z_cm,p0,p1\n0,1,0\n0.2,1,0\n0.1,1,0\n", 4),
+    "pair-order": ("z_cm,n,m,probability\n" + "0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
+                   "1,0,0,1\n1,0,1,0\n1,1,1,0\n1,1,0,0\n", 8),
+    "pair-z-within": ("z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0.5,1,1,0\n", 5),
+    "pair-z-decreasing": ("z_cm,n,m,probability\n" + "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,0\n"
+                          "0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n", 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_NUMBERED_CSVS))
+def test_trajectory_csv_diagnostic_names_the_file_line(tmp_path, name):
+    text, line = LINE_NUMBERED_CSVS[name]
+    csv = tmp_path / "trajectory.csv"
+    csv.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    with pytest.raises(InvalidParameterError) as info:
+        load_trajectory_csv(str(csv))
+    assert str(info.value).startswith(f"{csv}: line {line}: "), str(info.value)
+
+
+@pytest.mark.parametrize("where", ["header", "data"])
+def test_trajectory_csv_that_is_not_utf8_fails_closed(tmp_path, capsys, where):
+    text = b"z_cm,p0,p\xff1\n0,1,0\n" if where == "header" else b"z_cm,p0,p1\n0,1,0\n0.1,\xff,0\n"
+    csv = tmp_path / "trajectory.csv"
+    csv.write_bytes(text)
+    assert main(["analyze", str(csv)]) == 2
+    line = 1 if where == "header" else 3
+    assert f"config error: {csv}: line {line}: text is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+def test_trajectory_csv_chunk_edges(tmp_path, monkeypatch, chunk):
+    rows = [f"{0.1 * k:.12e},{1 - k / 8:.12e},{k / 8:.12e}" for k in range(8)]
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text("z_cm,p0,p1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    want = load_trajectory_csv(str(csv))
+    monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+    for got, expected in zip(load_trajectory_csv(str(csv)), want):
+        assert np.array_equal(got, expected)
+    for blank in range(len(rows) + 1):
+        text = "\n".join(["z_cm,p0,p1", *rows[:blank], "", *rows[blank:]]) + "\n"
+        csv.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidParameterError, match=f": line {blank + 2}: blank line"):
+            load_trajectory_csv(str(csv))
+
+
+def test_crlf_trajectory_csv_reads_like_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(b"z_cm,p0,p1\n0,1,0\n0.1,0.5,0.5")
+    crlf.write_bytes(b"z_cm,p0,p1\r\n0,1,0\r\n0.1,0.5,0.5\r\n")
+    for got, want in zip(load_trajectory_csv(str(crlf)), load_trajectory_csv(str(lf))):
+        assert np.array_equal(got, want)
 
 
 def test_cli_render_rejects_incompatible_axis(fig4b_run, capsys):
