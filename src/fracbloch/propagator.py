@@ -12,6 +12,17 @@ arithmetic. Synthesis stays in the sector basis: each sector's part of the
 samples is written straight into the rows of the (samples, dim) states, and
 the full-basis eigenvectors are never formed. ``generator_id`` hashes the
 first sector's block.
+
+Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
+samples, so its buffers hold O(_CHUNK_ELEMENTS) elements whatever the length
+of the trajectory; only the (samples, dim) states are whole. On the grid
+z_k = k dz the phases of a chunk starting at sample k0 are one table of
+offsets exp(-i E j dz), computed once per sector, times the chunk's anchor
+coeffs exp(-i E z_k0), computed directly, so no error accumulates from chunk
+to chunk. A z off the grid (an appended z_max, or ``evolve``'s z) takes its
+phase from exp directly. The first chunk's anchor is the coefficients
+themselves, so a trajectory that fits in one chunk is computed with exactly
+the arithmetic of an unchunked synthesis, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +45,9 @@ from .model import (
 from .observables import ObservableSeries
 
 _NORM_TOL = 1e-12
+#: Complex elements per synthesis buffer: the phase offsets, the phases and
+#: the product of a chunk each hold block x chunk of them.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -152,7 +166,8 @@ class _Sector(NamedTuple):
 
     Without rep the block is the whole space. With it, vectors[I, k] is
     eigenvector k's amplitude on site rep[I], and it carries sign times that
-    on site partner[I] (the same site on the main diagonal).
+    on site partner[I] (the same site on the main diagonal). In the symmetric
+    sector column[s] is the block index I whose rep or partner is site s.
     """
 
     energies: np.ndarray
@@ -160,6 +175,7 @@ class _Sector(NamedTuple):
     rep: np.ndarray | None = None
     partner: np.ndarray | None = None
     sign: int = 1
+    column: np.ndarray | None = None
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
         """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] on the diagonal."""
@@ -168,20 +184,21 @@ class _Sector(NamedTuple):
         rep, partner = self.rep, self.partner
         return np.where(rep == partner, psi[rep], psi[rep] + self.sign * psi[partner])
 
-    def place(self, states: np.ndarray, rows: np.ndarray):
-        """Put this sector's (S, block) part into the (S, dim) states.
+    def place(self, states: np.ndarray, part: np.ndarray):
+        """Put this sector's (block, n) part of n samples into their (n, dim) states.
 
         The whole space or the symmetric sector comes first and writes every
         site; the antisymmetric sector, which has no diagonal site, adds.
         """
         if self.rep is None:
-            states[...] = rows
-        elif self.sign > 0:  # a diagonal site is its own partner
-            states[:, self.partner] = rows
-            states[:, self.rep] = rows
+            states[...] = part.T
+        elif self.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
+            rows = part.T
+            for r in range(0, len(states), 32):
+                states[r : r + 32] = rows[r : r + 32, self.column]
         else:
-            states[:, self.rep] += rows
-            states[:, self.partner] -= rows
+            states[:, self.rep] += part.T
+            states[:, self.partner] -= part.T
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,20 +208,26 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _diagonalize(swap: SwapBlock) -> _Sector:
+def _diagonalize(swap: SwapBlock, dim: int) -> _Sector:
     energies, v = _eigh(swap.entries)
     v *= swap.weight[:, None]
-    return _Sector(energies, v, swap.rep, swap.partner, swap.sign)
+    column = None
+    if swap.sign > 0:  # a diagonal site is its own partner
+        column = np.empty(dim, dtype=np.intp)
+        column[swap.partner] = column[swap.rep] = np.arange(swap.rep.size)
+    return _Sector(energies, v, swap.rep, swap.partner, swap.sign, column)
 
 
-def _apply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for complex b; a real a acts on b's real and imaginary parts in
-    one real product instead of being cast to complex."""
+def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for complex b, into out if given; a real a acts on b's real and
+    imaginary parts in one real product instead of being cast to complex."""
     if np.iscomplexobj(a):
-        return a @ b
+        return np.matmul(a, b, out=out)
     b = np.ascontiguousarray(b, dtype=complex)
     pairs = b.view(np.float64).reshape(b.shape[0], -1)
-    return (a @ pairs).view(complex).reshape(a.shape[0], *b.shape[1:])
+    if out is not None:
+        out = out.view(np.float64).reshape(out.shape[0], -1)
+    return np.matmul(a, pairs, out=out).view(complex).reshape(a.shape[0], *b.shape[1:])
 
 
 class SpectralPropagator:
@@ -232,12 +255,12 @@ class SpectralPropagator:
         if first is None:
             self._first = _Sector(*_eigh(entries))
         else:
-            self._first = _diagonalize(first)
+            self._first = _diagonalize(first, h.dim)
         self.dim = h.dim
 
     @cached_property
     def _antisymmetric(self) -> _Sector:
-        return _diagonalize(self._pair.swap_block(-1))
+        return _diagonalize(self._pair.swap_block(-1), self.dim)
 
     def _sectors(self, psi: np.ndarray) -> tuple[_Sector, ...]:
         """The sectors psi has weight in; the second only if psi is not swap-symmetric."""
@@ -246,33 +269,53 @@ class SpectralPropagator:
             return (first,)
         return (first, self._antisymmetric)
 
-    def _synthesize(self, psi0: StateVector, z: np.ndarray) -> np.ndarray:
-        """exp(-i H z_k) psi0 for every z_k, as the rows of a C-ordered (len(z), dim) array."""
+    def _synthesize(
+        self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray
+    ) -> np.ndarray:
+        """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
+        z in off_grid, as the rows of a C-ordered (samples, dim) array."""
         psi = psi0.amplitudes
+        n_samples = n_grid + off_grid.size
         states = None
         for sector in self._sectors(psi):
+            energies, block = sector.energies, sector.energies.size
             coeffs = _apply(sector.vectors.conj().T, sector.fold(psi))
-            phases = np.exp(-1j * np.outer(sector.energies, z))
-            phases *= coeffs[:, None]
-            part = _apply(sector.vectors, phases)
-            del phases
-            if states is None:  # after phases is freed: the peak holds states and one part
-                states = np.empty((z.size, self.dim), dtype=complex)
-            sector.place(states, part.T)
-            del part
+            chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // block))
+            offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, n_grid))))
+            phase_buf = np.empty(block * chunk, dtype=complex)
+            part_buf = np.empty_like(phase_buf)
+            for k0 in range(0, n_samples, chunk):
+                k1 = min(k0 + chunk, n_samples)
+                # flat buffers reshaped, so a short last chunk is contiguous too
+                phases = phase_buf[: block * (k1 - k0)].reshape(block, k1 - k0)
+                part = part_buf[: phases.size].reshape(phases.shape)
+                on_grid = max(0, min(k1, n_grid) - k0)
+                if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
+                    anchor = coeffs if k0 == 0 else coeffs * np.exp(-1j * energies * (dz * k0))
+                    np.multiply(offsets[:, :on_grid], anchor[:, None], out=phases[:, :on_grid])
+                if on_grid < k1 - k0:  # an appended z_max, or evolve's z
+                    z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]
+                    direct = np.exp(-1j * np.outer(energies, z))
+                    np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
+                part = _apply(sector.vectors, phases, out=part)
+                if k1 == n_samples:  # free the phases before the last chunk touches its states
+                    del offsets, phase_buf, phases
+                if states is None:  # late: a one-chunk run never holds its phases beside it
+                    states = np.empty((n_samples, self.dim), dtype=complex)
+                sector.place(states[k0:k1], part)
         return states
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0."""
         self._check_dim(psi0)
-        return StateVector(self._synthesize(psi0, np.array([z]))[0])
+        return StateVector(self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float))[0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
         """Sample exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
-        z = _sample_grid(z_max, dz)
+        z, n_grid = _sample_grid(z_max, dz)
         # handed over C-ordered and read-only, so Trajectory needs no copy
-        states = self._synthesize(psi0, z)
+        states = self._synthesize(psi0, n_grid, dz, z[n_grid:])
         states.setflags(write=False)
         return Trajectory(z_samples=z, states=states, generator_id=self.generator_id)
 
@@ -283,14 +326,15 @@ class SpectralPropagator:
             )
 
 
-def _sample_grid(z_max: float, dz: float) -> np.ndarray:
+def _sample_grid(z_max: float, dz: float) -> tuple[np.ndarray, int]:
+    """The samples 0, dz, 2 dz, ..., z_max, and how many lie on the dz grid."""
     if not 0 < dz <= z_max:
         raise InvalidParameterError(f"need 0 < dz <= z_max, got dz={dz}, z_max={z_max}")
-    n_steps = int(np.floor(z_max / dz + 1e-9))
-    z = dz * np.arange(n_steps + 1)
+    n_grid = int(np.floor(z_max / dz + 1e-9)) + 1
+    z = dz * np.arange(n_grid)
     if z_max - z[-1] > 1e-9 * dz:
         z = np.append(z, z_max)
-    return z
+    return z, n_grid
 
 
 def propagate(

@@ -420,6 +420,18 @@ def _line_numbers(text: str) -> dict:
     return lines
 
 
+def _decode(raw: bytes, path: str) -> str:
+    """raw as UTF-8 text with universal newlines, as a text-mode read gives it;
+    the first byte that is not UTF-8 fails at its line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _decode(raw[: exc.start], path).count("\n") + 1
+        message = f"text is not UTF-8: cannot decode byte 0x{raw[exc.start]:02x}"
+        raise ConfigError(message, path, line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario config file. Unknown keys are errors.
 
@@ -427,8 +439,8 @@ def parse_config(path: str) -> ScenarioConfig:
     line of its key, or else at the header of the section that holds it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = _decode(fh.read(), path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path, 0) from exc
 

@@ -1,8 +1,10 @@
 """Spectral propagation: closed-form checks, unitarity, composition, revival,
-and the swap-sector path against a dense eigendecomposition of the full lattice."""
+the swap-sector path against a dense eigendecomposition of the full lattice,
+and chunked synthesis against the same oracle and against unchunked arithmetic."""
 
 import contextlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,11 +27,12 @@ from fracbloch import (
     return_probability,
     swap_indices,
 )
+from fracbloch import propagator
 from fracbloch.model import PairOperator
 from fracbloch.reference import analytic_ws_profile, two_site_coupler
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR
+from conftest import FD, KAPPA, N_PAIR, RHO, U0
 
 PERIOD = 2 * math.pi / FD
 
@@ -272,6 +275,7 @@ def assert_matches_dense(h, psi0, z_max=3.0, dz=0.05):
     for k in (1, traj.n_samples // 2, traj.n_samples - 1):
         state = plan.evolve(psi0, traj.z_samples[k])
         assert np.max(np.abs(state.amplitudes - oracle[k])) <= SECTOR_TOL
+    return traj
 
 
 def _pair_state(kind, n):
@@ -377,3 +381,148 @@ def test_sector_work_count(pair_params):
         plan.evolve(_pair_state("unsymmetrized", n), 1.0)
         plan.trajectory(_pair_state("doublon", n), 2.0, 0.1)
     assert dims == [n * (n - 1) // 2]
+
+
+# ---------------------------------------------------------------------------
+# Chunked synthesis: many chunks against dense eigh, one chunk bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _complex_case():
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    amp = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return HermitianOperator((m + m.conj().T) / 2.0), StateVector(amp / np.linalg.norm(amp)), 3.0
+
+
+def _pair_case(kind, params=None, z_max=3.0):
+    params = params or ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=N_PAIR)
+    return build_fock_hamiltonian(params), _pair_state(kind, params.n_sites), z_max
+
+
+#: name -> (generator, initial state, z_max), sampled with dz = 0.05. z_max = 3
+#: gives 61 samples, a prime, so any chunk of 1 < C < 61 samples leaves a
+#: shorter last chunk; z_max = 3.02 adds a sample off the grid.
+CHUNK_CASES = {
+    "doublon": lambda: _pair_case("doublon"),
+    "unsymmetrized": lambda: _pair_case("unsymmetrized"),
+    "from-ebh": lambda: _pair_case(
+        "doublon", ModelParams.from_ebh(j_hop=9.0, eps=0.19, u0=-4.0, fd=0.5, n_sites=11)
+    ),
+    "complex-hermitian": _complex_case,
+    "off-grid-tail": lambda: (
+        build_single_particle_hamiltonian(9, KAPPA, FD), StateVector.delta(9, 4), 3.02
+    ),
+}
+
+#: _CHUNK_ELEMENTS for chunks of one sample, and for chunks of 3 to 57 samples
+#: (400 // block for the blocks of the cases above: 120, 105, 66, 9 and 7).
+CHUNK_BUDGETS = {"one-sample": 1, "ragged": 400}
+
+
+@pytest.fixture
+def chunk_widths(monkeypatch):
+    """The number of samples in every chunk that synthesis multiplies, in order."""
+    widths = []
+    apply = propagator._apply
+
+    def recording(a, b, out=None):
+        if b.ndim == 2:
+            widths.append(b.shape[1])
+        return apply(a, b, out)
+
+    monkeypatch.setattr(propagator, "_apply", recording)
+    return widths
+
+
+@pytest.mark.parametrize("budget", sorted(CHUNK_BUDGETS))
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_synthesis_matches_dense_eigh(monkeypatch, chunk_widths, case, budget):
+    h, psi0, z_max = CHUNK_CASES[case]()
+    monkeypatch.setattr(propagator, "_CHUNK_ELEMENTS", CHUNK_BUDGETS[budget])
+    traj = assert_matches_dense(h, psi0, z_max=z_max)
+    first = chunk_widths[0]
+    if budget == "one-sample":
+        assert set(chunk_widths) == {1}
+    else:  # several chunks, the last one shorter
+        assert 1 < first < traj.n_samples and traj.n_samples % first != 0
+    if case == "off-grid-tail":
+        assert traj.z_samples[-1] == 3.02 and traj.z_samples[-2] == pytest.approx(3.0)
+
+
+def unchunked_states(plan, psi0, z):
+    """The synthesis without chunks: every phase from exp, one product per sector."""
+    psi = psi0.amplitudes
+    states = np.empty((z.size, plan.dim), dtype=complex)
+    for sector in plan._sectors(psi):
+        coeffs = propagator._apply(sector.vectors.conj().T, sector.fold(psi))
+        phases = np.exp(-1j * np.outer(sector.energies, z))
+        phases *= coeffs[:, None]
+        rows = propagator._apply(sector.vectors, phases).T
+        if sector.rep is None:
+            states[...] = rows
+        elif sector.sign > 0:
+            states[:, sector.partner] = rows
+            states[:, sector.rep] = rows
+        else:
+            states[:, sector.rep] += rows
+            states[:, sector.partner] -= rows
+    return states
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES) + ["fig4a-grid"])
+def test_one_chunk_is_bit_identical_to_unchunked_synthesis(case):
+    if case == "fig4a-grid":  # the fig4a preset's operator and 851-sample grid
+        h, psi0, z_max = _pair_case("doublon", z_max=8.5)
+        dz = 0.01
+    else:
+        (h, psi0, z_max), dz = CHUNK_CASES[case](), 0.05
+    plan = SpectralPropagator(h)
+    traj = plan.trajectory(psi0, z_max, dz)
+    for sector in plan._sectors(psi0.amplitudes):
+        assert traj.n_samples <= propagator._CHUNK_ELEMENTS // sector.energies.size
+    assert np.array_equal(traj.states, unchunked_states(plan, psi0, traj.z_samples))
+
+
+def test_long_grid_does_not_drift(monkeypatch):
+    monkeypatch.setattr(propagator, "_CHUNK_ELEMENTS", 3 * 9)  # 3-sample chunks
+    h = build_single_particle_hamiltonian(9, KAPPA, FD)
+    psi0 = StateVector.delta(9, 4)
+    plan = SpectralPropagator(h)
+    traj = plan.trajectory(psi0, 200.0, 0.01)
+    assert traj.n_samples == 20001
+    oracle = dense_states(h, psi0, traj.z_samples[-1:])[0]
+    assert np.max(np.abs(traj.states[-1] - oracle)) <= SECTOR_TOL
+    # each chunk's first sample takes its phases from exp directly, so it
+    # matches the unchunked synthesis to round-off, however late the chunk
+    direct = unchunked_states(plan, psi0, traj.z_samples[::3])
+    assert np.max(np.abs(traj.states[::3] - direct)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
+def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
+    budget = 1 << 12
+    monkeypatch.setattr(propagator, "_CHUNK_ELEMENTS", budget)
+    synthesis_peaks = []
+    synthesize = SpectralPropagator._synthesize
+
+    def measured(self, *args):
+        tracemalloc.reset_peak()
+        states = synthesize(self, *args)
+        synthesis_peaks.append(tracemalloc.get_traced_memory()[1] - states.nbytes)
+        return states
+
+    monkeypatch.setattr(SpectralPropagator, "_synthesize", measured)
+    h, psi0, _ = _pair_case(kind)
+    plan = SpectralPropagator(h)
+    plan.evolve(psi0, 1.0)  # builds the antisymmetric sector outside the measurement
+    tracemalloc.start()
+    try:
+        traj = plan.trajectory(psi0, 20.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_samples == 2001
+    transient = 8 * budget * 16  # a few chunk buffers of `budget` complex elements
+    assert peak <= traj.states.nbytes + traj.probabilities.nbytes + transient
+    assert synthesis_peaks[-1] <= transient  # beside the states, synthesis holds only chunks

@@ -71,7 +71,8 @@ rho = 0.3
 
 def write_config(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    # a lone surrogate "\udcXX" stands for the byte 0xXX, which is not UTF-8
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -450,6 +451,8 @@ CONFIG_ERRORS = [
      "exactly one of [model] or [waveguides] must be present"),
     ("malformed", "model = fock\n" + MODEL_CONFIG, "model = fock",
      "malformed config: File contains no section headers."),
+    ("not-utf-8", _with(MODEL_CONFIG, "[model]\n", "[model]\n# \udcff\n"), "# \udcff",
+     "text is not UTF-8: cannot decode byte 0xff"),
 ]
 
 #: Errors that a record raises on the values it is given: they point at the
