@@ -57,8 +57,11 @@ def probability_image(
     """Assemble the raw (unnormalized) image for one axis choice.
 
     probs has one row per z sample. For "full-2d-slice" the frame nearest to
-    the requested z is used (the last sample when z is None).
+    the requested z is used (the last sample when z is None); no other axis
+    takes a z.
     """
+    if z is not None and axis != "full-2d-slice":
+        raise InvalidParameterError(f"a slice z needs the full-2d-slice axis, got {axis!r}")
     if axis == "1d-vs-z":
         return probs.T.copy()
     if axis == "diagonal-vs-z":
@@ -158,10 +161,11 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
 
     Accepts both writer layouts: long form "z_cm,n,m,probability" (pair
     lattice, kind "pair") and wide form "z_cm,p0,...,p{N-1}" (chain, kind
-    "chain"). Fails closed, naming the file line where there is one, on
-    anything the writer does not produce: text that is not UTF-8, a file
-    without samples, a blank line, a value that is not a finite number (``#``
-    starts no comment), rows whose width differs from the header, long-form
+    "chain", at least two sites). Fails closed, naming the file line where
+    there is one, on anything the writer does not produce: text that is not
+    UTF-8, a file without samples, a blank line, a value that is not a finite
+    number (``#`` starts no comment), a negative population (``-0.0`` is
+    not one), rows whose width differs from the header, long-form
     rows that do not run through whole N x N samples with (n, m) in writer
     order and one z per sample, and a z that does not strictly increase from
     sample to sample.
@@ -172,7 +176,7 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
             columns = header.split(",")
             if header == "z_cm,n,m,probability":
                 kind = "pair"
-            elif len(columns) > 1 and columns == ["z_cm"] + [f"p{i}" for i in range(len(columns) - 1)]:
+            elif len(columns) > 2 and columns == ["z_cm"] + [f"p{i}" for i in range(len(columns) - 1)]:
                 kind = "chain"
             else:
                 raise InvalidParameterError(
@@ -199,6 +203,12 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     if data.shape[1] != len(columns):
         raise InvalidParameterError(
             f"{path}: line 2: rows have {data.shape[1]} values, the header names {len(columns)}"
+        )
+    negative = (data[:, 1:] if kind == "chain" else data[:, 3:]) < 0  # -0.0 is not
+    if np.any(negative):
+        raise InvalidParameterError(
+            f"{path}: line {_line_of(negative.any(axis=1))}: "
+            "trajectory CSV holds a negative population"
         )
     if kind == "chain":
         z, probs = data[:, 0], data[:, 1:]

@@ -1,9 +1,12 @@
 """Scenario configs, experiment presets, and the batch runner.
 
-A scenario selects one of the three models, a parameter source (direct rates
-or a waveguide-array description), an initial excitation, and a z grid; the
-runner produces deterministic artifacts: a trajectory CSV, observable CSVs,
-a JSON summary, and a heatmap pixmap. Reruns are byte-identical.
+A scenario is one resolved run: a model, its lattice rates, an initial
+excitation, and a z grid. A waveguide-array description (an INI
+``[waveguides]`` section, or a preset's array) becomes rates once, through
+:func:`~fracbloch.photonics.waveguide_to_model`, before the scenario is
+built. The runner produces deterministic artifacts: a trajectory CSV,
+observable CSVs, a JSON summary, and a heatmap pixmap. Reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .observables import (
 )
 from .photonics import (
     CouplingCalibration,
-    DEFAULT_FORCE_CALIBRATION,
     ForceCalibration,
     WaveguideArraySpec,
     project_single_particle_radius,
@@ -77,17 +79,18 @@ PEAK_PERIOD_MIN_RETURN = 0.5
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One batch run: model choice, parameter source, excitation, z grid."""
+    """One resolved batch run: model, lattice rates, excitation, z grid.
+
+    excitation defaults to the centre site (doubled for the pair lattice) and
+    observables to the model's standard set; both are filled in here, so
+    every field of a built record is what the run uses.
+    """
 
     model: str
     z_max: float
+    params: ModelParams
     dz: float = 0.01
     excitation: tuple[int, ...] | None = None
-    params: ModelParams | None = None
-    waveguides: WaveguideArraySpec | None = None
-    calibration: CouplingCalibration | None = None
-    force_calibration: ForceCalibration | None = DEFAULT_FORCE_CALIBRATION
-    first_principles_force: bool = False
     observables: tuple[str, ...] | None = None
     out_dir: str | None = None
     preset: str | None = None
@@ -98,10 +101,6 @@ class ScenarioConfig:
                 f"model must be one of {', '.join(MODELS)}, got {self.model!r}",
                 "model",
             )
-        if (self.params is None) == (self.waveguides is None):
-            raise InvalidParameterError(
-                "exactly one parameter source (params or waveguides) is required"
-            )
         if not 0 < self.z_max < math.inf:
             raise InvalidParameterError("z_max must be positive and finite", "z_max")
         if not 0 < self.dz <= self.z_max:
@@ -110,29 +109,22 @@ class ScenarioConfig:
             )
         if self.out_dir == "":
             raise InvalidParameterError("out must name a directory, got ''", "out_dir")
-        if self.observables is not None:
-            unknown = set(self.observables) - set(OBSERVABLE_NAMES)
-            if unknown:
-                raise InvalidParameterError(
-                    f"unknown observables: {sorted(unknown)}", "observables"
-                )
-
-    def resolve_params(self) -> ModelParams:
-        if self.params is not None:
-            return self.params
-        cal = self.calibration or CouplingCalibration()
-        return waveguide_to_model(
-            self.waveguides,
-            cal,
-            self.force_calibration,
-            first_principles_force=self.first_principles_force,
-        )
-
-    def resolve_excitation(self, n_sites: int) -> tuple[int, ...]:
-        center = n_sites // 2
+        pair = self.model == "fock"
+        if self.observables is None:
+            object.__setattr__(self, "observables", (
+                "return_probability",
+                *(("diagonal_confinement",) if pair else ()),
+                "breathing_width",
+                "boundary_population",
+            ))
+        unknown = set(self.observables) - set(OBSERVABLE_NAMES)
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown observables: {sorted(unknown)}", "observables"
+            )
+        n_sites, want = self.params.n_sites, 2 if pair else 1
         if self.excitation is None:
-            return (center, center) if self.model == "fock" else (center,)
-        want = 2 if self.model == "fock" else 1
+            object.__setattr__(self, "excitation", (n_sites // 2,) * want)
         if len(self.excitation) != want:
             raise InvalidParameterError(
                 f"{self.model} model takes {want} excitation index(es), "
@@ -144,134 +136,60 @@ class ScenarioConfig:
                 f"excitation {self.excitation} outside the {n_sites}-site lattice",
                 "excitation",
             )
-        return self.excitation
-
-    def resolve_observables(self) -> tuple[str, ...]:
-        if self.observables is not None:
-            return self.observables
-        if self.model == "fock":
-            return (
-                "return_probability",
-                "diagonal_confinement",
-                "breathing_width",
-                "boundary_population",
-            )
-        return ("return_probability", "breathing_width", "boundary_population")
 
 
 # ---------------------------------------------------------------------------
 # Presets reproducing the reference experiments
 # ---------------------------------------------------------------------------
 
-_CAL = CouplingCalibration()
+
+def _array(shape: str, bend_radius: float, length: float, detuning: float) -> ModelParams:
+    """Rates of a fabricated array at the calibrated 19 um spacing."""
+    spec = WaveguideArraySpec(shape, 19.0, bend_radius, length, detuning)
+    return waveguide_to_model(spec, CouplingCalibration())
 
 
-def _preset_fig3() -> ScenarioConfig:
-    return ScenarioConfig(
-        model="fock",
-        z_max=2.5,
-        waveguides=WaveguideArraySpec(
-            shape="square-15x15",
-            spacing_d=19.0,
-            bend_radius=math.inf,
-            length_l=2.5,
-            detuning_db=-4.0,
-        ),
-        calibration=_CAL,
-        preset="fig3-delocalization",
-    )
+_FIG4A = _array("square-15x15", 400.0, 8.5, -4.0)
 
-
-def _preset_fig3c() -> ScenarioConfig:
-    # Same array with the direct pair cross-coupling switched off: the pair
-    # then moves only by second-order tunneling.
-    return ScenarioConfig(
-        model="fock",
-        z_max=2.5,
-        params=ModelParams(kappa=0.95, rho=0.0, u0=-4.0, fd=0.0, n_sites=15),
-        preset="fig3c-bh-only",
-    )
-
-
-def _preset_fig4a() -> ScenarioConfig:
-    return ScenarioConfig(
-        model="fock",
-        z_max=8.5,
-        waveguides=WaveguideArraySpec(
-            shape="square-15x15",
-            spacing_d=19.0,
-            bend_radius=400.0,
-            length_l=8.5,
-            detuning_db=-4.0,
-        ),
-        calibration=_CAL,
-        preset="fig4a-fractional-bo",
-    )
-
-
-def _preset_fig4b() -> ScenarioConfig:
-    return ScenarioConfig(
-        model="single",
-        z_max=8.5,
-        waveguides=WaveguideArraySpec(
-            shape="linear-23",
-            spacing_d=19.0,
-            bend_radius=project_single_particle_radius(400.0),
-            length_l=8.5,
-            detuning_db=0.0,
-        ),
-        calibration=_CAL,
-        preset="fig4b-single-bo",
-    )
-
-
-def _preset_effective() -> ScenarioConfig:
-    return ScenarioConfig(
-        model="effective",
-        z_max=8.5,
-        waveguides=WaveguideArraySpec(
-            shape="square-15x15",
-            spacing_d=19.0,
-            bend_radius=400.0,
-            length_l=8.5,
-            detuning_db=-4.0,
-        ),
-        calibration=_CAL,
-        preset="effective-pair",
-    )
-
-
+#: name -> (scenario, description, the parameters the catalogue lists)
 PRESETS = {
     "fig3-delocalization": (
-        _preset_fig3,
+        ScenarioConfig("fock", 2.5, _array("square-15x15", math.inf, 2.5, -4.0),
+                       preset="fig3-delocalization"),
         "two-boson pair lattice, straight 15x15 array: interaction-bound "
         "delocalization without a force",
         {"d_um": 19.0, "kappa": 0.95, "rho": 0.3, "detuning_db": -4.0,
          "bend_radius_cm": "inf", "length_cm": 2.5, "n_sites": 15},
     ),
+    # the same array with the direct pair cross-coupling switched off: the
+    # pair then moves only by second-order tunneling
     "fig3c-bh-only": (
-        _preset_fig3c,
+        ScenarioConfig("fock", 2.5,
+                       ModelParams(kappa=0.95, rho=0.0, u0=-4.0, fd=0.0, n_sites=15),
+                       preset="fig3c-bh-only"),
         "counterfactual of fig3-delocalization with the direct pair "
         "cross-coupling removed (second-order tunneling only)",
         {"kappa": 0.95, "rho": 0.0, "detuning_db": -4.0,
          "bend_radius_cm": "inf", "length_cm": 2.5, "n_sites": 15},
     ),
     "fig4a-fractional-bo": (
-        _preset_fig4a,
+        ScenarioConfig("fock", 8.5, _FIG4A, preset="fig4a-fractional-bo"),
         "two-boson pair lattice, bent 15x15 array: fractional Bloch "
         "oscillation of the bound pair",
         {"d_um": 19.0, "kappa": 0.95, "rho": 0.3, "detuning_db": -4.0,
          "bend_radius_cm": 400.0, "length_cm": 8.5, "n_sites": 15},
     ),
     "fig4b-single-bo": (
-        _preset_fig4b,
+        ScenarioConfig("single", 8.5,
+                       _array("linear-23", project_single_particle_radius(400.0), 8.5, 0.0),
+                       preset="fig4b-single-bo"),
         "linear 23-guide array bent at R*sqrt(2): single-particle Bloch "
         "oscillation under the same force per site",
         {"d_um": 19.0, "kappa": 0.95, "detuning_db": 0.0,
          "bend_radius_cm": 565.685424949238, "length_cm": 8.5, "n_sites": 23},
     ),
     "effective-pair": (
-        _preset_effective,
+        ScenarioConfig("effective", 8.5, _FIG4A, preset="effective-pair"),
         "effective bound-pair chain (hopping kappa_eff, doubled tilt) for "
         "the fig4a parameters",
         {"kappa_eff": 0.75125, "tilt_step": 0.966643893412244,
@@ -282,12 +200,11 @@ PRESETS = {
 
 def preset_config(name: str) -> ScenarioConfig:
     try:
-        factory = PRESETS[name][0]
+        return PRESETS[name][0]
     except KeyError:
         raise InvalidParameterError(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
         ) from None
-    return factory()
 
 
 def list_presets() -> list[dict]:
@@ -306,9 +223,10 @@ _REQUIRED = object()
 
 
 class _Key(NamedTuple):
-    """What one INI key feeds: a record field, through a conversion."""
+    """What one INI key feeds: a keyword of a record (or of the function that
+    builds one), through a conversion."""
 
-    record: type
+    record: Callable[..., object]
     field: str
     convert: Callable[[str, str], object]
     default: object = None
@@ -367,10 +285,10 @@ def _force_mode(key: str, raw: str) -> bool:
     return raw == "first-principles"
 
 
-#: Every (section, key) of the scenario INI, once: the record field it feeds,
-#: the conversion of its text, and a parser default only where the record has
-#: none (_REQUIRED: the key must be given). A conversion that returns None
-#: leaves the field unset.
+#: Every (section, key) of the scenario INI, once: the record field (or the
+#: keyword of waveguide_to_model) it feeds, the conversion of its text, and a
+#: parser default only where the record has none (_REQUIRED: the key must be
+#: given). A conversion that returns None leaves the field unset.
 _KEYS = {
     ("scenario", "model"): _Key(ScenarioConfig, "model", _text, _REQUIRED),
     ("scenario", "z_max"): _Key(ScenarioConfig, "z_max", _float, _REQUIRED),
@@ -395,7 +313,7 @@ _KEYS = {
     ("waveguides", "detuning_db"): _Key(WaveguideArraySpec, "detuning_db", _float, 0.0),
     ("waveguides", "wavelength_nm"): _Key(WaveguideArraySpec, "wavelength", _float),
     ("waveguides", "n_eff"): _Key(WaveguideArraySpec, "n_eff", _float),
-    ("waveguides", "force_mode"): _Key(ScenarioConfig, "first_principles_force", _force_mode),
+    ("waveguides", "force_mode"): _Key(waveguide_to_model, "first_principles_force", _force_mode),
     ("calibration", "reference_spacing_um"): _Key(CouplingCalibration, "reference_spacing", _float),
     ("calibration", "kappa"): _Key(CouplingCalibration, "kappa_ref", _float),
     ("calibration", "rho"): _Key(CouplingCalibration, "rho_ref", _float),
@@ -435,8 +353,9 @@ def _decode(raw: bytes, path: str) -> str:
 def parse_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario config file. Unknown keys are errors.
 
-    Params and excitation are resolved here, so every bad value fails at the
-    line of its key, or else at the header of the section that holds it.
+    A ``[waveguides]`` array is mapped to rates here, once, so the returned
+    record is the resolved run and every bad value fails at the line of its
+    key, or else at the header of the section that holds it.
     """
     try:
         with open(path, "rb") as fh:
@@ -501,22 +420,24 @@ def parse_config(path: str) -> ScenarioConfig:
         with located(section):
             return record(**values)
 
-    given = {}
     if cfg.has_section("model"):
-        given["params"] = build(ModelParams, "model")
+        source, given = "model", {"params": build(ModelParams, "model")}
     else:
-        guides = given["waveguides"] = build(WaveguideArraySpec, "waveguides")
-        given["z_max"] = guides.length_l  # unless [scenario] sets z_max
-        if cfg.has_section("calibration"):
-            given["calibration"] = build(CouplingCalibration, "calibration")
-            given["force_calibration"] = build(ForceCalibration, "calibration")
+        guides = build(WaveguideArraySpec, "waveguides")
+        source, given = "waveguides", {
+            "z_max": guides.length_l,  # unless [scenario] sets z_max
+            "params": build(
+                waveguide_to_model, "waveguides",
+                spec=guides,
+                cal=build(CouplingCalibration, "calibration"),
+                force_calibration=build(ForceCalibration, "calibration"),
+            ),
+        }
     config = build(ScenarioConfig, "scenario", **given)
-    with located("model" if "params" in given else "waveguides"):
-        params = config.resolve_params()
-        if config.model == "effective":
+    if config.model == "effective":
+        params = config.params
+        with located(source):
             kappa_eff(params.kappa, params.rho, params.u0)  # diverges at u0 = 0
-    with located("scenario"):
-        config.resolve_excitation(params.n_sites)
     return config
 
 
@@ -525,7 +446,8 @@ def parse_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_operator(config: ScenarioConfig, params: ModelParams, dim_cap: int):
+def _build_operator(config: ScenarioConfig, dim_cap: int):
+    params = config.params
     dim = params.n_sites**2 if config.model == "fock" else params.n_sites
     if dim > dim_cap:
         raise DimensionCapError(dim, dim_cap)
@@ -538,10 +460,10 @@ def _build_operator(config: ScenarioConfig, params: ModelParams, dim_cap: int):
     return build_effective_hamiltonian(params, dim_cap=dim_cap)
 
 
-def _initial_state(config: ScenarioConfig, excitation, n_sites: int) -> StateVector:
+def _initial_state(config: ScenarioConfig) -> StateVector:
     if config.model == "fock":
-        return StateVector.pair_excitation(n_sites, *excitation)
-    return StateVector.delta(n_sites, excitation[0])
+        return StateVector.pair_excitation(config.params.n_sites, *config.excitation)
+    return StateVector.delta(config.params.n_sites, config.excitation[0])
 
 
 def write_series_csv(path: str, series: ObservableSeries):
@@ -664,11 +586,10 @@ def run_scenario(
     if out_dir is None:
         raise InvalidParameterError("no output directory given")
 
-    params = config.resolve_params()
+    params, excitation = config.params, config.excitation
     n_sites = params.n_sites
-    excitation = config.resolve_excitation(n_sites)
-    operator = _build_operator(config, params, dim_cap)
-    psi0 = _initial_state(config, excitation, n_sites)
+    operator = _build_operator(config, dim_cap)
+    psi0 = _initial_state(config)
     plan = SpectralPropagator(operator, dim_cap=dim_cap)
     traj = plan.trajectory(psi0, config.z_max, config.dz)
 
@@ -679,7 +600,7 @@ def run_scenario(
         else excitation[0]
     )
     fields, series = summarize_populations(traj, is_pair, site)
-    if "participation_ratio" in config.resolve_observables():
+    if "participation_ratio" in config.observables:
         series["participation_ratio"] = participation_ratio(traj)
     over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
 
@@ -711,7 +632,7 @@ def run_scenario(
     write_trajectory_csv(
         os.path.join(out_dir, "trajectory.csv"), traj, config.model, n_sites
     )
-    for name in config.resolve_observables():
+    for name in config.observables:
         if name in series:
             outputs[name] = f"{name}.csv"
             write_series_csv(os.path.join(out_dir, f"{name}.csv"), series[name])

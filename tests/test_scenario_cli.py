@@ -1,5 +1,6 @@
 """Config parsing, the batch runner's artifacts, pixmaps, and the CLI contract."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import fracbloch
-from fracbloch import StateVector, Trajectory, propagate
+from fracbloch import (
+    ModelParams, StateVector, Trajectory, kappa_eff, propagate, waveguide_to_model,
+)
 from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
 from fracbloch import heatmap, scenario
 from fracbloch.cli import main
@@ -36,6 +39,8 @@ from fracbloch.scenario import (
 )
 
 from conftest import N_PAIR, frequency_ratio
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 MODEL_CONFIG = """\
 [scenario]
@@ -79,17 +84,31 @@ def write_config(tmp_path, text, name="scenario.ini"):
 def test_parse_model_config(tmp_path):
     config = parse_config(write_config(tmp_path, MODEL_CONFIG))
     assert config.model == "effective"
-    assert config.params.kappa == 0.95
-    assert config.waveguides is None
+    assert config.params == ModelParams(kappa=0.95, rho=0.3, u0=-4, fd=0.4833, n_sites=15)
     assert config.z_max == 8.5
 
 
 def test_parse_waveguide_config_defaults_zmax_to_length(tmp_path):
     config = parse_config(write_config(tmp_path, WAVEGUIDE_CONFIG))
-    assert config.waveguides.shape == "square-15x15"
+    assert config.params.n_sites == 15  # square-15x15
     assert config.z_max == 2.5
-    params = config.resolve_params()
-    assert params.u0 == -4.0 and params.fd == 0.0
+    assert config.params.u0 == -4.0 and config.params.fd == 0.0
+
+
+def test_waveguide_config_maps_the_array_once(tmp_path):
+    code, calls = waveguide_to_model.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    config_path = write_config(tmp_path, WAVEGUIDE_CONFIG)
+    sys.setprofile(count)
+    try:
+        assert main(["run", config_path, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 1
 
 
 def test_unknown_key_rejected_with_line_number(tmp_path):
@@ -132,8 +151,7 @@ def test_schema_file_documents_exactly_the_parsed_keys():
 
 
 def test_public_names_are_exactly_the_documented_ones():
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         section = fh.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     # the names are listed before the section's first code example
     documented = set(re.findall(r"`(\w+)`", section.split("```", 1)[0]))
@@ -147,20 +165,16 @@ def test_public_names_are_exactly_the_documented_ones():
 
 
 def test_scenario_config_validation(pair_params):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(TypeError):
         ScenarioConfig(model="fock", z_max=1.0)  # no parameter source
     with pytest.raises(InvalidParameterError):
         ScenarioConfig(model="warp", z_max=1.0, params=pair_params)
     config = ScenarioConfig(model="fock", z_max=1.0, params=pair_params)
-    assert config.resolve_excitation(15) == (7, 7)
+    assert config.excitation == (7, 7)  # the centre of 15 sites, doubled
     with pytest.raises(InvalidParameterError):
-        ScenarioConfig(
-            model="fock", z_max=1.0, params=pair_params, excitation=(20, 7)
-        ).resolve_excitation(15)
+        ScenarioConfig(model="fock", z_max=1.0, params=pair_params, excitation=(20, 7))
     with pytest.raises(InvalidParameterError):
-        ScenarioConfig(
-            model="single", z_max=1.0, params=pair_params, excitation=(3, 4)
-        ).resolve_excitation(15)
+        ScenarioConfig(model="single", z_max=1.0, params=pair_params, excitation=(3, 4))
 
 
 def test_preset_catalogue():
@@ -177,6 +191,30 @@ def test_preset_catalogue():
         assert entry["parameters"]
     with pytest.raises(InvalidParameterError):
         preset_config("fig9-unknown")
+
+
+def test_readme_config_is_the_fig4a_preset(tmp_path):
+    with open(README, encoding="utf-8") as fh:
+        (block,) = re.findall(r"```ini\n(.*?)```", fh.read(), flags=re.S)
+    config = parse_config(write_config(tmp_path, block))
+    assert config == dataclasses.replace(preset_config("fig4a-fractional-bo"), preset=None)
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_catalogue_lists_its_record(name):
+    (entry,) = [e for e in list_presets() if e["name"] == name]
+    listed, config = entry["parameters"], preset_config(name)
+    params = config.params
+    assert config.preset == name
+    assert listed["n_sites"] == params.n_sites
+    assert listed["length_cm"] == config.z_max
+    if config.model == "effective":
+        assert listed["kappa_eff"] == kappa_eff(params.kappa, params.rho, params.u0)
+        assert listed["tilt_step"] == 2 * params.fd
+    else:
+        assert listed["kappa"] == params.kappa
+        assert listed.get("rho", 0.0) == params.rho
+        assert listed["detuning_db"] == params.u0
 
 
 def test_preset_catalogue_json_flag(capsys):
@@ -585,6 +623,10 @@ MALFORMED_CSVS = [
     ("comment", "z_cm,p0,p1\n0.0,1.0,0.0 # note\n0.1,1,0\n", "could not convert"),
     ("comment-line", "z_cm,p0,p1\n0,1,0\n# note\n0.1,1,0\n", "header names 3"),
     ("blank-line", "z_cm,p0,p1\n0,1,0\n\n0.1,1,0\n", "blank line"),
+    ("one-site", "z_cm,p0\n0,1\n0.1,1\n", "unrecognized trajectory CSV header"),
+    ("negative", "z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,2.0,-1.0\n", "negative population"),
+    ("negative-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,-0.5\n0,1,1,0.5\n",
+     "negative population"),
 ]
 
 
@@ -623,6 +665,10 @@ LINE_NUMBERED_CSVS = {
     "pair-z-within": ("z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0.5,1,1,0\n", 5),
     "pair-z-decreasing": ("z_cm,n,m,probability\n" + "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,0\n"
                           "0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n", 6),
+    "one-site": ("z_cm,p0\n0,1\n", 1),
+    "negative": ("z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,2.0,-1.0\n", 4),
+    "negative-pair": ("z_cm,n,m,probability\n" + "0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
+                      "1,0,0,0.5\n1,0,1,0.5\n1,1,0,-0.0\n1,1,1,-1e-300\n", 9),
 }
 
 
@@ -662,6 +708,13 @@ def test_trajectory_csv_chunk_edges(tmp_path, monkeypatch, chunk):
             load_trajectory_csv(str(csv))
 
 
+def test_trajectory_csv_accepts_negative_zero(tmp_path):
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text("z_cm,p0,p1\n0,1,-0.0\n0.1,-0.0,1\n", encoding="utf-8")
+    z, probs, kind = load_trajectory_csv(str(csv))
+    assert kind == "chain" and np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
+
+
 def test_crlf_trajectory_csv_reads_like_lf(tmp_path):
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     lf.write_bytes(b"z_cm,p0,p1\n0,1,0\n0.1,0.5,0.5")
@@ -687,6 +740,17 @@ def test_cli_render_rejects_non_finite_slice_z(fig4a_run, tmp_path, capsys, z):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("axis", [None, "1d-vs-z", "diagonal-vs-z"])
+@pytest.mark.parametrize("z", ["6.5", "nan"])
+def test_cli_render_rejects_z_without_slice_axis(fig4a_run, tmp_path, capsys, axis, z):
+    _, out = fig4a_run
+    target = tmp_path / "image.pgm"
+    argv = ["render", str(out / "trajectory.csv"), f"--z={z}", "--out", str(target)]
+    assert main(argv + (["--axis", axis] if axis else [])) == 2
+    assert "a slice z needs the full-2d-slice axis" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_analyze_out_file(fig4b_run, tmp_path, capsys):
     _, out = fig4b_run
     target = tmp_path / "analysis.json"
@@ -702,7 +766,7 @@ SHARED_FIELDS = (
 
 
 def _preset_trajectory(config):
-    params = config.resolve_params()
+    params = config.params
     n, center = params.n_sites, params.n_sites // 2
     if config.model == "fock":
         h = build_fock_hamiltonian(params)
