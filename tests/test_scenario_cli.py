@@ -627,6 +627,9 @@ MALFORMED_CSVS = [
     ("negative", "z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,2.0,-1.0\n", "negative population"),
     ("negative-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,-0.5\n0,1,1,0.5\n",
      "negative population"),
+    ("one-sample", "z_cm,p0,p1\n0,1,0\n", "holds one sample"),
+    ("one-sample-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n",
+     "holds one sample"),
 ]
 
 
