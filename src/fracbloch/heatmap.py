@@ -128,6 +128,8 @@ def render_heatmap(
 
 #: Characters of trajectory CSV text read per chunk, topped up to a whole line.
 _READ_CHUNK = 1 << 18
+#: The ASCII whitespace np.loadtxt strips from a field; the writer writes none.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _is_utf8(text: str) -> bool:
@@ -140,12 +142,12 @@ def _is_utf8(text: str) -> bool:
 
 
 def _is_number(field: str) -> bool:
-    """Whether np.loadtxt reads field as a float (it takes no "_" or non-ASCII)."""
+    """Whether field passes the fast path: ASCII, unpadded, a float to np.loadtxt (no "_")."""
     try:
         float(field)
     except ValueError:
         return False
-    return field.isascii() and "_" not in field
+    return field.isascii() and not any(c in field for c in "_" + _PADDING)
 
 
 def _first_fault(lines: list[str], width: int) -> tuple[int, str] | None:
@@ -180,18 +182,21 @@ def _parse(lines: list[str]) -> np.ndarray:
 def _data_rows(fh, path: str, width: int):
     """Yield the data rows after the header, parsed a chunk of whole lines at a time.
 
-    np.loadtxt skips empty lines; here a blank line is an error at its line,
-    like any line that does not parse. Such an error is raised after the rows
-    before it were yielded, so an earlier fault is reported first.
+    np.loadtxt skips empty lines and strips a field's padding; here either is an
+    error at its line, like any line that does not parse. Such an error is
+    raised after the rows before it were yielded, so an earlier fault is
+    reported first.
     """
     line = 2
     while chunk := fh.read(_READ_CHUNK):
-        lines = (chunk + fh.readline()).split("\n")
+        chunk += fh.readline()
+        lines = chunk.split("\n")
         if lines[-1] == "":
             lines.pop()
         try:
-            if "" in lines:  # np.loadtxt would skip it
-                raise ValueError("blank line")
+            # np.loadtxt would skip a blank line and strip padding
+            if "" in lines or not chunk.isascii() or any(c in chunk for c in _PADDING):
+                raise ValueError("blank line, padding or non-ASCII text")
             rows = _parse(lines)
         except ValueError as exc:
             fault = _first_fault(lines, width)
@@ -339,7 +344,8 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     "chain", at least two sites). Fails closed, naming the file line where
     there is one, on anything the writer does not produce: text that is not
     UTF-8, a file with fewer than two samples, a blank line, a value that is
-    not a finite number (``#`` starts no comment), a negative population
+    not a finite number (``#`` starts no comment), a value or header padded
+    with whitespace or holding non-ASCII text, a negative population
     (``-0.0`` is not one), rows whose width differs from the header,
     long-form rows that do not run through whole N x N samples with (n, m)
     in writer order and one z per sample, and a z that does not strictly
@@ -347,7 +353,7 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     fault is named.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline().strip()
+        header = fh.readline().removesuffix("\n")
         if not _is_utf8(header):
             raise InvalidParameterError(f"{path}: line 1: text is not UTF-8")
         columns = header.split(",")

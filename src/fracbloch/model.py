@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -257,11 +256,10 @@ def _pair_terms(params: ModelParams):
 class PairOperator:
     """Two-boson pair-lattice generator, built from its rates on demand.
 
-    It has the HermitianOperator interface: ``dim`` and read-only dense
-    ``entries`` (N^2 x N^2), which are built the first time they are read.
-    ``swap_block(sign)`` builds the generator on the swap-symmetric (sign 1,
-    N(N+1)/2 states) or antisymmetric (sign -1, N(N-1)/2 states) sector
-    straight from the bond rules, without the dense matrix.
+    It has ``dim`` (N^2) and ``swap_block(sign)``, which builds the generator
+    on the swap-symmetric (sign 1, N(N+1)/2 states) or antisymmetric (sign -1,
+    N(N-1)/2 states) sector straight from the bond rules. The swap blocks are
+    its only representation: no N^2 x N^2 matrix is ever built.
     """
 
     params: ModelParams
@@ -270,20 +268,13 @@ class PairOperator:
     def dim(self) -> int:
         return self.params.n_sites**2
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        energy, rows, cols, rates = _pair_terms(self.params)
-        h = np.diag(energy)
-        h[rows, cols] = rates
-        h.setflags(write=False)
-        return h
-
     def swap_block(self, sign: int) -> SwapBlock:
         """The generator on the swap sector of the given sign.
 
         Block entries are g_I g_J (H[ab, cd] + sign H[ab, dc]) for basis states
         I ~ (a, b) and J ~ (c, d), with g = 1/sqrt 2 on the main diagonal and
-        1 off it: the values, bit for bit, of gathering them from ``entries``.
+        1 off it: the values, bit for bit, of gathering them from the dense
+        matrix that the site energies and bonds of ``_pair_terms`` describe.
         """
         if sign not in (1, -1):
             raise InvalidParameterError(f"swap sign must be 1 or -1, got {sign}")
@@ -326,7 +317,7 @@ def build_fock_hamiltonian(
     each main-diagonal site, which carry -kappa1. Consecutive main-diagonal
     sites are additionally cross-coupled with -rho. The result commutes with
     the (n, m) swap exactly. Nothing is allocated here: the operator builds
-    its dense entries or its swap blocks when they are asked for.
+    its swap blocks when they are asked for, and never the N^2 x N^2 matrix.
     """
     dim = params.n_sites**2
     if dim > dim_cap:

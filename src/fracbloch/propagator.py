@@ -6,12 +6,12 @@ revival positions are not integration artifacts. A pair-lattice operator
 (``model.PairOperator``) supplies its swap blocks, built from the rates: the
 symmetric sector, of dimension N(N+1)/2, and the antisymmetric sector, of
 dimension N(N-1)/2, which is built only when a state reaches it. Any other
-generator is one sector, its dense entries. Sectors are dense
-real-symmetric / Hermitian solves, and a real sector is synthesized in real
-arithmetic. Synthesis stays in the sector basis: each sector's part of the
-samples is written straight into the rows of the (samples, dim) states, and
-the full-basis eigenvectors are never formed. ``generator_id`` hashes the
-first sector's block.
+generator is one sign-1 sector whose every site is its own partner. Sectors
+are dense real-symmetric / Hermitian solves, and a real sector is
+synthesized in real arithmetic. Synthesis stays in the sector basis: each
+sector's part of the samples is written straight into the rows of the
+(samples, dim) states, and the full-basis eigenvectors are never formed.
+``generator_id`` hashes the first sector's block.
 
 Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
 samples, so its buffers hold O(_CHUNK_ELEMENTS) elements whatever the length
@@ -61,7 +61,7 @@ class StateVector:
         if amp.ndim != 1 or amp.size == 0:
             raise InvalidParameterError("amplitudes must be a non-empty 1D array")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:  # NaN fails too
             raise InvalidParameterError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}"
             )
@@ -130,7 +130,7 @@ class Trajectory:
         probs = np.abs(states)
         np.square(probs, out=probs)
         worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-        if worst > _NORM_TOL:
+        if not worst <= _NORM_TOL:  # NaN fails too
             raise InvalidParameterError(
                 f"trajectory state norm^2 deviates from 1 by {worst:.3e}"
             )
@@ -164,35 +164,32 @@ def _generator_id(entries: np.ndarray) -> str:
 class _Sector(NamedTuple):
     """Eigenpairs of one invariant block and the block's place in the full basis.
 
-    Without rep the block is the whole space. With it, vectors[I, k] is
-    eigenvector k's amplitude on site rep[I], and it carries sign times that
-    on site partner[I] (the same site on the main diagonal). In the symmetric
-    sector column[s] is the block index I whose rep or partner is site s.
+    vectors[I, k] is eigenvector k's amplitude on site rep[I], and it carries
+    sign times that on site partner[I]; a site that is its own partner (the
+    main diagonal, or every site of a generator without swap blocks) carries
+    it once. In a sign-1 sector column[s] is the block index I whose rep or
+    partner is site s; a sign -1 sector has no column.
     """
 
     energies: np.ndarray
     vectors: np.ndarray  # (block dim, block dim)
-    rep: np.ndarray | None = None
-    partner: np.ndarray | None = None
-    sign: int = 1
-    column: np.ndarray | None = None
+    rep: np.ndarray
+    partner: np.ndarray
+    sign: int
+    column: np.ndarray | None
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
-        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] on the diagonal."""
-        if self.rep is None:
-            return psi
+        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] where they coincide."""
         rep, partner = self.rep, self.partner
         return np.where(rep == partner, psi[rep], psi[rep] + self.sign * psi[partner])
 
     def place(self, states: np.ndarray, part: np.ndarray):
         """Put this sector's (block, n) part of n samples into their (n, dim) states.
 
-        The whole space or the symmetric sector comes first and writes every
-        site; the antisymmetric sector, which has no diagonal site, adds.
+        The sign-1 sector comes first and writes every site; the antisymmetric
+        sector, which has no site that is its own partner, adds.
         """
-        if self.rep is None:
-            states[...] = part.T
-        elif self.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
+        if self.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
             rows = part.T
             for r in range(0, len(states), 32):
                 states[r : r + 32] = rows[r : r + 32, self.column]
@@ -212,7 +209,7 @@ def _diagonalize(swap: SwapBlock, dim: int) -> _Sector:
     energies, v = _eigh(swap.entries)
     v *= swap.weight[:, None]
     column = None
-    if swap.sign > 0:  # a diagonal site is its own partner
+    if swap.sign > 0:  # a site that is its own partner gets one column
         column = np.empty(dim, dtype=np.intp)
         column[swap.partner] = column[swap.rep] = np.arange(swap.rep.size)
     return _Sector(energies, v, swap.rep, swap.partner, swap.sign, column)
@@ -233,8 +230,9 @@ def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 class SpectralPropagator:
     """Immutable propagation plan: one eigendecomposition per sector, many syntheses.
 
-    For a pair-lattice operator the symmetric sector is diagonalized here;
-    the antisymmetric one only when a state first reaches it, and then once.
+    The first sector (a pair operator's symmetric block, or any other
+    generator whole) is diagonalized here; a pair operator's antisymmetric
+    sector only when a state first reaches it, and then once.
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching the antisymmetric sector first at the
     same time may both diagonalize it, with the same result).
@@ -244,18 +242,17 @@ class SpectralPropagator:
         if h.dim > dim_cap:
             raise DimensionCapError(h.dim, dim_cap)
         self._pair = h if isinstance(h, PairOperator) else None
-        # The symmetric sector, or the whole space without swap blocks.
-        first = h.swap_block(1) if self._pair is not None else None
-        entries = h.entries if first is None else first.entries
-        bad = np.argwhere(~np.isfinite(entries))
+        if self._pair is None:  # no swap blocks: one sign-1 block, each site its own partner
+            sites = np.arange(h.dim)
+            first = SwapBlock(h.entries, 1, sites, sites, np.ones(h.dim))
+        else:
+            first = h.swap_block(1)
+        bad = np.argwhere(~np.isfinite(first.entries))
         if bad.size:
             i, j = bad[0]
             raise NumericError(f"non-finite generator entry at ({i}, {j})")
-        self.generator_id = _generator_id(entries)
-        if first is None:
-            self._first = _Sector(*_eigh(entries))
-        else:
-            self._first = _diagonalize(first, h.dim)
+        self.generator_id = _generator_id(first.entries)
+        self._first = _diagonalize(first, h.dim)
         self.dim = h.dim
 
     @cached_property
@@ -265,7 +262,7 @@ class SpectralPropagator:
     def _sectors(self, psi: np.ndarray) -> tuple[_Sector, ...]:
         """The sectors psi has weight in; the second only if psi is not swap-symmetric."""
         first = self._first
-        if first.rep is None or np.array_equal(psi[first.rep], psi[first.partner]):
+        if np.array_equal(psi[first.rep], psi[first.partner]):
             return (first,)
         return (first, self._antisymmetric)
 

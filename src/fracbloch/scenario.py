@@ -83,7 +83,10 @@ class ScenarioConfig:
 
     excitation defaults to the centre site (doubled for the pair lattice) and
     observables to the model's standard set; both are filled in here, so
-    every field of a built record is what the run uses.
+    every field of a built record is what the run uses. A copy made with
+    ``dataclasses.replace(config, params=...)`` keeps the excitation already
+    filled in, even off the new lattice's centre; pass ``excitation=None``
+    to have it filled in again.
     """
 
     model: str

@@ -1,5 +1,5 @@
-"""Shared fixtures: the measured array parameters, cached preset runs, and
-the spectral helpers that only tests use."""
+"""Shared fixtures: the measured array parameters, cached preset runs, the
+dense pair matrices, and the spectral helpers that only tests use."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,10 @@ from fracbloch import (
     build_single_particle_hamiltonian,
     propagate,
 )
+from fracbloch import model
+from fracbloch.model import PairOperator
 from fracbloch.observables import RefocusReport
+from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 from fracbloch.scenario import preset_config, run_scenario
 
 KAPPA = 0.95
@@ -57,6 +60,25 @@ def fig4a_run(tmp_path_factory):
 def fig4b_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig4b")
     return run_preset("fig4b-single-bo", out), out
+
+
+def dense_entries(h) -> np.ndarray:
+    """The generator as a dense matrix: a pair operator's from the bond
+    enumerator oracle, which shares no code with the builder, and any other
+    generator's own entries. For propagation and eigenstate checks."""
+    if isinstance(h, PairOperator):
+        return operator_from_bonds(h.params.n_sites, *enumerate_fock_bonds(h.params))
+    return h.entries
+
+
+def assembled_pair_terms(h: PairOperator) -> np.ndarray:
+    """The dense N^2 x N^2 matrix of a pair operator, assembled from the
+    builder's own site energies and bonds (``model._pair_terms``) with their
+    exact arithmetic. For checks of the builder itself."""
+    energy, rows, cols, rates = model._pair_terms(h.params)
+    matrix = np.diag(energy)
+    matrix[rows, cols] = rates
+    return matrix
 
 
 def assert_allclose(actual, desired, atol=0.0, rtol=1e-12):

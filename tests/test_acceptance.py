@@ -55,7 +55,7 @@ from fracbloch.reference import (
 )
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, wannier_stark_spacing
+from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, assembled_pair_terms, wannier_stark_spacing
 
 
 def _criterion(name, clauses):
@@ -233,7 +233,7 @@ def test_criterion_7_invariant_suite(pair_params, pair_trajectory):
 
     bonds, energies = enumerate_fock_bonds(pair_params)
     builder_equal = np.array_equal(
-        build_fock_hamiltonian(pair_params).entries,
+        assembled_pair_terms(build_fock_hamiltonian(pair_params)),
         operator_from_bonds(N_PAIR, bonds, energies),
     )
 

@@ -24,7 +24,7 @@ from fracbloch.errors import SingularParameterError
 from fracbloch.model import DEFAULT_DIM_CAP
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 
-from conftest import FD, KAPPA, N_PAIR, RHO, U0
+from conftest import FD, KAPPA, N_PAIR, RHO, U0, assembled_pair_terms, dense_entries
 
 
 def test_single_particle_pure_hopping():
@@ -61,7 +61,7 @@ def test_single_particle_rejects_negative_kappa():
 
 def test_fock_two_site_lattice_by_hand():
     params = ModelParams(kappa=1.0, rho=0.0, u0=5.0, fd=0.0, n_sites=2, kappa1=1.0)
-    h = build_fock_hamiltonian(params).entries
+    h = assembled_pair_terms(build_fock_hamiltonian(params))
     assert np.array_equal(np.diag(h), [5.0, 0.0, 0.0, 5.0])
     for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)):
         assert h[i, j] == -1.0
@@ -71,27 +71,27 @@ def test_fock_two_site_lattice_by_hand():
 
 def test_fock_factorizes_without_interaction():
     params = ModelParams(kappa=0.7, rho=0.0, u0=0.0, fd=0.3, n_sites=5)
-    h2 = build_fock_hamiltonian(params).entries
+    h2 = assembled_pair_terms(build_fock_hamiltonian(params))
     h1 = build_single_particle_hamiltonian(5, 0.7, 0.3).entries
     eye = np.eye(5)
     assert np.array_equal(h2, np.kron(h1, eye) + np.kron(eye, h1))
 
 
 def test_fock_matches_bond_enumerator(pair_params):
-    h = build_fock_hamiltonian(pair_params).entries
+    h = assembled_pair_terms(build_fock_hamiltonian(pair_params))
     bonds, energies = enumerate_fock_bonds(pair_params)
     assert np.array_equal(h, operator_from_bonds(pair_params.n_sites, bonds, energies))
 
 
 def test_fock_matches_bond_enumerator_with_all_ebh_features():
     params = ModelParams.from_ebh(j_hop=9.0, eps=0.19, u0=-4.0, fd=0.5, n_sites=7)
-    h = build_fock_hamiltonian(params).entries
+    h = assembled_pair_terms(build_fock_hamiltonian(params))
     bonds, energies = enumerate_fock_bonds(params)
     assert np.array_equal(h, operator_from_bonds(7, bonds, energies))
 
 
 def test_fock_swap_symmetry_exact(pair_params):
-    h = build_fock_hamiltonian(pair_params).entries
+    h = assembled_pair_terms(build_fock_hamiltonian(pair_params))
     p = swap_indices(pair_params.n_sites)
     assert np.array_equal(h[p][:, p], h)
 
@@ -106,10 +106,10 @@ def test_swap_indices_maps_nm_to_mn():
 
 
 def test_fock_tilt_changes_only_the_diagonal(pair_params):
-    tilted = build_fock_hamiltonian(pair_params).entries
-    flat = build_fock_hamiltonian(
-        ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=N_PAIR)
-    ).entries
+    tilted = assembled_pair_terms(build_fock_hamiltonian(pair_params))
+    flat = assembled_pair_terms(
+        build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=N_PAIR))
+    )
     diff = tilted - flat
     origin = N_PAIR // 2
     expected = np.zeros_like(diff)
@@ -282,7 +282,7 @@ def test_fock_builder_properties(n_sites, kappa, kappa1, rho, u0, fd):
     params = ModelParams(
         kappa=kappa, rho=rho, u0=u0, fd=fd, n_sites=n_sites, kappa1=kappa1
     )
-    h = build_fock_hamiltonian(params).entries
+    h = assembled_pair_terms(build_fock_hamiltonian(params))
     assert np.array_equal(h, h.T)
     p = swap_indices(n_sites)
     assert np.array_equal(h[p][:, p], h)
@@ -291,12 +291,12 @@ def test_fock_builder_properties(n_sites, kappa, kappa1, rho, u0, fd):
 
 
 # ---------------------------------------------------------------------------
-# Swap blocks: built from the rates, against gathering them from the entries
+# Swap blocks: built from the rates, against gathering them from dense matrices
 # ---------------------------------------------------------------------------
 
 
 def gathered_swap_block(entries: np.ndarray, n: int, sign: int) -> np.ndarray:
-    """The swap-sector block gathered by index from the dense N^2 x N^2 entries.
+    """The swap-sector block gathered by index from dense N^2 x N^2 entries.
 
     Basis state I is |a, a> on the diagonal, else (|a, b> + sign |b, a>) / sqrt 2
     with a < b. For swap-invariant entries <I|H|J> = g_I g_J (H[ab, cd] +
@@ -314,10 +314,14 @@ def gathered_swap_block(entries: np.ndarray, n: int, sign: int) -> np.ndarray:
 def assert_blocks_match_gather(params: ModelParams):
     n = params.n_sites
     h = build_fock_hamiltonian(params)
+    # bytes against the builder's own terms; values against the oracle, which
+    # omits zero bonds and so holds +0.0 where a -0.0 rate puts -0.0
+    assembled, oracle = assembled_pair_terms(h), dense_entries(h)
     for sign, size in ((1, n * (n + 1) // 2), (-1, n * (n - 1) // 2)):
         swap = h.swap_block(sign)
         assert swap.entries.shape == (size, size)
-        assert swap.entries.tobytes() == gathered_swap_block(h.entries, n, sign).tobytes()
+        assert swap.entries.tobytes() == gathered_swap_block(assembled, n, sign).tobytes()
+        assert np.array_equal(swap.entries, gathered_swap_block(oracle, n, sign))
         assert np.array_equal(swap.entries, swap.entries.T)
         a, b = np.divmod(swap.rep, n)
         assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
@@ -365,10 +369,3 @@ def test_swap_blocks_equal_the_gathered_blocks_for_any_rates(
         )
     )
 
-
-def test_pair_operator_entries_are_built_once_and_read_only(pair_params):
-    h = build_fock_hamiltonian(pair_params)
-    assert h.dim == N_PAIR**2
-    assert h.entries is h.entries
-    with pytest.raises(ValueError):
-        h.entries[0, 0] = 7.0

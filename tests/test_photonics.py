@@ -23,6 +23,8 @@ from fracbloch import (
 )
 from fracbloch.photonics import DEFAULT_FORCE_CALIBRATION, curvature_to_force
 
+from conftest import assembled_pair_terms
+
 
 def square_spec(bend_radius=math.inf, detuning=-4.0, length=2.5, **kwargs):
     return WaveguideArraySpec(
@@ -63,7 +65,7 @@ def test_zero_detuning_gives_factorizing_map():
     params = waveguide_to_model(square_spec(detuning=0.0), CAL)
     assert params.u0 == 0.0
     assert params.rho == 0.0
-    h2 = build_fock_hamiltonian(params).entries
+    h2 = assembled_pair_terms(build_fock_hamiltonian(params))
     h1 = build_single_particle_hamiltonian(15, params.kappa, params.fd).entries
     eye = np.eye(15)
     assert np.array_equal(h2, np.kron(h1, eye) + np.kron(eye, h1))

@@ -1,6 +1,7 @@
 """Spectral propagation: closed-form checks, unitarity, composition, revival,
-the swap-sector path against a dense eigendecomposition of the full lattice,
-and chunked synthesis against the same oracle and against unchunked arithmetic."""
+the swap-sector path against a dense eigendecomposition of the full lattice
+(the bond enumerator's matrix), and chunked synthesis against the same oracle
+and against unchunked arithmetic."""
 
 import contextlib
 import math
@@ -28,11 +29,10 @@ from fracbloch import (
     swap_indices,
 )
 from fracbloch import propagator
-from fracbloch.model import PairOperator
 from fracbloch.reference import analytic_ws_profile, two_site_coupler
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR, RHO, U0
+from conftest import FD, KAPPA, N_PAIR, RHO, U0, dense_entries
 
 PERIOD = 2 * math.pi / FD
 
@@ -108,7 +108,7 @@ def test_composition(pair_params):
 
 
 def test_energy_conservation(pair_params, pair_trajectory):
-    h = build_fock_hamiltonian(pair_params).entries
+    h = dense_entries(build_fock_hamiltonian(pair_params))
     energies = np.real(
         np.einsum("ki,ij,kj->k", pair_trajectory.states.conj(), h, pair_trajectory.states)
     )
@@ -181,6 +181,13 @@ def test_state_vector_validation():
     assert pair.amplitudes[1 * 5 + 3] == pair.amplitudes[3 * 5 + 1]
 
 
+def test_non_finite_amplitudes_fail_the_norm_check():
+    with pytest.raises(InvalidParameterError, match="nan"):
+        StateVector(np.array([math.nan, 1.0], dtype=complex))
+    with pytest.raises(InvalidParameterError, match="nan"):
+        Trajectory(np.array([0.0]), np.array([[math.nan, 1.0]], dtype=complex), "tag")
+
+
 def test_trajectory_validation():
     z = np.array([0.0, 0.5])
     good = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -240,7 +247,7 @@ def test_random_generator_unitarity_and_composition(matrix, z1, z2):
 
 
 # ---------------------------------------------------------------------------
-# Swap sectors: every case against np.linalg.eigh of the full entries
+# Swap sectors: every case against np.linalg.eigh of the full dense matrix
 # ---------------------------------------------------------------------------
 
 SECTOR_TOL = 1e-12
@@ -262,7 +269,7 @@ def eigh_dims():
 
 def dense_states(h, psi0, z):
     """exp(-i H z_k) psi0 as rows, from the eigenpairs of the full matrix."""
-    energies, vectors = np.linalg.eigh(h.entries)
+    energies, vectors = np.linalg.eigh(dense_entries(h))
     coeffs = vectors.conj().T @ psi0.amplitudes
     return (np.exp(-1j * np.outer(z, energies)) * coeffs) @ vectors.T
 
@@ -346,26 +353,22 @@ def test_chain_of_square_length_stays_one_block(n):
     assert dims == [n, n]  # the plan's, then the oracle's
 
 
-@pytest.fixture
-def no_dense_pair_entries(monkeypatch):
-    """Make reading a pair operator's dense N^2 x N^2 entries an error."""
-
-    def dense(self):
-        raise AssertionError("the dense pair-lattice matrix was built")
-
-    monkeypatch.setattr(PairOperator, "entries", property(dense))
-
-
 @pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
-def test_pair_propagation_never_builds_the_dense_matrix(pair_params, no_dense_pair_entries, kind):
-    plan = SpectralPropagator(build_fock_hamiltonian(pair_params))
-    traj = plan.trajectory(_pair_state(kind, N_PAIR), 2.0, 0.1)
+def test_pair_propagation_never_builds_the_dense_matrix(pair_params, kind):
+    h = build_fock_hamiltonian(pair_params)
+    assert not hasattr(h, "entries")  # the swap blocks are its only representation
+    with eigh_dims() as dims:
+        plan = SpectralPropagator(h)
+        traj = plan.trajectory(_pair_state(kind, N_PAIR), 2.0, 0.1)
     assert traj.dim == N_PAIR**2
+    assert max(dims) < N_PAIR**2
 
 
-def test_pair_scenario_never_builds_the_dense_matrix(no_dense_pair_entries, tmp_path):
-    summary = run_scenario(preset_config("fig4a-fractional-bo"), out_dir=str(tmp_path))
+def test_pair_scenario_never_builds_the_dense_matrix(tmp_path):
+    with eigh_dims() as dims:
+        summary = run_scenario(preset_config("fig4a-fractional-bo"), out_dir=str(tmp_path))
     assert summary["model"] == "fock"
+    assert dims == [N_PAIR * (N_PAIR + 1) // 2]  # the doublon's symmetric sector only
 
 
 def test_sector_work_count(pair_params):
@@ -459,9 +462,7 @@ def unchunked_states(plan, psi0, z):
         phases = np.exp(-1j * np.outer(sector.energies, z))
         phases *= coeffs[:, None]
         rows = propagator._apply(sector.vectors, phases).T
-        if sector.rep is None:
-            states[...] = rows
-        elif sector.sign > 0:
+        if sector.sign > 0:
             states[:, sector.partner] = rows
             states[:, sector.rep] = rows
         else:

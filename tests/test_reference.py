@@ -20,7 +20,7 @@ from fracbloch.reference import (
     ws_breathing_argument,
 )
 
-from conftest import FD, KAPPA, N_PAIR, RHO, U0
+from conftest import FD, KAPPA, N_PAIR, RHO, U0, dense_entries
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, -1, -4])
@@ -109,7 +109,7 @@ def test_bound_pair_weight_matches_localized_eigenstates():
     # the zero-force pair lattice has one bound state per K, localized near
     # the diagonal; the doublon's overlaps with them sum to W
     params = ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=N_PAIR)
-    energies, vectors = np.linalg.eigh(build_fock_hamiltonian(params).entries)
+    energies, vectors = np.linalg.eigh(dense_entries(build_fock_hamiltonian(params)))
     n, m = np.divmod(np.arange(N_PAIR * N_PAIR), N_PAIR)
     localized = np.sum(vectors[np.abs(n - m) <= 3] ** 2, axis=0) > 0.9
     doublon = (N_PAIR // 2) * N_PAIR + N_PAIR // 2

@@ -261,6 +261,25 @@ def test_pair_csv_round_trip(tmp_path):
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
 
+#: Each preset's generator_id: a hash of its first sector's block, whose bytes
+#: come from elementwise arithmetic only (no BLAS), so they hold on any platform.
+#: A one-bit change to a block, such as a -0.0 bond turning into +0.0, moves it.
+PRESET_GENERATOR_IDS = {
+    "effective-pair": "5941e567955d",
+    "fig3-delocalization": "938473c5eb38",
+    "fig3c-bh-only": "ebe6c2314031",
+    "fig4a-fractional-bo": "2a8d3a88f73f",
+    "fig4b-single-bo": "7eb456a5b66c",
+}
+
+
+def test_preset_generator_ids_are_pinned(tmp_path):
+    assert sorted(PRESET_GENERATOR_IDS) == sorted(PRESETS)
+    for name, generator_id in PRESET_GENERATOR_IDS.items():
+        summary = run_scenario(preset_config(name), out_dir=str(tmp_path / name))
+        assert summary["generator_id"] == generator_id, name
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = preset_config("fig3c-bh-only")
     run_scenario(config, out_dir=str(tmp_path / "one"))
@@ -630,6 +649,11 @@ MALFORMED_CSVS = [
     ("one-sample", "z_cm,p0,p1\n0,1,0\n", "holds one sample"),
     ("one-sample-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n",
      "holds one sample"),
+    ("padded-space", "z_cm,p0,p1\n0, 1,0\n0.1,1,0\n", "could not convert"),
+    ("padded-tab", "z_cm,p0,p1\n0,1\t,0\n0.1,1,0\n", "could not convert"),
+    ("padded-separator", "z_cm,p0,p1\n0,\x1c1,0\n0.1,1,0\n", "could not convert"),
+    ("padded-nbsp", "z_cm,p0,p1\n0,\xa01,0\n0.1,1,0\n", "could not convert"),
+    ("padded-header", "z_cm,p0,p1  \n0,1,0\n0.1,1,0\n", "unrecognized trajectory CSV header"),
 ]
 
 
@@ -672,6 +696,12 @@ LINE_NUMBERED_CSVS = {
     "negative": ("z_cm,p0,p1\n0,1,0\n0.1,1,0\n0.2,2.0,-1.0\n", 4),
     "negative-pair": ("z_cm,n,m,probability\n" + "0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
                       "1,0,0,0.5\n1,0,1,0.5\n1,1,0,-0.0\n1,1,1,-1e-300\n", 9),
+    "padded-space": ("z_cm,p0,p1\n0,1,0\n0.1,0, 1\n", 3),
+    "padded-tab": ("z_cm,p0,p1\n0,1,0\n0.1,1\t,0\n", 3),
+    "padded-separator": ("z_cm,p0,p1\n0,1,0\n0.1,1,\x1f0\n", 3),
+    "padded-nbsp": ("z_cm,p0,p1\n0,1,0\n0.1,\xa01,0\n", 3),
+    "padded-header": ("z_cm,p0,p1 \n0,1,0\n0.1,1,0\n", 1),
+    "padded-pair": ("z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,\x0b0\n0,1,1,0\n", 4),
 }
 
 
@@ -683,6 +713,23 @@ def test_trajectory_csv_diagnostic_names_the_file_line(tmp_path, name):
     with pytest.raises(InvalidParameterError) as info:
         load_trajectory_csv(str(csv))
     assert str(info.value).startswith(f"{csv}: line {line}: "), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["1", "-0.0", "2.5e-3", "1E+2", " 1", "1 ", "\t1", "1\x0b", "\x0c1", "\x1c1", "1\x1e",
+     "\xa01", "1\u2000", "1_0", "abc", ""],
+)
+def test_is_number_agrees_with_the_fast_path(tmp_path, field):
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text(f"z_cm,p0,p1\n0,1,0\n0.1,{field},0\n", encoding="utf-8")
+    try:
+        load_trajectory_csv(str(csv))
+    except InvalidParameterError as exc:
+        assert str(exc).startswith(f"{csv}: line 3: could not convert"), str(exc)
+        assert not heatmap._is_number(field)
+    else:
+        assert heatmap._is_number(field)
 
 
 @pytest.mark.parametrize("where", ["header", "data"])
