@@ -178,6 +178,64 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
+def _require_finite(*terms: tuple[str, float, float]):
+    """Fail at the first (field, rate, entry) whose generator entry is not finite.
+
+    Each entry is the largest the rate gives, computed as the builder computes
+    it, so a rate that passes builds a generator without overflow.
+    """
+    for field, rate, entry in terms:
+        if not math.isfinite(entry):
+            raise InvalidParameterError(
+                f"{field} = {rate!r} gives a generator entry that is not finite", field
+            )
+
+
+def _fock_terms(p: ModelParams):
+    """The pair lattice's largest entries: the tilt, the diagonal and
+    near-diagonal site energies at either end (a diagonal state's energy and
+    a diagonal bond's rate are doubled in the symmetric block), then the bonds."""
+    origin = p.n_sites // 2
+    low, high = -2 * origin, 2 * (p.n_sites - 1 - origin)  # (a - origin) + (b - origin)
+    kappa1 = "kappa1" if p.kappa1 != p.kappa else "kappa"  # kappa1 defaults to kappa
+    defect = p.near_diagonal_defect()
+    return (
+        ("fd", p.fd, 2.0 * (p.fd * low)),
+        *(("u0", p.u0, 2.0 * (p.fd * j + p.u0)) for j in (low, high)),
+        *(("near_diag_defect", defect, p.fd * j + defect) for j in (low + 1, high - 1)),
+        (kappa1, p.kappa1, 2.0 * -p.kappa1),
+        ("rho", p.rho, 2.0 * -p.rho),
+    )
+
+
+def _single_terms(n_sites: int, fd: float):
+    """The chain's largest entry: the tilt at the far end from the origin."""
+    return (("fd", fd, fd * (n_sites // 2)),)
+
+
+def _effective_terms(p: ModelParams):
+    """The bound-pair chain's entries: kappa_eff step by step, then the tilt."""
+    square = -2.0 * p.kappa * p.kappa
+    hopping = kappa_eff(p.kappa, p.rho, p.u0)  # raises at u0 = 0
+    return (
+        ("kappa", p.kappa, square),
+        ("u0", p.u0, square / p.u0),
+        ("rho", p.rho, hopping),
+        ("fd", p.fd, 2.0 * p.fd * (p.n_sites // 2)),
+    )
+
+
+def check_generator(params: ModelParams, model: str):
+    """Raise InvalidParameterError, naming the field at fault, if a rate makes
+    an entry of the `model` generator ("fock", "single" or "effective") overflow."""
+    if model == "fock":
+        _require_finite(*_fock_terms(params))
+    elif model == "single":
+        _require_finite(*_single_terms(params.n_sites, params.fd))
+    else:
+        _require_finite(*_effective_terms(params))
+
+
 def _tilted_chain(n_sites: int, hopping: float, tilt_step: float) -> np.ndarray:
     origin = n_sites // 2
     h = np.zeros((n_sites, n_sites))
@@ -203,6 +261,7 @@ def build_single_particle_hamiltonian(
         raise InvalidParameterError(f"kappa must be >= 0, got {kappa}")
     if n_sites > dim_cap:
         raise DimensionCapError(n_sites, dim_cap)
+    _require_finite(*_single_terms(n_sites, fd))
     return HermitianOperator(_tilted_chain(n_sites, kappa, fd))
 
 
@@ -322,6 +381,7 @@ def build_fock_hamiltonian(
     dim = params.n_sites**2
     if dim > dim_cap:
         raise DimensionCapError(dim, dim_cap)
+    check_generator(params, "fock")
     return PairOperator(params)
 
 
@@ -348,6 +408,7 @@ def build_effective_hamiltonian(
     """
     if params.n_sites > dim_cap:
         raise DimensionCapError(params.n_sites, dim_cap)
+    check_generator(params, "effective")
     hopping = kappa_eff(params.kappa, params.rho, params.u0)
     return HermitianOperator(
         _tilted_chain(params.n_sites, hopping, 2.0 * params.fd)

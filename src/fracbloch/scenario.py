@@ -29,8 +29,8 @@ from .model import (
     build_effective_hamiltonian,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
+    check_generator,
     flatten_index,
-    kappa_eff,
     square_side,
 )
 from .observables import (
@@ -437,10 +437,8 @@ def parse_config(path: str) -> ScenarioConfig:
             ),
         }
     config = build(ScenarioConfig, "scenario", **given)
-    if config.model == "effective":
-        params = config.params
-        with located(source):
-            kappa_eff(params.kappa, params.rho, params.u0)  # diverges at u0 = 0
+    with located(source):  # kappa_eff diverges at u0 = 0; huge rates overflow
+        check_generator(config.params, config.model)
     return config
 
 

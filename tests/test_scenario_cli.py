@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -573,6 +574,49 @@ def test_cli_config_error_diagnostic(tmp_path, capsys, text, at, message):
     expected = f"config error: {config_path}:{line}: {message.format(path=config_path)}"
     assert err.startswith(expected), err
     assert not out.exists()
+
+
+#: (model, key, value): finite rates that make an entry of the model's generator overflow.
+OVERFLOWING_RATES = [
+    ("fock", "kappa", "1e308"),
+    ("fock", "rho", "1e308"),
+    ("fock", "u0", "1e308"),
+    ("fock", "fd", "1e308"),
+    ("single", "fd", "1e308"),
+    ("effective", "kappa", "1e200"),
+    ("effective", "u0", "1e-320"),
+    ("effective", "fd", "1e308"),
+]
+
+
+def _rate_config(model, key, value):
+    text = _with(MODEL_CONFIG, "model = effective", f"model = {model}")
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    return _with(text, old, f"{key} = {value}"), f"{key} = {value}"
+
+
+@pytest.mark.parametrize("model, key, value", OVERFLOWING_RATES)
+def test_cli_rate_that_overflows_the_generator_fails_at_its_line(
+    tmp_path, capsys, model, key, value
+):
+    text, at = _rate_config(model, key, value)
+    config_path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", config_path, "--out", str(out)]) == 2
+    assert not caught, [str(w.message) for w in caught]
+    line = text.splitlines().index(at) + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config_path}:{line}: {key} = "), err
+    assert err.rstrip().endswith("gives a generator entry that is not finite"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, key, value", [("fock", "u0", "-1e300"), ("effective", "u0", "1e-300")])
+def test_cli_huge_rate_with_finite_entries_runs(tmp_path, model, key, value):
+    text, _ = _rate_config(model, key, value)  # no magnitude bound beyond finite entries
+    assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_exit_code_missing_out(tmp_path, capsys):
