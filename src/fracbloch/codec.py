@@ -1,0 +1,650 @@
+"""The CSV artifacts' text: `%.12e` for whole arrays, and the trajectory CSV
+written and read back from one `Layout` record (form, N, header, field width).
+
+The reader makes one pass over the file's bytes. A chunk of whole units (long-
+form samples or wide rows) that matches the layout's template holds, by the
+match, (n, m) in writer order, one z per sample and only digits in its fields,
+so its values are finite and non-negative. Its `%.12e` fields are decoded to
+the correctly rounded double (Clinger, PLDI 1990; a double-double product with
+a guard about the rounding midpoint), its populations go straight into the
+result, and only the rise of z is left to check. Other text is parsed by
+np.loadtxt and checked row by row, with the same values and diagnostics.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import re
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import InvalidParameterError
+
+#: A float "d.dddddddddddde-dd" as the writer prints a non-negative value
+#: below 1e100: the width of every field of the reader's templates.
+_FIELD = "0.000000000000e+00"
+
+
+class Layout(NamedTuple):
+    """A trajectory CSV's layout: the long form "z_cm,n,m,probability" of an
+    N x N pair lattice, whose unit of rows is a sample of N x N rows, or the
+    wide form "z_cm,p0,...,p{N-1}" of an N-site chain, whose unit is a row."""
+
+    form: str  # "long" or "wide"
+    n: int
+    header: str
+    width: int = len(_FIELD)  # of the reader's template fields
+
+    @classmethod
+    def of(cls, form: str, n: int) -> Layout:
+        if form == "long":
+            return cls(form, n, "z_cm,n,m,probability")
+        return cls(form, n, ",".join(["z_cm", *(f"p{i}" for i in range(n))]))
+
+    def rows(self, fh, z: np.ndarray, probs: np.ndarray):
+        """Write the rows of samples z with populations probs, a block at a time."""
+        if self.form == "wide":
+            _write_rows(fh, z, probs)
+        else:
+            labels = [f",{a},{b}," for a in range(self.n) for b in range(self.n)]
+            _write_pair_rows(fh, z, probs, labels)
+
+    def unit(self) -> tuple[bytes, list[int], list[int], list[int]]:
+        """The rows the writer prints for one sample of zeros, whose every float
+        is a `_FIELD`: their bytes, the offsets of the unit's fields (z first)
+        and of the z copies, and the offsets where its rows start."""
+        out, dim = io.BytesIO(), self.n * self.n if self.form == "long" else self.n
+        self.rows(out, np.zeros(1), np.zeros((1, dim)))
+        at = [m.start() for m in re.finditer(re.escape(_FIELD.encode()), out.getvalue())]
+        if self.form == "wide":
+            return out.getvalue(), at, [], [0]
+        return out.getvalue(), [at[0], *at[1::2]], at[2::2], at[0::2]
+
+
+# ---------------------------------------------------------------------------
+# Writing: %.12e for whole arrays
+#
+# A finite x >= _TINY prints as the 13-digit integer m = round(x * 10^(12-e)),
+# e = floor(log10 x), written "d.dddddddddddde±XX". The scaled value y carries
+# two roundings of 2^-53 relative (the power of ten, the product), so
+# |y - exact| < 2 * 2^-53 * 1e13 < 0.0023 < _MARGIN, and rounding y rounds the
+# exact value unless y lies within _MARGIN of a half-integer. Those values
+# (about 0.6%, exact ties included), y outside [1e12, 1e13) (log10 off by
+# one), and everything else (below _TINY, negative, -0.0, nan, inf) are
+# printed by `%`, one by one.
+# ---------------------------------------------------------------------------
+
+#: Separators that may follow a float, by code.
+_SEPS = ("", ",", "\n")
+_NO_SEP, _COMMA, _NEWLINE = range(3)
+#: Decimal exponents a double can print with (5e-324 prints as e-324).
+_EXPONENTS = 325
+#: uint32 words per printed float: the longest text, "-d.dddddddddddde-ddd",
+#: and its separator take 21 bytes. Shorter texts end in NUL padding.
+_WORDS = 6
+#: Floats per block of the writers (whole rows or samples, at least one).
+_BLOCK = 2**12
+#: A y this close to a half-integer prints by `%` (see above).
+_MARGIN = 0.003
+#: Smaller values print by `%`; down to this, 10^(12-e) is a finite double.
+_TINY = 1e-280
+#: 10^k as the correctly rounded double, at _POWERS[k + 300].
+_POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])
+
+
+def _words(texts: list[str], width: int) -> np.ndarray:
+    """ASCII texts as rows of `width` uint32 words, NUL-padded."""
+    packed = np.array(texts, dtype=f"S{4 * width}")
+    return packed.view(np.uint32).reshape(len(texts), width)
+
+
+#: Tables of the first five words of a printed m * 10^(e-12); the sixth is
+#: NUL. They hold "d.dd" of m's first three digits; its next four digits;
+#: four more; its last two with "e" and the sign of e (100 on for e < 0);
+#: |e| and the separator (at 3 * |e| + the separator's code). The four-digit
+#: table is built from digit pairs: 10^4 short strings would leave their
+#: memory resident after the import.
+_LEAD = _words([f"{i // 100}.{i % 100:02d}" for i in range(1000)], 1).ravel()
+_PAIRS = np.array([f"{i:02d}" for i in range(100)], "S2").view(np.uint8).reshape(100, 2)
+_QUADS = np.hstack([_PAIRS.repeat(100, axis=0), np.tile(_PAIRS, (100, 1))])
+_QUADS = _QUADS.view(np.uint32).ravel()
+_TAIL = _words([f"{i % 100:02d}e{'+-'[i // 100]}" for i in range(200)], 1).ravel()
+_EXPONENT = _words([f"{e:02d}{s}" for e in range(_EXPONENTS) for s in _SEPS], 1).ravel()
+_FALLBACK = tuple("%.12e" + s for s in _SEPS)  # the format of every float
+
+
+class _FloatText:
+    """Scratch arrays for printing up to `size` floats at a time; a writer
+    makes one per file and reuses it for every block."""
+
+    def __init__(self, size: int):
+        self.x, self.y, self.f = (np.empty(size) for _ in range(3))
+        self.e, self.i, self.j, self.k = (np.empty(size, np.int64) for _ in range(4))
+        self.ok, self.bad = np.empty(size, bool), np.empty(size, bool)
+
+    def split(self, a: np.ndarray, d: int, q: np.ndarray):
+        """q = a // d and a = a % d, in place (np.divmod is slower)."""
+        np.floor_divide(a, d, out=q)
+        a -= np.multiply(q, d, out=self.k[: a.size])
+
+    def write(self, values: np.ndarray, sep, out: np.ndarray):
+        """Print each value as ``%.12e`` followed by its separator (a code of
+        _SEPS, or one code per value) into the rows of out, (n, _WORDS)."""
+        n = values.size
+        x, y, f = self.x[:n], self.y[:n], self.f[:n]
+        e, i, j = self.e[:n], self.i[:n], self.j[:n]
+        ok, bad = self.ok[:n], self.bad[:n]
+
+        np.greater_equal(values, _TINY, out=ok)
+        ok &= np.less(values, np.inf, out=bad)
+        np.logical_not(ok, out=bad)
+        x.fill(1.0)  # a stand-in that keeps the arithmetic finite
+        np.copyto(x, values, where=ok)
+
+        # e, y = x * 10^(12-e), and m = y rounded, still a float
+        np.floor(np.log10(x, out=y), out=y)
+        np.copyto(e, y, casting="unsafe")
+        np.subtract(300 + 12, e, out=i)
+        np.multiply(np.take(_POWERS, i, out=y), x, out=y)
+        np.floor(y, out=f)
+        bad |= np.less(y, 1e12, out=ok)
+        bad |= np.greater_equal(y, 1e13, out=ok)
+        np.subtract(y, f, out=x)  # the fraction
+        f += np.greater(x, 0.5, out=ok)
+        x -= 0.5
+        bad |= np.less_equal(np.abs(x, out=x), _MARGIN, out=ok)
+        carry = np.flatnonzero(np.equal(f, 1e13, out=ok))  # 9.9999999999995 -> 10
+        f[carry] = 1e12
+        e[carry] += 1
+        np.copyto(f, 1e12, where=bad)  # keeps the table indices in range
+        np.copyto(i, f, casting="unsafe")
+
+        # the words, from m's digit groups and e
+        self.split(i, 100, j)
+        np.add(i, 100, out=i, where=np.less(e, 0, out=ok))
+        np.take(_TAIL, i, out=out[:, 3])
+        self.split(j, 10**8, i)
+        np.take(_LEAD, i, out=out[:, 0])
+        self.split(j, 10**4, i)
+        np.take(_QUADS, i, out=out[:, 1])
+        np.take(_QUADS, j, out=out[:, 2])
+        np.multiply(np.abs(e, out=e), len(_SEPS), out=e)
+        e += sep
+        np.take(_EXPONENT, e, out=out[:, 4])
+        out[:, 5:] = 0
+
+        redo = np.flatnonzero(bad)
+        if redo.size:
+            codes = sep[redo].tolist() if np.ndim(sep) else [sep] * redo.size
+            texts = [_FALLBACK[c] % v for c, v in zip(codes, values[redo].tolist())]
+            out[redo] = _words(texts, _WORDS)
+
+
+def _write_words(fh, words: np.ndarray, keep: np.ndarray):
+    """Write the bytes of C-contiguous words without their NUL padding."""
+    raw = words.reshape(-1).view(np.uint8)
+    keep = keep[: raw.size]
+    fh.write(raw[np.not_equal(raw, 0, out=keep)])
+
+
+def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
+    """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
+    width = columns.shape[1] + 1
+    rows = max(1, min(_BLOCK // width, len(z)))
+    values = np.empty((rows, width))
+    seps = np.full((rows, width), _COMMA)
+    seps[:, -1] = _NEWLINE
+    seps = seps.ravel()
+    words = np.empty((rows * width, _WORDS), np.uint32)
+    keep = np.empty(words.nbytes, bool)
+    text = _FloatText(rows * width)
+    for start in range(0, len(z), rows):
+        block = values[: min(rows, len(z) - start)]
+        block[:, 0] = z[start : start + len(block)]
+        block[:, 1:] = columns[start : start + len(block)]
+        n = block.size
+        text.write(block.ravel(), seps[:n], words[:n])
+        _write_words(fh, words[:n], keep)
+
+
+def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str]):
+    """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a time."""
+    dim = probs.shape[1]
+    samples = max(1, min(_BLOCK // dim, len(z)))
+    labels = _words(labels, -(-len(labels[-1]) // 4))
+    rows = np.empty((samples * dim, 2 * _WORDS + labels.shape[1]), np.uint32)
+    rows.reshape(samples, dim, -1)[:, :, _WORDS:-_WORDS] = labels
+    keep = np.empty(rows.nbytes, bool)
+    text = _FloatText(samples * dim)
+    for start in range(0, len(z), samples):
+        count = min(samples, len(z) - start)
+        block = rows[: count * dim]
+        text.write(z[start : start + count], _NO_SEP, block[::dim, :_WORDS])
+        grid = block.reshape(count, dim, -1)
+        grid[:, 1:, :_WORDS] = grid[:, :1, :_WORDS]
+        text.write(probs[start : start + count].ravel(), _NEWLINE, block[:, -_WORDS:])
+        _write_words(fh, block, keep)
+
+
+def write_series_csv(path: str, series):
+    with open(path, "wb") as fh:
+        fh.write(b"z_cm,value\n")
+        _write_rows(fh, series.z_samples, series.values[:, None])
+
+
+def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
+    """Long form (z, n, m, probability) for the pair lattice, wide for chains.
+
+    Floats print as ``%.12e`` from whole blocks of rows (see _FloatText), and
+    only one block's text is held at a time.
+    """
+    layout = Layout.of("long" if model == "fock" else "wide", n_sites)
+    with open(path, "wb") as fh:
+        fh.write(f"{layout.header}\n".encode())
+        layout.rows(fh, traj.z_samples, traj.probabilities)
+
+
+# ---------------------------------------------------------------------------
+# Reading: the template match and the exact parser of its fields
+# ---------------------------------------------------------------------------
+
+#: Bytes of a trajectory CSV read per chunk: topped up to a whole line, or,
+#: for a template, the whole units of its layout that fit.
+_READ_CHUNK = 1 << 18
+#: What surrogateescape decodes each byte that is not UTF-8 to: a lone surrogate.
+_ESCAPED = re.compile("[\udc80-\udcff]")
+#: The ASCII whitespace np.loadtxt strips from a field; the writer writes none.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+#: The bytes of a `_FIELD` that the parser decodes: 13 digits, the exponent's
+#: sign and its two digits. The others are "." and "e".
+_RECORD = np.array([0, *range(2, 14), 15, 16, 17])
+_U = np.uint64
+_ZEROS = _U(0x3030303030303030)  # "0" in every byte
+_HIGH = _U(0xF0F0F0F0F0F0F0F0)
+_SIGN = _U(0xFF) << _U(40)  # the exponent's sign in a record's second word
+#: 10**k, exact in binary64, so m / 10**k is correctly rounded for k <= 22.
+_TEN = np.array([float(10**k) for k in range(23)])
+
+
+def _tenths() -> np.ndarray:
+    """Rows k = 23 .. 111: 10**-k as hi + lo, and hi split into 26-bit halves.
+
+    hi is 10**-k rounded, lo the rounded rest; both come from exact integer
+    division, which Python rounds correctly. The split (Veltkamp) makes
+    Dekker's product m * hi exact. Rows 0 .. 22 stay zero.
+    """
+    table = np.zeros((112, 4))
+    for k in range(23, 112):
+        hi = 1 / 10**k
+        num, den = hi.as_integer_ratio()
+        table[k, 0], table[k, 3] = hi, (den - num * 10**k) / (den * 10**k)
+    c = 134217729.0 * table[:, 0]
+    table[:, 1] = c - (c - table[:, 0])
+    table[:, 2] = table[:, 0] - table[:, 1]
+    return table
+
+
+_TENTHS = _tenths()
+
+
+def _all_digits(words: np.ndarray) -> bool:
+    """Whether every byte of every word is an ASCII digit."""
+    mixed = (words & _HIGH) | (((words + _U(0x0606060606060606)) & _HIGH) >> _U(4))
+    return bool((mixed == _U(0x3333333333333333)).all())
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The number each word's eight ASCII digits spell, its low byte first."""
+    v = words - _ZEROS
+    v = v * _U(10) + (v >> _U(8))
+    pairs = (v & _U(0x000000FF000000FF)) * _U(100 + (1000000 << 32))
+    quads = ((v >> _U(16)) & _U(0x000000FF000000FF)) * _U(1 + (10000 << 32))
+    return ((pairs + quads) >> _U(32)) & _U(0xFFFFFFFF)
+
+
+def _scaled(m: np.ndarray, k: np.ndarray) -> np.ndarray | None:
+    """m * 10**-k rounded to nearest for 23 <= k <= 111, or None if not proved.
+
+    A double-double product: p + t is within 2**-103 of the exact value,
+    relatively, so r = p + t rounded is the exact value rounded unless the
+    rest of p + t lies within 2**-90 r of half an ulp of r. That and r a power
+    of two, where the ulp below is half the ulp above, are refused.
+    """
+    hi, hi1, hi2, lo = _TENTHS[k].T
+    p = m * hi
+    c = 134217729.0 * m
+    m1 = c - (c - m)
+    m2 = m - m1
+    t = (((m1 * hi1 - p) + m1 * hi2) + m2 * hi1) + m2 * hi2  # m * hi - p, exactly
+    t += m * lo
+    r = p + t
+    rest = t - (r - p)
+    proved = np.abs(rest) + r * 2.0**-90 < 0.5 * np.spacing(r)
+    proved &= (r.view(_U) & _U(2**52 - 1)) != 0
+    return r if proved.all() else None
+
+
+def _decode(records: np.ndarray) -> np.ndarray | None:
+    """The floats of (n, 2) uint64 records, or None if any is not provably exact.
+
+    A record holds a field's 13 digits, then the exponent's sign and digits:
+    m * 10**(e - 12), exact when the field is the writer's.
+    """
+    first, second = records[:, 0], records[:, 1]
+    sign = (second & _SIGN) >> _U(40)
+    if not (
+        _all_digits(first)
+        and _all_digits((second & ~_SIGN) | (_U(0x30) << _U(40)))
+        and ((sign == 43) | (sign == 45)).all()
+    ):
+        return None
+    # first: digits 1-8; the last five sit in second's low bytes, shifted up behind "000"
+    m = _eight_digits(first) * _U(100000) + _eight_digits((second << _U(24)) | _U(0x303030))
+    tens, ones = (second >> _U(48)) & _U(0xFF), second >> _U(56)
+    e = (tens * _U(10) + ones).astype(np.int64) - 528  # the ASCII "0" is 48: 528 = 11 * 48
+    k = np.where(sign == 45, 12 + e, 12 - e)  # the value is m / 10**k
+    if k.min() < 0:
+        return None
+    m = m.astype(float)
+    values = m / _TEN[np.minimum(k, 22)]
+    deep = np.flatnonzero(k > 22)
+    if deep.size:
+        scaled = _scaled(m[deep], k[deep])
+        if scaled is None:
+            return None
+        values[deep] = scaled
+    return values
+
+
+class _Template:
+    """A layout's unit of rows, tiled for the most whole units a chunk holds.
+
+    `decode` takes whole units and returns each unit's fields, or None unless
+    every byte outside the fields equals the template (one masked compare of
+    uint64 words), each z copy repeats its unit's z, and every field is the
+    writer's form, exactly decoded.
+    """
+
+    def __init__(self, layout: Layout):
+        text, fields, copies, self.starts = layout.unit()
+        unit = np.frombuffer(text, np.uint8)
+        self.size, self.units = unit.size, _READ_CHUNK // unit.size
+        # the bytes of each field's and each copy's record within a unit
+        self.fields, self.copies = (
+            np.add.outer(np.array(at, int), _RECORD).ravel() for at in (fields, copies)
+        )
+        fixed = np.full(self.size, 0xFF, np.uint8)
+        fixed[np.concatenate([self.fields, self.copies])] = 0
+        pad = np.zeros(8 + -(self.units * self.size) % 8, np.uint8)
+        self.mask = np.concatenate([np.tile(fixed, self.units), pad]).view(_U)
+        self.fixed = np.concatenate([np.tile(unit, self.units), pad]).view(_U) & self.mask
+        self.scratch = np.empty_like(self.mask)  # a fresh one per chunk costs more than the compare
+
+    def decode(self, buf: np.ndarray, n: int) -> np.ndarray | None:
+        """(units, fields) floats of buf[:n], or None where a byte or a value is not proved."""
+        units, rest = divmod(n, self.size)
+        if rest:
+            return None
+        words = -(-n // 8)
+        buf[n : 8 * words] = self.fixed.view(np.uint8)[n : 8 * words]  # pad the last word to match
+        masked = np.bitwise_and(buf[: 8 * words].view(_U), self.mask[:words], self.scratch[:words])
+        if not np.array_equal(masked, self.fixed[:words]):
+            return None
+        unit = buf[:n].reshape(units, -1)
+        fields, copies = (  # in range; "wrap" is the fastest mode
+            np.take(unit, at, axis=1, mode="wrap").view(_U).reshape(units, -1, 2)
+            for at in (self.fields, self.copies)
+        )
+        if not (copies == fields[:, :1]).all():
+            return None
+        values = _decode(fields.reshape(-1, 2))
+        return None if values is None else values.reshape(units, -1)
+
+
+def _is_number(field: str) -> bool:
+    """Whether field passes the fast path: ASCII, unpadded, a float to np.loadtxt (no "_")."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and not any(c in field for c in "_" + _PADDING)
+
+
+def _first_fault(lines: list[str], width: int) -> tuple[int, str] | None:
+    """(index, reason) of the first line that is not a row of width numbers."""
+    for k, line in enumerate(lines):
+        if _ESCAPED.search(line):
+            return k, "text is not UTF-8"
+        if line == "":
+            return k, "blank line"
+        fields = line.split(",")
+        if len(fields) != width:
+            return k, f"{len(fields)} values, the header names {width}"
+        for field in fields:
+            if not _is_number(field):
+                return k, f"could not convert {field!r} to a number"
+    return None
+
+
+class _Rows:
+    """The data rows of an open trajectory CSV, read and checked in file order
+    (a row per sample unless a subclass says otherwise). Keeps only each
+    sample's z and the population columns; z stays the same within a sample
+    and strictly increases at each sample's first row.
+    """
+
+    #: Index of the first population column, and the kind of trajectory.
+    populations, kind = 1, "chain"
+    #: The template of the rows ahead once the layout is known, and a unit's rows.
+    template: _Template | None = None
+    unit_rows = 1
+
+    def __init__(self, path: str, fh, width: int):
+        self.path, self.fh, self.width = path, fh, width
+        self.bytes = os.fstat(fh.fileno()).st_size
+        self.count = 0  # rows accepted so far
+        self.last = -np.inf  # z of the last accepted row
+        self.z: list[np.ndarray] = []
+        self.p = np.empty((0, width - self.populations))
+
+    def _layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows that start a sample, rows out of writer order) of a chunk."""
+        return np.ones(len(rows), bool), np.zeros(len(rows), bool)
+
+    def known(self, layout: Layout, rows: int):
+        """Take the layout's template where a unit fits in a chunk, and size the
+        populations for `rows` rows and whole units from there to the end of
+        the file: exact for the writer's text, where other text grows them."""
+        if not (template := _Template(layout)).units:
+            return
+        self.template = template
+        done, site = divmod(rows, self.unit_rows)
+        ahead = (self.bytes - self.fh.tell() + template.starts[site]) // template.size
+        self.p.resize((max(rows, (done + ahead) * self.unit_rows), self.p.shape[1]), refcheck=False)
+
+    def next_read(self) -> tuple[int, _Template | None]:
+        """Bytes to read next, and the template to decode them with or None:
+        whole units, or the rows up to the next unit's start on their own."""
+        template = self.template
+        if template is None:
+            return _READ_CHUNK, None
+        if site := self.count % self.unit_rows:
+            return template.size - template.starts[site], None
+        return template.units * template.size, template
+
+    def read(self):
+        """Read the data rows after the header, a chunk into one buffer at a time.
+
+        A chunk the template refuses, and every other chunk, is topped up to a
+        whole line, decoded with universal newlines and parsed by np.loadtxt.
+        np.loadtxt skips empty lines and strips a field's padding; here either
+        is an error at its line, like any line that does not parse. It is
+        raised after the rows before it were added, so the first fault is named.
+        """
+        buf = np.empty(_READ_CHUNK + 8, np.uint8)
+        while True:
+            size, template = self.next_read()
+            if not (n := self.fh.readinto(buf[:size])):
+                return
+            values = None if template is None else template.decode(buf, n)
+            if values is not None:
+                self._accept(values)
+                continue
+            chunk = buf[:n].tobytes()
+            if not chunk.endswith(b"\n"):
+                chunk += self.fh.readline()
+            text = chunk.decode("utf-8", "surrogateescape")
+            text = text.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+            lines = text.removesuffix("\n").split("\n")
+            try:
+                # np.loadtxt would skip a blank line and strip padding
+                if "" in lines or not text.isascii() or any(c in text for c in _PADDING):
+                    raise ValueError("blank line, padding or non-ASCII text")
+                rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                fault = _first_fault(lines, self.width)
+                if fault is None:
+                    raise InvalidParameterError(f"{self.path}: {exc}") from None
+                k, reason = fault
+                if k:
+                    self.add(np.loadtxt(lines[:k], delimiter=",", ndmin=2, comments=None))
+                raise self._error(0, reason) from None
+            self.add(rows)
+
+    def add(self, rows: np.ndarray):
+        """Check parsed rows in file order and keep them."""
+        if rows.shape[1] != self.width:
+            raise self._error(0, f"{rows.shape[1]} values, the header names {self.width}")
+        starts, order = self._layout(rows)
+        z = rows[:, 0]
+        before = np.concatenate(([self.last], z[:-1]))
+        negative = (rows[:, self.populations:] < 0).any(axis=1)  # -0.0 is not negative
+        faults = [  # at one row, the first listed fault is reported
+            (~np.isfinite(rows).all(axis=1), "trajectory CSV holds a value that is not finite"),
+            (negative, "trajectory CSV holds a negative population"),
+            (order, "n,m columns are not in writer order"),
+            ((z != before) & ~starts, "z_cm changes within a sample"),
+            ((z <= before) & starts, "z_cm does not strictly increase"),
+        ]
+        hits = [(int(np.argmax(flags)), k) for k, (flags, _) in enumerate(faults) if flags.any()]
+        if hits:
+            row, k = min(hits)
+            raise self._error(row, faults[k][1])
+        self._keep(rows[:, self.populations:], z[starts], z[-1])
+
+    def _accept(self, values: np.ndarray):
+        """Keep whole units that the template decoded. The match proved all that
+        the row-wise checks check but the rise of z at each unit's first row."""
+        z = values[:, 0]
+        rises = z > np.concatenate(([self.last], z[:-1]))
+        if not rises.all():
+            row = int(np.argmin(rises)) * self.unit_rows
+            raise self._error(row, "z_cm does not strictly increase")
+        self._keep(values[:, 1:], z.copy(), z[-1])
+
+    def _keep(self, populations: np.ndarray, z: np.ndarray, last: float):
+        end = self.count + populations.size // self.p.shape[1]
+        if end > len(self.p):  # no template yet, or text shorter than the template's
+            self.p.resize((2 * end, self.p.shape[1]), refcheck=False)
+        self.p[self.count:end].reshape(populations.shape)[...] = populations
+        self.count, self.last = end, last
+        self.z.append(z)
+
+    def _error(self, row: int, reason: str) -> InvalidParameterError:
+        """The error at a row of the current chunk; the header is line 1."""
+        return InvalidParameterError(f"{self.path}: line {self.count + row + 2}: {reason}")
+
+    def _samples(self) -> int:
+        """How many samples the accepted rows hold."""
+        return self.count
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, str]:
+        """(z, probabilities, kind) of a file whose rows have all been read."""
+        samples = self._samples()
+        if samples == 0:
+            raise InvalidParameterError(f"{self.path}: trajectory CSV holds no samples")
+        if samples == 1:
+            raise InvalidParameterError(
+                f"{self.path}: trajectory CSV holds one sample; the writer writes at least two"
+            )
+        self.p.resize((self.count, self.p.shape[1]), refcheck=False)
+        return np.concatenate(self.z), self.p.reshape(samples, -1), self.kind
+
+
+class _LongRows(_Rows):
+    """Long form z_cm,n,m,probability: whole N x N samples in writer order.
+    N is the row where n first leaves 0; the rows before it are checked
+    without N (n = 0 and m = row)."""
+
+    populations, kind = 3, "pair"
+
+    def __init__(self, path: str, fh):
+        super().__init__(path, fh, 4)
+        self.n: int | None = None
+
+    def _layout(self, rows):
+        index = self.count + np.arange(rows.shape[0])
+        if self.n is None:
+            moved = rows[:, 1] != 0
+            first = self.count + int(np.argmax(moved))
+            if moved.any() and first >= 2:  # else that row is out of order
+                self.n, self.unit_rows = first, first * first
+                layout = Layout.of("long", first)  # a row holds two fields and at least 6 bytes
+                if (2 * layout.width + 6) * self.unit_rows <= _READ_CHUNK:  # a sample fits a chunk
+                    self.known(layout, self.count + len(rows))
+        if self.n is None:
+            n_want, m_want, starts = 0, index, index == 0
+        else:
+            site = index % self.unit_rows
+            (n_want, m_want), starts = np.divmod(site, self.n), site == 0
+        return starts, (rows[:, 1] != n_want) | (rows[:, 2] != m_want)
+
+    def _samples(self):
+        if self.count and (self.n is None or self.count % self.unit_rows):
+            raise InvalidParameterError(
+                f"{self.path}: {self.count} rows are not whole samples of N x N sites"
+            )
+        return self.count // self.unit_rows
+
+
+def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """Read a trajectory CSV back as (z, probabilities, kind).
+
+    Accepts both writer layouts: long form "z_cm,n,m,probability" (pair
+    lattice, kind "pair") and wide form "z_cm,p0,...,p{N-1}" (chain, kind
+    "chain", at least two sites). Fails closed, naming the file line where
+    there is one, on anything the writer does not produce: text that is not
+    UTF-8, a file with fewer than two samples, a blank line, a value that is
+    not a finite number (``#`` starts no comment), a value or header padded
+    with whitespace or holding non-ASCII text, a negative population
+    (``-0.0`` is not one), rows whose width differs from the header,
+    long-form rows that do not run through whole N x N samples with (n, m)
+    in writer order and one z per sample, and a z that does not strictly
+    increase from sample to sample. With several faults, the first line at
+    fault is named. Line ends are read as universal newlines. The file is
+    read once: the writer's own rows by the template and its exact parser,
+    everything else by np.loadtxt, with the same values and diagnostics.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        line = (first.splitlines(keepends=True) or [b""])[0]
+        if len(line) < len(first):  # a lone CR ended the header
+            fh.seek(len(line))
+        header = line.rstrip(b"\r\n").decode("utf-8", "surrogateescape")
+        if _ESCAPED.search(header):
+            raise InvalidParameterError(f"{path}: line 1: text is not UTF-8")
+        columns = header.split(",")
+        if header == Layout.of("long", 0).header:
+            rows = _LongRows(path, fh)
+        elif len(columns) > 2 and header == (wide := Layout.of("wide", len(columns) - 1)).header:
+            rows = _Rows(path, fh, len(columns))
+            if (wide.width + 1) * len(columns) <= _READ_CHUNK:  # else a row is longer than a chunk
+                rows.known(wide, 0)
+        else:
+            raise InvalidParameterError(
+                f"{path}: line 1: unrecognized trajectory CSV header {header!r}"
+            )
+        rows.read()
+    return rows.result()

@@ -208,9 +208,9 @@ def _fock_terms(p: ModelParams):
     )
 
 
-def _single_terms(n_sites: int, fd: float):
-    """The chain's largest entry: the tilt at the far end from the origin."""
-    return (("fd", fd, fd * (n_sites // 2)),)
+def _single_terms(n_sites: int, kappa: float, fd: float):
+    """The chain's largest entries: the tilt at the far end from the origin, the bond."""
+    return (("fd", fd, fd * (n_sites // 2)), ("kappa", kappa, -kappa))
 
 
 def _effective_terms(p: ModelParams):
@@ -225,15 +225,24 @@ def _effective_terms(p: ModelParams):
     )
 
 
-def check_generator(params: ModelParams, model: str):
+def check_generator(params: ModelParams, model: str, z_max: float | None = None):
     """Raise InvalidParameterError, naming the field at fault, if a rate makes
-    an entry of the `model` generator ("fock", "single" or "effective") overflow."""
+    an entry of the `model` generator ("fock", "single" or "effective") overflow,
+    or, given z_max, its phases exp(-i E z) up to z_max: |E| is at most a row sum
+    (Gershgorin), taken as 4x the sum of the largest entries, the largest at fault."""
     if model == "fock":
-        _require_finite(*_fock_terms(params))
+        terms = _fock_terms(params)
     elif model == "single":
-        _require_finite(*_single_terms(params.n_sites, params.fd))
+        terms = _single_terms(params.n_sites, params.kappa, params.fd)
     else:
-        _require_finite(*_effective_terms(params))
+        terms = _effective_terms(params)
+    _require_finite(*terms)
+    if z_max is not None and not math.isfinite(4.0 * sum(abs(t[2]) for t in terms) * z_max):
+        field, rate, _ = max(terms, key=lambda t: abs(t[2]))
+        raise InvalidParameterError(
+            f"{field} = {rate!r} gives generator energies whose phase over z_max = {z_max!r} "
+            "is not finite", field
+        )
 
 
 def _tilted_chain(n_sites: int, hopping: float, tilt_step: float) -> np.ndarray:
@@ -261,7 +270,7 @@ def build_single_particle_hamiltonian(
         raise InvalidParameterError(f"kappa must be >= 0, got {kappa}")
     if n_sites > dim_cap:
         raise DimensionCapError(n_sites, dim_cap)
-    _require_finite(*_single_terms(n_sites, fd))
+    _require_finite(*_single_terms(n_sites, kappa, fd))
     return HermitianOperator(_tilted_chain(n_sites, kappa, fd))
 
 

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import heatmap
+from .codec import write_series_csv, write_trajectory_csv
 from .errors import ConfigError, DimensionCapError, InvalidParameterError
 from .model import (
     DEFAULT_DIM_CAP,
@@ -67,9 +68,6 @@ OBSERVABLE_NAMES = (
     "participation_ratio",
     "boundary_population",
 )
-
-#: printf format of every float that the CSV artifacts carry.
-_FLOAT_FMT = "%.12e"
 
 #: The strongest interior return peak defines a period only when it recovers
 #: at least this much probability (a majority refocus); lower bumps are
@@ -437,8 +435,8 @@ def parse_config(path: str) -> ScenarioConfig:
             ),
         }
     config = build(ScenarioConfig, "scenario", **given)
-    with located(source):  # kappa_eff diverges at u0 = 0; huge rates overflow
-        check_generator(config.params, config.model)
+    with located(source):  # kappa_eff diverges at u0 = 0; huge rates overflow, or their phases
+        check_generator(config.params, config.model, config.z_max)
     return config
 
 
@@ -465,195 +463,6 @@ def _initial_state(config: ScenarioConfig) -> StateVector:
     if config.model == "fock":
         return StateVector.pair_excitation(config.params.n_sites, *config.excitation)
     return StateVector.delta(config.params.n_sites, config.excitation[0])
-
-
-# ---------------------------------------------------------------------------
-# CSV text: %.12e for whole arrays
-#
-# A finite x >= _TINY prints as the 13-digit integer m = round(x * 10^(12-e)),
-# e = floor(log10 x), written "d.dddddddddddde±XX". The scaled value y carries
-# two roundings of 2^-53 relative (the power of ten, the product), so
-# |y - exact| < 2 * 2^-53 * 1e13 < 0.0023 < _MARGIN, and rounding y rounds the
-# exact value unless y lies within _MARGIN of a half-integer. Those values
-# (about 0.6%, exact ties included), y outside [1e12, 1e13) (log10 off by
-# one), and everything else (below _TINY, negative, -0.0, nan, inf) are
-# printed by `%`, one by one.
-# ---------------------------------------------------------------------------
-
-#: Separators that may follow a float, by code.
-_SEPS = ("", ",", "\n")
-_NO_SEP, _COMMA, _NEWLINE = range(3)
-#: Decimal exponents a double can print with (5e-324 prints as e-324).
-_EXPONENTS = 325
-#: uint32 words per printed float: the longest text, "-d.dddddddddddde-ddd",
-#: and its separator take 21 bytes. Shorter texts end in NUL padding.
-_WORDS = 6
-#: Floats per block of the writers (whole rows or samples, at least one).
-_BLOCK = 2**12
-#: A y this close to a half-integer prints by `%` (see above).
-_MARGIN = 0.003
-#: Smaller values print by `%`; down to this, 10^(12-e) is a finite double.
-_TINY = 1e-280
-#: 10^k as the correctly rounded double, at _POWERS[k + 300].
-_POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])
-
-
-def _words(texts: list[str], width: int) -> np.ndarray:
-    """ASCII texts as rows of `width` uint32 words, NUL-padded."""
-    packed = np.array(texts, dtype=f"S{4 * width}")
-    return packed.view(np.uint32).reshape(len(texts), width)
-
-
-#: Tables of the first five words of a printed m * 10^(e-12); the sixth is
-#: NUL. They hold "d.dd" of m's first three digits; its next four digits;
-#: four more; its last two with "e" and the sign of e (100 on for e < 0);
-#: |e| and the separator (at 3 * |e| + the separator's code). The four-digit
-#: table is built from digit pairs: 10^4 short strings would leave their
-#: memory resident after the import.
-_LEAD = _words([f"{i // 100}.{i % 100:02d}" for i in range(1000)], 1).ravel()
-_PAIRS = np.array([f"{i:02d}" for i in range(100)], "S2").view(np.uint8).reshape(100, 2)
-_DIGITS = np.hstack([_PAIRS.repeat(100, axis=0), np.tile(_PAIRS, (100, 1))])
-_DIGITS = _DIGITS.view(np.uint32).ravel()
-_TAIL = _words([f"{i % 100:02d}e{'+-'[i // 100]}" for i in range(200)], 1).ravel()
-_EXPONENT = _words([f"{e:02d}{s}" for e in range(_EXPONENTS) for s in _SEPS], 1).ravel()
-_FALLBACK = tuple(_FLOAT_FMT + s for s in _SEPS)
-
-
-class _FloatText:
-    """Scratch arrays for printing up to `size` floats at a time; a writer
-    makes one per file and reuses it for every block."""
-
-    def __init__(self, size: int):
-        self.x, self.y, self.f = (np.empty(size) for _ in range(3))
-        self.e, self.i, self.j, self.k = (np.empty(size, np.int64) for _ in range(4))
-        self.ok, self.bad = np.empty(size, bool), np.empty(size, bool)
-
-    def split(self, a: np.ndarray, d: int, q: np.ndarray):
-        """q = a // d and a = a % d, in place (np.divmod is slower)."""
-        np.floor_divide(a, d, out=q)
-        a -= np.multiply(q, d, out=self.k[: a.size])
-
-    def write(self, values: np.ndarray, sep, out: np.ndarray):
-        """Print each value as ``%.12e`` followed by its separator (a code of
-        _SEPS, or one code per value) into the rows of out, (n, _WORDS)."""
-        n = values.size
-        x, y, f = self.x[:n], self.y[:n], self.f[:n]
-        e, i, j = self.e[:n], self.i[:n], self.j[:n]
-        ok, bad = self.ok[:n], self.bad[:n]
-
-        np.greater_equal(values, _TINY, out=ok)
-        ok &= np.less(values, np.inf, out=bad)
-        np.logical_not(ok, out=bad)
-        x.fill(1.0)  # a stand-in that keeps the arithmetic finite
-        np.copyto(x, values, where=ok)
-
-        # e, y = x * 10^(12-e), and m = y rounded, still a float
-        np.floor(np.log10(x, out=y), out=y)
-        np.copyto(e, y, casting="unsafe")
-        np.subtract(300 + 12, e, out=i)
-        np.multiply(np.take(_POWERS, i, out=y), x, out=y)
-        np.floor(y, out=f)
-        bad |= np.less(y, 1e12, out=ok)
-        bad |= np.greater_equal(y, 1e13, out=ok)
-        np.subtract(y, f, out=x)  # the fraction
-        f += np.greater(x, 0.5, out=ok)
-        x -= 0.5
-        bad |= np.less_equal(np.abs(x, out=x), _MARGIN, out=ok)
-        carry = np.flatnonzero(np.equal(f, 1e13, out=ok))  # 9.9999999999995 -> 10
-        f[carry] = 1e12
-        e[carry] += 1
-        np.copyto(f, 1e12, where=bad)  # keeps the table indices in range
-        np.copyto(i, f, casting="unsafe")
-
-        # the words, from m's digit groups and e
-        self.split(i, 100, j)
-        np.add(i, 100, out=i, where=np.less(e, 0, out=ok))
-        np.take(_TAIL, i, out=out[:, 3])
-        self.split(j, 10**8, i)
-        np.take(_LEAD, i, out=out[:, 0])
-        self.split(j, 10**4, i)
-        np.take(_DIGITS, i, out=out[:, 1])
-        np.take(_DIGITS, j, out=out[:, 2])
-        np.multiply(np.abs(e, out=e), len(_SEPS), out=e)
-        e += sep
-        np.take(_EXPONENT, e, out=out[:, 4])
-        out[:, 5:] = 0
-
-        redo = np.flatnonzero(bad)
-        if redo.size:
-            codes = sep[redo].tolist() if np.ndim(sep) else [sep] * redo.size
-            texts = [_FALLBACK[c] % v for c, v in zip(codes, values[redo].tolist())]
-            out[redo] = _words(texts, _WORDS)
-
-
-def _write_words(fh, words: np.ndarray, keep: np.ndarray):
-    """Write the bytes of C-contiguous words without their NUL padding."""
-    raw = words.reshape(-1).view(np.uint8)
-    keep = keep[: raw.size]
-    fh.write(raw[np.not_equal(raw, 0, out=keep)])
-
-
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
-    """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
-    width = columns.shape[1] + 1
-    rows = max(1, min(_BLOCK // width, len(z)))
-    values = np.empty((rows, width))
-    seps = np.full((rows, width), _COMMA)
-    seps[:, -1] = _NEWLINE
-    seps = seps.ravel()
-    words = np.empty((rows * width, _WORDS), np.uint32)
-    keep = np.empty(words.nbytes, bool)
-    text = _FloatText(rows * width)
-    for start in range(0, len(z), rows):
-        block = values[: min(rows, len(z) - start)]
-        block[:, 0] = z[start : start + len(block)]
-        block[:, 1:] = columns[start : start + len(block)]
-        n = block.size
-        text.write(block.ravel(), seps[:n], words[:n])
-        _write_words(fh, words[:n], keep)
-
-
-def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, n_sites: int):
-    """Rows "z,n,m,p\\n", a block of whole samples at a time."""
-    dim = probs.shape[1]
-    samples = max(1, min(_BLOCK // dim, len(z)))
-    labels = [f",{n},{m}," for n in range(n_sites) for m in range(n_sites)]
-    labels = _words(labels, -(-len(labels[-1]) // 4))
-    rows = np.empty((samples * dim, 2 * _WORDS + labels.shape[1]), np.uint32)
-    rows.reshape(samples, dim, -1)[:, :, _WORDS:-_WORDS] = labels
-    keep = np.empty(rows.nbytes, bool)
-    text = _FloatText(samples * dim)
-    for start in range(0, len(z), samples):
-        count = min(samples, len(z) - start)
-        block = rows[: count * dim]
-        text.write(z[start : start + count], _NO_SEP, block[::dim, :_WORDS])
-        grid = block.reshape(count, dim, -1)
-        grid[:, 1:, :_WORDS] = grid[:, :1, :_WORDS]
-        text.write(probs[start : start + count].ravel(), _NEWLINE, block[:, -_WORDS:])
-        _write_words(fh, block, keep)
-
-
-def write_series_csv(path: str, series: ObservableSeries):
-    with open(path, "wb") as fh:
-        fh.write(b"z_cm,value\n")
-        _write_rows(fh, series.z_samples, series.values[:, None])
-
-
-def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
-    """Long form (z, n, m, probability) for the pair lattice, wide for chains.
-
-    Floats print as ``%.12e`` from whole blocks of rows (see _FloatText), and
-    only one block's text is held at a time.
-    """
-    probs = traj.probabilities
-    with open(path, "wb") as fh:
-        if model == "fock":
-            fh.write(b"z_cm,n,m,probability\n")
-            _write_pair_rows(fh, traj.z_samples, probs, n_sites)
-        else:
-            header = ",".join(f"p{i}" for i in range(n_sites))
-            fh.write(f"z_cm,{header}\n".encode())
-            _write_rows(fh, traj.z_samples, probs)
 
 
 def _refocus_summary(return_series, width_series) -> dict:

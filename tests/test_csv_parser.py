@@ -1,10 +1,15 @@
 """The trajectory reader's exact %.12e parser: its values against strtod on hard
-decimals, its refusals inside the midpoint guard, and the reader with the
-parser against the reader without it (np.loadtxt only) on damaged writer output."""
+decimals, its refusals inside the midpoint guard, the reader with the parser
+against the reader without it (np.loadtxt only) on damaged writer output, and
+what a template match spares: the row-wise checks and a second read."""
 
 import contextlib
+import io
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbloch import heatmap
+from fracbloch import codec
 from fracbloch.errors import InvalidParameterError
 from fracbloch.heatmap import load_trajectory_csv
 from fracbloch.observables import Populations
@@ -41,21 +46,21 @@ def nearest_decimal(x: Fraction) -> tuple[int, int]:
 def records(texts: list[str]) -> np.ndarray:
     """The parser's (n, 2) uint64 records of 18-character fields."""
     raw = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, 18)
-    return np.ascontiguousarray(raw[:, heatmap._DIGITS]).view(np.uint64)
+    return np.ascontiguousarray(raw[:, codec._RECORD]).view(np.uint64)
 
 
 @contextlib.contextmanager
 def decoded_chunks():
     """Record, per chunk the parser was given, whether it decoded it."""
     accepted = []
-    decode = heatmap._Template.decode
+    decode = codec._Template.decode
 
-    def spy(self, text):
-        values = decode(self, text)
+    def spy(self, buf, n):
+        values = decode(self, buf, n)
         accepted.append(values is not None)
         return values
 
-    with mock.patch.object(heatmap._Template, "decode", spy):
+    with mock.patch.object(codec._Template, "decode", spy):
         yield accepted
 
 
@@ -137,7 +142,7 @@ def test_kernel_matches_strtod_on_hard_decimals():
     texts = hard_fields()
     want = bits([float(t) for t in texts])
     for start in range(0, len(texts), 1000):
-        got = heatmap._decode(records(texts[start:start + 1000]))
+        got = codec._decode(records(texts[start:start + 1000]))
         assert got is not None, texts[start:start + 1000]  # none lies within the guard
         assert np.array_equal(bits(got), want[start:start + 1000])
 
@@ -146,9 +151,9 @@ def test_kernel_refuses_decimals_within_the_midpoint_guard():
     texts = guard_fields()
     assert len(texts) >= 20
     for text in texts:
-        assert heatmap._decode(records([text])) is None, text
+        assert codec._decode(records([text])) is None, text
         # next to a decimal it can prove, the whole block is refused
-        assert heatmap._decode(records(["1.000000000000e-30", text])) is None, text
+        assert codec._decode(records(["1.000000000000e-30", text])) is None, text
 
 
 def _band_fields() -> list[str]:
@@ -212,9 +217,9 @@ def _outcome(path):
 
 def _outcomes(path, chunk):
     """The reader's outcome on a file, with the parser and with np.loadtxt only."""
-    with mock.patch.object(heatmap, "_READ_CHUNK", chunk):
+    with mock.patch.object(codec, "_READ_CHUNK", chunk):
         with_parser = _outcome(path)
-        with mock.patch.object(heatmap._Template, "decode", lambda self, text: None):
+        with mock.patch.object(codec._Template, "decode", lambda self, buf, n: None):
             return with_parser, _outcome(path)
 
 
@@ -259,3 +264,129 @@ def test_damaged_writer_output_reads_like_loadtxt(writer_files, scratch, name, c
     scratch.write_bytes(bytes(data))
     with_parser, loadtxt_only = _outcomes(scratch, chunk)
     assert with_parser == loadtxt_only
+
+
+# --- what a template match spares: the row-wise checks and a second read ----
+
+
+def _pair_file(path, z, n=3):
+    """A pair file as the writer prints it, from a z column of any order."""
+    probs = np.random.default_rng(n).random((len(z), n * n)) * 10.0 ** -np.arange(n * n)
+    write_trajectory_csv(str(path), Populations(np.asarray(z, float), probs), "fock", n)
+
+
+def _chain_file(path, z, n=4):
+    probs = np.random.default_rng(n).random((len(z), n)) * 10.0 ** -np.arange(n)
+    write_trajectory_csv(str(path), Populations(np.asarray(z, float), probs), "single", n)
+
+
+#: Three units to a chunk: the first read holds units 0-2 and finds the
+#: layout, then the template takes units 3-5, 6-8 and 9-11.
+UNITS_PER_CHUNK = 3
+#: (rows, bytes, writer) of a unit of each form.
+UNITS = {"pair": (9, 378, _pair_file), "chain": (1, 95, _chain_file)}
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+# the first unit after the row-wise chunk, the first unit of a chunk after a
+# proved chunk (its z is compared across the chunk edge), and a unit in the
+# middle of a proved chunk
+@pytest.mark.parametrize("fault", [3, 6, 7], ids=["first-proved", "chunk-edge", "middle"])
+@pytest.mark.parametrize("repeat", [True, False], ids=["equal", "lower"])
+def test_z_fault_in_a_proved_chunk_reads_like_loadtxt(scratch, kind, fault, repeat):
+    unit_rows, unit_bytes, make = UNITS[kind]
+    z = np.arange(12) * 0.25
+    z[fault] = z[fault - 1] if repeat else z[fault - 1] / 2
+    make(scratch, z)
+    chunk = UNITS_PER_CHUNK * unit_bytes
+    with decoded_chunks() as accepted:
+        with_parser, loadtxt_only = _outcomes(scratch, chunk)
+    line = 2 + fault * unit_rows  # the header is line 1
+    assert with_parser == loadtxt_only == f"{scratch}: line {line}: z_cm does not strictly increase"
+    assert accepted and all(accepted)  # the chunk at fault was proved, then its z refused
+
+
+def _row_wise_rows(monkeypatch) -> list[int]:
+    """Record how many rows each call of the row-wise checks receives."""
+    calls, add = [], codec._Rows.add
+
+    def spy(self, rows):
+        calls.append(len(rows))
+        return add(self, rows)
+
+    monkeypatch.setattr(codec._Rows, "add", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(UNITS))
+def test_proved_chunks_skip_the_row_wise_checks(scratch, monkeypatch, kind):
+    unit_rows, unit_bytes, make = UNITS[kind]
+    make(scratch, np.arange(12) * 0.25)
+    monkeypatch.setattr(codec, "_READ_CHUNK", UNITS_PER_CHUNK * unit_bytes)
+    calls = _row_wise_rows(monkeypatch)
+    with decoded_chunks() as accepted:
+        z, probs, _ = load_trajectory_csv(str(scratch))
+    assert np.array_equal(z, np.arange(12) * 0.25) and len(probs) == 12
+    # a chain file's template comes from its header; a pair file's from its first chunk
+    assert calls == ([] if kind == "chain" else [UNITS_PER_CHUNK * unit_rows])
+    assert accepted == [True] * (4 if kind == "chain" else 3)
+
+
+def test_preset_takes_the_row_wise_checks_only_before_its_template(fig4a_run, monkeypatch):
+    _, out = fig4a_run
+    calls = _row_wise_rows(monkeypatch)
+    with decoded_chunks() as accepted:
+        _, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    # the first read finds N = 15; the rest of its sample is read on its own
+    assert len(calls) == 2 and sum(calls) % 225 == 0 and sum(calls) < probs.size
+    assert len(accepted) > 0 and all(accepted)
+
+
+class _CountingFile(io.FileIO):
+    """A raw file that counts the bytes it reads."""
+
+    count = 0
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.count += n or 0
+        return n
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", ["pair", "chain"])
+def test_reader_reads_each_byte_once(writer_files, scratch, monkeypatch, name, chunk):
+    scratch.write_bytes(writer_files[name])
+    files = []
+
+    def counting_open(path, mode):
+        assert mode == "rb"
+        files.append(_CountingFile(path))
+        return io.BufferedReader(files[-1])
+
+    monkeypatch.setattr(codec, "open", counting_open, raising=False)
+    monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
+    load_trajectory_csv(str(scratch))
+    assert [f.count for f in files] == [len(writer_files[name])]
+
+
+def test_tenths_table_is_finite_and_the_module_imports_without_warnings():
+    assert np.isfinite(codec._TENTHS).all()
+    src = os.path.dirname(os.path.dirname(codec.__file__))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", "import fracbloch.codec"]
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("chunk", [5090, 5103, 5104])
+def test_sample_longer_than_a_chunk_is_read_whole(scratch, monkeypatch, chunk):
+    # an N = 11 sample takes 5104 bytes, more than the 42 N^2 = 5082 that its
+    # rows take at the least: a chunk in between holds no whole sample
+    _pair_file(scratch, np.arange(5) * 0.25, n=11)
+    want = load_trajectory_csv(str(scratch))
+    monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
+    with decoded_chunks() as accepted:
+        got = load_trajectory_csv(str(scratch))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and got[1].shape == (5, 121)
+    assert len(accepted) == (4 if chunk == 5104 else 0)  # the samples after the first read

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fracbloch import scenario
+from fracbloch import codec
 from fracbloch.observables import ObservableSeries, Populations
 from fracbloch.scenario import write_series_csv, write_trajectory_csv
 
@@ -124,8 +124,8 @@ WRITER_PEAK_BOUND = 2 * 2**20
 
 def kernel_fields(values, codes):
     """(text, separator) of each value as the kernel prints it."""
-    words = np.empty((values.size, scenario._WORDS), np.uint32)
-    scenario._FloatText(values.size).write(values, codes, words)
+    words = np.empty((values.size, codec._WORDS), np.uint32)
+    codec._FloatText(values.size).write(values, codes, words)
     raw = words.reshape(-1).view(np.uint8)
     return re.findall(r"([^,\n]+)([,\n])", raw[raw != 0].tobytes().decode("ascii"))
 
@@ -161,7 +161,7 @@ def hard_doubles(rng) -> np.ndarray:
     carries = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 309)])
     edges = [np.nextafter(edge, to) for edge in (powers, carries) for to in (0.0, np.inf)]
     subnormals = rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64)
-    below_tiny = 10.0 ** rng.uniform(-307.5, np.log10(scenario._TINY), 5000)
+    below_tiny = 10.0 ** rng.uniform(-307.5, np.log10(codec._TINY), 5000)
     three_digit = 10.0 ** rng.uniform(100.0, 308.2, 5000)
     special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
                2.225073858507201e-308, 1.7976931348623157e308, 1.0, 0.5]
@@ -174,9 +174,9 @@ def test_kernel_matches_percent_format_on_hard_doubles():
     rng = np.random.default_rng(20130308)
     values = hard_doubles(rng)
     assert values.size >= 100_000
-    codes = rng.integers(scenario._COMMA, scenario._NEWLINE + 1, values.size)
+    codes = rng.integers(codec._COMMA, codec._NEWLINE + 1, values.size)
     got = kernel_fields(values, codes)
-    want = [("%.12e" % v, scenario._SEPS[c]) for v, c in zip(values.tolist(), codes.tolist())]
+    want = [("%.12e" % v, codec._SEPS[c]) for v, c in zip(values.tolist(), codes.tolist())]
     assert len(got) == len(want)
     wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not wrong[:5]
@@ -192,7 +192,7 @@ def test_kernel_matches_percent_format_on_hard_doubles():
     ],
 )
 def test_block_edges_bytes_match_oracle(tmp_path, monkeypatch, model, n_sites, samples, block):
-    monkeypatch.setattr(scenario, "_BLOCK", block)
+    monkeypatch.setattr(codec, "_BLOCK", block)
     dim = n_sites * n_sites if model == "fock" else n_sites
     rng = np.random.default_rng(samples * dim)
     probs = rng.random((samples, dim)) ** 8
@@ -203,7 +203,7 @@ def test_block_edges_bytes_match_oracle(tmp_path, monkeypatch, model, n_sites, s
 
 def test_fock_sample_wider_than_the_default_block_bytes_match_oracle(tmp_path):
     n_sites = 65
-    assert n_sites * n_sites > scenario._BLOCK  # one sample per block
+    assert n_sites * n_sites > codec._BLOCK  # one sample per block
     probs = np.random.default_rng(65).random((3, n_sites * n_sites)) ** 4
     pops = Populations(np.array([0.0, 0.01, 0.02]), probs)
     assert_trajectory_bytes_match(tmp_path, pops, "fock", n_sites)
@@ -214,7 +214,7 @@ def test_mixed_exponents_and_fallbacks_in_one_block(tmp_path, model, n_sites):
     values = [1.5e-5, 3e-150, 2e200, 1000000000000.5, 0.0, -0.0, np.nan, np.inf,
               -1e-300, 9.9999999999995e-10, 5e-324, 0.123, 1e-100, 1e100, 0.99, 2.0]
     probs = np.array([values, values[::-1]])
-    assert probs.size <= scenario._BLOCK
+    assert probs.size <= codec._BLOCK
     pops = Populations(np.array([0.0, 1e-120]), probs)
     assert_trajectory_bytes_match(tmp_path, pops, model, n_sites)
     text = (tmp_path / "new.csv").read_text(encoding="ascii")

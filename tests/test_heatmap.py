@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracbloch import heatmap
+from fracbloch import codec, heatmap
 from fracbloch.cli import main
 from fracbloch.errors import InvalidParameterError
 from fracbloch.heatmap import (
@@ -86,7 +86,7 @@ def test_render_reproduces_each_preset_heatmap(tmp_path, name):
 
 
 def test_reader_memory_is_bounded_by_the_populations(fig4a_run, monkeypatch):
-    monkeypatch.setattr(heatmap, "_READ_CHUNK", 1 << 14)  # a chunk well below the populations
+    monkeypatch.setattr(codec, "_READ_CHUNK", 1 << 14)  # a chunk well below the populations
     _, out = fig4a_run
     tracemalloc.start()
     try:
@@ -131,14 +131,14 @@ def test_long_form_chunk_edges(tmp_path, monkeypatch, chunk):
     csv.write_text("\n".join([LONG_HEADER, *rows]) + "\n", encoding="utf-8")
     want = load_trajectory_csv(str(csv))  # the whole file is one chunk
     unknown = []
-    layout = heatmap._LongRows._layout
+    layout = codec._LongRows._layout
 
     def spy(self, chunk_rows):
         unknown.append(self.n is None)
         return layout(self, chunk_rows)
 
-    monkeypatch.setattr(heatmap._LongRows, "_layout", spy)
-    monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(codec._LongRows, "_layout", spy)
+    monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     got = load_trajectory_csv(str(csv))
     assert got[2] == want[2] == "pair"
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -167,7 +167,7 @@ def _out_of_order(rows, r):
     (_out_of_order, "writer order"),
 ])
 def test_long_form_fault_at_each_side_of_a_chunk_edge(tmp_path, monkeypatch, chunk, fault, reason):
-    monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     rows = long_form_rows(3, 3)
     csv = tmp_path / "trajectory.csv"
     for r in range(len(rows)):  # chunk edges fall before and after every row
@@ -192,7 +192,7 @@ SEVERAL_FAULTS = {
 @pytest.mark.parametrize("name", sorted(SEVERAL_FAULTS))
 def test_first_faulty_line_is_named(tmp_path, monkeypatch, name, chunk):
     if chunk is not None:
-        monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     text, line = SEVERAL_FAULTS[name]
     csv = tmp_path / "trajectory.csv"
     csv.write_text(text, encoding="utf-8")
@@ -206,7 +206,7 @@ def test_cr_line_ends_read_like_lf(tmp_path, monkeypatch, chunk):
     # universal newlines read a lone CR as a line end, so the file holds more
     # lines than newline bytes, and the population array grows
     if chunk is not None:
-        monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+        monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     rows = long_form_rows(3, 4)
     lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
     lf.write_bytes(("\n".join([LONG_HEADER, *rows]) + "\n").encode("ascii"))

@@ -18,7 +18,7 @@ from fracbloch import (
     ModelParams, StateVector, Trajectory, kappa_eff, propagate, waveguide_to_model,
 )
 from fracbloch import build_fock_hamiltonian, build_single_particle_hamiltonian
-from fracbloch import heatmap, scenario
+from fracbloch import codec, scenario
 from fracbloch.cli import main
 from fracbloch.errors import ConfigError, InvalidParameterError
 from fracbloch.heatmap import (
@@ -557,6 +557,13 @@ VALUE_ERRORS = [
     ("effective-zero-detuning",
      _with(_with(WAVEGUIDE_CONFIG, "fock", "effective"), "detuning_db = -4", "detuning_db = 0"),
      "[waveguides]", "kappa_eff diverges at u0 = 0 (second-order pair tunneling)"),
+    # finite generator entries whose energies overflow the phases exp(-i E z) up to z_max
+    ("fock-kappa-phase", _with(_with(MODEL_CONFIG, "effective", "fock"), "kappa = 0.95", "kappa = 8e307"),
+     "kappa = 8e307",
+     "kappa = 8e+307 gives generator energies whose phase over z_max = 8.5 is not finite"),
+    ("fock-u0-phase", _with(_with(MODEL_CONFIG, "effective", "fock"), "u0 = -4", "u0 = -4e307"),
+     "u0 = -4e307",
+     "u0 = -4e+307 gives generator energies whose phase over z_max = 8.5 is not finite"),
 ]
 
 
@@ -771,9 +778,9 @@ def test_is_number_agrees_with_the_fast_path(tmp_path, field):
         load_trajectory_csv(str(csv))
     except InvalidParameterError as exc:
         assert str(exc).startswith(f"{csv}: line 3: could not convert"), str(exc)
-        assert not heatmap._is_number(field)
+        assert not codec._is_number(field)
     else:
-        assert heatmap._is_number(field)
+        assert codec._is_number(field)
 
 
 @pytest.mark.parametrize("where", ["header", "data"])
@@ -792,7 +799,7 @@ def test_trajectory_csv_chunk_edges(tmp_path, monkeypatch, chunk):
     csv = tmp_path / "trajectory.csv"
     csv.write_text("z_cm,p0,p1\n" + "\n".join(rows) + "\n", encoding="utf-8")
     want = load_trajectory_csv(str(csv))
-    monkeypatch.setattr(heatmap, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     for got, expected in zip(load_trajectory_csv(str(csv)), want):
         assert np.array_equal(got, expected)
     for blank in range(len(rows) + 1):
