@@ -79,6 +79,9 @@ def _cmd_render(args) -> int:
     axis = args.axis
     if axis is None:
         axis = "diagonal-vs-z" if kind == "pair" else "1d-vs-z"
+    elif axis != "1d-vs-z" and kind != "pair":
+        raise InvalidParameterError(f"{args.trajectory}: axis {axis} needs the square lattice "
+                                    f"of a pair trajectory, not a {probs.shape[1]}-site chain")
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.trajectory)

@@ -182,50 +182,49 @@ class _FloatText:
             out[redo] = _words(texts, _WORDS)
 
 
-def _write_words(fh, words: np.ndarray, keep: np.ndarray):
+def _write_words(fh, words: np.ndarray):
     """Write the bytes of C-contiguous words without their NUL padding."""
     raw = words.reshape(-1).view(np.uint8)
-    keep = keep[: raw.size]
-    fh.write(raw[np.not_equal(raw, 0, out=keep)])
+    fh.write(raw[raw != 0])
 
 
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
-    """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
-    width = columns.shape[1] + 1
-    rows = max(1, min(_BLOCK // width, len(z)))
+def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
+    """Print each sample's z and columns, each value followed by its code in
+    seps, `rows` samples at a time: yields each block's words, (samples,
+    1 + columns, _WORDS)."""
+    width = len(seps)
     values = np.empty((rows, width))
-    seps = np.full((rows, width), _COMMA)
-    seps[:, -1] = _NEWLINE
-    seps = seps.ravel()
-    words = np.empty((rows * width, _WORDS), np.uint32)
-    keep = np.empty(words.nbytes, bool)
-    text = _FloatText(rows * width)
+    seps = np.tile(seps, rows)
+    words = np.empty((rows, width, _WORDS), np.uint32)
+    text = _FloatText(values.size)
     for start in range(0, len(z), rows):
         block = values[: min(rows, len(z) - start)]
         block[:, 0] = z[start : start + len(block)]
         block[:, 1:] = columns[start : start + len(block)]
-        n = block.size
-        text.write(block.ravel(), seps[:n], words[:n])
-        _write_words(fh, words[:n], keep)
+        text.write(block.ravel(), seps[: block.size], words[: len(block)].reshape(-1, _WORDS))
+        yield words[: len(block)]
+
+
+def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
+    """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
+    seps = [_COMMA] * columns.shape[1] + [_NEWLINE]
+    for words in _printed(z, columns, seps, max(1, min(_BLOCK // len(seps), len(z)))):
+        _write_words(fh, words)
 
 
 def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str]):
-    """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a time."""
+    """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a
+    time: each sample's z words are copied to its rows."""
     dim = probs.shape[1]
-    samples = max(1, min(_BLOCK // dim, len(z)))
+    samples = max(1, min(_BLOCK // (dim + 1), len(z)))
     labels = _words(labels, -(-len(labels[-1]) // 4))
-    rows = np.empty((samples * dim, 2 * _WORDS + labels.shape[1]), np.uint32)
-    rows.reshape(samples, dim, -1)[:, :, _WORDS:-_WORDS] = labels
-    keep = np.empty(rows.nbytes, bool)
-    text = _FloatText(samples * dim)
-    for start in range(0, len(z), samples):
-        count = min(samples, len(z) - start)
-        block = rows[: count * dim]
-        text.write(z[start : start + count], _NO_SEP, block[::dim, :_WORDS])
-        grid = block.reshape(count, dim, -1)
-        grid[:, 1:, :_WORDS] = grid[:, :1, :_WORDS]
-        text.write(probs[start : start + count].ravel(), _NEWLINE, block[:, -_WORDS:])
-        _write_words(fh, block, keep)
+    rows = np.empty((samples, dim, 2 * _WORDS + labels.shape[1]), np.uint32)
+    rows[:, :, _WORDS:-_WORDS] = labels
+    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * dim, samples):
+        block = rows[: len(words)]
+        block[:, :, :_WORDS] = words[:, :1]
+        block[:, :, -_WORDS:] = words[:, 1:]
+        _write_words(fh, block)
 
 
 def write_series_csv(path: str, series):

@@ -3,6 +3,8 @@
 Covers the quantities the experiments are judged by: population confined to
 the pair-lattice main diagonal, breathing width of the light distribution,
 and refocusing positions with the oscillation frequency they imply.
+:func:`summarize_populations` turns populations into every summary field, with
+the period policy, for both a run and the analysis of a trajectory CSV.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ EDGE_TRUNCATION_TOL = 1e-3
 
 #: Default refocus detection threshold on a return-probability series.
 REFOCUS_THRESHOLD = 0.8
+
+#: The strongest interior return peak defines a period only when it recovers
+#: at least this much probability (a majority refocus); lower bumps are
+#: breathing residue, not revivals.
+PEAK_PERIOD_MIN_RETURN = 0.5
 
 
 class Populations(NamedTuple):
@@ -82,6 +89,18 @@ class RefocusReport:
             raise InvalidParameterError("period and frequency must be set together")
         object.__setattr__(self, "refocus_positions", pos)
         object.__setattr__(self, "peak_values", peaks)
+
+
+def return_probability(traj, site: int) -> ObservableSeries:
+    """Population of one site along a trajectory (or any populations record)."""
+    dim = traj.probabilities.shape[1]
+    if not 0 <= site < dim:
+        raise InvalidParameterError(f"site {site} outside [0, {dim})")
+    return ObservableSeries(
+        z_samples=traj.z_samples,
+        values=traj.probabilities[:, site],
+        label=f"return_probability[site={site}]",
+    )
 
 
 def diagonal_confinement(traj, n_sites: int) -> ObservableSeries:
@@ -160,6 +179,11 @@ def _parabolic_vertex(z: np.ndarray, v: np.ndarray, k: int) -> tuple[float, floa
     return float(zv), float(a * zv**2 + b * zv + c)
 
 
+def _interior_maxima(v: np.ndarray) -> np.ndarray:
+    """Indices k of the strict interior maxima, v[k-1] < v[k] > v[k+1]; NaN is none."""
+    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+
+
 def find_refocus(series: ObservableSeries, threshold: float = REFOCUS_THRESHOLD) -> RefocusReport:
     """Locate refocusing events in a return-probability series.
 
@@ -180,11 +204,11 @@ def find_refocus(series: ObservableSeries, threshold: float = REFOCUS_THRESHOLD)
     if v[0] >= threshold and v[0] > v[1]:
         positions.append(float(z[0]))
         peaks.append(float(min(v[0], 1.0)))
-    for k in range(1, z.size - 1):
-        if v[k] >= threshold and v[k] > v[k - 1] and v[k] > v[k + 1]:
-            zv, vv = _parabolic_vertex(z, v, k)
-            positions.append(zv)
-            peaks.append(float(np.clip(vv, 0.0, 1.0)))
+    maxima = _interior_maxima(v)
+    for k in maxima[v[maxima] >= threshold].tolist():
+        zv, vv = _parabolic_vertex(z, v, k)
+        positions.append(zv)
+        peaks.append(float(np.clip(vv, 0.0, 1.0)))
     period = frequency = None
     if len(positions) >= 2:
         gaps = np.diff(positions)
@@ -202,15 +226,15 @@ def strongest_interior_peak(series: ObservableSeries) -> tuple[float, float] | N
     """Position and value of the highest interior local maximum, refined.
 
     Threshold-free companion of :func:`find_refocus`; returns None when the
-    series has no interior local maximum at all.
+    series has no interior local maximum at all. Of equal refined values the
+    first wins.
     """
     z, v = series.z_samples, series.values
     best: tuple[float, float] | None = None
-    for k in range(1, z.size - 1):
-        if v[k] > v[k - 1] and v[k] > v[k + 1]:
-            zv, vv = _parabolic_vertex(z, v, k)
-            if best is None or vv > best[1]:
-                best = (zv, vv)
+    for k in _interior_maxima(v).tolist():
+        zv, vv = _parabolic_vertex(z, v, k)
+        if best is None or vv > best[1]:
+            best = (zv, vv)
     return best
 
 
@@ -238,3 +262,74 @@ def period_from_width_maximum(width_series: ObservableSeries) -> RefocusReport:
         period_estimate=period,
         frequency_estimate=2.0 * math.pi / period,
     )
+
+
+def _refocus_summary(return_series, width_series) -> dict:
+    """The refocus report, and the period: the mean gap of the refocus peaks
+    at or above REFOCUS_THRESHOLD; else, from a start at threshold, the
+    strongest interior peak if it recovers PEAK_PERIOD_MIN_RETURN of the
+    start; else twice the z of the width maximum."""
+    report = find_refocus(return_series, REFOCUS_THRESHOLD)
+    peak = strongest_interior_peak(return_series)
+    start = return_series.values[0]
+    period, source = report.period_estimate, "refocus"
+    recovers = peak is not None and peak[0] > 0 and peak[1] >= PEAK_PERIOD_MIN_RETURN * start
+    if period is None and start >= REFOCUS_THRESHOLD and recovers:
+        period, source = peak[0], "peak"
+    if period is None:
+        try:
+            period, source = period_from_width_maximum(width_series).period_estimate, "width-max"
+        except InvalidParameterError:
+            source = None
+    summary = {
+        "threshold": REFOCUS_THRESHOLD,
+        "positions": list(report.refocus_positions),
+        "peak_values": list(report.peak_values),
+        "period_estimate": period,
+        "frequency_estimate": None if period is None else 2.0 * math.pi / period,
+        "period_source": source,
+    }
+    if peak is not None:
+        summary["strongest_peak"] = {"z": peak[0], "value": peak[1]}
+    return summary
+
+
+def summarize_populations(
+    pops, pair: bool, site: int
+) -> tuple[dict, dict[str, ObservableSeries]]:
+    """Summary fields computed from site populations, with their series.
+
+    pops carries ``z_samples`` and ``probabilities`` (a Trajectory, or a
+    :class:`Populations` read back from CSV); pair selects the pair-lattice
+    geometry; site is the excitation site whose return probability drives
+    the refocus report. Both ``run`` and ``analyze`` go through here.
+    """
+    probs = pops.probabilities
+    series: dict[str, ObservableSeries] = {
+        "return_probability": return_probability(pops, site),
+        "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
+        "breathing_width": breathing_width(pops, "2d-diagonal" if pair else "1d"),
+    }
+    edge = series["boundary_population"].values
+    fields: dict = {
+        "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
+        "truncated": bool(np.any(edge > EDGE_TRUNCATION_TOL)),
+        "refocus": _refocus_summary(
+            series["return_probability"], series["breathing_width"]
+        ),
+    }
+    width = series["breathing_width"].values
+    if np.any(np.isfinite(width)):
+        k = int(np.nanargmax(width))
+        fields["breathing_width"] = {
+            "max": float(width[k]),
+            "z_at_max": float(pops.z_samples[k]),
+        }
+    if pair:
+        conf = diagonal_confinement(pops, square_side(probs.shape[1]))
+        series["diagonal_confinement"] = conf
+        fields["diagonal_confinement"] = {
+            "min": float(conf.values.min()),
+            "max": float(conf.values.max()),
+        }
+    return fields, series

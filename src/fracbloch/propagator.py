@@ -42,7 +42,7 @@ from .model import (
     SwapBlock,
     flatten_index,
 )
-from .observables import ObservableSeries
+from .observables import return_probability  # noqa: F401  (re-exported)
 
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
@@ -343,15 +343,3 @@ def propagate(
 ) -> Trajectory:
     """One-shot trajectory of i d(psi)/dz = H psi from psi0."""
     return SpectralPropagator(h, dim_cap=dim_cap).trajectory(psi0, z_max, dz)
-
-
-def return_probability(traj, site: int) -> ObservableSeries:
-    """Population of one site along a trajectory (or any populations record)."""
-    dim = traj.probabilities.shape[1]
-    if not 0 <= site < dim:
-        raise InvalidParameterError(f"site {site} outside [0, {dim})")
-    return ObservableSeries(
-        z_samples=traj.z_samples,
-        values=traj.probabilities[:, site],
-        label=f"return_probability[site={site}]",
-    )

@@ -32,20 +32,12 @@ from .model import (
     build_single_particle_hamiltonian,
     check_generator,
     flatten_index,
-    square_side,
 )
 from .observables import (
     EDGE_TRUNCATION_TOL,
-    REFOCUS_THRESHOLD,
-    ObservableSeries,
     Populations,
-    boundary_population,
-    breathing_width,
-    diagonal_confinement,
-    find_refocus,
     participation_ratio,
-    period_from_width_maximum,
-    strongest_interior_peak,
+    summarize_populations,
 )
 from .photonics import (
     CouplingCalibration,
@@ -54,7 +46,7 @@ from .photonics import (
     project_single_particle_radius,
     waveguide_to_model,
 )
-from .propagator import SpectralPropagator, StateVector, return_probability
+from .propagator import SpectralPropagator, StateVector
 
 #: Environment variable overriding the operator dimension cap in the CLI.
 DIM_CAP_ENV = "FRACBLOCH_DIM_CAP"
@@ -68,12 +60,6 @@ OBSERVABLE_NAMES = (
     "participation_ratio",
     "boundary_population",
 )
-
-#: The strongest interior return peak defines a period only when it recovers
-#: at least this much probability (a majority refocus); lower bumps are
-#: breathing residue, not revivals.
-PEAK_PERIOD_MIN_RETURN = 0.5
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -463,84 +449,6 @@ def _initial_state(config: ScenarioConfig) -> StateVector:
     if config.model == "fock":
         return StateVector.pair_excitation(config.params.n_sites, *config.excitation)
     return StateVector.delta(config.params.n_sites, config.excitation[0])
-
-
-def _refocus_summary(return_series, width_series) -> dict:
-    """Refocus report plus the period fallback chain (refocus > peak > width)."""
-    report = find_refocus(return_series, REFOCUS_THRESHOLD)
-    summary = {
-        "threshold": REFOCUS_THRESHOLD,
-        "positions": list(report.refocus_positions),
-        "peak_values": list(report.peak_values),
-        "period_estimate": report.period_estimate,
-        "frequency_estimate": report.frequency_estimate,
-        "period_source": "refocus" if report.period_estimate is not None else None,
-    }
-    peak = strongest_interior_peak(return_series)
-    if peak is not None:
-        summary["strongest_peak"] = {"z": peak[0], "value": peak[1]}
-    if summary["period_estimate"] is None:
-        starts_refocused = return_series.values[0] >= REFOCUS_THRESHOLD
-        if (
-            peak is not None
-            and starts_refocused
-            and peak[0] > 0
-            and peak[1] >= PEAK_PERIOD_MIN_RETURN * return_series.values[0]
-        ):
-            summary["period_estimate"] = peak[0]
-            summary["frequency_estimate"] = 2.0 * math.pi / peak[0]
-            summary["period_source"] = "peak"
-    if summary["period_estimate"] is None and width_series is not None:
-        try:
-            fallback = period_from_width_maximum(width_series)
-        except InvalidParameterError:
-            fallback = None
-        if fallback is not None:
-            summary["period_estimate"] = fallback.period_estimate
-            summary["frequency_estimate"] = fallback.frequency_estimate
-            summary["period_source"] = "width-max"
-    return summary
-
-
-def summarize_populations(
-    pops, pair: bool, site: int
-) -> tuple[dict, dict[str, ObservableSeries]]:
-    """Summary fields computed from site populations, with their series.
-
-    pops carries ``z_samples`` and ``probabilities`` (a Trajectory, or a
-    :class:`Populations` read back from CSV); pair selects the pair-lattice
-    geometry; site is the excitation site whose return probability drives
-    the refocus report. Both ``run`` and ``analyze`` go through here.
-    """
-    probs = pops.probabilities
-    series: dict[str, ObservableSeries] = {
-        "return_probability": return_probability(pops, site),
-        "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
-        "breathing_width": breathing_width(pops, "2d-diagonal" if pair else "1d"),
-    }
-    edge = series["boundary_population"].values
-    fields: dict = {
-        "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
-        "truncated": bool(np.any(edge > EDGE_TRUNCATION_TOL)),
-        "refocus": _refocus_summary(
-            series["return_probability"], series["breathing_width"]
-        ),
-    }
-    width = series["breathing_width"].values
-    if np.any(np.isfinite(width)):
-        k = int(np.nanargmax(width))
-        fields["breathing_width"] = {
-            "max": float(width[k]),
-            "z_at_max": float(pops.z_samples[k]),
-        }
-    if pair:
-        conf = diagonal_confinement(pops, square_side(probs.shape[1]))
-        series["diagonal_confinement"] = conf
-        fields["diagonal_confinement"] = {
-            "min": float(conf.values.min()),
-            "max": float(conf.values.max()),
-        }
-    return fields, series
 
 
 def run_scenario(

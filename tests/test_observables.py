@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbloch import (
     InvalidParameterError,
@@ -20,7 +22,14 @@ from fracbloch import (
     propagate,
     return_probability,
 )
-from fracbloch.observables import ObservableSeries, RefocusReport, period_from_width_maximum
+from fracbloch import observables, propagator
+from fracbloch.observables import (
+    ObservableSeries,
+    RefocusReport,
+    _parabolic_vertex,
+    period_from_width_maximum,
+    strongest_interior_peak,
+)
 
 from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, frequency_ratio, wannier_stark_spacing
 
@@ -182,6 +191,64 @@ def test_find_refocus_validation():
         find_refocus(series, 0.0)
     with pytest.raises(InvalidParameterError):
         find_refocus(series, 1.0)
+
+
+def loop_maxima(v, threshold=-math.inf):
+    """The strict interior maxima at or above threshold, sample by sample."""
+    return [
+        k for k in range(1, v.size - 1)
+        if v[k] >= threshold and v[k] > v[k - 1] and v[k] > v[k + 1]
+    ]
+
+
+def loop_strongest_peak(series):
+    best = None
+    for k in loop_maxima(series.values):
+        zv, vv = _parabolic_vertex(series.z_samples, series.values, k)
+        if best is None or vv > best[1]:
+            best = (zv, vv)
+    return best
+
+
+#: Few distinct values, so plateaus and ties are common; NaN marks undefined samples.
+SAMPLE = st.sampled_from([0.0, 0.3, 0.8, 0.9, 1.0, 1.2, math.nan]) | st.floats(-0.5, 1.5)
+
+
+@st.composite
+def series(draw):
+    values = draw(st.lists(SAMPLE, min_size=1, max_size=40))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values), max_size=len(values)))
+    return ObservableSeries(np.cumsum(gaps) - gaps[0], np.array(values), "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=series(), threshold=st.floats(0.05, 0.95))
+def test_vectorized_maxima_match_the_sample_loop(s, threshold):
+    v = s.values
+    assert observables._interior_maxima(v).tolist() == loop_maxima(v)
+    assert strongest_interior_peak(s) == loop_strongest_peak(s)
+    if v.size < 2:
+        return
+    try:
+        report = find_refocus(s, threshold)
+    except InvalidParameterError:  # refined positions that do not increase
+        report = None
+    keep = loop_maxima(v, threshold)
+    refined = [_parabolic_vertex(s.z_samples, v, k) for k in keep]
+    positions = [zv for zv, _ in refined]
+    peaks = [float(np.clip(vv, 0.0, 1.0)) for _, vv in refined]
+    if v[0] >= threshold and v[0] > v[1]:
+        positions.insert(0, float(s.z_samples[0]))
+        peaks.insert(0, float(min(v[0], 1.0)))
+    if report is None:
+        assert any(b <= a for a, b in zip(positions, positions[1:]))
+    else:
+        assert report.refocus_positions == tuple(positions)
+        assert report.peak_values == tuple(peaks)
+
+
+def test_return_probability_keeps_its_propagator_path():
+    assert propagator.return_probability is observables.return_probability
 
 
 def test_period_from_width_maximum(effective_trajectory):

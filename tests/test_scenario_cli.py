@@ -831,6 +831,21 @@ def test_cli_render_rejects_incompatible_axis(fig4b_run, capsys):
     assert "square" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis", ["diagonal-vs-z", "full-2d-slice"])
+@pytest.mark.parametrize("n_sites", [4, 5])  # 4 = 2 x 2 once passed for a pair lattice
+def test_cli_render_refuses_pair_axes_on_a_chain(tmp_path, capsys, axis, n_sites):
+    traj = propagate(build_single_particle_hamiltonian(n_sites, 0.95, 0.4833),
+                     StateVector.delta(n_sites, n_sites // 2), 1.0, 0.1)
+    csv, target = tmp_path / "trajectory.csv", tmp_path / "image.pgm"
+    codec.write_trajectory_csv(str(csv), traj, "single", n_sites)
+    assert main(["render", str(csv), "--axis", axis, "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {csv}: axis {axis} needs the square lattice of a pair "
+                   f"trajectory, not a {n_sites}-site chain\n"), err
+    assert not target.exists()
+    assert main(["render", str(csv), "--axis", "1d-vs-z", "--out", str(target)]) == 0
+
+
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
 def test_cli_render_rejects_non_finite_slice_z(fig4a_run, tmp_path, capsys, z):
     _, out = fig4a_run
