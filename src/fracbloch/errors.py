@@ -21,10 +21,11 @@ class SingularParameterError(InvalidParameterError):
 
 
 class DimensionCapError(FracblochError, RuntimeError):
-    """A requested operator dimension exceeds the configured cap."""
+    """A requested operator dimension exceeds the configured cap, or a
+    trajectory's samples x dimension exceed what the same cap allows."""
 
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"operator dimension {dim} exceeds the cap of {cap}")
+    def __init__(self, dim: int, cap: int, message: str | None = None):
+        super().__init__(message or f"operator dimension {dim} exceeds the cap of {cap}")
         self.dim = dim
         self.cap = cap
 

@@ -310,10 +310,12 @@ def summarize_populations(
         "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
         "breathing_width": breathing_width(pops, "2d-diagonal" if pair else "1d"),
     }
-    edge = series["boundary_population"].values
-    fields: dict = {
+    over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
+    truncated = bool(np.any(over_edge))
+    fields: dict = {  # truncation_z: the first z past the edge tolerance, if any
+        "truncation_z": float(pops.z_samples[np.argmax(over_edge)]) if truncated else None,
         "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
-        "truncated": bool(np.any(edge > EDGE_TRUNCATION_TOL)),
+        "truncated": truncated,
         "refocus": _refocus_summary(
             series["return_probability"], series["breathing_width"]
         ),

@@ -8,14 +8,22 @@ symmetric sector, of dimension N(N+1)/2, and the antisymmetric sector, of
 dimension N(N-1)/2, which is built only when a state reaches it. Any other
 generator is one sign-1 sector whose every site is its own partner. Sectors
 are dense real-symmetric / Hermitian solves, and a real sector is
-synthesized in real arithmetic. Synthesis stays in the sector basis: each
-sector's part of the samples is written straight into the rows of the
-(samples, dim) states, and the full-basis eigenvectors are never formed.
+synthesized in real arithmetic. Synthesis stays in the sector basis, and the
+full-basis eigenvectors are never formed.
 ``generator_id`` hashes the first sector's block.
 
+A trajectory holds populations, not amplitudes: what every observable reads.
+Each chunk of samples is squared right after its product. With only the
+sign-1 sector (every swap-symmetric state) the (block, chunk) part is
+squared and its rows are gathered into the populations; with the
+antisymmetric sector too, the chunk's amplitudes are summed in a chunk-sized
+buffer first. So no (samples, dim) complex array is ever held. Amplitudes
+come from ``SpectralPropagator.evolve``, through the same chunk loop.
+
 Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
-samples, so its buffers hold O(_CHUNK_ELEMENTS) elements whatever the length
-of the trajectory; only the (samples, dim) states are whole. On the grid
+samples of the widest block, so its buffers hold O(_CHUNK_ELEMENTS) elements
+whatever the length of the trajectory; only the (samples, dim) populations
+are whole. On the grid
 z_k = k dz the phases of a chunk starting at sample k0 are one table of
 offsets exp(-i E j dz), computed once per sector, times the chunk's anchor
 coeffs exp(-i E z_k0), computed directly, so no error accumulates from chunk
@@ -28,9 +36,9 @@ the arithmetic of an unchunked synthesis, bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +54,12 @@ from .observables import return_probability  # noqa: F401  (re-exported)
 
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
-#: the product of a chunk each hold block x chunk of them.
+#: the product of a chunk each hold block x chunk of them (the summed rows of
+#: a state in both sectors, dim x chunk).
 _CHUNK_ELEMENTS = 1 << 17
+#: The dimension cap also bounds a trajectory: samples x dim populations are at
+#: most dim_cap times this many (2 GiB of them at the default cap).
+_SAMPLES_PER_CAPPED_SITE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,54 +116,79 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: states[k] is the state vector at z_samples[k].
+    """Sampled evolution: probabilities[k] holds the site populations |c|^2 at
+    z_samples[k], each row summing to 1 within 1e-12.
 
-    The states are copied unless they come as a C-ordered, read-only array
-    that owns its memory, which the trajectory then keeps as it is.
+    A trajectory holds no amplitudes; ``SpectralPropagator.evolve`` gives
+    them. The populations are copied unless they come as a C-ordered,
+    read-only float64 array that owns its memory, which the trajectory then
+    keeps as it is.
     """
 
     z_samples: np.ndarray
-    states: np.ndarray
+    probabilities: np.ndarray
     generator_id: str
+    _evolve: Callable[[float], StateVector] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         z = np.asarray(self.z_samples, dtype=float)
-        states = np.asarray(self.states, dtype=complex)
-        if z.ndim != 1 or states.ndim != 2 or states.shape[0] != z.size:
-            raise InvalidParameterError("need one state row per z sample")
+        if np.iscomplexobj(self.probabilities):
+            raise InvalidParameterError("probabilities must be real populations, not amplitudes")
+        probs = np.asarray(self.probabilities, dtype=float)
+        if z.ndim != 1 or probs.ndim != 2 or probs.shape[0] != z.size:
+            raise InvalidParameterError("need one population row per z sample")
         if z.size == 0 or z[0] != 0.0 or np.any(np.diff(z) <= 0):
             raise InvalidParameterError(
                 "z samples must strictly increase starting at 0"
             )
         z = z.copy()
-        flags = states.flags
+        flags = probs.flags
         if flags.writeable or not (flags.owndata and flags.c_contiguous):
-            states = states.copy()
-        probs = np.abs(states)
-        np.square(probs, out=probs)
+            probs = probs.copy()
+        lowest = float(probs.min()) if probs.size else 0.0
+        if not lowest >= 0.0:  # NaN fails too
+            raise InvalidParameterError(f"populations must be non-negative, found {lowest}")
         worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-        if not worst <= _NORM_TOL:  # NaN fails too
+        if not worst <= _NORM_TOL:  # an infinite population fails here
             raise InvalidParameterError(
-                f"trajectory state norm^2 deviates from 1 by {worst:.3e}"
+                f"trajectory population sum deviates from 1 by {worst:.3e}"
             )
-        for array in (z, states, probs):
+        for array in (z, probs):
             array.setflags(write=False)
         object.__setattr__(self, "z_samples", z)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_probabilities", probs)
+        object.__setattr__(self, "probabilities", probs)
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return self.probabilities.shape[1]
 
     @property
     def n_samples(self) -> int:
         return self.z_samples.size
 
     @property
-    def probabilities(self) -> np.ndarray:
-        """Site populations, shape (n_samples, dim); computed once, read-only."""
-        return self._probabilities
+    def states(self) -> "_AmplitudeRows":
+        """states[k]: the amplitudes at z_samples[k], synthesized on demand by
+        the plan's ``evolve``; no (samples, dim) array stands behind it.
+
+        Only a trajectory from ``SpectralPropagator.trajectory`` has them. Kept
+        for the benchmark's one-sample check; prefer ``evolve``.
+        """
+        if self._evolve is None:
+            raise InvalidParameterError("a trajectory built from populations has no amplitudes")
+        return _AmplitudeRows(self._evolve, self.z_samples)
+
+
+class _AmplitudeRows:
+    """Row k is the state at z_samples[k], one ``evolve`` per row read."""
+
+    def __init__(self, evolve: Callable[[float], StateVector], z_samples: np.ndarray):
+        self._evolve, self._z = evolve, z_samples
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self._evolve(float(self._z[k])).amplitudes
 
 
 def _generator_id(entries: np.ndarray) -> str:
@@ -184,10 +221,11 @@ class _Sector(NamedTuple):
         return np.where(rep == partner, psi[rep], psi[rep] + self.sign * psi[partner])
 
     def place(self, states: np.ndarray, part: np.ndarray):
-        """Put this sector's (block, n) part of n samples into their (n, dim) states.
+        """Put this sector's (block, n) part of n samples into their (n, dim) rows.
 
-        The sign-1 sector comes first and writes every site; the antisymmetric
-        sector, which has no site that is its own partner, adds.
+        The sign-1 sector comes first and writes every site, of amplitudes or
+        of their squares; the antisymmetric sector, which has no site that is
+        its own partner, adds amplitudes.
         """
         if self.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
             rows = part.T
@@ -254,6 +292,7 @@ class SpectralPropagator:
         self.generator_id = _generator_id(first.entries)
         self._first = _diagonalize(first, h.dim)
         self.dim = h.dim
+        self._dim_cap = dim_cap
 
     @cached_property
     def _antisymmetric(self) -> _Sector:
@@ -267,54 +306,71 @@ class SpectralPropagator:
         return (first, self._antisymmetric)
 
     def _synthesize(
-        self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray
+        self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
     ) -> np.ndarray:
         """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
-        z in off_grid, as the rows of a C-ordered (samples, dim) array."""
+        z in off_grid, as the rows of a C-ordered (samples, dim) array: the
+        populations |c|^2 if square, else the complex amplitudes."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
-        states = None
-        for sector in self._sectors(psi):
-            energies, block = sector.energies, sector.energies.size
-            coeffs = _apply(sector.vectors.conj().T, sector.fold(psi))
-            chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // block))
-            offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, n_grid))))
-            phase_buf = np.empty(block * chunk, dtype=complex)
-            part_buf = np.empty_like(phase_buf)
-            for k0 in range(0, n_samples, chunk):
-                k1 = min(k0 + chunk, n_samples)
+        sectors = self._sectors(psi)
+        widest = sectors[0].energies.size  # the sign-1 block is never the narrower
+        chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // widest))
+        steps = dz * np.arange(min(chunk, n_grid))
+        coeffs = [_apply(s.vectors.conj().T, s.fold(psi)) for s in sectors]
+        offsets = [np.exp(-1j * np.outer(s.energies, steps)) for s in sectors]
+        phase_buf = np.empty(widest * chunk, dtype=complex)
+        part_buf = np.empty_like(phase_buf)
+        # one sign-1 sector is squared in its block rows; two sum their amplitudes first
+        summed = square and len(sectors) > 1
+        row_buf = np.empty(chunk * self.dim, dtype=complex) if summed else None
+        out = None
+        for k0 in range(0, n_samples, chunk):
+            k1 = min(k0 + chunk, n_samples)
+            on_grid = max(0, min(k1, n_grid) - k0)
+            z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
+            rows = row_buf[: (k1 - k0) * self.dim].reshape(k1 - k0, -1) if summed else None
+            for i, sector in enumerate(sectors):
+                energies, block = sector.energies, sector.energies.size
                 # flat buffers reshaped, so a short last chunk is contiguous too
                 phases = phase_buf[: block * (k1 - k0)].reshape(block, k1 - k0)
-                part = part_buf[: phases.size].reshape(phases.shape)
-                on_grid = max(0, min(k1, n_grid) - k0)
                 if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
-                    anchor = coeffs if k0 == 0 else coeffs * np.exp(-1j * energies * (dz * k0))
-                    np.multiply(offsets[:, :on_grid], anchor[:, None], out=phases[:, :on_grid])
-                if on_grid < k1 - k0:  # an appended z_max, or evolve's z
-                    z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]
+                    anchor = coeffs[i] if k0 == 0 else coeffs[i] * np.exp(-1j * energies * (dz * k0))
+                    np.multiply(offsets[i][:, :on_grid], anchor[:, None], out=phases[:, :on_grid])
+                if z.size:
                     direct = np.exp(-1j * np.outer(energies, z))
-                    np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
-                part = _apply(sector.vectors, phases, out=part)
-                if k1 == n_samples:  # free the phases before the last chunk touches its states
-                    del offsets, phase_buf, phases
-                if states is None:  # late: a one-chunk run never holds its phases beside it
-                    states = np.empty((n_samples, self.dim), dtype=complex)
-                sector.place(states[k0:k1], part)
-        return states
+                    np.multiply(direct, coeffs[i][:, None], out=phases[:, on_grid:])
+                part = _apply(sector.vectors, phases, out=part_buf[: phases.size].reshape(phases.shape))
+                if k1 == n_samples and i == len(sectors) - 1:
+                    offsets.clear()  # free the phase tables before the last chunk touches the output
+                if out is None:  # late: a one-chunk run never holds its tables beside it
+                    out = np.empty((n_samples, self.dim), dtype=float if square else complex)
+                if square and not summed:  # |c|^2 on the block's rows, in the spent phases, then gathered
+                    squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
+                    np.square(squares, out=squares)
+                    sector.place(out[k0:k1], squares)
+                else:
+                    sector.place(out[k0:k1] if rows is None else rows, part)
+            if summed:
+                squares = np.abs(rows, out=out[k0:k1])
+                np.square(squares, out=squares)
+        return out
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0."""
         self._check_dim(psi0)
-        return StateVector(self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float))[0])
+        return StateVector(self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)[0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
-        """Sample exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
+        """The populations of exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
-        z, n_grid = _sample_grid(z_max, dz)
+        z, n_grid = _sample_grid(z_max, dz, self.dim, self._dim_cap)
         # handed over C-ordered and read-only, so Trajectory needs no copy
-        states = self._synthesize(psi0, n_grid, dz, z[n_grid:])
-        states.setflags(write=False)
-        return Trajectory(z_samples=z, states=states, generator_id=self.generator_id)
+        probs = self._synthesize(psi0, n_grid, dz, z[n_grid:], True)
+        probs.setflags(write=False)
+        traj = Trajectory(z_samples=z, probabilities=probs, generator_id=self.generator_id)
+        object.__setattr__(traj, "_evolve", partial(self.evolve, psi0))
+        return traj
 
     def _check_dim(self, psi0: StateVector):
         if psi0.dim != self.dim:
@@ -323,10 +379,18 @@ class SpectralPropagator:
             )
 
 
-def _sample_grid(z_max: float, dz: float) -> tuple[np.ndarray, int]:
-    """The samples 0, dz, 2 dz, ..., z_max, and how many lie on the dz grid."""
+def _sample_grid(z_max: float, dz: float, dim: int, dim_cap: int) -> tuple[np.ndarray, int]:
+    """The samples 0, dz, 2 dz, ..., z_max, and how many lie on the dz grid;
+    a grid whose populations the dimension cap does not allow fails first."""
     if not 0 < dz <= z_max:
         raise InvalidParameterError(f"need 0 < dz <= z_max, got dz={dz}, z_max={z_max}")
+    samples = z_max / dz + 2  # at most; inf for a dz far below z_max
+    if not samples * dim <= dim_cap * _SAMPLES_PER_CAPPED_SITE:
+        raise DimensionCapError(
+            dim, dim_cap,
+            f"{samples:.4g} samples of dimension {dim} exceed the "
+            f"{dim_cap} x {_SAMPLES_PER_CAPPED_SITE} populations that the cap of {dim_cap} allows",
+        )
     n_grid = int(np.floor(z_max / dz + 1e-9)) + 1
     z = dz * np.arange(n_grid)
     if z_max - z[-1] > 1e-9 * dz:

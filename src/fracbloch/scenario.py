@@ -33,12 +33,7 @@ from .model import (
     check_generator,
     flatten_index,
 )
-from .observables import (
-    EDGE_TRUNCATION_TOL,
-    Populations,
-    participation_ratio,
-    summarize_populations,
-)
+from .observables import Populations, participation_ratio, summarize_populations
 from .photonics import (
     CouplingCalibration,
     ForceCalibration,
@@ -477,7 +472,6 @@ def run_scenario(
     fields, series = summarize_populations(traj, is_pair, site)
     if "participation_ratio" in config.observables:
         series["participation_ratio"] = participation_ratio(traj)
-    over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
 
     summary: dict = {
         "preset": config.preset,
@@ -495,9 +489,6 @@ def run_scenario(
         "dz": config.dz,
         "excitation": list(excitation),
         "generator_id": traj.generator_id,
-        "truncation_z": (
-            float(traj.z_samples[np.argmax(over_edge)]) if fields["truncated"] else None
-        ),
         **fields,
     }
 

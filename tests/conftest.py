@@ -1,5 +1,6 @@
 """Shared fixtures: the measured array parameters, cached preset runs, the
-dense pair matrices, and the spectral helpers that only tests use."""
+dense pair matrices, the amplitudes that trajectories do not keep, and the
+spectral helpers that only tests use."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fracbloch import (
     HermitianOperator,
     InvalidParameterError,
     ModelParams,
+    SpectralPropagator,
     StateVector,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
@@ -69,6 +71,13 @@ def dense_entries(h) -> np.ndarray:
     if isinstance(h, PairOperator):
         return operator_from_bonds(h.params.n_sites, *enumerate_fock_bonds(h.params))
     return h.entries
+
+
+def amplitude_rows(h, psi0, z) -> np.ndarray:
+    """exp(-i H z_k) psi0 as rows, one ``evolve`` per sample. A trajectory
+    keeps only populations, so checks of the amplitudes take them from here."""
+    plan = SpectralPropagator(h)
+    return np.array([plan.evolve(psi0, zk).amplitudes for zk in z])
 
 
 def assembled_pair_terms(h: PairOperator) -> np.ndarray:

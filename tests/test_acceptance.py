@@ -55,7 +55,17 @@ from fracbloch.reference import (
 )
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, assembled_pair_terms, wannier_stark_spacing
+from conftest import (
+    FD,
+    KAPPA,
+    N_PAIR,
+    N_SINGLE,
+    RHO,
+    U0,
+    amplitude_rows,
+    assembled_pair_terms,
+    wannier_stark_spacing,
+)
 
 
 def _criterion(name, clauses):
@@ -116,8 +126,8 @@ def test_criterion_2_effective_model_equivalence(pair_params, pair_trajectory):
         0.01,
     )
     diag = np.arange(N_PAIR) * N_PAIR + np.arange(N_PAIR)
-    pair_diag = np.abs(pair_trajectory.states[:, diag]) ** 2
-    effective_pops = np.abs(effective.states) ** 2
+    pair_diag = pair_trajectory.probabilities[:, diag]
+    effective_pops = effective.probabilities
     deviation = float(np.max(np.abs(pair_diag - effective_pops)))
     _criterion(
         "2 (effective-model equivalence)",
@@ -169,9 +179,9 @@ def test_criterion_5_single_particle_oracle():
     traj = propagate(h, StateVector.delta(n, n // 2), 13.0, 0.01)
     edge = float(np.max(boundary_population(traj, "1d").values))
     worst = 0.0
-    for z, state in zip(traj.z_samples, traj.states):
+    for z, probs in zip(traj.z_samples, traj.probabilities):
         oracle = analytic_ws_profile(KAPPA, FD, z, n // 2)
-        worst = max(worst, float(np.max(np.abs(np.abs(state) - oracle))))
+        worst = max(worst, float(np.max(np.abs(np.sqrt(probs) - oracle))))
     _criterion(
         "5 (single-particle oracle)",
         [
@@ -202,33 +212,32 @@ def test_criterion_6_wannier_stark_ladder(pair_params):
 
 
 def test_criterion_7_invariant_suite(pair_params, pair_trajectory):
-    norms = np.sum(np.abs(pair_trajectory.states) ** 2, axis=1)
+    norms = np.sum(pair_trajectory.probabilities, axis=1)
     unitarity = float(np.max(np.abs(norms - 1.0)))
 
     h = build_fock_hamiltonian(pair_params)
     swap = swap_indices(N_PAIR)
-    traj_sym = propagate(h, StateVector.pair_excitation(N_PAIR, 6, 8), 5.0, 0.05)
+    psi_sym = StateVector.pair_excitation(N_PAIR, 6, 8)
+    traj_sym = propagate(h, psi_sym, 5.0, 0.05)
     swap_dev = max(
-        float(np.max(np.abs(state[swap] - state))) for state in traj_sym.states
+        float(np.max(np.abs(state[swap] - state)))
+        for state in amplitude_rows(h, psi_sym, traj_sym.z_samples)
     )
 
     n = 11
     free = ModelParams(kappa=KAPPA, rho=0.0, u0=0.0, fd=FD, n_sites=n)
-    pair_free = propagate(
-        build_fock_hamiltonian(free),
-        StateVector.pair_excitation(n, n // 2, n // 2),
-        6.5,
-        0.05,
-    )
-    chain = propagate(
-        build_single_particle_hamiltonian(n, KAPPA, FD),
-        StateVector.delta(n, n // 2),
-        6.5,
-        0.05,
-    )
+    h_free = build_fock_hamiltonian(free)
+    psi_free = StateVector.pair_excitation(n, n // 2, n // 2)
+    pair_free = propagate(h_free, psi_free, 6.5, 0.05)
+    h_chain = build_single_particle_hamiltonian(n, KAPPA, FD)
+    psi_chain = StateVector.delta(n, n // 2)
+    chain = propagate(h_chain, psi_chain, 6.5, 0.05)
     factor_dev = max(
         float(np.max(np.abs(ps - np.einsum("i,j->ij", cs, cs).ravel())))
-        for ps, cs in zip(pair_free.states, chain.states)
+        for ps, cs in zip(
+            amplitude_rows(h_free, psi_free, pair_free.z_samples),
+            amplitude_rows(h_chain, psi_chain, chain.z_samples),
+        )
     )
 
     bonds, energies = enumerate_fock_bonds(pair_params)

@@ -31,7 +31,17 @@ from fracbloch.observables import (
     strongest_interior_peak,
 )
 
-from conftest import FD, KAPPA, N_PAIR, N_SINGLE, RHO, U0, frequency_ratio, wannier_stark_spacing
+from conftest import (
+    FD,
+    KAPPA,
+    N_PAIR,
+    N_SINGLE,
+    RHO,
+    U0,
+    amplitude_rows,
+    frequency_ratio,
+    wannier_stark_spacing,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +84,7 @@ def test_confinement_rejects_non_square(single_trajectory):
 def test_confinement_factorization_oracle(factorized_runs):
     n, pair, chain = factorized_runs
     conf = diagonal_confinement(pair, n)
-    single_pops = np.abs(chain.states) ** 2
+    single_pops = chain.probabilities
     expected = np.sum(single_pops**2, axis=1)  # sum_n |A_n|^4
     assert np.max(np.abs(conf.values - expected)) <= 1e-8
 
@@ -83,20 +93,28 @@ def test_factorized_return_probability_squares(factorized_runs):
     n, pair, chain = factorized_runs
     center = n // 2
     pair_ret = return_probability(pair, center * n + center).values
-    single_ret = np.abs(chain.states[:, center]) ** 2
+    single_ret = chain.probabilities[:, center]
     assert np.max(np.abs(pair_ret - single_ret**2)) <= 1e-8
 
 
 def test_factorized_amplitudes_product(factorized_runs):
     n, pair, chain = factorized_runs
-    for pair_state, chain_state in zip(pair.states, chain.states):
+    pair_states = amplitude_rows(
+        build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=0.0, u0=0.0, fd=FD, n_sites=n)),
+        StateVector.pair_excitation(n, n // 2, n // 2),
+        pair.z_samples,
+    )
+    chain_states = amplitude_rows(
+        build_single_particle_hamiltonian(n, KAPPA, FD), StateVector.delta(n, n // 2), chain.z_samples
+    )
+    for pair_state, chain_state in zip(pair_states, chain_states):
         product = np.einsum("i,j->ij", chain_state, chain_state).ravel()
         assert np.max(np.abs(pair_state - product)) <= 1e-8
 
 
 def test_confinement_plus_offdiagonal_is_one(pair_trajectory):
     conf = diagonal_confinement(pair_trajectory, N_PAIR).values
-    total = np.sum(np.abs(pair_trajectory.states) ** 2, axis=1)
+    total = np.sum(pair_trajectory.probabilities, axis=1)
     off_diagonal = total - conf
     assert np.max(np.abs(conf + off_diagonal - 1.0)) <= 1e-10
 

@@ -1,7 +1,8 @@
 """Spectral propagation: closed-form checks, unitarity, composition, revival,
 the swap-sector path against a dense eigendecomposition of the full lattice
 (the bond enumerator's matrix), and chunked synthesis against the same oracle
-and against unchunked arithmetic."""
+and against unchunked arithmetic. Trajectories hold populations; amplitude
+checks take their states from ``evolve``."""
 
 import contextlib
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracbloch import (
+    DimensionCapError,
     HermitianOperator,
     InvalidParameterError,
     ModelParams,
@@ -32,7 +34,7 @@ from fracbloch import propagator
 from fracbloch.reference import analytic_ws_profile, two_site_coupler
 from fracbloch.scenario import preset_config, run_scenario
 
-from conftest import FD, KAPPA, N_PAIR, RHO, U0, dense_entries
+from conftest import FD, KAPPA, N_PAIR, RHO, U0, amplitude_rows, dense_entries
 
 PERIOD = 2 * math.pi / FD
 
@@ -44,10 +46,10 @@ def coupler_operator(kappa):
 def test_two_site_populations_match_oracle():
     kappa = 0.7
     traj = propagate(coupler_operator(kappa), StateVector.delta(2, 0), 4.0, 0.02)
-    for z, state in zip(traj.z_samples, traj.states):
+    for z, probs in zip(traj.z_samples, traj.probabilities):
         p_in, p_cross = two_site_coupler(kappa, z)
-        assert abs(state[0]) ** 2 == pytest.approx(p_in, abs=1e-12)
-        assert abs(state[1]) ** 2 == pytest.approx(p_cross, abs=1e-12)
+        assert probs[0] == pytest.approx(p_in, abs=1e-12)
+        assert probs[1] == pytest.approx(p_cross, abs=1e-12)
 
 
 def test_diagonal_generator_pure_phases():
@@ -55,7 +57,7 @@ def test_diagonal_generator_pure_phases():
     h = HermitianOperator(np.diag(energies))
     psi0 = StateVector(np.sqrt(np.array([0.5, 0.25, 0.25]), dtype=complex))
     traj = propagate(h, psi0, 3.0, 0.5)
-    for z, state in zip(traj.z_samples, traj.states):
+    for z, state in zip(traj.z_samples, amplitude_rows(h, psi0, traj.z_samples)):
         expected = np.exp(-1j * energies * z) * psi0.amplitudes
         assert np.max(np.abs(state - expected)) < 1e-12
 
@@ -64,12 +66,12 @@ def test_matches_bessel_oracle_over_full_period():
     n = 41
     h = build_single_particle_hamiltonian(n, KAPPA, FD)
     traj = propagate(h, StateVector.delta(n, n // 2), 13.0, 0.05)
-    edge = np.max(np.abs(traj.states[:, [0, -1]]) ** 2)
+    edge = np.max(traj.probabilities[:, [0, -1]])
     assert edge < 1e-6  # infinite-lattice assumption holds
     worst = 0.0
-    for z, state in zip(traj.z_samples, traj.states):
+    for z, probs in zip(traj.z_samples, traj.probabilities):
         oracle = analytic_ws_profile(KAPPA, FD, z, n // 2)
-        worst = max(worst, float(np.max(np.abs(np.abs(state) - oracle))))
+        worst = max(worst, float(np.max(np.abs(np.sqrt(probs) - oracle))))
     assert worst <= 1e-6
 
 
@@ -89,11 +91,11 @@ def test_full_revival_return_probability():
     n = 41
     h = build_single_particle_hamiltonian(n, KAPPA, FD)
     traj = propagate(h, StateVector.delta(n, n // 2), PERIOD, PERIOD / 2)
-    assert abs(traj.states[-1][n // 2]) ** 2 >= 0.999
+    assert traj.probabilities[-1, n // 2] >= 0.999
 
 
 def test_unitarity_per_sample(pair_trajectory):
-    norms = np.sum(np.abs(pair_trajectory.states) ** 2, axis=1)
+    norms = np.sum(pair_trajectory.probabilities, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
@@ -108,10 +110,11 @@ def test_composition(pair_params):
 
 
 def test_energy_conservation(pair_params, pair_trajectory):
-    h = dense_entries(build_fock_hamiltonian(pair_params))
-    energies = np.real(
-        np.einsum("ki,ij,kj->k", pair_trajectory.states.conj(), h, pair_trajectory.states)
-    )
+    op = build_fock_hamiltonian(pair_params)
+    psi0 = StateVector.pair_excitation(N_PAIR, N_PAIR // 2, N_PAIR // 2)
+    states = amplitude_rows(op, psi0, pair_trajectory.z_samples)
+    h = dense_entries(op)
+    energies = np.real(np.einsum("ki,ij,kj->k", states.conj(), h, states))
     scale = max(1.0, abs(energies[0]))
     assert np.max(np.abs(energies - energies[0])) / scale <= 1e-10
 
@@ -121,7 +124,7 @@ def test_swap_symmetry_preserved(pair_params):
     psi0 = StateVector.pair_excitation(N_PAIR, 6, 8)  # symmetrized off-diagonal
     traj = propagate(h, psi0, 5.0, 0.05)
     p = swap_indices(N_PAIR)
-    for state in traj.states:
+    for state in amplitude_rows(h, psi0, traj.z_samples):
         assert np.max(np.abs(state[p] - state)) <= 1e-10
 
 
@@ -130,9 +133,9 @@ def test_exact_revival_up_to_global_phase():
     h = build_single_particle_hamiltonian(n, KAPPA, FD)
     psi0 = StateVector.delta(n, n // 2)
     traj = propagate(h, psi0, PERIOD, PERIOD / 4)
-    edge = np.max(np.abs(traj.states[:, [0, -1]]) ** 2)
+    edge = np.max(traj.probabilities[:, [0, -1]])
     assert edge < 1e-6
-    final = traj.states[-1]
+    final = amplitude_rows(h, psi0, traj.z_samples[-1:])[0]
     phase = final[n // 2] / abs(final[n // 2])
     assert np.linalg.norm(final / phase - psi0.amplitudes) <= 1e-5
 
@@ -142,7 +145,7 @@ def test_propagation_is_deterministic(pair_params):
     psi0 = StateVector.pair_excitation(N_PAIR, 7, 7)
     a = propagate(h, psi0, 2.0, 0.01)
     b = propagate(h, psi0, 2.0, 0.01)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.probabilities, b.probabilities)
     assert a.generator_id == b.generator_id
 
 
@@ -156,6 +159,23 @@ def test_dimension_and_grid_validation():
         propagate(h, StateVector.delta(2, 0), 1.0, 2.0)
 
 
+@pytest.mark.parametrize("dz", [1e-7, 1e-300, 5e-324])
+def test_sample_count_is_capped_before_the_grid(pair_params, dz):
+    plan = SpectralPropagator(build_fock_hamiltonian(pair_params))
+    psi0 = StateVector.pair_excitation(N_PAIR, 7, 7)
+    with mock.patch.object(np, "arange", side_effect=AssertionError("grid allocated")):
+        with pytest.raises(DimensionCapError, match="cap of 4096 allows"):
+            plan.trajectory(psi0, 8.5, dz)
+
+
+def test_sample_bound_scales_with_the_cap():
+    # 65536 populations per capped site: a 4-site chain at cap 4 takes 65536 samples at most
+    small = SpectralPropagator(build_single_particle_hamiltonian(4, KAPPA, FD), dim_cap=4)
+    assert small.trajectory(StateVector.delta(4, 1), 1.0, 1.0 / 65533).n_samples == 65534
+    with pytest.raises(DimensionCapError):
+        small.trajectory(StateVector.delta(4, 1), 1.0, 1.0 / 65535)
+
+
 def test_non_finite_entries_reported_with_index():
     h = HermitianOperator(np.array([[0.0, math.inf], [math.inf, 0.0]]))
     with pytest.raises(NumericError) as err:
@@ -165,8 +185,6 @@ def test_non_finite_entries_reported_with_index():
 
 def test_dimension_cap_guard(pair_params):
     h = build_fock_hamiltonian(pair_params)
-    from fracbloch import DimensionCapError
-
     with pytest.raises(DimensionCapError):
         SpectralPropagator(h, dim_cap=100)
 
@@ -184,46 +202,83 @@ def test_state_vector_validation():
 def test_non_finite_amplitudes_fail_the_norm_check():
     with pytest.raises(InvalidParameterError, match="nan"):
         StateVector(np.array([math.nan, 1.0], dtype=complex))
-    with pytest.raises(InvalidParameterError, match="nan"):
-        Trajectory(np.array([0.0]), np.array([[math.nan, 1.0]], dtype=complex), "tag")
+
+
+#: A hand-built trajectory from populations, and one bad variant of each part.
+GOOD_Z = np.array([0.0, 0.5])
+GOOD_POPULATIONS = np.array([[1.0, 0.0], [0.25, 0.75]])
+BAD_TRAJECTORIES = {
+    "nan": (GOOD_Z, [[math.nan, 1.0], [0.25, 0.75]], "non-negative, found nan"),
+    "inf": (GOOD_Z, [[math.inf, 0.0], [0.25, 0.75]], "deviates from 1 by inf"),
+    "negative": (GOOD_Z, [[1.5, -0.5], [0.25, 0.75]], "non-negative, found -0.5"),
+    "row-sum": (GOOD_Z, [[1.0, 2e-12], [0.25, 0.75]], "deviates from 1 by 2.000e-12"),
+    "z-start": (np.array([0.1, 0.5]), GOOD_POPULATIONS, "starting at 0"),
+    "z-repeat": (np.array([0.0, 0.0]), GOOD_POPULATIONS, "strictly increase"),
+    "z-falls": (np.array([0.0, 0.5, 0.4]), np.tile([1.0, 0.0], (3, 1)), "strictly increase"),
+    "shape": (GOOD_Z, np.array([1.0, 1.0]), "one population row per z sample"),
+    "rows": (np.array([0.0]), GOOD_POPULATIONS, "one population row per z sample"),
+    "amplitudes": (GOOD_Z, GOOD_POPULATIONS.astype(complex), "not amplitudes"),
+}
 
 
 def test_trajectory_validation():
-    z = np.array([0.0, 0.5])
-    good = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    Trajectory(z, good, "tag")
-    with pytest.raises(InvalidParameterError):
-        Trajectory(np.array([0.1, 0.5]), good, "tag")  # must start at 0
-    with pytest.raises(InvalidParameterError):
-        Trajectory(np.array([0.0, 0.0]), good, "tag")  # strictly increasing
-    with pytest.raises(InvalidParameterError):
-        Trajectory(z, 0.5 * good, "tag")  # norm violated
+    traj = Trajectory(GOOD_Z, GOOD_POPULATIONS, "tag")
+    assert traj.dim == 2 and traj.n_samples == 2
+    assert traj.probabilities.dtype == np.float64
+    Trajectory(GOOD_Z, GOOD_POPULATIONS + [[0.0, 5e-13], [0.0, 0.0]], "tag")  # within 1e-12
 
 
-def test_trajectory_probabilities_computed_once_and_read_only(pair_trajectory):
+@pytest.mark.parametrize("case", sorted(BAD_TRAJECTORIES))
+def test_bad_trajectory_fails_closed(case):
+    z, probs, message = BAD_TRAJECTORIES[case]
+    with pytest.raises(InvalidParameterError, match=message):
+        Trajectory(z, probs, "tag")
+
+
+def test_trajectory_probabilities_computed_once_and_read_only(pair_params, pair_trajectory):
     probs = pair_trajectory.probabilities
     assert probs is pair_trajectory.probabilities
     assert not probs.flags.writeable
-    assert np.array_equal(probs, np.abs(pair_trajectory.states) ** 2)
+    plan = SpectralPropagator(build_fock_hamiltonian(pair_params))
+    psi0 = StateVector.pair_excitation(N_PAIR, N_PAIR // 2, N_PAIR // 2)
+    assert np.array_equal(probs, np.abs(unchunked_states(plan, psi0, pair_trajectory.z_samples)) ** 2)
     ret = return_probability(pair_trajectory, 7 * N_PAIR + 7)
     assert np.array_equal(ret.values, probs[:, 7 * N_PAIR + 7])
 
 
 def test_trajectory_keeps_no_memory_the_caller_can_write(pair_trajectory):
     z = np.array([0.0, 1.0])
-    amp = np.zeros((2, 4), dtype=complex)
-    amp[:, 1] = 1.0
-    read_only_view = amp[:, :]
+    pops = np.zeros((2, 4))
+    pops[:, 1] = 1.0
+    read_only_view = pops[:, :]
     read_only_view.setflags(write=False)
-    trajs = [Trajectory(z, amp, "tag"), Trajectory(z, read_only_view, "tag")]
-    amp[:, 1], amp[:, 2] = 0.0, 1.0
+    trajs = [Trajectory(z, pops, "tag"), Trajectory(z, read_only_view, "tag")]
+    pops[:, 1], pops[:, 2] = 0.0, 1.0
     for traj in trajs:
-        assert traj.states[0, 1] == 1.0 and traj.probabilities[0, 1] == 1.0
-        assert not traj.states.flags.writeable
-    # the propagator's states are C-ordered, owned and read-only
-    states = pair_trajectory.states
-    assert states.flags.owndata and states.flags.c_contiguous
-    assert not states.flags.writeable
+        assert traj.probabilities[0, 1] == 1.0
+        assert not traj.probabilities.flags.writeable
+    # the propagator's populations are C-ordered, owned and read-only
+    probs = pair_trajectory.probabilities
+    assert probs.flags.owndata and probs.flags.c_contiguous
+    assert not probs.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
+def test_state_rows_square_to_the_populations(kind):
+    h, psi0, _ = _pair_case(kind)
+    plan = SpectralPropagator(h)
+    traj = plan.trajectory(psi0, 8.5, 0.01)
+    assert traj.n_samples == 851
+    # each row is evolve's own synthesis: its one-sample product rounds apart
+    # from the chunk's wider one, by up to 1.9e-15 on the doublon's populations
+    worst = max(
+        float(np.max(np.abs(np.abs(traj.states[k]) ** 2 - traj.probabilities[k])))
+        for k in range(traj.n_samples)
+    )
+    assert worst <= 1e-14
+    assert np.array_equal(traj.states[-1], plan.evolve(psi0, traj.z_samples[-1]).amplitudes)
+    with pytest.raises(InvalidParameterError, match="no amplitudes"):
+        Trajectory(GOOD_Z, GOOD_POPULATIONS, "tag").states
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +333,7 @@ def assert_matches_dense(h, psi0, z_max=3.0, dz=0.05):
     plan = SpectralPropagator(h)
     traj = plan.trajectory(psi0, z_max, dz)
     oracle = dense_states(h, psi0, traj.z_samples)
-    assert np.max(np.abs(traj.states - oracle)) <= SECTOR_TOL
+    assert np.max(np.abs(traj.probabilities - np.abs(oracle) ** 2)) <= SECTOR_TOL
     for k in (1, traj.n_samples // 2, traj.n_samples - 1):
         state = plan.evolve(psi0, traj.z_samples[k])
         assert np.max(np.abs(state.amplitudes - oracle[k])) <= SECTOR_TOL
@@ -327,7 +382,7 @@ def test_random_swap_symmetric_generator_matches_dense(matrix, parts, z):
     assert dims == [9]  # a hand-built operator is one dense block, swap-invariant or not
     oracle = dense_states(h, psi0, traj.z_samples)
     assert np.max(np.abs(state.amplitudes - oracle[-1])) <= SECTOR_TOL
-    assert np.max(np.abs(traj.states - oracle)) <= SECTOR_TOL
+    assert np.max(np.abs(traj.probabilities - np.abs(oracle) ** 2)) <= SECTOR_TOL
 
 
 @pytest.mark.parametrize("side", [3, None])
@@ -419,7 +474,7 @@ CHUNK_CASES = {
 }
 
 #: _CHUNK_ELEMENTS for chunks of one sample, and for chunks of 3 to 57 samples
-#: (400 // block for the blocks of the cases above: 120, 105, 66, 9 and 7).
+#: (400 // block for the widest blocks of the cases above: 120, 66, 9 and 7).
 CHUNK_BUDGETS = {"one-sample": 1, "ragged": 400}
 
 
@@ -482,7 +537,8 @@ def test_one_chunk_is_bit_identical_to_unchunked_synthesis(case):
     traj = plan.trajectory(psi0, z_max, dz)
     for sector in plan._sectors(psi0.amplitudes):
         assert traj.n_samples <= propagator._CHUNK_ELEMENTS // sector.energies.size
-    assert np.array_equal(traj.states, unchunked_states(plan, psi0, traj.z_samples))
+    squares = np.abs(unchunked_states(plan, psi0, traj.z_samples)) ** 2
+    assert np.array_equal(traj.probabilities, squares)
 
 
 def test_long_grid_does_not_drift(monkeypatch):
@@ -493,11 +549,11 @@ def test_long_grid_does_not_drift(monkeypatch):
     traj = plan.trajectory(psi0, 200.0, 0.01)
     assert traj.n_samples == 20001
     oracle = dense_states(h, psi0, traj.z_samples[-1:])[0]
-    assert np.max(np.abs(traj.states[-1] - oracle)) <= SECTOR_TOL
+    assert np.max(np.abs(traj.probabilities[-1] - np.abs(oracle) ** 2)) <= SECTOR_TOL
     # each chunk's first sample takes its phases from exp directly, so it
     # matches the unchunked synthesis to round-off, however late the chunk
     direct = unchunked_states(plan, psi0, traj.z_samples[::3])
-    assert np.max(np.abs(traj.states[::3] - direct)) <= 1e-14
+    assert np.max(np.abs(traj.probabilities[::3] - np.abs(direct) ** 2)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
@@ -509,9 +565,9 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
 
     def measured(self, *args):
         tracemalloc.reset_peak()
-        states = synthesize(self, *args)
-        synthesis_peaks.append(tracemalloc.get_traced_memory()[1] - states.nbytes)
-        return states
+        out = synthesize(self, *args)
+        synthesis_peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        return out
 
     monkeypatch.setattr(SpectralPropagator, "_synthesize", measured)
     h, psi0, _ = _pair_case(kind)
@@ -525,5 +581,5 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
         tracemalloc.stop()
     assert traj.n_samples == 2001
     transient = 8 * budget * 16  # a few chunk buffers of `budget` complex elements
-    assert peak <= traj.states.nbytes + traj.probabilities.nbytes + transient
-    assert synthesis_peaks[-1] <= transient  # beside the states, synthesis holds only chunks
+    assert peak <= traj.probabilities.nbytes + transient  # no (samples, dim) amplitudes
+    assert synthesis_peaks[-1] <= transient  # beside the populations, synthesis holds only chunks

@@ -1,17 +1,24 @@
 """Config parsing, the batch runner's artifacts, pixmaps, and the CLI contract."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import os
+import pathlib
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracbloch
 from fracbloch import (
@@ -364,10 +371,7 @@ def test_pgm_format_and_values(tmp_path):
 
 def test_uniform_state_renders_constant_image(tmp_path):
     dim = 16
-    amp = np.full(dim, 1.0 / 4.0, dtype=complex)
-    traj = Trajectory(
-        np.array([0.0, 1.0]), np.vstack([amp, amp]), "uniform"
-    )
+    traj = Trajectory(np.array([0.0, 1.0]), np.full((2, dim), 1.0 / dim), "uniform")
     image = normalize(probability_image(traj.probabilities, "1d-vs-z"), "global")
     assert np.all(image == 1.0)
 
@@ -626,6 +630,94 @@ def test_cli_huge_rate_with_finite_entries_runs(tmp_path, model, key, value):
     assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
 
 
+#: Small runs for the INI fuzz: one through [model], one through [waveguides].
+FUZZ_MODEL_CONFIG = """\
+[scenario]
+model = fock
+z_max = 1.0
+dz = 0.1
+
+[model]
+n_sites = 5
+kappa = 0.95
+rho = 0.3
+u0 = -4
+fd = 0.4833
+"""
+
+FUZZ_WAVEGUIDE_CONFIG = """\
+[scenario]
+model = fock
+z_max = 1.0
+dz = 0.1
+
+[waveguides]
+shape = square-5x5
+spacing_um = 19
+bend_radius_cm = 400
+length_cm = 1
+detuning_db = -4
+
+[calibration]
+kappa = 0.95
+rho = 0.3
+"""
+
+#: Every (section, key) of the INI whose text is read as a number.
+NUMERIC_KEYS = sorted(
+    where for where, spec in scenario._KEYS.items()
+    if spec.convert in (scenario._float, scenario._radius, scenario._int)
+)
+
+#: Hostile values: non-finite, near the double limit, empty, non-ASCII and
+#: not UTF-8 ("\udcff" is written as the byte 0xff).
+FUZZ_VALUES = [
+    "nan", "-nan", "inf", "-inf", "infinite", "1e308", "-1e308", "8e307", "-8e307",
+    "1e-320", "0", "-0", "", "\u0661\u0662", "\uff15", "1\u2009", "\u03c0", "\udcff", "1\udcff",
+]
+
+
+def _fuzz_config(section, key, value):
+    """The fuzz base that has the section, with key set to value."""
+    base = FUZZ_MODEL_CONFIG if section in ("scenario", "model") else FUZZ_WAVEGUIDE_CONFIG
+    lines = base.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((k for k in range(start + 1, len(lines)) if not lines[k]), len(lines))
+    given = [k for k in range(start + 1, end) if lines[k].startswith(f"{key} = ")]
+    if given:
+        lines[given[0]] = f"{key} = {value}"
+    else:  # a key the base leaves out goes last in its section
+        lines.insert(end, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    where=st.sampled_from(NUMERIC_KEYS),
+    value=st.one_of(
+        st.sampled_from(FUZZ_VALUES),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    ),
+)
+def test_ini_fuzz_exits_cleanly(where, value):
+    """Any value of a numeric key ends in exit 0, 2 (at a line of the file) or
+    3, with no traceback and no RuntimeWarning. A cap of 32 keeps a run that
+    asks for many samples to a few MB of populations."""
+    section, key = where
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp), _fuzz_config(section, key, value))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            with mock.patch.dict(os.environ, {scenario.DIM_CAP_ENV: "32"}):
+                code = main(["run", path, "--out", os.path.join(tmp, "out")])
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    assert "Traceback" not in message
+    if code == 2:
+        assert re.match(rf"config error: {re.escape(path)}:[1-9][0-9]*: ", message), message
+
+
 def test_cli_exit_code_missing_out(tmp_path, capsys):
     config_path = write_config(tmp_path, MODEL_CONFIG)
     assert main(["run", config_path]) == 2
@@ -637,6 +729,17 @@ def test_cli_exit_code_resource_cap(tmp_path, monkeypatch, capsys):
     assert main(["run", config_path, "--out", str(tmp_path / "x")]) == 3
     assert "100" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("model", ["fock", "single", "effective"])
+def test_cli_sample_count_beyond_the_cap_exits_3(tmp_path, capsys, model):
+    text = _with(_with(MODEL_CONFIG, "model = effective", f"model = {model}"), "dz = 0.01", "dz = 1e-7")
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: 8.5e+07 samples of dimension "), err
+    assert "FRACBLOCH_DIM_CAP" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model, n_sites", [("fock", 11), ("single", 101), ("effective", 101)])
@@ -876,7 +979,7 @@ def test_cli_analyze_out_file(fig4b_run, tmp_path, capsys):
 
 #: analyze output fields that the run's summary.json also carries.
 SHARED_FIELDS = (
-    "norm_max_deviation", "truncated", "diagonal_confinement",
+    "norm_max_deviation", "truncated", "truncation_z", "diagonal_confinement",
     "breathing_width", "refocus",
 )
 
@@ -934,6 +1037,15 @@ def test_analyze_matches_summary(name, tmp_path, capsys):
     reloaded = json.loads(capsys.readouterr().out)
     assert reloaded["kind"] == kind
     _assert_close_tree({key: reloaded[key] for key in shared}, shared, 1e-9)
+
+
+def test_analyze_reports_the_run_truncation(fig4a_run, capsys):
+    summary, out = fig4a_run
+    assert main(["analyze", str(out / "trajectory.csv")]) == 0
+    reloaded = json.loads(capsys.readouterr().out)
+    assert reloaded["truncated"] is True
+    assert reloaded["truncation_z"] == pytest.approx(2.29, abs=0.05)
+    assert abs(reloaded["truncation_z"] - summary["truncation_z"]) <= 1e-9
 
 
 def test_analyze_off_center_pair_matches_run(tmp_path, capsys):
