@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, SingularParameterError
 
 #: Largest operator dimension the builders and the propagator accept by
-#: default. Guards against accidental dense matrices that do not fit memory;
+#: default. It bounds what grows with the dimension: a whole-block eigh (the
+#: small blocks', and the fall-back of a Krylov space without a certificate),
+#: the dense rows hashed for ``generator_id``, and a trajectory's populations;
 #: override per call (the CLI maps an environment variable onto it).
 DEFAULT_DIM_CAP = 4096
 
@@ -275,19 +277,31 @@ def build_single_particle_hamiltonian(
 
 
 class SwapBlock(NamedTuple):
-    """The pair-lattice generator on one sector of the (n, m) swap.
+    """The generator on one sector of the pair lattice's (n, m) swap.
 
     Basis state I is |a, a> when rep[I] == partner[I], else
     (|a, b> + sign |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
     flat indices of (a, b) and (b, a), and weight[I] is the state's amplitude
-    on rep[I] (1 or 1/sqrt 2).
+    on rep[I] (1 or 1/sqrt 2). ``rows(start, stop)`` builds rows start to stop
+    of the (block, block) Hermitian matrix (real symmetric for the pair
+    lattice), so a caller that streams the block never holds it whole;
+    ``entries`` builds all of it. ``bonds`` holds
+    the (I, J) positions of the block's off-diagonal terms, each once, in both
+    directions: with the diagonal, every entry that a bond can make nonzero.
+    A block built without the bond list (any generator but a pair operator)
+    has none.
     """
 
-    entries: np.ndarray  # (block, block), real symmetric
     sign: int
     rep: np.ndarray
     partner: np.ndarray
     weight: np.ndarray
+    rows: Callable[[int, int], np.ndarray]
+    bonds: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.rows(0, self.rep.size)
 
 
 def _pair_terms(params: ModelParams):
@@ -324,10 +338,11 @@ def _pair_terms(params: ModelParams):
 class PairOperator:
     """Two-boson pair-lattice generator, built from its rates on demand.
 
-    It has ``dim`` (N^2) and ``swap_block(sign)``, which builds the generator
-    on the swap-symmetric (sign 1, N(N+1)/2 states) or antisymmetric (sign -1,
-    N(N-1)/2 states) sector straight from the bond rules. The swap blocks are
-    its only representation: no N^2 x N^2 matrix is ever built.
+    It has ``dim`` (N^2) and ``swap_block(sign)``, the generator on the
+    swap-symmetric (sign 1, N(N+1)/2 states) or antisymmetric (sign -1,
+    N(N-1)/2 states) sector, its rows built on demand straight from the bond
+    rules. The swap blocks are its only representation: no N^2 x N^2 matrix
+    is ever built.
     """
 
     params: ModelParams
@@ -355,23 +370,42 @@ class PairOperator:
         row_of[rep] = states
         col_of[partner] = states
         energy, rows, cols, rates = _pair_terms(self.params)
-        # same[I, J] = H[rep_I, rep_J] and swapped[I, J] = H[rep_I, partner_J]
-        same = np.zeros((rep.size, rep.size))
-        swapped = np.zeros_like(same)
-        same[states, states] = energy[rep]
-        swapped[states[on_diagonal], states[on_diagonal]] = energy[rep[on_diagonal]]
+        # same[I, J] = H[rep_I, rep_J]; the swapped terms H[rep_I, partner_J]
+        # are summed in where they lie, and sign * 0.0 everywhere else, as
+        # the dense sum same + sign * swapped would do
         i = row_of[rows]
-        for block, j in ((same, row_of[cols]), (swapped, col_of[cols])):
-            bond = (i >= 0) & (j >= 0)
-            block[i[bond], j[bond]] = rates[bond]
-        swapped *= sign
-        same += swapped
-        del swapped
-        # g = 1 leaves a row or column as it is
-        same[on_diagonal] *= math.sqrt(0.5)
-        same[:, on_diagonal] *= math.sqrt(0.5)
+        j = row_of[cols]
+        bond = (i >= 0) & (j >= 0)
+        i_same, j_same, same_rates = i[bond], j[bond], rates[bond]
+        j = col_of[cols]
+        bond = (i >= 0) & (j >= 0)
+        i_swap, j_swap = i[bond], j[bond]
+        diagonal = states[on_diagonal]
+        at_i, at_j = np.r_[diagonal, i_swap], np.r_[diagonal, j_swap]
+        swapped = sign * np.r_[energy[rep[on_diagonal]], rates[bond]]
+        energy = energy[rep]
+
+        def block_rows(start: int, stop: int) -> np.ndarray:
+            block = np.zeros((stop - start, rep.size))
+            own = states[start:stop]
+            block[own - start, own] = energy[start:stop]
+            mine = (i_same >= start) & (i_same < stop)
+            block[i_same[mine] - start, j_same[mine]] = same_rates[mine]
+            mine = (at_i >= start) & (at_i < stop)
+            at = at_i[mine] - start, at_j[mine]
+            summed = block[at] + swapped[mine]
+            block += sign * 0.0
+            block[at] = summed
+            # g = 1 leaves a row or column as it is
+            block[on_diagonal[start:stop]] *= math.sqrt(0.5)
+            block[:, on_diagonal] *= math.sqrt(0.5)
+            return block
+
+        # a swapped bond from or to a diagonal state lands where a same bond does
+        own = ~(on_diagonal[i_swap] | on_diagonal[j_swap])
+        bonds = np.r_[i_same, i_swap[own]], np.r_[j_same, j_swap[own]]
         weight = np.where(on_diagonal, 1.0, math.sqrt(0.5))
-        return SwapBlock(same, sign, rep, partner, weight)
+        return SwapBlock(sign, rep, partner, weight, block_rows, bonds)
 
 
 def build_fock_hamiltonian(

@@ -1,16 +1,35 @@
-"""Exact unitary z-evolution by eigendecomposition of the generator.
+"""Unitary z-evolution from the eigenpairs of the generator's swap blocks.
 
-The generator is diagonalized once per invariant sector and every sampled
-state is synthesized spectrally, so unitarity holds to machine precision and
-revival positions are not integration artifacts. A pair-lattice operator
-(``model.PairOperator``) supplies its swap blocks, built from the rates: the
-symmetric sector, of dimension N(N+1)/2, and the antisymmetric sector, of
-dimension N(N-1)/2, which is built only when a state reaches it. Any other
-generator is one sign-1 sector whose every site is its own partner. Sectors
-are dense real-symmetric / Hermitian solves, and a real sector is
+A pair-lattice operator (``model.PairOperator``) supplies its swap blocks,
+built from the rates: the symmetric sector, of dimension N(N+1)/2, and the
+antisymmetric sector, of dimension N(N-1)/2, which is built only when a state
+reaches it. Any other generator is one sign-1 sector whose every site is its
+own partner. A plan builds, checks and hashes its first block up front
+(``generator_id`` hashes that block) and decomposes lazily, per block that a
+state reaches, in one of two ways:
+
+* The whole block is diagonalized (dense real-symmetric / Hermitian eigh),
+  once per plan. Every sampled state is then synthesized spectrally, so
+  unitarity holds to machine precision and revival positions are not
+  integration artifacts.
+* A pair operator's block as large as ``_reduces`` asks (the rule reads the
+  block size and the sample count) is reduced to the Krylov space that the
+  state's share explores up to the largest |z| asked for: Lanczos with full
+  reorthogonalization, on the block's diagonal and bond terms, then the
+  eigenpairs of the small tridiagonal matrix T_m. The tilt localizes the
+  pair, so m stays far below the block size. Lanczos stops at the first
+  checked m whose a-posteriori defect bound (Hochbruck & Lubich, SIAM J.
+  Numer. Anal. 34, 1911 (1997)) certifies the amplitudes within 1e-13 for
+  every |z| up to that reach, split between two sectors, or where the space
+  is invariant. The Ritz pairs whose coefficients have a norm of at most
+  1e-15 together are left out. Without a certificate after block/2 steps the
+  whole block is diagonalized instead, as above, so every input gets a
+  correct result.
+
+Either way a sector is eigenpairs with (block, m) vectors, m = block for the
+whole block, and synthesis is one code path for both; a real sector is
 synthesized in real arithmetic. Synthesis stays in the sector basis, and the
 full-basis eigenvectors are never formed.
-``generator_id`` hashes the first sector's block.
 
 A trajectory holds populations, not amplitudes: what every observable reads.
 Each chunk of samples is squared right after its product. With only the
@@ -36,6 +55,7 @@ the arithmetic of an unchunked synthesis, bit for bit.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -57,6 +77,26 @@ _NORM_TOL = 1e-12
 #: the product of a chunk each hold block x chunk of them (the summed rows of
 #: a state in both sectors, dim x chunk).
 _CHUNK_ELEMENTS = 1 << 17
+#: Swap blocks of at least this many states take the Krylov path, or of at
+#: least _KRYLOV_BLOCK_MANY in a synthesis of _MANY_SAMPLES samples or more
+#: (``_reduces``). Below these sizes a whole-block eigh is the faster.
+_KRYLOV_BLOCK = 384
+_KRYLOV_BLOCK_MANY = 224
+_MANY_SAMPLES = 256
+#: Certified bound on the amplitude error of a Krylov-built trajectory.
+_KRYLOV_TOL = 1e-13
+#: Lanczos steps before the first certificate check, and the growth of the
+#: step count from one check to the next.
+_FIRST_CHECK = 32
+_CHECK_GROWTH = 1.25
+_EPS = np.finfo(float).eps
+#: Most grid intervals a certificate integral is evaluated on; a longer reach
+#: is bounded without the grid.
+_DEFECT_POINTS = 1 << 14
+#: Largest norm of the Ritz coefficients left out of a Krylov sector.
+_NEGLIGIBLE = 1e-15
+#: Elements per band of rows in which a plan builds and hashes a block.
+_BAND_ELEMENTS = 1 << 18
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
 #: most dim_cap times this many (2 GiB of them at the default cap).
 _SAMPLES_PER_CAPPED_SITE = 1 << 16
@@ -191,25 +231,21 @@ class _AmplitudeRows:
         return self._evolve(float(self._z[k])).amplitudes
 
 
-def _generator_id(entries: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(str(entries.shape[0]).encode())
-    digest.update(np.ascontiguousarray(entries).tobytes())
-    return digest.hexdigest()[:12]
-
-
 class _Sector(NamedTuple):
-    """Eigenpairs of one invariant block and the block's place in the full basis.
+    """Eigenpairs of one invariant block, or of the part of it that a state
+    explores, and the block's place in the full basis.
 
     vectors[I, k] is eigenvector k's amplitude on site rep[I], and it carries
     sign times that on site partner[I]; a site that is its own partner (the
     main diagonal, or every site of a generator without swap blocks) carries
-    it once. In a sign-1 sector column[s] is the block index I whose rep or
-    partner is site s; a sign -1 sector has no column.
+    it once. The vectors are (block, m): m = block for the whole block, and
+    m <= block for the Ritz vectors of a Krylov space, which are orthonormal
+    but do not span the block. In a sign-1 sector column[s] is the block
+    index I whose rep or partner is site s; a sign -1 sector has no column.
     """
 
-    energies: np.ndarray
-    vectors: np.ndarray  # (block dim, block dim)
+    energies: np.ndarray  # (m,)
+    vectors: np.ndarray  # (block, m)
     rep: np.ndarray
     partner: np.ndarray
     sign: int
@@ -217,8 +253,7 @@ class _Sector(NamedTuple):
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
         """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] where they coincide."""
-        rep, partner = self.rep, self.partner
-        return np.where(rep == partner, psi[rep], psi[rep] + self.sign * psi[partner])
+        return _fold(self.rep, self.partner, self.sign, psi)
 
     def place(self, states: np.ndarray, part: np.ndarray):
         """Put this sector's (block, n) part of n samples into their (n, dim) rows.
@@ -236,6 +271,10 @@ class _Sector(NamedTuple):
             states[:, self.partner] -= part.T
 
 
+def _fold(rep: np.ndarray, partner: np.ndarray, sign: int, psi: np.ndarray) -> np.ndarray:
+    return np.where(rep == partner, psi[rep], psi[rep] + sign * psi[partner])
+
+
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(block)
@@ -243,14 +282,153 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _diagonalize(swap: SwapBlock, dim: int) -> _Sector:
-    energies, v = _eigh(swap.entries)
-    v *= swap.weight[:, None]
-    column = None
-    if swap.sign > 0:  # a site that is its own partner gets one column
-        column = np.empty(dim, dtype=np.intp)
-        column[swap.partner] = column[swap.rep] = np.arange(swap.rep.size)
-    return _Sector(energies, v, swap.rep, swap.partner, swap.sign, column)
+def _reduces(block: int, samples: int) -> bool:
+    """Whether a swap block of this many states, synthesized at this many
+    samples, is built from a state's Krylov space rather than diagonalized
+    whole: a rule on sizes alone, fixed by measurement (see the README)."""
+    return block >= _KRYLOV_BLOCK or (block >= _KRYLOV_BLOCK_MANY and samples >= _MANY_SAMPLES)
+
+
+class _Block:
+    """One swap block of a plan: diagonalized whole at most once, or reduced
+    to the Krylov space of each state that reaches it.
+
+    The block is built band by band of rows, to check its entries, hash them
+    (``generator_id``, when asked to identify the generator) and gather its
+    bond terms for the Krylov products; it is kept whole only if one band
+    holds it, and otherwise built again for a whole-block eigh.
+    """
+
+    def __init__(self, swap: SwapBlock, dim: int, identify: bool = False):
+        self.swap = swap
+        size = swap.rep.size
+        self.column = None
+        if swap.sign > 0:  # a site that is its own partner gets one column
+            self.column = np.empty(dim, dtype=np.intp)
+            self.column[swap.partner] = self.column[swap.rep] = np.arange(size)
+        if swap.bonds is not None:  # each row's terms, padded with zero terms on the row's own state
+            rows, cols = swap.bonds
+            order = np.argsort(rows, kind="stable")
+            rows, cols = rows[order], cols[order]
+            counts = np.bincount(rows, minlength=size)
+            first = np.r_[0, np.cumsum(counts)]  # row I's terms are first[I] to first[I + 1]
+            slot = np.arange(rows.size) - first[rows]
+            self.cols = np.repeat(np.arange(size)[:, None], max(1, counts.max(initial=0)), axis=1)
+            self.cols[rows, slot] = cols
+            self.values = np.zeros(self.cols.shape)
+            self.diagonal = np.empty(size)
+        digest = hashlib.sha256(str(size).encode()) if identify else None
+        band = max(1, _BAND_ELEMENTS // size)
+        for start in range(0, size, band):
+            stop = min(start + band, size)
+            entries = swap.rows(start, stop)
+            if not np.isfinite(entries).all():
+                i, j = np.argwhere(~np.isfinite(entries))[0]
+                raise NumericError(f"non-finite generator entry at ({i + start}, {j})")
+            if digest is not None:
+                digest.update(np.ascontiguousarray(entries))  # the buffer itself, not a copy
+            if swap.bonds is not None:
+                self.diagonal[start:stop] = entries[np.arange(stop - start), np.arange(start, stop)]
+                mine = slice(first[start], first[stop])
+                self.values[rows[mine], slot[mine]] = entries[rows[mine] - start, cols[mine]]
+        self.generator_id = digest.hexdigest()[:12] if identify else None
+        self._entries = entries if band >= size else None
+
+    def sector(self, energies: np.ndarray, vectors: np.ndarray) -> _Sector:
+        """Eigenpairs in the block's orthonormal basis, placed on the sites."""
+        vectors *= self.swap.weight[:, None]
+        return _Sector(energies, vectors, self.swap.rep, self.swap.partner, self.swap.sign, self.column)
+
+    @cached_property
+    def whole(self) -> _Sector:
+        return self.sector(*_eigh(self.swap.entries if self._entries is None else self._entries))
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """The block times x, from its diagonal and bond terms."""
+        return self.diagonal * x + np.einsum("ij,ij->i", self.values, x[self.cols])
+
+    def reduced(self, b: np.ndarray, reach: float, tol: float) -> _Sector | None:
+        """The Ritz pairs of b's Krylov space, with exp(-i H z) b certified
+        within tol for |z| <= reach; None without a certificate by block/2 steps.
+
+        Lanczos with full reorthogonalization. After m steps the error of the
+        Krylov synthesis is at most beta0 beta_m int_0^reach |e_m^T exp(-i s T_m) e_1| ds
+        (Hochbruck & Lubich 1997), evaluated from the Ritz pairs of T_m.
+        """
+        if not np.any(b.imag):  # a real share stays in real arithmetic
+            b = b.real
+        size = b.size
+        beta0 = float(np.linalg.norm(b))
+        if beta0 == 0.0:  # no weight here: an empty sector is exact
+            return self.sector(np.empty(0), np.zeros((size, 0), dtype=b.dtype))
+        limit = size // 2
+        basis = np.empty((min(limit, _FIRST_CHECK) + 1, size), dtype=b.dtype)  # grown as needed
+        alpha, beta = np.empty(limit), np.empty(limit)
+        basis[0] = b / beta0
+        check = _FIRST_CHECK
+        for j in range(limit):
+            if j + 1 == len(basis):
+                basis = np.concatenate([basis, np.empty((min(j, limit - j), size), basis.dtype)])
+            w = self._matvec(basis[j])
+            alpha[j] = np.vdot(basis[j], w).real
+            w -= alpha[j] * basis[j]
+            if j:
+                w -= beta[j - 1] * basis[j - 1]
+            known = basis[: j + 1]
+            norm = np.linalg.norm(w)
+            for _ in range(2):  # a second pass only if the first cancelled much (twice is enough)
+                w -= (known @ w.conj()).conj() @ known
+                norm, before = np.linalg.norm(w), norm
+                if norm > 0.5 * before:
+                    break
+            beta[j] = norm
+            m = j + 1
+            scale = np.abs(alpha[:m]).max() + 2.0 * beta[:m].max()
+            # an invariant space is exact; beta_m reach bounds the defect outright
+            done = beta[j] <= _EPS * scale or beta0 * beta[j] * reach <= tol
+            if done or m >= check or m == limit:
+                check = max(m + 1, int(m * _CHECK_GROWTH))
+                t = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+                energies, s = _eigh(t)
+                if done or _defect(energies, s, beta0 * beta[j], reach) <= tol:
+                    keep = _kept(beta0 * np.abs(s[0]))
+                    return self.sector(energies[keep], known.T @ s[:, keep])
+            basis[m] = w / beta[j]
+        return None
+
+
+def _kept(weights: np.ndarray) -> np.ndarray:
+    """Which Ritz pairs to keep: all but the lightest, whose coefficients
+    have a norm of at most _NEGLIGIBLE together. Dropping them moves the
+    synthesized state by exactly that norm at every z, as the Ritz vectors
+    are orthonormal."""
+    order = np.argsort(weights)
+    light = np.sqrt(np.cumsum(weights[order] ** 2)) <= _NEGLIGIBLE
+    keep = np.ones(weights.size, dtype=bool)
+    keep[order[light]] = False
+    return keep
+
+
+def _defect(energies: np.ndarray, s: np.ndarray, scale: float, reach: float) -> float:
+    """scale * int_0^reach |f(z)| dz with f(z) = sum_k s[-1, k] s[0, k] exp(-i E_k z).
+
+    Bounded first by scale * reach * sum_k |s[-1, k] s[0, k]|, then on a grid
+    of eight points per period of the widest Ritz frequency difference, each
+    interval taken at its larger end. The grid's phases are a table of r
+    steps times r anchors, so f on r^2 points costs one (r, m) x (m, r) product.
+    """
+    c = s[-1] * s[0]
+    bound = scale * reach * float(np.abs(c).sum())
+    intervals = max(1, math.ceil(reach * float(energies[-1] - energies[0]) * 4.0 / math.pi))
+    if intervals > _DEFECT_POINTS:
+        return bound
+    step = reach / intervals
+    r = math.isqrt(intervals) + 1  # r^2 > intervals
+    centred = energies - 0.5 * (energies[0] + energies[-1])
+    table = np.exp(-1j * np.outer(centred, step * np.arange(r)))
+    anchors = np.exp(-1j * np.outer(step * r * np.arange(r), centred)) * c
+    f = np.abs(anchors @ table).ravel()[: intervals + 1]
+    return min(bound, scale * step * float(np.maximum(f[1:], f[:-1]).sum()))
 
 
 def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -259,21 +437,30 @@ def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     if np.iscomplexobj(a):
         return np.matmul(a, b, out=out)
     b = np.ascontiguousarray(b, dtype=complex)
-    pairs = b.view(np.float64).reshape(b.shape[0], -1)
+    pairs = b.view(np.float64).reshape(b.shape[0], 2 * math.prod(b.shape[1:]))  # b may have no rows
     if out is not None:
         out = out.view(np.float64).reshape(out.shape[0], -1)
     return np.matmul(a, pairs, out=out).view(complex).reshape(a.shape[0], *b.shape[1:])
 
 
 class SpectralPropagator:
-    """Immutable propagation plan: one eigendecomposition per sector, many syntheses.
+    """Immutable propagation plan: the swap blocks of a generator, decomposed
+    lazily, and many syntheses.
 
-    The first sector (a pair operator's symmetric block, or any other
-    generator whole) is diagonalized here; a pair operator's antisymmetric
-    sector only when a state first reaches it, and then once.
+    The first block (a pair operator's symmetric block, or any other
+    generator whole) is built here, hashed and checked for non-finite
+    entries; a pair operator's antisymmetric block only when a state first
+    reaches it. Nothing is diagonalized here. ``trajectory`` and ``evolve``
+    take, per block a state reaches, the eigenpairs of the whole block, or,
+    for a pair operator's block as large as ``_reduces`` asks, the Ritz
+    pairs of the Krylov space that the state's share explores up to the
+    largest |z| asked for, certified within 1e-13 (split between two
+    sectors). A Krylov space that is not certified after block/2 steps gives
+    way to the whole block. The whole-block eigenpairs are computed once per
+    plan; Krylov spaces are built per call.
     Safe to share across threads; independent trajectories need no
-    coordination (two threads reaching the antisymmetric sector first at the
-    same time may both diagonalize it, with the same result).
+    coordination (two threads reaching a whole block first at the same time
+    may both diagonalize it, with the same result).
     """
 
     def __init__(self, h: HermitianOperator, dim_cap: int = DEFAULT_DIM_CAP):
@@ -282,28 +469,37 @@ class SpectralPropagator:
         self._pair = h if isinstance(h, PairOperator) else None
         if self._pair is None:  # no swap blocks: one sign-1 block, each site its own partner
             sites = np.arange(h.dim)
-            first = SwapBlock(h.entries, 1, sites, sites, np.ones(h.dim))
+            first = SwapBlock(1, sites, sites, np.ones(h.dim), lambda i, j: h.entries[i:j])
         else:
             first = h.swap_block(1)
-        bad = np.argwhere(~np.isfinite(first.entries))
-        if bad.size:
-            i, j = bad[0]
-            raise NumericError(f"non-finite generator entry at ({i}, {j})")
-        self.generator_id = _generator_id(first.entries)
-        self._first = _diagonalize(first, h.dim)
+        self._first = _Block(first, h.dim, identify=True)
+        self.generator_id = self._first.generator_id
         self.dim = h.dim
         self._dim_cap = dim_cap
 
     @cached_property
-    def _antisymmetric(self) -> _Sector:
-        return _diagonalize(self._pair.swap_block(-1), self.dim)
+    def _antisymmetric(self) -> _Block:
+        return _Block(self._pair.swap_block(-1), self.dim)
 
-    def _sectors(self, psi: np.ndarray) -> tuple[_Sector, ...]:
-        """The sectors psi has weight in; the second only if psi is not swap-symmetric."""
-        first = self._first
-        if np.array_equal(psi[first.rep], psi[first.partner]):
-            return (first,)
-        return (first, self._antisymmetric)
+    def _sectors(
+        self, psi: np.ndarray, reach: float | None = None, samples: int = 1
+    ) -> tuple[_Sector, ...]:
+        """The sectors psi has weight in, the second only if psi is not
+        swap-symmetric: the whole blocks' eigenpairs, or, given the largest |z|
+        to reach and the sample count, the Krylov spaces that psi's shares
+        explore where ``_reduces`` picks them and they are certified."""
+        blocks = [self._first]
+        if not np.array_equal(psi[self._first.swap.rep], psi[self._first.swap.partner]):
+            blocks.append(self._antisymmetric)
+        sectors = []
+        for block in blocks:
+            swap, sector = block.swap, None
+            reduces = reach is not None and math.isfinite(reach) and swap.bonds is not None
+            if reduces and _reduces(swap.rep.size, samples):
+                share = swap.weight * _fold(swap.rep, swap.partner, swap.sign, psi)
+                sector = block.reduced(share, reach, _KRYLOV_TOL / len(blocks))
+            sectors.append(block.whole if sector is None else sector)
+        return tuple(sectors)
 
     def _synthesize(
         self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
@@ -313,8 +509,9 @@ class SpectralPropagator:
         populations |c|^2 if square, else the complex amplitudes."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
-        sectors = self._sectors(psi)
-        widest = sectors[0].energies.size  # the sign-1 block is never the narrower
+        reach = max(dz * (n_grid - 1) if n_grid else 0.0, float(np.abs(off_grid).max(initial=0.0)))
+        sectors = self._sectors(psi, reach, n_samples)
+        widest = sectors[0].vectors.shape[0]  # the sign-1 block is never the narrower
         chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // widest))
         steps = dz * np.arange(min(chunk, n_grid))
         coeffs = [_apply(s.vectors.conj().T, s.fold(psi)) for s in sectors]
@@ -331,16 +528,16 @@ class SpectralPropagator:
             z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
             rows = row_buf[: (k1 - k0) * self.dim].reshape(k1 - k0, -1) if summed else None
             for i, sector in enumerate(sectors):
-                energies, block = sector.energies, sector.energies.size
+                energies, (block, m) = sector.energies, sector.vectors.shape
                 # flat buffers reshaped, so a short last chunk is contiguous too
-                phases = phase_buf[: block * (k1 - k0)].reshape(block, k1 - k0)
+                phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
                 if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
                     anchor = coeffs[i] if k0 == 0 else coeffs[i] * np.exp(-1j * energies * (dz * k0))
                     np.multiply(offsets[i][:, :on_grid], anchor[:, None], out=phases[:, :on_grid])
                 if z.size:
                     direct = np.exp(-1j * np.outer(energies, z))
                     np.multiply(direct, coeffs[i][:, None], out=phases[:, on_grid:])
-                part = _apply(sector.vectors, phases, out=part_buf[: phases.size].reshape(phases.shape))
+                part = _apply(sector.vectors, phases, out=part_buf[: block * (k1 - k0)].reshape(block, -1))
                 if k1 == n_samples and i == len(sectors) - 1:
                     offsets.clear()  # free the phase tables before the last chunk touches the output
                 if out is None:  # late: a one-chunk run never holds its tables beside it
@@ -377,6 +574,7 @@ class SpectralPropagator:
             raise InvalidParameterError(
                 f"state dimension {psi0.dim} does not match generator {self.dim}"
             )
+
 
 
 def _sample_grid(z_max: float, dz: float, dim: int, dim_cap: int) -> tuple[np.ndarray, int]:

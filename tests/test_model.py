@@ -327,6 +327,16 @@ def assert_blocks_match_gather(params: ModelParams):
         assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
         expected_weight = np.where(a == b, 1.0, math.sqrt(0.5))
         assert np.array_equal(swap.weight, expected_weight)
+        # bands of rows are the block's rows, byte for byte, whatever the cut
+        bands = [swap.rows(start, min(start + 3, size)) for start in range(0, size, 3)]
+        assert np.concatenate(bands).tobytes() == swap.entries.tobytes()
+        # the bond positions: off the diagonal, each once, and every nonzero there
+        i, j = swap.bonds
+        assert np.all(i != j) and np.unique(i * size + j).size == i.size
+        off_diagonal = swap.entries.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        off_diagonal[i, j] = 0.0
+        assert not np.any(off_diagonal)
 
 
 @pytest.mark.parametrize(

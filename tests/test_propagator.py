@@ -6,6 +6,7 @@ checks take their states from ``evolve``."""
 
 import contextlib
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -583,3 +584,143 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
     transient = 8 * budget * 16  # a few chunk buffers of `budget` complex elements
     assert peak <= traj.probabilities.nbytes + transient  # no (samples, dim) amplitudes
     assert synthesis_peaks[-1] <= transient  # beside the populations, synthesis holds only chunks
+
+
+# ---------------------------------------------------------------------------
+# Krylov sectors: against the bond enumerator's dense matrix and the whole
+# blocks, the selection rule, and the fall-back to the whole block
+# ---------------------------------------------------------------------------
+
+
+def _block(n):
+    return n * (n + 1) // 2
+
+
+def whole_blocks():
+    """Switch the Krylov path off in the block: every block is diagonalized whole."""
+    return mock.patch.object(propagator, "_reduces", lambda block, samples: False)
+
+
+@pytest.mark.parametrize(
+    "block, samples, reduced",
+    [(120, 10**6, False), (_block(20), 301, False), (_block(22), 255, False),
+     (_block(22), 256, True), (_block(27), 1, False), (_block(28), 1, True)],
+)
+def test_selection_rule_reads_the_block_and_the_sample_count(block, samples, reduced):
+    assert propagator._reduces(block, samples) is reduced
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from([20, 22, 28]),  # below, across (by samples) and above the rule's sizes
+    ebh=st.booleans(),
+    kind=st.sampled_from(["doublon", "unsymmetrized", "complex", "antisymmetric"]),
+    u0=st.floats(-10.0, -4.0),
+    rho=st.floats(0.0, 0.3),
+    fd=st.floats(0.3, 0.6),
+    z_max=st.floats(1.0, 8.5),
+)
+def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
+    if ebh:  # kappa1 != kappa and a near-diagonal defect
+        params = ModelParams.from_ebh(j_hop=9.0, eps=0.19, u0=u0, fd=fd, n_sites=n)
+    else:
+        params = ModelParams(kappa=KAPPA, rho=rho, u0=u0, fd=fd, n_sites=n)
+    h = build_fock_hamiltonian(params)
+    if kind == "complex":  # complex shares in both sectors: Lanczos in complex arithmetic
+        amp = _pair_state("doublon", n).amplitudes + 1j * _pair_state("unsymmetrized", n).amplitudes
+        psi0 = StateVector(amp / np.linalg.norm(amp))
+    elif kind == "antisymmetric":  # no share in the symmetric sector: an empty Krylov space
+        amp = _pair_state("unsymmetrized", n).amplitudes
+        psi0 = StateVector((amp - amp[swap_indices(n)]) / np.sqrt(2.0))
+    else:
+        psi0 = _pair_state(kind, n)
+    plan = SpectralPropagator(h)
+    with eigh_dims() as dims:
+        traj = plan.trajectory(psi0, z_max, z_max / 300)  # 301 samples
+        states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
+    # each block the rule sends whole at either sample count is diagonalized;
+    # every other eigh is a Krylov space's, of at most block/2 steps
+    blocks = [_block(n)] if kind == "doublon" else [_block(n), _block(n - 1)]  # N(N-1)/2
+    if kind == "antisymmetric" and propagator._reduces(_block(n), 1):
+        blocks = blocks[1:]  # the empty symmetric share never needs its block
+    whole = [b for b in blocks if not (propagator._reduces(b, 1) and propagator._reduces(b, 301))]
+    assert sorted(d for d in dims if d > _block(n) // 2) == sorted(whole)
+    oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
+    assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
+    assert np.max(np.abs(np.array(states) - oracle[-2:])) <= SECTOR_TOL
+
+
+def _pair_scan_points(seed):
+    """The benchmark's pair-scan points: rho, u0 and fd drawn per point, in
+    that order, from one seeded stream (N = 56, dz = 0.01; N = 31, dz = 0.001)."""
+    rng = random.Random(seed)
+    return [
+        (ModelParams(kappa=0.95, rho=rng.uniform(0.0, 0.3), u0=rng.uniform(-10.0, -4.0),
+                     fd=rng.uniform(0.3, 0.6), n_sites=n), dz)
+        for n, dz in ((56, 0.01), (31, 0.001))
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pair_scan_points_match_the_whole_blocks(seed):
+    for params, dz in _pair_scan_points(seed):
+        n = params.n_sites
+        h = build_fock_hamiltonian(params)
+        psi0 = _pair_state("doublon", n)
+        with eigh_dims() as dims:
+            plan = SpectralPropagator(h)
+            traj = plan.trajectory(psi0, 8.5, dz)
+            state = plan.evolve(psi0, traj.z_samples[10]).amplitudes
+        assert max(dims) <= _block(n) // 2  # no whole block was diagonalized
+        with whole_blocks(), eigh_dims() as dims:
+            whole = SpectralPropagator(h)
+            exact = whole.trajectory(psi0, 8.5, dz).probabilities
+            exact_state = whole.evolve(psi0, traj.z_samples[10]).amplitudes
+        assert dims == [_block(n)] and whole.generator_id == plan.generator_id
+        assert np.max(np.abs(traj.probabilities - exact)) <= SECTOR_TOL
+        assert np.max(np.abs(state - exact_state)) <= SECTOR_TOL
+
+
+def test_pair_scan_state_matches_the_bond_oracle():
+    (_, (params, dz)) = _pair_scan_points(1)  # N = 31: the bond oracle is 961 wide
+    h = build_fock_hamiltonian(params)
+    psi0 = _pair_state("doublon", 31)
+    state = SpectralPropagator(h).evolve(psi0, 10 * dz)
+    assert np.max(np.abs(state.amplitudes - dense_states(h, psi0, [10 * dz])[0])) <= SECTOR_TOL
+
+
+def test_uncertified_krylov_space_falls_back_to_the_whole_block(monkeypatch):
+    # Without a tilt nothing localizes the pair: over z = 120 its Krylov space
+    # is not certified within block/2 = 248 steps.
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=31))
+    psi0 = _pair_state("doublon", 31)
+    reduced = []
+    build = propagator._Block.reduced
+
+    def recording(self, *args):
+        reduced.append(build(self, *args))
+        return reduced[-1]
+
+    monkeypatch.setattr(propagator._Block, "reduced", recording)
+    plan = SpectralPropagator(h)
+    with eigh_dims() as dims:
+        traj = plan.trajectory(psi0, 120.0, 0.5)
+        far = plan.evolve(psi0, 1e6)
+    assert reduced == [None, None] and dims.count(_block(31)) == 1  # diagonalized once
+    with whole_blocks():
+        whole = SpectralPropagator(h)
+        assert np.array_equal(traj.probabilities, whole.trajectory(psi0, 120.0, 0.5).probabilities)
+        assert np.array_equal(far.amplitudes, whole.evolve(psi0, 1e6).amplitudes)
+
+
+def test_krylov_state_at_short_reach_needs_few_steps():
+    # both blocks (435 and 406 states) take the Krylov path for one sample
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=29))
+    psi0 = _pair_state("unsymmetrized", 29)
+    plan = SpectralPropagator(h)
+    with eigh_dims() as dims:
+        state = plan.evolve(psi0, 0.1)
+        same = plan.evolve(psi0, 0.0)
+    assert max(dims) <= propagator._FIRST_CHECK
+    assert np.max(np.abs(state.amplitudes - dense_states(h, psi0, [0.1])[0])) <= SECTOR_TOL
+    assert np.max(np.abs(same.amplitudes - psi0.amplitudes)) <= 1e-15

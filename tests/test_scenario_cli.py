@@ -732,7 +732,11 @@ def test_cli_exit_code_resource_cap(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("model", ["fock", "single", "effective"])
-def test_cli_sample_count_beyond_the_cap_exits_3(tmp_path, capsys, model):
+def test_cli_sample_count_beyond_the_cap_exits_3(tmp_path, capsys, monkeypatch, model):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("an eigendecomposition ran before the sample bound was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)  # the bound comes first, before any work
     text = _with(_with(MODEL_CONFIG, "model = effective", f"model = {model}"), "dz = 0.01", "dz = 1e-7")
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, text), "--out", str(out)]) == 3

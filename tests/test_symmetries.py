@@ -8,8 +8,12 @@ near-diagonal defect negated (kappa, kappa1 and fd unchanged). So the
 populations from (a, b) equal the mirrored populations from (N-1-a, N-1-b)
 under (-u0, -rho, -defect): attractive and repulsive pairs show the same
 fractional Bloch oscillation, mirrored. Both run through the sector
-propagator, and through a run's trajectory CSV read back.
+propagator, its Krylov sectors too on a lattice whose blocks take them, and
+through a run's trajectory CSV read back.
 """
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -22,6 +26,11 @@ from fracbloch.scenario import ScenarioConfig, run_scenario
 
 RATE = st.floats(-3.0, 3.0, allow_nan=False)
 POSITIVE = st.floats(0.0, 2.0, allow_nan=False)
+
+
+#: A lattice whose blocks (435 and 406 states) take the Krylov path even for
+#: one sample (``propagator._reduces``).
+KRYLOV_SITES = 29
 
 
 @st.composite
@@ -66,24 +75,80 @@ def real_start(draw, n_sites):
     return psi / norm
 
 
+@st.composite
+def krylov_params(draw):
+    """The KRYLOV_SITES lattice at rates around the paper's arrays, whose tilt
+    keeps a local start's Krylov space well below block/2, for either sign of
+    the interaction."""
+    return ModelParams(
+        kappa=draw(st.floats(0.5, 1.0)), kappa1=draw(st.floats(0.5, 1.5)),
+        rho=draw(st.floats(-0.3, 0.3)), u0=draw(st.floats(-10.0, 10.0)),
+        fd=draw(st.floats(0.3, 0.6)), near_diag_defect=draw(st.floats(-0.3, 0.3)),
+        n_sites=KRYLOV_SITES,
+    )
+
+
+@st.composite
+def local_start(draw, n_sites):
+    """A pair excitation, or one site off the diagonal, which reaches the
+    antisymmetric sector: starts whose Krylov spaces the tilt keeps small."""
+    a, b = draw(st.integers(0, n_sites - 1)), draw(st.integers(0, n_sites - 1))
+    if a == b or draw(st.booleans()):
+        return StateVector.pair_excitation(n_sites, a, b).amplitudes.real
+    return StateVector.delta(n_sites * n_sites, a * n_sites + b).amplitudes.real
+
+
+@contextlib.contextmanager
+def krylov_only(n_sites):
+    """Fail if any block of the n_sites lattice is diagonalized whole."""
+    eigh = np.linalg.eigh
+
+    def reduced_only(a, *args, **kwargs):
+        assert a.shape[0] <= n_sites * (n_sites + 1) // 4, "a whole block was diagonalized"
+        return eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", reduced_only):
+        yield
+
+
+def assert_time_reversal(p, psi, z):
+    plan = SpectralPropagator(build_fock_hamiltonian(p))
+    forward = plan.evolve(StateVector(psi), z).probabilities
+    backward = plan.evolve(StateVector(psi), -z).probabilities
+    assert np.max(np.abs(forward - backward)) <= 1e-14
+
+
+def assert_interaction_mirror(p, psi, z):
+    pops = SpectralPropagator(build_fock_hamiltonian(p)).evolve(StateVector(psi), z)
+    partner = SpectralPropagator(build_fock_hamiltonian(mirrored(p)))
+    pops_mirror = partner.evolve(StateVector(mirror_state(psi, p.n_sites)), z)
+    assert np.max(np.abs(pops.probabilities[::-1] - pops_mirror.probabilities)) <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), p=params(), z=st.floats(0.0, 6.0))
 def test_time_reversal_through_the_propagator(data, p, z):
-    psi0 = StateVector(data.draw(real_start(p.n_sites)))
-    plan = SpectralPropagator(build_fock_hamiltonian(p))
-    forward = plan.evolve(psi0, z).probabilities
-    backward = plan.evolve(psi0, -z).probabilities
-    assert np.max(np.abs(forward - backward)) <= 1e-14
+    assert_time_reversal(p, data.draw(real_start(p.n_sites)), z)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), p=params(), z=st.floats(0.0, 6.0))
 def test_interaction_mirror_through_the_propagator(data, p, z):
-    psi = data.draw(real_start(p.n_sites))
-    pops = SpectralPropagator(build_fock_hamiltonian(p)).evolve(StateVector(psi), z)
-    partner = SpectralPropagator(build_fock_hamiltonian(mirrored(p)))
-    pops_mirror = partner.evolve(StateVector(mirror_state(psi, p.n_sites)), z)
-    assert np.max(np.abs(pops.probabilities[::-1] - pops_mirror.probabilities)) <= 1e-12
+    assert_interaction_mirror(p, data.draw(real_start(p.n_sites)), z)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), p=krylov_params(), z=st.floats(0.0, 6.0))
+def test_time_reversal_through_krylov_sectors(data, p, z):
+    with krylov_only(KRYLOV_SITES):
+        assert_time_reversal(p, data.draw(local_start(KRYLOV_SITES)), z)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), p=krylov_params(), z=st.floats(0.0, 6.0))
+def test_interaction_mirror_through_krylov_sectors(data, p, z):
+    with krylov_only(KRYLOV_SITES):
+        assert_interaction_mirror(p, data.draw(local_start(KRYLOV_SITES)), z)
 
 
 def _run_csv(tmp, name, p, excitation):
