@@ -12,19 +12,18 @@ state reaches, in one of two ways:
   once per plan. Every sampled state is then synthesized spectrally, so
   unitarity holds to machine precision and revival positions are not
   integration artifacts.
-* A pair operator's block as large as ``_reduces`` asks (the rule reads the
-  block size and the sample count) is reduced to the Krylov space that the
-  state's share explores up to the largest |z| asked for: Lanczos with full
-  reorthogonalization, on the block's diagonal and bond terms, then the
-  eigenpairs of the small tridiagonal matrix T_m. The tilt localizes the
-  pair, so m stays far below the block size. Lanczos stops at the first
-  checked m whose a-posteriori defect bound (Hochbruck & Lubich, SIAM J.
-  Numer. Anal. 34, 1911 (1997)) certifies the amplitudes within 1e-13 for
-  every |z| up to that reach, split between two sectors, or where the space
-  is invariant. The Ritz pairs whose coefficients have a norm of at most
-  1e-15 together are left out. Without a certificate after block/2 steps the
-  whole block is diagonalized instead, as above, so every input gets a
-  correct result.
+* A pair operator's block of at least ``_KRYLOV_BLOCK`` states is reduced
+  to the Krylov space that the state's share explores up to the largest |z|
+  asked for: Lanczos with full reorthogonalization, on the block's diagonal
+  and bond terms, then the eigenpairs of the small tridiagonal matrix T_m.
+  The tilt localizes the pair, so m stays far below the block size. Lanczos
+  stops at the first checked m whose a-posteriori defect bound (Hochbruck &
+  Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), evaluated on a grid (see
+  ``_defect``), is at most 1e-13 for every |z| up to that reach, split
+  between two sectors, or where the space is invariant. Without a
+  certificate after block/2 steps the whole block is diagonalized instead,
+  as above, so every input gets a correct result; once a plan holds a whole
+  block it uses it for every later state.
 
 Either way a sector is eigenpairs with (block, m) vectors, m = block for the
 whole block, and synthesis is one code path for both; a real sector is
@@ -77,13 +76,10 @@ _NORM_TOL = 1e-12
 #: the product of a chunk each hold block x chunk of them (the summed rows of
 #: a state in both sectors, dim x chunk).
 _CHUNK_ELEMENTS = 1 << 17
-#: Swap blocks of at least this many states take the Krylov path, or of at
-#: least _KRYLOV_BLOCK_MANY in a synthesis of _MANY_SAMPLES samples or more
-#: (``_reduces``). Below these sizes a whole-block eigh is the faster.
+#: Swap blocks of at least this many states take the Krylov path; below it a
+#: whole-block eigh is the faster.
 _KRYLOV_BLOCK = 384
-_KRYLOV_BLOCK_MANY = 224
-_MANY_SAMPLES = 256
-#: Certified bound on the amplitude error of a Krylov-built trajectory.
+#: Bound on the amplitude error of a Krylov-built trajectory.
 _KRYLOV_TOL = 1e-13
 #: Lanczos steps before the first certificate check, and the growth of the
 #: step count from one check to the next.
@@ -93,8 +89,6 @@ _EPS = np.finfo(float).eps
 #: Most grid intervals a certificate integral is evaluated on; a longer reach
 #: is bounded without the grid.
 _DEFECT_POINTS = 1 << 14
-#: Largest norm of the Ritz coefficients left out of a Krylov sector.
-_NEGLIGIBLE = 1e-15
 #: Elements per band of rows in which a plan builds and hashes a block.
 _BAND_ELEMENTS = 1 << 18
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
@@ -282,11 +276,11 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _reduces(block: int, samples: int) -> bool:
-    """Whether a swap block of this many states, synthesized at this many
-    samples, is built from a state's Krylov space rather than diagonalized
-    whole: a rule on sizes alone, fixed by measurement (see the README)."""
-    return block >= _KRYLOV_BLOCK or (block >= _KRYLOV_BLOCK_MANY and samples >= _MANY_SAMPLES)
+def _reduces(block: int) -> bool:
+    """Whether a swap block of this many states is built from a state's
+    Krylov space rather than diagonalized whole: a rule on its size alone,
+    fixed by measurement (see the README)."""
+    return block >= _KRYLOV_BLOCK
 
 
 class _Block:
@@ -348,12 +342,12 @@ class _Block:
         return self.diagonal * x + np.einsum("ij,ij->i", self.values, x[self.cols])
 
     def reduced(self, b: np.ndarray, reach: float, tol: float) -> _Sector | None:
-        """The Ritz pairs of b's Krylov space, with exp(-i H z) b certified
-        within tol for |z| <= reach; None without a certificate by block/2 steps.
+        """The Ritz pairs of b's Krylov space, with exp(-i H z) b within tol
+        for |z| <= reach; None without a certificate by block/2 steps.
 
         Lanczos with full reorthogonalization. After m steps the error of the
         Krylov synthesis is at most beta0 beta_m int_0^reach |e_m^T exp(-i s T_m) e_1| ds
-        (Hochbruck & Lubich 1997), evaluated from the Ritz pairs of T_m.
+        (Hochbruck & Lubich 1997), evaluated from the Ritz pairs of T_m (``_defect``).
         """
         if not np.any(b.imag):  # a real share stays in real arithmetic
             b = b.real
@@ -381,54 +375,50 @@ class _Block:
                 norm, before = np.linalg.norm(w), norm
                 if norm > 0.5 * before:
                     break
-            beta[j] = norm
+            beta[j] = norm = float(norm)
             m = j + 1
             scale = np.abs(alpha[:m]).max() + 2.0 * beta[:m].max()
             # an invariant space is exact; beta_m reach bounds the defect outright
-            done = beta[j] <= _EPS * scale or beta0 * beta[j] * reach <= tol
+            # (Python floats, so a far reach overflows to inf without a warning)
+            done = norm <= _EPS * scale or beta0 * norm * reach <= tol
             if done or m >= check or m == limit:
                 check = max(m + 1, int(m * _CHECK_GROWTH))
                 t = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
                 energies, s = _eigh(t)
-                if done or _defect(energies, s, beta0 * beta[j], reach) <= tol:
-                    keep = _kept(beta0 * np.abs(s[0]))
-                    return self.sector(energies[keep], known.T @ s[:, keep])
+                if done or _defect(energies, s, beta0 * norm, reach) <= tol:
+                    return self.sector(energies, known.T @ s)
             basis[m] = w / beta[j]
         return None
-
-
-def _kept(weights: np.ndarray) -> np.ndarray:
-    """Which Ritz pairs to keep: all but the lightest, whose coefficients
-    have a norm of at most _NEGLIGIBLE together. Dropping them moves the
-    synthesized state by exactly that norm at every z, as the Ritz vectors
-    are orthonormal."""
-    order = np.argsort(weights)
-    light = np.sqrt(np.cumsum(weights[order] ** 2)) <= _NEGLIGIBLE
-    keep = np.ones(weights.size, dtype=bool)
-    keep[order[light]] = False
-    return keep
 
 
 def _defect(energies: np.ndarray, s: np.ndarray, scale: float, reach: float) -> float:
     """scale * int_0^reach |f(z)| dz with f(z) = sum_k s[-1, k] s[0, k] exp(-i E_k z).
 
-    Bounded first by scale * reach * sum_k |s[-1, k] s[0, k]|, then on a grid
-    of eight points per period of the widest Ritz frequency difference, each
-    interval taken at its larger end. The grid's phases are a table of r
-    steps times r anchors, so f on r^2 points costs one (r, m) x (m, r) product.
+    Bounded first by scale * reach * sum_k |s[-1, k] s[0, k]|, then, if at
+    most _DEFECT_POINTS intervals reach that far, on a grid of eight points
+    per period of the widest Ritz frequency difference dE, each interval
+    taken at its larger end and the sum divided by 1 - pi/16. f's frequencies
+    lie within dE/2 of their centre, so by Bernstein's inequality |f| rises
+    above the larger end of an interval by at most pi/16 of its supremum.
+    The division covers that rise where |f| is near its supremum; elsewhere
+    the grid sum is an estimate with that margin, not a strict bound. The
+    grid's phases are a table of r steps times r anchors, so f on r^2 points
+    costs one (r, m) x (m, r) product.
     """
     c = s[-1] * s[0]
     bound = scale * reach * float(np.abs(c).sum())
-    intervals = max(1, math.ceil(reach * float(energies[-1] - energies[0]) * 4.0 / math.pi))
-    if intervals > _DEFECT_POINTS:
+    span = reach * float(energies[-1] - energies[0]) * 4.0 / math.pi
+    if not span <= _DEFECT_POINTS:  # a span that overflowed to inf too
         return bound
+    intervals = max(1, math.ceil(span))
     step = reach / intervals
     r = math.isqrt(intervals) + 1  # r^2 > intervals
     centred = energies - 0.5 * (energies[0] + energies[-1])
     table = np.exp(-1j * np.outer(centred, step * np.arange(r)))
     anchors = np.exp(-1j * np.outer(step * r * np.arange(r), centred)) * c
     f = np.abs(anchors @ table).ravel()[: intervals + 1]
-    return min(bound, scale * step * float(np.maximum(f[1:], f[:-1]).sum()))
+    grid = scale * step * float(np.maximum(f[1:], f[:-1]).sum()) / (1.0 - math.pi / 16.0)
+    return min(bound, grid)
 
 
 def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -452,12 +442,13 @@ class SpectralPropagator:
     entries; a pair operator's antisymmetric block only when a state first
     reaches it. Nothing is diagonalized here. ``trajectory`` and ``evolve``
     take, per block a state reaches, the eigenpairs of the whole block, or,
-    for a pair operator's block as large as ``_reduces`` asks, the Ritz
-    pairs of the Krylov space that the state's share explores up to the
-    largest |z| asked for, certified within 1e-13 (split between two
-    sectors). A Krylov space that is not certified after block/2 steps gives
-    way to the whole block. The whole-block eigenpairs are computed once per
-    plan; Krylov spaces are built per call.
+    for a pair operator's block of at least ``_KRYLOV_BLOCK`` states, the
+    Ritz pairs of the Krylov space that the state's share explores up to the
+    largest |z| asked for, within 1e-13 by the defect bound (split between
+    two sectors). A Krylov space without a certificate after block/2 steps
+    gives way to the whole block. The whole-block eigenpairs are computed
+    once per plan, and from then on serve every state in that block; Krylov
+    spaces are built per call.
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching a whole block first at the same time
     may both diagonalize it, with the same result).
@@ -481,21 +472,20 @@ class SpectralPropagator:
     def _antisymmetric(self) -> _Block:
         return _Block(self._pair.swap_block(-1), self.dim)
 
-    def _sectors(
-        self, psi: np.ndarray, reach: float | None = None, samples: int = 1
-    ) -> tuple[_Sector, ...]:
+    def _sectors(self, psi: np.ndarray, reach: float | None = None) -> tuple[_Sector, ...]:
         """The sectors psi has weight in, the second only if psi is not
         swap-symmetric: the whole blocks' eigenpairs, or, given the largest |z|
-        to reach and the sample count, the Krylov spaces that psi's shares
-        explore where ``_reduces`` picks them and they are certified."""
+        to reach, the Krylov spaces that psi's shares explore where ``_reduces``
+        picks them, they are certified and the plan holds no whole block yet."""
         blocks = [self._first]
         if not np.array_equal(psi[self._first.swap.rep], psi[self._first.swap.partner]):
             blocks.append(self._antisymmetric)
         sectors = []
         for block in blocks:
             swap, sector = block.swap, None
+            # a whole block once diagonalized serves every later state
             reduces = reach is not None and math.isfinite(reach) and swap.bonds is not None
-            if reduces and _reduces(swap.rep.size, samples):
+            if reduces and _reduces(swap.rep.size) and "whole" not in block.__dict__:
                 share = swap.weight * _fold(swap.rep, swap.partner, swap.sign, psi)
                 sector = block.reduced(share, reach, _KRYLOV_TOL / len(blocks))
             sectors.append(block.whole if sector is None else sector)
@@ -510,7 +500,7 @@ class SpectralPropagator:
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
         reach = max(dz * (n_grid - 1) if n_grid else 0.0, float(np.abs(off_grid).max(initial=0.0)))
-        sectors = self._sectors(psi, reach, n_samples)
+        sectors = self._sectors(psi, reach)
         widest = sectors[0].vectors.shape[0]  # the sign-1 block is never the narrower
         chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // widest))
         steps = dz * np.arange(min(chunk, n_grid))

@@ -598,21 +598,20 @@ def _block(n):
 
 def whole_blocks():
     """Switch the Krylov path off in the block: every block is diagonalized whole."""
-    return mock.patch.object(propagator, "_reduces", lambda block, samples: False)
+    return mock.patch.object(propagator, "_reduces", lambda block: False)
 
 
 @pytest.mark.parametrize(
-    "block, samples, reduced",
-    [(120, 10**6, False), (_block(20), 301, False), (_block(22), 255, False),
-     (_block(22), 256, True), (_block(27), 1, False), (_block(28), 1, True)],
+    "block, reduced",
+    [(120, False), (_block(20), False), (_block(27), False), (_block(28), True), (_block(56), True)],
 )
-def test_selection_rule_reads_the_block_and_the_sample_count(block, samples, reduced):
-    assert propagator._reduces(block, samples) is reduced
+def test_selection_rule_reads_the_block_size(block, reduced):
+    assert propagator._reduces(block) is reduced
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    n=st.sampled_from([20, 22, 28]),  # below, across (by samples) and above the rule's sizes
+    n=st.sampled_from([20, 28, 29]),  # both blocks below, across and above the rule's size
     ebh=st.booleans(),
     kind=st.sampled_from(["doublon", "unsymmetrized", "complex", "antisymmetric"]),
     u0=st.floats(-10.0, -4.0),
@@ -638,12 +637,12 @@ def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
     with eigh_dims() as dims:
         traj = plan.trajectory(psi0, z_max, z_max / 300)  # 301 samples
         states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
-    # each block the rule sends whole at either sample count is diagonalized;
-    # every other eigh is a Krylov space's, of at most block/2 steps
+    # each block the rule sends whole is diagonalized; every other eigh is a
+    # Krylov space's, of at most block/2 steps
     blocks = [_block(n)] if kind == "doublon" else [_block(n), _block(n - 1)]  # N(N-1)/2
-    if kind == "antisymmetric" and propagator._reduces(_block(n), 1):
+    if kind == "antisymmetric" and propagator._reduces(_block(n)):
         blocks = blocks[1:]  # the empty symmetric share never needs its block
-    whole = [b for b in blocks if not (propagator._reduces(b, 1) and propagator._reduces(b, 301))]
+    whole = [b for b in blocks if not propagator._reduces(b)]
     assert sorted(d for d in dims if d > _block(n) // 2) == sorted(whole)
     oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
     assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
@@ -706,15 +705,37 @@ def test_uncertified_krylov_space_falls_back_to_the_whole_block(monkeypatch):
     with eigh_dims() as dims:
         traj = plan.trajectory(psi0, 120.0, 0.5)
         far = plan.evolve(psi0, 1e6)
-    assert reduced == [None, None] and dims.count(_block(31)) == 1  # diagonalized once
+        again = plan.trajectory(psi0, 120.0, 0.5)
+    # one failed Lanczos run; later calls take the whole block it left, diagonalized once
+    assert reduced == [None] and dims.count(_block(31)) == 1
+    assert np.array_equal(again.probabilities, traj.probabilities)
     with whole_blocks():
         whole = SpectralPropagator(h)
         assert np.array_equal(traj.probabilities, whole.trajectory(psi0, 120.0, 0.5).probabilities)
         assert np.array_equal(far.amplitudes, whole.evolve(psi0, 1e6).amplitudes)
 
 
+def test_far_evolve_falls_back_without_overflowing_the_defect():
+    # At z = 1e300 the defect's grid would need about 1e300 intervals, and at
+    # 1e308 its size overflows to inf: neither is certified, both fall back to
+    # the whole block, as if the Krylov path were off.
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=28))
+    psi0 = _pair_state("doublon", 28)
+    plan = SpectralPropagator(h)
+    with whole_blocks():
+        whole = SpectralPropagator(h)
+        assert np.array_equal(plan.evolve(psi0, 1e300).amplitudes, whole.evolve(psi0, 1e300).amplitudes)
+    plan = SpectralPropagator(h)  # a fresh plan, holding no whole block yet
+    with np.errstate(over="ignore", invalid="ignore"):  # E z overflows in the synthesis
+        for z in (1e308, -1e308):  # as on the whole-block path: the phases, and so the norm, are NaN
+            with pytest.raises(InvalidParameterError, match="norm"):
+                plan.evolve(psi0, z)
+            with pytest.raises(InvalidParameterError, match="norm"):
+                whole.evolve(psi0, z)
+
+
 def test_krylov_state_at_short_reach_needs_few_steps():
-    # both blocks (435 and 406 states) take the Krylov path for one sample
+    # both blocks (435 and 406 states) take the Krylov path
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=29))
     psi0 = _pair_state("unsymmetrized", 29)
     plan = SpectralPropagator(h)

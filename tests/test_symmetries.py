@@ -28,8 +28,8 @@ RATE = st.floats(-3.0, 3.0, allow_nan=False)
 POSITIVE = st.floats(0.0, 2.0, allow_nan=False)
 
 
-#: A lattice whose blocks (435 and 406 states) take the Krylov path even for
-#: one sample (``propagator._reduces``).
+#: A lattice whose blocks (435 and 406 states) both take the Krylov path
+#: (``propagator._reduces``).
 KRYLOV_SITES = 29
 
 
