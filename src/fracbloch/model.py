@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, SingularParameterError
 
 #: Largest operator dimension the builders and the propagator accept by
-#: default. It bounds what grows with the dimension: a whole-block eigh (the
-#: small blocks', and the fall-back of a Krylov space without a certificate),
-#: the dense rows hashed for ``generator_id``, and a trajectory's populations;
-#: override per call (the CLI maps an environment variable onto it).
+#: default. It bounds what grows with the dimension: a swap block's terms, the
+#: dense matrix they scatter into for a whole-block eigh (the small blocks',
+#: and the fall-back of a Krylov space without a certificate), and a
+#: trajectory's populations; override per call (the CLI maps an environment
+#: variable onto it).
 DEFAULT_DIM_CAP = 4096
 
 _CONSISTENCY_RTOL = 1e-9
@@ -179,6 +180,18 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def swap_block(self, sign: int) -> SwapBlock:
+        """The generator as one sign-1 block whose every site is its own
+        partner; it has no other. Its terms are the diagonal and every entry
+        whose bytes are not those of +0.0, so a -0.0 entry is kept."""
+        if sign != 1:
+            raise InvalidParameterError(f"a generator without a swap has no sign {sign} block")
+        sites = np.arange(self.dim)
+        kept = self.entries.view(np.uint8).reshape(self.dim, self.dim, -1).any(axis=-1)
+        kept[sites, sites] = True
+        i, j = np.nonzero(kept)
+        return SwapBlock(1, sites, sites, np.ones(self.dim), i, j, self.entries[i, j])
+
 
 def _require_finite(*terms: tuple[str, float, float]):
     """Fail at the first (field, rate, entry) whose generator entry is not finite.
@@ -277,27 +290,33 @@ def build_single_particle_hamiltonian(
 
 
 class SwapBlock(NamedTuple):
-    """The generator on one sector of the pair lattice's (n, m) swap.
+    """The generator on one sector of the pair lattice's (n, m) swap, as its terms.
 
     Basis state I is |a, a> when rep[I] == partner[I], else
     (|a, b> + sign |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
     flat indices of (a, b) and (b, a), and weight[I] is the state's amplitude
-    on rep[I] (1 or 1/sqrt 2). ``rows(start, stop)`` builds rows start to stop
-    of the (block, block) Hermitian matrix (real symmetric for the pair
-    lattice), so a caller that streams the block never holds it whole;
-    ``entries`` builds all of it. ``bonds`` holds
-    the (I, J) positions of the block's off-diagonal terms, each once, in both
-    directions: with the diagonal, every entry that a bond can make nonzero.
-    A block built without the bond list (any generator but a pair operator)
-    has none.
+    on rep[I] (1 or 1/sqrt 2). A generator without a swap is one sign-1 block
+    whose state I is site I. Entry (i[k], j[k]) of the (block, block)
+    Hermitian matrix is values[k]: the terms are sorted by row and then
+    column, each (I, J) once, every diagonal entry among them, and every entry
+    that is not a term is +0.0. ``rows(start, stop)`` scatters rows start to
+    stop into a dense band, so a caller that streams the block never holds it
+    whole; ``entries`` is all of it.
     """
 
     sign: int
     rep: np.ndarray
     partner: np.ndarray
     weight: np.ndarray
-    rows: Callable[[int, int], np.ndarray]
-    bonds: tuple[np.ndarray, np.ndarray] | None = None
+    i: np.ndarray
+    j: np.ndarray
+    values: np.ndarray
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        lo, hi = np.searchsorted(self.i, (start, stop))
+        band = np.zeros((stop - start, self.rep.size), dtype=self.values.dtype)
+        band[self.i[lo:hi] - start, self.j[lo:hi]] = self.values[lo:hi]
+        return band
 
     @property
     def entries(self) -> np.ndarray:
@@ -340,12 +359,15 @@ class PairOperator:
 
     It has ``dim`` (N^2) and ``swap_block(sign)``, the generator on the
     swap-symmetric (sign 1, N(N+1)/2 states) or antisymmetric (sign -1,
-    N(N-1)/2 states) sector, its rows built on demand straight from the bond
+    N(N-1)/2 states) sector as its terms, computed straight from the bond
     rules. The swap blocks are its only representation: no N^2 x N^2 matrix
-    is ever built.
+    is ever built. Its rates are checked at construction (``check_generator``).
     """
 
     params: ModelParams
+
+    def __post_init__(self):
+        check_generator(self.params, "fock")
 
     @property
     def dim(self) -> int:
@@ -365,47 +387,36 @@ class PairOperator:
         a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
         rep, partner = a * n + b, b * n + a
         on_diagonal = a == b
-        states = np.arange(rep.size)
+        size = rep.size
+        states = np.arange(size)
         row_of, col_of = np.full((2, n * n), -1)
         row_of[rep] = states
         col_of[partner] = states
         energy, rows, cols, rates = _pair_terms(self.params)
-        # same[I, J] = H[rep_I, rep_J]; the swapped terms H[rep_I, partner_J]
-        # are summed in where they lie, and sign * 0.0 everywhere else, as
-        # the dense sum same + sign * swapped would do
-        i = row_of[rows]
-        j = row_of[cols]
-        bond = (i >= 0) & (j >= 0)
-        i_same, j_same, same_rates = i[bond], j[bond], rates[bond]
-        j = col_of[cols]
-        bond = (i >= 0) & (j >= 0)
-        i_swap, j_swap = i[bond], j[bond]
-        diagonal = states[on_diagonal]
-        at_i, at_j = np.r_[diagonal, i_swap], np.r_[diagonal, j_swap]
-        swapped = sign * np.r_[energy[rep[on_diagonal]], rates[bond]]
-        energy = energy[rep]
-
-        def block_rows(start: int, stop: int) -> np.ndarray:
-            block = np.zeros((stop - start, rep.size))
-            own = states[start:stop]
-            block[own - start, own] = energy[start:stop]
-            mine = (i_same >= start) & (i_same < stop)
-            block[i_same[mine] - start, j_same[mine]] = same_rates[mine]
-            mine = (at_i >= start) & (at_i < stop)
-            at = at_i[mine] - start, at_j[mine]
-            summed = block[at] + swapped[mine]
-            block += sign * 0.0
-            block[at] = summed
-            # g = 1 leaves a row or column as it is
-            block[on_diagonal[start:stop]] *= math.sqrt(0.5)
-            block[:, on_diagonal] *= math.sqrt(0.5)
-            return block
-
-        # a swapped bond from or to a diagonal state lands where a same bond does
-        own = ~(on_diagonal[i_swap] | on_diagonal[j_swap])
-        bonds = np.r_[i_same, i_swap[own]], np.r_[j_same, j_swap[own]]
+        # term (I, J) has the key I * size + J. same[I, J] = H[rep_I, rep_J];
+        # the swapped terms H[rep_I, partner_J] are summed in where they lie,
+        # and sign * 0.0 everywhere else, as the dense sum same + sign * swapped would do
+        i, j_same, j_swap = row_of[rows], row_of[cols], col_of[cols]
+        same, swap = (i >= 0) & (j_same >= 0), (i >= 0) & (j_swap >= 0)
+        own = states * (size + 1)
+        same_keys = i[same] * size + j_same[same]
+        swap_keys = np.r_[own[on_diagonal], i[swap] * size + j_swap[swap]]
+        keys = np.sort(np.r_[own, same_keys, swap_keys])  # not np.unique, which imports numpy.ma
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        values = np.zeros(keys.size)
+        values[np.searchsorted(keys, own)] = energy[rep]
+        values[np.searchsorted(keys, same_keys)] = rates[same]
+        at = np.searchsorted(keys, swap_keys)
+        summed = values[at] + sign * np.r_[energy[rep[on_diagonal]], rates[swap]]
+        values += sign * 0.0
+        values[at] = summed
+        i, j = np.divmod(keys, size)
+        # the row scale g_I, then the column scale g_J; g = 1 leaves a term as it is
+        g = np.where(on_diagonal, math.sqrt(0.5), 1.0)
+        values *= g[i]
+        values *= g[j]
         weight = np.where(on_diagonal, 1.0, math.sqrt(0.5))
-        return SwapBlock(sign, rep, partner, weight, block_rows, bonds)
+        return SwapBlock(sign, rep, partner, weight, i, j, values)
 
 
 def build_fock_hamiltonian(
@@ -424,7 +435,6 @@ def build_fock_hamiltonian(
     dim = params.n_sites**2
     if dim > dim_cap:
         raise DimensionCapError(dim, dim_cap)
-    check_generator(params, "fock")
     return PairOperator(params)
 
 

@@ -1,21 +1,24 @@
 """Unitary z-evolution from the eigenpairs of the generator's swap blocks.
 
-A pair-lattice operator (``model.PairOperator``) supplies its swap blocks,
-built from the rates: the symmetric sector, of dimension N(N+1)/2, and the
-antisymmetric sector, of dimension N(N-1)/2, which is built only when a state
-reaches it. Any other generator is one sign-1 sector whose every site is its
-own partner. A plan builds, checks and hashes its first block up front
-(``generator_id`` hashes that block) and decomposes lazily, per block that a
+A generator supplies its swap blocks (``swap_block(sign)``), each one record
+of its terms, the (I, J, value) entries sorted by row (``model.SwapBlock``).
+A pair-lattice operator (``model.PairOperator``) computes them from the
+rates: the symmetric sector, of dimension N(N+1)/2, and the antisymmetric
+sector, of dimension N(N-1)/2, which is built only when a state reaches it.
+Any other generator is one sign-1 block whose every site is its own partner.
+A plan builds and checks its first block up front, hashes its dense rows
+band by band (``generator_id``), and decomposes lazily, per block that a
 state reaches, in one of two ways:
 
-* The whole block is diagonalized (dense real-symmetric / Hermitian eigh),
-  once per plan. Every sampled state is then synthesized spectrally, so
-  unitarity holds to machine precision and revival positions are not
-  integration artifacts.
+* The terms are scattered into the dense block, which is diagonalized
+  (real-symmetric / Hermitian eigh) once per plan. Every sampled state is
+  then synthesized spectrally, so unitarity holds to machine precision and
+  revival positions are not integration artifacts.
 * A pair operator's block of at least ``_KRYLOV_BLOCK`` states is reduced
   to the Krylov space that the state's share explores up to the largest |z|
-  asked for: Lanczos with full reorthogonalization, on the block's diagonal
-  and bond terms, then the eigenpairs of the small tridiagonal matrix T_m.
+  asked for: Lanczos with full reorthogonalization, each product summed
+  from the terms row by row, then the eigenpairs of the small tridiagonal
+  matrix T_m.
   The tilt localizes the pair, so m stays far below the block size. Lanczos
   stops at the first checked m whose a-posteriori defect bound (Hochbruck &
   Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), evaluated on a grid (see
@@ -89,7 +92,7 @@ _EPS = np.finfo(float).eps
 #: Most grid intervals a certificate integral is evaluated on; a longer reach
 #: is bounded without the grid.
 _DEFECT_POINTS = 1 << 14
-#: Elements per band of rows in which a plan builds and hashes a block.
+#: Elements per band of dense rows in which a plan hashes its first block.
 _BAND_ELEMENTS = 1 << 18
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
 #: most dim_cap times this many (2 GiB of them at the default cap).
@@ -227,46 +230,18 @@ class _AmplitudeRows:
 
 class _Sector(NamedTuple):
     """Eigenpairs of one invariant block, or of the part of it that a state
-    explores, and the block's place in the full basis.
+    explores, and the block they belong to.
 
-    vectors[I, k] is eigenvector k's amplitude on site rep[I], and it carries
-    sign times that on site partner[I]; a site that is its own partner (the
-    main diagonal, or every site of a generator without swap blocks) carries
-    it once. The vectors are (block, m): m = block for the whole block, and
-    m <= block for the Ritz vectors of a Krylov space, which are orthonormal
-    but do not span the block. In a sign-1 sector column[s] is the block
-    index I whose rep or partner is site s; a sign -1 sector has no column.
+    vectors[I, k] is eigenvector k's amplitude on site rep[I] of the block,
+    and it carries sign times that on site partner[I]; a site that is its own
+    partner carries it once. The vectors are (block, m): m = block for the
+    whole block, and m <= block for the Ritz vectors of a Krylov space, which
+    are orthonormal but do not span the block.
     """
 
     energies: np.ndarray  # (m,)
     vectors: np.ndarray  # (block, m)
-    rep: np.ndarray
-    partner: np.ndarray
-    sign: int
-    column: np.ndarray | None
-
-    def fold(self, psi: np.ndarray) -> np.ndarray:
-        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] where they coincide."""
-        return _fold(self.rep, self.partner, self.sign, psi)
-
-    def place(self, states: np.ndarray, part: np.ndarray):
-        """Put this sector's (block, n) part of n samples into their (n, dim) rows.
-
-        The sign-1 sector comes first and writes every site, of amplitudes or
-        of their squares; the antisymmetric sector, which has no site that is
-        its own partner, adds amplitudes.
-        """
-        if self.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
-            rows = part.T
-            for r in range(0, len(states), 32):
-                states[r : r + 32] = rows[r : r + 32, self.column]
-        else:
-            states[:, self.rep] += part.T
-            states[:, self.partner] -= part.T
-
-
-def _fold(rep: np.ndarray, partner: np.ndarray, sign: int, psi: np.ndarray) -> np.ndarray:
-    return np.where(rep == partner, psi[rep], psi[rep] + sign * psi[partner])
+    block: _Block
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,62 +259,60 @@ def _reduces(block: int) -> bool:
 
 
 class _Block:
-    """One swap block of a plan: diagonalized whole at most once, or reduced
-    to the Krylov space of each state that reaches it.
+    """One swap block of a plan, its terms checked for non-finite values:
+    diagonalized whole at most once, or reduced to the Krylov space of each
+    state that reaches it, whose products read the terms directly.
 
-    The block is built band by band of rows, to check its entries, hash them
-    (``generator_id``, when asked to identify the generator) and gather its
-    bond terms for the Krylov products; it is kept whole only if one band
-    holds it, and otherwise built again for a whole-block eigh.
+    In a sign-1 block column[s] is the block index I whose rep or partner is
+    site s; a sign -1 block has no column.
     """
 
-    def __init__(self, swap: SwapBlock, dim: int, identify: bool = False):
+    def __init__(self, swap: SwapBlock, dim: int):
+        finite = np.isfinite(swap.values)
+        if not finite.all():  # the first in row order; an entry that is not a term is +0.0
+            k = np.argmin(finite)
+            raise NumericError(f"non-finite generator entry at ({swap.i[k]}, {swap.j[k]})")
         self.swap = swap
         size = swap.rep.size
         self.column = None
         if swap.sign > 0:  # a site that is its own partner gets one column
             self.column = np.empty(dim, dtype=np.intp)
             self.column[swap.partner] = self.column[swap.rep] = np.arange(size)
-        if swap.bonds is not None:  # each row's terms, padded with zero terms on the row's own state
-            rows, cols = swap.bonds
-            order = np.argsort(rows, kind="stable")
-            rows, cols = rows[order], cols[order]
-            counts = np.bincount(rows, minlength=size)
-            first = np.r_[0, np.cumsum(counts)]  # row I's terms are first[I] to first[I + 1]
-            slot = np.arange(rows.size) - first[rows]
-            self.cols = np.repeat(np.arange(size)[:, None], max(1, counts.max(initial=0)), axis=1)
-            self.cols[rows, slot] = cols
-            self.values = np.zeros(self.cols.shape)
-            self.diagonal = np.empty(size)
-        digest = hashlib.sha256(str(size).encode()) if identify else None
-        band = max(1, _BAND_ELEMENTS // size)
-        for start in range(0, size, band):
-            stop = min(start + band, size)
-            entries = swap.rows(start, stop)
-            if not np.isfinite(entries).all():
-                i, j = np.argwhere(~np.isfinite(entries))[0]
-                raise NumericError(f"non-finite generator entry at ({i + start}, {j})")
-            if digest is not None:
-                digest.update(np.ascontiguousarray(entries))  # the buffer itself, not a copy
-            if swap.bonds is not None:
-                self.diagonal[start:stop] = entries[np.arange(stop - start), np.arange(start, stop)]
-                mine = slice(first[start], first[stop])
-                self.values[rows[mine], slot[mine]] = entries[rows[mine] - start, cols[mine]]
-        self.generator_id = digest.hexdigest()[:12] if identify else None
-        self._entries = entries if band >= size else None
+        # row I's terms start here; every row has one, its diagonal
+        self.row_starts = np.searchsorted(swap.i, np.arange(size))
+
+    def fold(self, psi: np.ndarray) -> np.ndarray:
+        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] where they coincide."""
+        rep, partner = self.swap.rep, self.swap.partner
+        return np.where(rep == partner, psi[rep], psi[rep] + self.swap.sign * psi[partner])
+
+    def place(self, states: np.ndarray, part: np.ndarray):
+        """Put a sector's (block, n) part of n samples into their (n, dim) rows.
+
+        The sign-1 block comes first and writes every site, of amplitudes or
+        of their squares; the antisymmetric block, which has no site that is
+        its own partner, adds amplitudes.
+        """
+        if self.swap.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
+            rows = part.T
+            for r in range(0, len(states), 32):
+                states[r : r + 32] = rows[r : r + 32, self.column]
+        else:
+            states[:, self.swap.rep] += part.T
+            states[:, self.swap.partner] -= part.T
 
     def sector(self, energies: np.ndarray, vectors: np.ndarray) -> _Sector:
         """Eigenpairs in the block's orthonormal basis, placed on the sites."""
         vectors *= self.swap.weight[:, None]
-        return _Sector(energies, vectors, self.swap.rep, self.swap.partner, self.swap.sign, self.column)
+        return _Sector(energies, vectors, self)
 
     @cached_property
     def whole(self) -> _Sector:
-        return self.sector(*_eigh(self.swap.entries if self._entries is None else self._entries))
+        return self.sector(*_eigh(self.swap.entries))
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
-        """The block times x, from its diagonal and bond terms."""
-        return self.diagonal * x + np.einsum("ij,ij->i", self.values, x[self.cols])
+        """The block times x, from its terms."""
+        return np.add.reduceat(self.swap.values * x[self.swap.j], self.row_starts)
 
     def reduced(self, b: np.ndarray, reach: float, tol: float) -> _Sector | None:
         """The Ritz pairs of b's Krylov space, with exp(-i H z) b within tol
@@ -391,6 +364,17 @@ class _Block:
         return None
 
 
+def _generator_id(swap: SwapBlock) -> str:
+    """The first 12 hex digits of the SHA-256 of the block's size and its
+    dense rows, built band by band."""
+    size = swap.rep.size
+    digest = hashlib.sha256(str(size).encode())
+    band = max(1, _BAND_ELEMENTS // size)
+    for start in range(0, size, band):
+        digest.update(swap.rows(start, min(start + band, size)))
+    return digest.hexdigest()[:12]
+
+
 def _defect(energies: np.ndarray, s: np.ndarray, scale: float, reach: float) -> float:
     """scale * int_0^reach |f(z)| dz with f(z) = sum_k s[-1, k] s[0, k] exp(-i E_k z).
 
@@ -437,11 +421,11 @@ class SpectralPropagator:
     """Immutable propagation plan: the swap blocks of a generator, decomposed
     lazily, and many syntheses.
 
-    The first block (a pair operator's symmetric block, or any other
-    generator whole) is built here, hashed and checked for non-finite
-    entries; a pair operator's antisymmetric block only when a state first
-    reaches it. Nothing is diagonalized here. ``trajectory`` and ``evolve``
-    take, per block a state reaches, the eigenpairs of the whole block, or,
+    The first block's terms (a pair operator's symmetric block, or any
+    other generator whole) are built here and checked for non-finite values,
+    and its dense rows hashed; a pair operator's antisymmetric block only
+    when a state first reaches it. Nothing is diagonalized here.
+    ``trajectory`` and ``evolve`` take, per block a state reaches, the eigenpairs of the whole block, or,
     for a pair operator's block of at least ``_KRYLOV_BLOCK`` states, the
     Ritz pairs of the Krylov space that the state's share explores up to the
     largest |z| asked for, within 1e-13 by the defect bound (split between
@@ -457,20 +441,16 @@ class SpectralPropagator:
     def __init__(self, h: HermitianOperator, dim_cap: int = DEFAULT_DIM_CAP):
         if h.dim > dim_cap:
             raise DimensionCapError(h.dim, dim_cap)
-        self._pair = h if isinstance(h, PairOperator) else None
-        if self._pair is None:  # no swap blocks: one sign-1 block, each site its own partner
-            sites = np.arange(h.dim)
-            first = SwapBlock(1, sites, sites, np.ones(h.dim), lambda i, j: h.entries[i:j])
-        else:
-            first = h.swap_block(1)
-        self._first = _Block(first, h.dim, identify=True)
-        self.generator_id = self._first.generator_id
+        self._h = h
+        self._pair = isinstance(h, PairOperator)  # only a pair operator's blocks take the Krylov path
+        self._first = _Block(h.swap_block(1), h.dim)
+        self.generator_id = _generator_id(self._first.swap)
         self.dim = h.dim
         self._dim_cap = dim_cap
 
     @cached_property
     def _antisymmetric(self) -> _Block:
-        return _Block(self._pair.swap_block(-1), self.dim)
+        return _Block(self._h.swap_block(-1), self.dim)
 
     def _sectors(self, psi: np.ndarray, reach: float | None = None) -> tuple[_Sector, ...]:
         """The sectors psi has weight in, the second only if psi is not
@@ -481,12 +461,12 @@ class SpectralPropagator:
         if not np.array_equal(psi[self._first.swap.rep], psi[self._first.swap.partner]):
             blocks.append(self._antisymmetric)
         sectors = []
+        reduces = self._pair and reach is not None and math.isfinite(reach)
         for block in blocks:
-            swap, sector = block.swap, None
+            sector = None
             # a whole block once diagonalized serves every later state
-            reduces = reach is not None and math.isfinite(reach) and swap.bonds is not None
-            if reduces and _reduces(swap.rep.size) and "whole" not in block.__dict__:
-                share = swap.weight * _fold(swap.rep, swap.partner, swap.sign, psi)
+            if reduces and _reduces(block.swap.rep.size) and "whole" not in block.__dict__:
+                share = block.swap.weight * block.fold(psi)
                 sector = block.reduced(share, reach, _KRYLOV_TOL / len(blocks))
             sectors.append(block.whole if sector is None else sector)
         return tuple(sectors)
@@ -504,7 +484,7 @@ class SpectralPropagator:
         widest = sectors[0].vectors.shape[0]  # the sign-1 block is never the narrower
         chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // widest))
         steps = dz * np.arange(min(chunk, n_grid))
-        coeffs = [_apply(s.vectors.conj().T, s.fold(psi)) for s in sectors]
+        coeffs = [_apply(s.vectors.conj().T, s.block.fold(psi)) for s in sectors]
         offsets = [np.exp(-1j * np.outer(s.energies, steps)) for s in sectors]
         phase_buf = np.empty(widest * chunk, dtype=complex)
         part_buf = np.empty_like(phase_buf)
@@ -535,9 +515,9 @@ class SpectralPropagator:
                 if square and not summed:  # |c|^2 on the block's rows, in the spent phases, then gathered
                     squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
                     np.square(squares, out=squares)
-                    sector.place(out[k0:k1], squares)
+                    sector.block.place(out[k0:k1], squares)
                 else:
-                    sector.place(out[k0:k1] if rows is None else rows, part)
+                    sector.block.place(out[k0:k1] if rows is None else rows, part)
             if summed:
                 squares = np.abs(rows, out=out[k0:k1])
                 np.square(squares, out=squares)

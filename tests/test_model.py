@@ -12,6 +12,7 @@ from fracbloch import (
     HermitianOperator,
     InvalidParameterError,
     ModelParams,
+    SpectralPropagator,
     build_effective_hamiltonian,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
@@ -21,7 +22,7 @@ from fracbloch import (
 )
 from fracbloch import model
 from fracbloch.errors import SingularParameterError
-from fracbloch.model import DEFAULT_DIM_CAP
+from fracbloch.model import DEFAULT_DIM_CAP, PairOperator
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 
 from conftest import FD, KAPPA, N_PAIR, RHO, U0, assembled_pair_terms, dense_entries
@@ -128,6 +129,15 @@ def test_fock_dimension_cap():
     assert "10" in str(err.value)
     with pytest.raises(DimensionCapError):
         build_fock_hamiltonian(ModelParams(kappa=1, rho=0, u0=0, fd=0, n_sites=70))
+
+
+def test_pair_operator_checks_its_own_rates():
+    # built without build_fock_hamiltonian: the -kappa bond overflows, and the
+    # operator fails closed naming kappa before a block is summed
+    params = ModelParams(kappa=1.7e308, rho=0.0, u0=-4.0, fd=0.4, n_sites=4)
+    with pytest.raises(InvalidParameterError) as err:
+        SpectralPropagator(PairOperator(params))
+    assert err.value.field == "kappa"
 
 
 @pytest.mark.parametrize(
@@ -330,13 +340,10 @@ def assert_blocks_match_gather(params: ModelParams):
         # bands of rows are the block's rows, byte for byte, whatever the cut
         bands = [swap.rows(start, min(start + 3, size)) for start in range(0, size, 3)]
         assert np.concatenate(bands).tobytes() == swap.entries.tobytes()
-        # the bond positions: off the diagonal, each once, and every nonzero there
-        i, j = swap.bonds
-        assert np.all(i != j) and np.unique(i * size + j).size == i.size
-        off_diagonal = swap.entries.copy()
-        np.fill_diagonal(off_diagonal, 0.0)
-        off_diagonal[i, j] = 0.0
-        assert not np.any(off_diagonal)
+        # the terms: keys I * size + J strictly increase, and every diagonal key is there
+        keys = swap.i * size + swap.j
+        assert np.all(np.diff(keys) > 0)
+        assert np.isin(np.arange(size) * (size + 1), keys).all()
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from fracbloch import (
     SpectralPropagator,
     StateVector,
     Trajectory,
+    build_effective_hamiltonian,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     propagate,
@@ -148,6 +149,30 @@ def test_propagation_is_deterministic(pair_params):
     b = propagate(h, psi0, 2.0, 0.01)
     assert np.array_equal(a.probabilities, b.probabilities)
     assert a.generator_id == b.generator_id
+
+
+@pytest.mark.parametrize(
+    "build, generator_id",
+    [
+        (lambda: build_single_particle_hamiltonian(7, KAPPA, 0.0), "d1f69e9035f9"),
+        (lambda: build_single_particle_hamiltonian(7, 0.0, 0.95), "80a82d7c5eeb"),
+        (
+            lambda: build_effective_hamiltonian(
+                ModelParams(kappa=0.0, rho=RHO, u0=U0, fd=0.0, n_sites=7)
+            ),
+            "f5766c912bfe",
+        ),
+        (lambda: HermitianOperator(np.array([[1, -1j], [1j, -0.0]])), "2ff9d4d5055a"),
+    ],
+    ids=["single", "single-bonds", "effective", "complex"],
+)
+def test_generator_id_hashes_signed_zeros(build, generator_id):
+    # with no tilt the sites left of the origin carry -0.0, and with no
+    # hopping every bond does; the hash reads them, so a block that dropped
+    # them as zeros would change the id
+    h = build()
+    assert np.any((h.entries == 0) & np.signbit(h.entries.real))
+    assert SpectralPropagator(h).generator_id == generator_id
 
 
 def test_dimension_and_grid_validation():
@@ -514,16 +539,17 @@ def unchunked_states(plan, psi0, z):
     psi = psi0.amplitudes
     states = np.empty((z.size, plan.dim), dtype=complex)
     for sector in plan._sectors(psi):
-        coeffs = propagator._apply(sector.vectors.conj().T, sector.fold(psi))
+        swap = sector.block.swap
+        coeffs = propagator._apply(sector.vectors.conj().T, sector.block.fold(psi))
         phases = np.exp(-1j * np.outer(sector.energies, z))
         phases *= coeffs[:, None]
         rows = propagator._apply(sector.vectors, phases).T
-        if sector.sign > 0:
-            states[:, sector.partner] = rows
-            states[:, sector.rep] = rows
+        if swap.sign > 0:
+            states[:, swap.partner] = rows
+            states[:, swap.rep] = rows
         else:
-            states[:, sector.rep] += rows
-            states[:, sector.partner] -= rows
+            states[:, swap.rep] += rows
+            states[:, swap.partner] -= rows
     return states
 
 
