@@ -43,13 +43,14 @@ class Layout(NamedTuple):
             return cls(form, n, "z_cm,n,m,probability")
         return cls(form, n, ",".join(["z_cm", *(f"p{i}" for i in range(n))]))
 
-    def rows(self, fh, z: np.ndarray, probs: np.ndarray):
-        """Write the rows of samples z with populations probs, a block at a time."""
+    def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray | None = None):
+        """Write the rows of samples z, a block at a time, with site s's
+        population probs[:, column[s]] (probs[:, s] without a column map)."""
         if self.form == "wide":
-            _write_rows(fh, z, probs)
+            _write_rows(fh, z, probs, column)
         else:
             labels = [f",{a},{b}," for a in range(self.n) for b in range(self.n)]
-            _write_pair_rows(fh, z, probs, labels)
+            _write_pair_rows(fh, z, probs, labels, column)
 
     def unit(self) -> tuple[bytes, list[int], list[int], list[int]]:
         """The rows the writer prints for one sample of zeros, whose every float
@@ -188,10 +189,10 @@ def _write_words(fh, words: np.ndarray):
     fh.write(raw[raw != 0])
 
 
-def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
-    """Print each sample's z and columns, each value followed by its code in
-    seps, `rows` samples at a time: yields each block's words, (samples,
-    1 + columns, _WORDS)."""
+def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, column=None):
+    """Print each sample's z and columns (columns[:, column] given a column
+    map), each value followed by its code in seps, `rows` samples at a time:
+    yields each block's words, (samples, len(seps), _WORDS)."""
     width = len(seps)
     values = np.empty((rows, width))
     seps = np.tile(seps, rows)
@@ -200,27 +201,30 @@ def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
     for start in range(0, len(z), rows):
         block = values[: min(rows, len(z) - start)]
         block[:, 0] = z[start : start + len(block)]
-        block[:, 1:] = columns[start : start + len(block)]
+        block[:, 1:] = columns[start : start + len(block)] if column is None else (
+            columns[start : start + len(block), column]
+        )
         text.write(block.ravel(), seps[: block.size], words[: len(block)].reshape(-1, _WORDS))
         yield words[: len(block)]
 
 
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
+def _write_rows(fh, z: np.ndarray, columns: np.ndarray, column=None):
     """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
-    seps = [_COMMA] * columns.shape[1] + [_NEWLINE]
-    for words in _printed(z, columns, seps, max(1, min(_BLOCK // len(seps), len(z)))):
+    seps = [_COMMA] * (columns.shape[1] if column is None else column.size) + [_NEWLINE]
+    rows = max(1, min(_BLOCK // len(seps), len(z)))
+    for words in _printed(z, columns, seps, rows, column):
         _write_words(fh, words)
 
 
-def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str]):
+def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], column=None):
     """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a
     time: each sample's z words are copied to its rows."""
-    dim = probs.shape[1]
+    dim = len(labels)
     samples = max(1, min(_BLOCK // (dim + 1), len(z)))
     labels = _words(labels, -(-len(labels[-1]) // 4))
     rows = np.empty((samples, dim, 2 * _WORDS + labels.shape[1]), np.uint32)
     rows[:, :, _WORDS:-_WORDS] = labels
-    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * dim, samples):
+    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * dim, samples, column):
         block = rows[: len(words)]
         block[:, :, :_WORDS] = words[:, :1]
         block[:, :, -_WORDS:] = words[:, 1:]
@@ -242,7 +246,7 @@ def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
     layout = Layout.of("long" if model == "fock" else "wide", n_sites)
     with open(path, "wb") as fh:
         fh.write(f"{layout.header}\n".encode())
-        layout.rows(fh, traj.z_samples, traj.probabilities)
+        layout.rows(fh, traj.z_samples, traj.rows, traj.column)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Per-column normalization emulates loss-compensated imaging of the light
 propagation; global normalization keeps intensities quantitatively
 comparable. Output is bit-exact across reruns; color-mapping is left to
 external tools. A pixmap is scaled, quantized and written a block of rows at
-a time from a view of the populations, so rendering holds no full-size copy
-of them. The trajectory CSV reader lives in `codec`.
+a time from the stored populations, so rendering holds no full-size copy of
+them. The trajectory CSV reader lives in `codec`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .codec import load_trajectory_csv  # noqa: F401  (the CLI reads through here)
 from .errors import InvalidParameterError
 from .model import diagonal_indices, square_side
+from .observables import Populations, site_populations
 
 AXES = ("1d-vs-z", "diagonal-vs-z", "full-2d-slice")
 NORMALIZATIONS = ("per-column", "global")
@@ -43,18 +44,19 @@ def normalize(matrix: np.ndarray, mode: str) -> np.ndarray:
     return matrix / _divisor(matrix, mode)
 
 
-def _write_p5(path: str, image: np.ndarray, divisor):
-    """Write image / divisor, clipped to [0, 1], as a 16-bit P5 pixmap.
+def _write_p5(path: str, image: np.ndarray, divisor, order: np.ndarray | None = None):
+    """Write image / divisor, clipped to [0, 1], as a 16-bit P5 pixmap whose
+    row i is image[order[i]] (image[i] without an order).
 
     Each block of rows takes the same elementwise arithmetic as a whole-image
     pass, so the bytes do not depend on the block size.
     """
-    height, width = image.shape
+    height, width = image.shape if order is None else (order.size, image.shape[1])
     rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n{_MAXVAL}\n".encode("ascii"))
         for top in range(0, height, rows):
-            part = image[top:top + rows]
+            part = image[top:top + rows] if order is None else image[order[top:top + rows]]
             block = np.divide(part, divisor, out=np.empty(part.shape))
             np.clip(block, 0.0, 1.0, out=block)
             block *= _MAXVAL
@@ -83,24 +85,31 @@ def probability_image(
     takes a z. The image is a read-through view of probs where one exists
     (1d-vs-z and the slice), so it costs no copy of the populations.
     """
+    return _image(Populations(z_samples, probs), axis, z)[0]
+
+
+def _image(pops, axis: str, z: float | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The raw image of a populations record as (matrix, order): image row i
+    is matrix[order[i]], or matrix[i] without an order. 1d-vs-z reads the
+    stored rows through the column map, so it is a view of them."""
     if z is not None and axis != "full-2d-slice":
         raise InvalidParameterError(f"a slice z needs the full-2d-slice axis, got {axis!r}")
     if axis == "1d-vs-z":
-        return probs.T
+        return pops.rows.T, pops.column
     if axis == "diagonal-vs-z":
-        n = square_side(probs.shape[1])
-        return probs[:, diagonal_indices(n)].T
+        n = square_side(pops.dim)
+        return site_populations(pops, diagonal_indices(n)).T, None
     if axis == "full-2d-slice":
         if z is None:
-            k = probs.shape[0] - 1
+            k = pops.rows.shape[0] - 1
         else:
-            if z_samples is None:
+            if pops.z_samples is None:
                 raise InvalidParameterError("z selection needs the z samples")
             if not math.isfinite(z):
                 raise InvalidParameterError(f"slice z must be finite, got {z}")
-            k = int(np.argmin(np.abs(z_samples - z)))
-        n = square_side(probs.shape[1])
-        return probs[k].reshape(n, n)
+            k = int(np.argmin(np.abs(pops.z_samples - z)))
+        n, frame = square_side(pops.dim), pops.rows[k]
+        return (frame if pops.column is None else frame[pops.column]).reshape(n, n), None
     raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
 
 
@@ -111,11 +120,14 @@ def render_heatmap(
     path: str,
     z: float | None = None,
 ) -> str:
-    """Render a trajectory to a P5 pixmap file; returns the path.
+    """Render a trajectory (or any populations record) to a P5 pixmap file;
+    returns the path.
 
-    The bytes equal write_pgm(path, normalize(probability_image(...))), but
-    only a block of the image is scaled at a time.
+    The bytes equal write_pgm(path, normalize(probability_image(...))) of the
+    whole populations, but only a block of the image is scaled at a time.
+    Each pixel divides the same population by the same top (a column's top,
+    or the global one, is the same maximum over stored columns as over sites).
     """
-    image = probability_image(traj.probabilities, axis, traj.z_samples, z)
-    _write_p5(path, image, _divisor(image, normalization))
+    image, order = _image(traj, axis, z)
+    _write_p5(path, image, _divisor(image, normalization), order)
     return path

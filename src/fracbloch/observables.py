@@ -29,17 +29,62 @@ REFOCUS_THRESHOLD = 0.8
 #: breathing residue, not revivals.
 PEAK_PERIOD_MIN_RETURN = 0.5
 
+#: Float elements of whole population rows expanded from stored columns at a time.
+_EXPANDED_ELEMENTS = 1 << 17
+
 
 class Populations(NamedTuple):
     """Site populations |c|^2, one row per z sample: what every observable reads.
 
-    A :class:`~fracbloch.propagator.Trajectory` offers the same two fields;
-    this record carries populations that come without phases, such as a
-    trajectory CSV read back from disk.
+    Site s's population at z_samples[k] is rows[k, column[s]]. A swap-symmetric
+    pair trajectory stores each (n, m)/(m, n) population once, so the map sends
+    both sites to one column; without a map (None) each site is its own
+    column. A :class:`~fracbloch.propagator.Trajectory` offers the same three
+    fields; this record carries populations that come without phases, such as
+    a trajectory CSV read back from disk.
     """
 
     z_samples: np.ndarray
-    probabilities: np.ndarray
+    rows: np.ndarray
+    column: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1] if self.column is None else self.column.size
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The (samples, dim) populations, built on each read (``whole``)."""
+        return whole(self)
+
+
+def whole(pops) -> np.ndarray:
+    """The (samples, dim) populations: the stored rows themselves without a
+    column map, else a new array built from them."""
+    return pops.rows if pops.column is None else np.take(pops.rows, pops.column, axis=1)
+
+
+def site_populations(pops, sites) -> np.ndarray:
+    """The populations of one site or an index array of sites, one row per
+    sample: rows[:, column[sites]]."""
+    return pops.rows[:, sites if pops.column is None else pops.column[sites]]
+
+
+def per_sample(pops, reduce) -> np.ndarray:
+    """reduce, a map from (samples, dim) whole population rows to one value
+    per sample, over every sample.
+
+    Without a column map it reads the stored rows whole, with no copy; else it
+    expands rows[:, column] one block of samples at a time. Each sample's row
+    holds the same values in the same order either way.
+    """
+    rows, column = pops.rows, pops.column
+    if column is None:
+        return reduce(rows)
+    step = max(1, _EXPANDED_ELEMENTS // column.size)
+    return np.concatenate([
+        reduce(np.take(rows[k : k + step], column, axis=1)) for k in range(0, len(rows), step)
+    ])
 
 
 @dataclass(frozen=True)
@@ -93,24 +138,20 @@ class RefocusReport:
 
 def return_probability(traj, site: int) -> ObservableSeries:
     """Population of one site along a trajectory (or any populations record)."""
-    dim = traj.probabilities.shape[1]
-    if not 0 <= site < dim:
-        raise InvalidParameterError(f"site {site} outside [0, {dim})")
+    if not 0 <= site < traj.dim:
+        raise InvalidParameterError(f"site {site} outside [0, {traj.dim})")
     return ObservableSeries(
         z_samples=traj.z_samples,
-        values=traj.probabilities[:, site],
+        values=site_populations(traj, site),
         label=f"return_probability[site={site}]",
     )
 
 
 def diagonal_confinement(traj, n_sites: int) -> ObservableSeries:
     """Total population on the pair-lattice main diagonal, sum_n |c_nn|^2."""
-    probs = traj.probabilities
-    if probs.shape[1] != n_sites * n_sites:
-        raise InvalidParameterError(
-            f"trajectory dimension {probs.shape[1]} is not {n_sites}^2"
-        )
-    values = np.sum(probs[:, diagonal_indices(n_sites)], axis=1)
+    if traj.dim != n_sites * n_sites:
+        raise InvalidParameterError(f"trajectory dimension {traj.dim} is not {n_sites}^2")
+    values = np.sum(site_populations(traj, diagonal_indices(n_sites)), axis=1)
     return ObservableSeries(traj.z_samples, values, "diagonal_confinement")
 
 
@@ -123,12 +164,12 @@ def breathing_width(traj, geometry: str = "1d") -> ObservableSeries:
     diagonal from the populations |c_nn|^2 renormalized by the diagonal
     confinement; samples with no diagonal population are flagged NaN.
     """
-    populations = traj.probabilities
-    if geometry == "1d":
-        coords = np.arange(populations.shape[1])
+    if geometry == "1d":  # whole rows at once: BLAS rounds a row's product by the row count
+        populations = whole(traj)
+        coords = np.arange(traj.dim)
     elif geometry == "2d-diagonal":
-        n = square_side(populations.shape[1])
-        populations = populations[:, diagonal_indices(n)]
+        n = square_side(traj.dim)
+        populations = site_populations(traj, diagonal_indices(n))
         weight = populations.sum(axis=1)
         safe = np.where(weight > 1e-15, weight, np.nan)
         populations = populations / safe[:, None]
@@ -144,24 +185,23 @@ def participation_ratio(traj) -> ObservableSeries:
     """Inverse participation ratio 1 / sum_i p_i^2; secondary width diagnostic."""
     return ObservableSeries(
         traj.z_samples,
-        1.0 / np.sum(traj.probabilities**2, axis=1),
+        1.0 / per_sample(traj, lambda populations: np.sum(populations**2, axis=1)),
         "participation_ratio",
     )
 
 
 def boundary_population(traj, geometry: str) -> ObservableSeries:
     """Total population on the open-boundary sites (truncation monitor)."""
-    probs = traj.probabilities
     if geometry == "1d":
-        edges = np.array([0, probs.shape[1] - 1])
+        edges = np.array([0, traj.dim - 1])
     elif geometry == "2d":
-        n = square_side(probs.shape[1])
+        n = square_side(traj.dim)
         on_edge = np.ones((n, n), dtype=bool)
         on_edge[1:-1, 1:-1] = False
         edges = np.flatnonzero(on_edge)
     else:
         raise InvalidParameterError(f"unknown geometry {geometry!r}")
-    values = np.sum(probs[:, edges], axis=1)
+    values = np.sum(site_populations(traj, edges), axis=1)
     return ObservableSeries(traj.z_samples, values, "boundary_population")
 
 
@@ -299,12 +339,11 @@ def summarize_populations(
 ) -> tuple[dict, dict[str, ObservableSeries]]:
     """Summary fields computed from site populations, with their series.
 
-    pops carries ``z_samples`` and ``probabilities`` (a Trajectory, or a
+    pops carries ``z_samples``, ``rows`` and ``column`` (a Trajectory, or a
     :class:`Populations` read back from CSV); pair selects the pair-lattice
     geometry; site is the excitation site whose return probability drives
     the refocus report. Both ``run`` and ``analyze`` go through here.
     """
-    probs = pops.probabilities
     series: dict[str, ObservableSeries] = {
         "return_probability": return_probability(pops, site),
         "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
@@ -314,7 +353,9 @@ def summarize_populations(
     truncated = bool(np.any(over_edge))
     fields: dict = {  # truncation_z: the first z past the edge tolerance, if any
         "truncation_z": float(pops.z_samples[np.argmax(over_edge)]) if truncated else None,
-        "norm_max_deviation": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
+        "norm_max_deviation": float(
+            np.max(np.abs(per_sample(pops, lambda populations: populations.sum(axis=1)) - 1.0))
+        ),
         "truncated": truncated,
         "refocus": _refocus_summary(
             series["return_probability"], series["breathing_width"]
@@ -328,7 +369,7 @@ def summarize_populations(
             "z_at_max": float(pops.z_samples[k]),
         }
     if pair:
-        conf = diagonal_confinement(pops, square_side(probs.shape[1]))
+        conf = diagonal_confinement(pops, square_side(pops.dim))
         series["diagonal_confinement"] = conf
         fields["diagonal_confinement"] = {
             "min": float(conf.values.min()),

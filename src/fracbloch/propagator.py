@@ -36,15 +36,19 @@ full-basis eigenvectors are never formed.
 A trajectory holds populations, not amplitudes: what every observable reads.
 Each chunk of samples is squared right after its product. With only the
 sign-1 sector (every swap-symmetric state) the (block, chunk) part is
-squared and its rows are gathered into the populations; with the
-antisymmetric sector too, the chunk's amplitudes are summed in a chunk-sized
-buffer first. So no (samples, dim) complex array is ever held. Amplitudes
-come from ``SpectralPropagator.evolve``, through the same chunk loop.
+squared and copied, transposed, into the trajectory's (samples, block)
+stored rows: each (n, m)/(m, n) population once, N(N+1)/2 columns where the
+pair lattice has N^2 sites (8501 x 496 x 8 B = 33.7 MB for pair-scan's
+N = 31 fine grid, against 65.4 MB of whole populations), read through the
+block's site -> column map. With the antisymmetric sector too, the chunk's
+amplitudes are summed in a chunk-sized buffer first, and every site is
+stored. So no (samples, dim) complex array is ever held. Amplitudes come
+from ``SpectralPropagator.evolve``, through the same chunk loop.
 
 Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
 samples of the widest block, so its buffers hold O(_CHUNK_ELEMENTS) elements
-whatever the length of the trajectory; only the (samples, dim) populations
-are whole. On the grid
+whatever the length of the trajectory; only the stored rows are whole. On
+the grid
 z_k = k dz the phases of a chunk starting at sample k0 are one table of
 offsets exp(-i E j dz), computed once per sector, times the chunk's anchor
 coeffs exp(-i E z_k0), computed directly, so no error accumulates from chunk
@@ -72,7 +76,7 @@ from .model import (
     SwapBlock,
     flatten_index,
 )
-from .observables import return_probability  # noqa: F401  (re-exported)
+from .observables import return_probability, whole  # noqa: F401  (return_probability re-exported)
 
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
@@ -153,53 +157,73 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: probabilities[k] holds the site populations |c|^2 at
-    z_samples[k], each row summing to 1 within 1e-12.
+    """Sampled evolution: the site populations |c|^2 at each of z_samples,
+    each sample's summing to 1 within 1e-12.
+
+    Site s's population at z_samples[k] is rows[k, column[s]]. A
+    swap-symmetric pair state keeps the N(N+1)/2 columns of the symmetric
+    block, each (n, m)/(m, n) population once; every other trajectory has no
+    column map (None), and each site is its own column. ``probabilities`` is
+    the whole (samples, dim) array, built on first read.
 
     A trajectory holds no amplitudes; ``SpectralPropagator.evolve`` gives
-    them. The populations are copied unless they come as a C-ordered,
-    read-only float64 array that owns its memory, which the trajectory then
-    keeps as it is.
+    them. The rows and the map are copied unless they come as C-ordered,
+    read-only arrays that own their memory, which the trajectory then keeps
+    as they are.
     """
 
     z_samples: np.ndarray
-    probabilities: np.ndarray
+    rows: np.ndarray
     generator_id: str
+    column: np.ndarray | None = None
     _evolve: Callable[[float], StateVector] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         z = np.asarray(self.z_samples, dtype=float)
-        if np.iscomplexobj(self.probabilities):
+        if np.iscomplexobj(self.rows):
             raise InvalidParameterError("probabilities must be real populations, not amplitudes")
-        probs = np.asarray(self.probabilities, dtype=float)
-        if z.ndim != 1 or probs.ndim != 2 or probs.shape[0] != z.size:
+        rows = _kept(np.asarray(self.rows, dtype=float))
+        if z.ndim != 1 or rows.ndim != 2 or rows.shape[0] != z.size:
             raise InvalidParameterError("need one population row per z sample")
         if z.size == 0 or z[0] != 0.0 or np.any(np.diff(z) <= 0):
             raise InvalidParameterError(
                 "z samples must strictly increase starting at 0"
             )
         z = z.copy()
-        flags = probs.flags
-        if flags.writeable or not (flags.owndata and flags.c_contiguous):
-            probs = probs.copy()
-        lowest = float(probs.min()) if probs.size else 0.0
+        column = self.column
+        if column is not None:
+            column = _kept(np.asarray(column))
+            if not (column.ndim == 1 and column.dtype.kind in "iu" and column.size
+                    and 0 <= column.min() and column.max() < rows.shape[1]):
+                raise InvalidParameterError("column must map each site to a stored column")
+        lowest = float(rows.min()) if rows.size else 0.0
         if not lowest >= 0.0:  # NaN fails too
             raise InvalidParameterError(f"populations must be non-negative, found {lowest}")
-        worst = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
+        # a stored column counts once for each site that reads it
+        sums = rows.sum(axis=1) if column is None else rows @ np.bincount(column, minlength=rows.shape[1])
+        worst = float(np.max(np.abs(sums - 1.0)))
         if not worst <= _NORM_TOL:  # an infinite population fails here
             raise InvalidParameterError(
                 f"trajectory population sum deviates from 1 by {worst:.3e}"
             )
-        for array in (z, probs):
-            array.setflags(write=False)
+        z.setflags(write=False)
         object.__setattr__(self, "z_samples", z)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "column", column)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """The (samples, dim) populations, read-only: the rows themselves
+        without a column map, else built from them on first read."""
+        probs = whole(self)
+        probs.setflags(write=False)
+        return probs
 
     @property
     def dim(self) -> int:
-        return self.probabilities.shape[1]
+        return self.rows.shape[1] if self.column is None else self.column.size
 
     @property
     def n_samples(self) -> int:
@@ -216,6 +240,16 @@ class Trajectory:
         if self._evolve is None:
             raise InvalidParameterError("a trajectory built from populations has no amplitudes")
         return _AmplitudeRows(self._evolve, self.z_samples)
+
+
+def _kept(array: np.ndarray) -> np.ndarray:
+    """array itself if it is C-ordered, read-only and owns its memory, else a
+    read-only copy: either way no caller can write it."""
+    flags = array.flags
+    if flags.writeable or not (flags.owndata and flags.c_contiguous):
+        array = array.copy()
+        array.setflags(write=False)
+    return array
 
 
 class _AmplitudeRows:
@@ -264,7 +298,8 @@ class _Block:
     state that reaches it, whose products read the terms directly.
 
     In a sign-1 block column[s] is the block index I whose rep or partner is
-    site s; a sign -1 block has no column.
+    site s, and None where that is s itself (every site its own partner); a
+    sign -1 block has no column.
     """
 
     def __init__(self, swap: SwapBlock, dim: int):
@@ -276,8 +311,11 @@ class _Block:
         size = swap.rep.size
         self.column = None
         if swap.sign > 0:  # a site that is its own partner gets one column
-            self.column = np.empty(dim, dtype=np.intp)
-            self.column[swap.partner] = self.column[swap.rep] = np.arange(size)
+            column = np.empty(dim, dtype=np.intp)
+            column[swap.partner] = column[swap.rep] = np.arange(size)
+            if not np.array_equal(column, np.arange(dim)):
+                column.setflags(write=False)  # trajectories keep it
+                self.column = column
         # row I's terms start here; every row has one, its diagonal
         self.row_starts = np.searchsorted(swap.i, np.arange(size))
 
@@ -287,19 +325,18 @@ class _Block:
         return np.where(rep == partner, psi[rep], psi[rep] + self.swap.sign * psi[partner])
 
     def place(self, states: np.ndarray, part: np.ndarray):
-        """Put a sector's (block, n) part of n samples into their (n, dim) rows.
+        """Put a sector's (block, n) amplitudes of n samples into their (n, dim) rows.
 
-        The sign-1 block comes first and writes every site, of amplitudes or
-        of their squares; the antisymmetric block, which has no site that is
-        its own partner, adds amplitudes.
+        The sign-1 block comes first and writes every site; the antisymmetric
+        block, which has no site that is its own partner, adds.
         """
-        if self.swap.sign > 0:  # gathered 32 rows at a time, so the temporary stays small
-            rows = part.T
-            for r in range(0, len(states), 32):
-                states[r : r + 32] = rows[r : r + 32, self.column]
+        rows, rep, partner = part.T, self.swap.rep, self.swap.partner
+        if self.swap.sign > 0:  # scattered, with no temporary
+            states[:, partner] = rows
+            states[:, rep] = rows
         else:
-            states[:, self.swap.rep] += part.T
-            states[:, self.swap.partner] -= part.T
+            states[:, rep] += rows
+            states[:, partner] -= rows
 
     def sector(self, energies: np.ndarray, vectors: np.ndarray) -> _Sector:
         """Eigenpairs in the block's orthonormal basis, placed on the sites."""
@@ -405,6 +442,13 @@ def _defect(energies: np.ndarray, s: np.ndarray, scale: float, reach: float) -> 
     return min(bound, grid)
 
 
+def _scale_rows(table: np.ndarray, scale: np.ndarray, out: np.ndarray):
+    """out = table * scale[:, None], a row at a time: numpy buffers the
+    broadcast product of a (m, n) slice (66-113 KB a call), not a row's."""
+    for row, factor, into in zip(table, scale, out):
+        np.multiply(row, factor, out=into)
+
+
 def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for complex b, into out if given; a real a acts on b's real and
     imaginary parts in one real product instead of being cast to complex."""
@@ -473,10 +517,12 @@ class SpectralPropagator:
 
     def _synthesize(
         self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
-        z in off_grid, as the rows of a C-ordered (samples, dim) array: the
-        populations |c|^2 if square, else the complex amplitudes."""
+        z in off_grid, as the rows of a C-ordered (samples, width) array and
+        its column map (``Trajectory``): the populations |c|^2 if square, else
+        the complex amplitudes, whose rows are whole (no map). Squares of one
+        sign-1 sector are stored on its block's columns."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
         reach = max(dz * (n_grid - 1) if n_grid else 0.0, float(np.abs(off_grid).max(initial=0.0)))
@@ -488,8 +534,9 @@ class SpectralPropagator:
         offsets = [np.exp(-1j * np.outer(s.energies, steps)) for s in sectors]
         phase_buf = np.empty(widest * chunk, dtype=complex)
         part_buf = np.empty_like(phase_buf)
-        # one sign-1 sector is squared in its block rows; two sum their amplitudes first
-        summed = square and len(sectors) > 1
+        # one sign-1 sector is squared and stored in its block rows; two sum their amplitudes first
+        stored = square and len(sectors) == 1
+        summed = square and not stored
         row_buf = np.empty(chunk * self.dim, dtype=complex) if summed else None
         out = None
         for k0 in range(0, n_samples, chunk):
@@ -503,7 +550,7 @@ class SpectralPropagator:
                 phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
                 if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
                     anchor = coeffs[i] if k0 == 0 else coeffs[i] * np.exp(-1j * energies * (dz * k0))
-                    np.multiply(offsets[i][:, :on_grid], anchor[:, None], out=phases[:, :on_grid])
+                    _scale_rows(offsets[i][:, :on_grid], anchor, phases[:, :on_grid])
                 if z.size:
                     direct = np.exp(-1j * np.outer(energies, z))
                     np.multiply(direct, coeffs[i][:, None], out=phases[:, on_grid:])
@@ -511,31 +558,33 @@ class SpectralPropagator:
                 if k1 == n_samples and i == len(sectors) - 1:
                     offsets.clear()  # free the phase tables before the last chunk touches the output
                 if out is None:  # late: a one-chunk run never holds its tables beside it
-                    out = np.empty((n_samples, self.dim), dtype=float if square else complex)
-                if square and not summed:  # |c|^2 on the block's rows, in the spent phases, then gathered
+                    width = widest if stored else self.dim
+                    out = np.empty((n_samples, width), dtype=float if square else complex)
+                if stored:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
                     squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
                     np.square(squares, out=squares)
-                    sector.block.place(out[k0:k1], squares)
+                    out[k0:k1] = squares.T
                 else:
                     sector.block.place(out[k0:k1] if rows is None else rows, part)
             if summed:
                 squares = np.abs(rows, out=out[k0:k1])
                 np.square(squares, out=squares)
-        return out
+        return out, sectors[0].block.column if stored else None
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0."""
         self._check_dim(psi0)
-        return StateVector(self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)[0])
+        amplitudes, _ = self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)
+        return StateVector(amplitudes[0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
         """The populations of exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
         z, n_grid = _sample_grid(z_max, dz, self.dim, self._dim_cap)
         # handed over C-ordered and read-only, so Trajectory needs no copy
-        probs = self._synthesize(psi0, n_grid, dz, z[n_grid:], True)
-        probs.setflags(write=False)
-        traj = Trajectory(z_samples=z, probabilities=probs, generator_id=self.generator_id)
+        rows, column = self._synthesize(psi0, n_grid, dz, z[n_grid:], True)
+        rows.setflags(write=False)
+        traj = Trajectory(z, rows, self.generator_id, column)
         object.__setattr__(traj, "_evolve", partial(self.evolve, psi0))
         return traj
 

@@ -17,7 +17,7 @@ from fracbloch import (
 )
 from fracbloch import model
 from fracbloch.model import PairOperator
-from fracbloch.observables import RefocusReport
+from fracbloch.observables import Populations, RefocusReport
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 from fracbloch.scenario import preset_config, run_scenario
 
@@ -78,6 +78,17 @@ def amplitude_rows(h, psi0, z) -> np.ndarray:
     keeps only populations, so checks of the amplitudes take them from here."""
     plan = SpectralPropagator(h)
     return np.array([plan.evolve(psi0, zk).amplitudes for zk in z])
+
+
+def stored_pair_rows(z, probs, n_sites) -> Populations:
+    """Swap-symmetric pair-lattice populations (samples, N^2) as stored rows:
+    one column per site (a, b) with a <= b, read by (a, b) and by (b, a)."""
+    a, b = np.triu_indices(n_sites)
+    column = np.empty(n_sites * n_sites, dtype=np.intp)
+    column[a * n_sites + b] = column[b * n_sites + a] = np.arange(a.size)
+    rows = np.asarray(probs, dtype=float)[:, a * n_sites + b]
+    assert np.array_equal(rows[:, column], probs)  # symmetric under the swap
+    return Populations(z, rows, column)
 
 
 def assembled_pair_terms(h: PairOperator) -> np.ndarray:

@@ -25,6 +25,7 @@ from fracbloch import (
 from fracbloch import observables, propagator
 from fracbloch.observables import (
     ObservableSeries,
+    Populations,
     RefocusReport,
     _parabolic_vertex,
     period_from_width_maximum,
@@ -40,6 +41,7 @@ from conftest import (
     U0,
     amplitude_rows,
     frequency_ratio,
+    stored_pair_rows,
     wannier_stark_spacing,
 )
 
@@ -133,6 +135,23 @@ def test_width_zero_at_start(pair_trajectory, single_trajectory):
     assert breathing_width(pair_trajectory, "2d-diagonal").values[0] == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("stored", [False, True])
+def test_diagonal_width_is_defined_down_to_a_tiny_diagonal_weight(stored):
+    # N = 3: the first sample sits on (1, 1); the second holds 1e-6 on (0, 0)
+    # and the rest on (0, 1)/(1, 0); the third has nothing on the diagonal
+    probs = np.zeros((3, 9))
+    probs[0, 4] = 1.0
+    probs[1, 0], probs[1, [1, 3]] = 1e-6, (1.0 - 1e-6) / 2
+    probs[2, [2, 6]] = 0.5
+    z = np.array([0.0, 0.5, 1.0])
+    pops = stored_pair_rows(z, probs, 3) if stored else Populations(z, probs)
+    assert pops.rows.shape[1] == (6 if stored else 9)
+    width = breathing_width(pops, "2d-diagonal").values
+    # renormalized, the second sample's diagonal is all on (0, 0): one site from (1, 1)
+    assert width[0] == 0.0 and width[1] == 1.0
+    assert np.isnan(width[2])
 
 
 def test_width_maximum_at_half_period():

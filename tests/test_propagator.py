@@ -592,9 +592,9 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
 
     def measured(self, *args):
         tracemalloc.reset_peak()
-        out = synthesize(self, *args)
-        synthesis_peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
-        return out
+        rows, column = synthesize(self, *args)
+        synthesis_peaks.append(tracemalloc.get_traced_memory()[1] - rows.nbytes)
+        return rows, column
 
     monkeypatch.setattr(SpectralPropagator, "_synthesize", measured)
     h, psi0, _ = _pair_case(kind)
@@ -607,9 +607,52 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
     finally:
         tracemalloc.stop()
     assert traj.n_samples == 2001
+    # a doublon stores the N(N+1)/2 symmetric columns, a state in both sectors every site
+    stored = N_PAIR * (N_PAIR + 1) // 2 if kind == "doublon" else N_PAIR**2
+    assert traj.rows.shape == (2001, stored) and traj.dim == N_PAIR**2
     transient = 8 * budget * 16  # a few chunk buffers of `budget` complex elements
-    assert peak <= traj.probabilities.nbytes + transient  # no (samples, dim) amplitudes
-    assert synthesis_peaks[-1] <= transient  # beside the populations, synthesis holds only chunks
+    assert peak <= traj.rows.nbytes + transient  # no (samples, dim) amplitudes or populations
+    assert synthesis_peaks[-1] <= transient  # beside the stored rows, synthesis holds only chunks
+
+
+@pytest.mark.parametrize("on_grid", [34, 21])  # a full chunk, and a short one's strided slice
+def test_phase_product_allocates_no_buffer(on_grid):
+    rng = np.random.default_rng(5)
+    table = np.exp(-1j * rng.random((120, 34)) * 50)[:, :on_grid]
+    scale = np.exp(-1j * rng.random(120) * 50) * rng.random(120)
+    out = np.empty((120, 34), dtype=complex)[:, :on_grid]
+    tracemalloc.start()
+    try:
+        propagator._scale_rows(table, scale, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024  # numpy's broadcast product buffers 66-122 KB here
+    assert np.array_equal(out, table * scale[:, None])  # the broadcast product, bit for bit
+
+
+def test_z_max_just_past_the_grid_is_a_sample():
+    # z_max lies 1e-6 dz past the last grid point: it is a sample of its own,
+    # and a tolerance as loose as 1e-3 dz would drop it
+    dz = 0.01
+    z_max = 100 * dz + 1e-6 * dz
+    traj = propagate(build_single_particle_hamiltonian(5, KAPPA, FD), StateVector.delta(5, 2), z_max, dz)
+    assert traj.n_samples == 102
+    assert traj.z_samples[-2] == 100 * dz and traj.z_samples[-1] == z_max
+    on_grid = propagate(build_single_particle_hamiltonian(5, KAPPA, FD), StateVector.delta(5, 2), 1.0, dz)
+    assert on_grid.n_samples == 101
+
+
+def test_trajectory_column_map_is_checked():
+    z, rows = np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.25, 0.375]])
+    traj = Trajectory(z, rows, "tag", np.array([0, 1, 1]))  # site 2 reads column 1 too
+    assert traj.dim == 3 and traj.probabilities.tolist() == [[1.0, 0.0, 0.0], [0.25, 0.375, 0.375]]
+    assert not traj.column.flags.writeable and not traj.probabilities.flags.writeable
+    for column in ([0, 2], [-1, 1], [0.0, 1.0], [[0, 1]], []):
+        with pytest.raises(InvalidParameterError, match="stored column"):
+            Trajectory(z, rows, "tag", np.array(column))
+    with pytest.raises(InvalidParameterError, match="deviates from 1 by 3.750e-01"):
+        Trajectory(z, rows, "tag", np.array([0, 1]))  # the second sample sums to 0.625
 
 
 # ---------------------------------------------------------------------------

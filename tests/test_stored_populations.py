@@ -1,0 +1,133 @@
+"""A swap-symmetric pair trajectory stores each (n, m)/(m, n) population once,
+in the symmetric block's N(N+1)/2 columns. Every reader gives the same bytes
+from those stored rows as from the whole (samples, N^2) populations, and the
+run, analyze and render paths never build the whole array."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from fracbloch import (
+    ModelParams,
+    SpectralPropagator,
+    StateVector,
+    Trajectory,
+    boundary_population,
+    breathing_width,
+    build_fock_hamiltonian,
+    build_single_particle_hamiltonian,
+    diagonal_confinement,
+    participation_ratio,
+    propagate,
+    return_probability,
+)
+from fracbloch import cli
+from fracbloch.heatmap import render_heatmap
+from fracbloch.observables import Populations, summarize_populations
+from fracbloch.scenario import preset_config, run_scenario, write_trajectory_csv
+
+from conftest import FD, KAPPA, RHO, U0
+
+#: N -> z_max: N = 15's 120-state block is diagonalized whole, N = 31's
+#: 496-state block is reduced to a Krylov space.
+DOUBLONS = {15: 8.5, 31: 2.0}
+
+
+@pytest.fixture(scope="module", params=sorted(DOUBLONS))
+def doublon(request):
+    n = request.param
+    plan = SpectralPropagator(build_fock_hamiltonian(
+        ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n)
+    ))
+    psi0 = StateVector.pair_excitation(n, n // 2, n // 2)
+    traj = plan.trajectory(psi0, DOUBLONS[n], 0.01)
+    (sector,) = plan._sectors(psi0.amplitudes, DOUBLONS[n])
+    whole = sector.energies.size == sector.vectors.shape[0]
+    assert whole == (n == 15)
+    return n, traj
+
+
+def read_everything(pops, n, out_dir) -> dict:
+    """Every series, summary field, pixmap and trajectory CSV of a pair
+    lattice's populations, as bytes."""
+    out_dir.mkdir()
+    site = (n // 2) * n + n // 2
+    series = {
+        "return": return_probability(pops, site),
+        "boundary-2d": boundary_population(pops, "2d"),
+        "boundary-1d": boundary_population(pops, "1d"),
+        "width-2d": breathing_width(pops, "2d-diagonal"),
+        "width-1d": breathing_width(pops, "1d"),
+        "confinement": diagonal_confinement(pops, n),
+        "participation": participation_ratio(pops),
+    }
+    read = {name: s.values.tobytes() for name, s in series.items()}
+    fields, summary_series = summarize_populations(pops, True, site)
+    read["fields"] = json.dumps(fields, sort_keys=True)
+    read.update({f"summary-{k}": s.values.tobytes() for k, s in summary_series.items()})
+    for axis in ("1d-vs-z", "diagonal-vs-z", "full-2d-slice"):
+        for norm in ("per-column", "global"):
+            path = out_dir / f"{axis}-{norm}.pgm"
+            render_heatmap(pops, axis, norm, str(path))
+            read[path.name] = path.read_bytes()
+    path = out_dir / "slice-z1.pgm"
+    render_heatmap(pops, "full-2d-slice", "global", str(path), z=1.0)
+    read[path.name] = path.read_bytes()
+    path = out_dir / "trajectory.csv"
+    write_trajectory_csv(str(path), pops, "fock", n)
+    read[path.name] = path.read_bytes()
+    return read
+
+
+def test_stored_rows_read_as_the_whole_populations(tmp_path, doublon):
+    n, traj = doublon
+    assert traj.rows.shape == (traj.n_samples, n * (n + 1) // 2) and traj.dim == n * n
+    stored = read_everything(traj, n, tmp_path / "stored")
+    assert "probabilities" not in vars(traj)  # no reader built the whole array
+    whole = read_everything(Populations(traj.z_samples, traj.probabilities), n, tmp_path / "whole")
+    assert stored.keys() == whole.keys()
+    assert [key for key in stored if stored[key] != whole[key]] == []
+    # each site reads its column: (a, b) and (b, a) hold one population
+    probs = traj.probabilities
+    assert probs.shape == (traj.n_samples, n * n) and probs is traj.probabilities
+    assert np.array_equal(probs, probs.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n))
+    assert probs.flags.owndata and probs.flags.c_contiguous and not probs.flags.writeable
+
+
+def test_other_trajectories_store_every_site():
+    n = 7
+    chain = propagate(build_single_particle_hamiltonian(n, KAPPA, FD), StateVector.delta(n, 3), 2.0, 0.05)
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n))
+    amplitudes = np.zeros(n * n)
+    amplitudes[2 * n + 4] = 1.0  # (2, 4) alone reaches the antisymmetric sector
+    pair = propagate(h, StateVector(amplitudes), 2.0, 0.05)
+    for traj in (chain, pair):
+        assert traj.column is None and traj.rows.shape[1] == traj.dim
+        assert traj.probabilities is traj.rows  # no copy
+
+
+def test_run_analyze_and_render_never_build_the_whole_populations(tmp_path, monkeypatch):
+    def unread(self):
+        raise AssertionError("the whole (samples, dim) populations were built")
+
+    monkeypatch.setattr(Trajectory, "probabilities", property(unread))
+    monkeypatch.setattr(Populations, "probabilities", property(unread))
+    made = []
+    trajectory = SpectralPropagator.trajectory
+
+    def kept(self, *args):
+        made.append(trajectory(self, *args))
+        return made[-1]
+
+    monkeypatch.setattr(SpectralPropagator, "trajectory", kept)
+    config = preset_config("fig4a-fractional-bo")
+    config = dataclasses.replace(config, observables=(*config.observables, "participation_ratio"))
+    run_scenario(config, out_dir=str(tmp_path))
+    (traj,) = made
+    assert traj.rows.shape[1] == 15 * 16 // 2
+    csv = str(tmp_path / "trajectory.csv")
+    assert cli.main(["analyze", csv, "--out", str(tmp_path / "analyze.json")]) == 0
+    for axis in ("1d-vs-z", "diagonal-vs-z", "full-2d-slice"):
+        assert cli.main(["render", csv, "--axis", axis, "--out", str(tmp_path / f"{axis}.pgm")]) == 0
