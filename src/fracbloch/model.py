@@ -156,11 +156,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense Hermitian generator of the z-evolution.
-
-    All builders emit real symmetric matrices; symmetry is checked exactly
-    at construction and the entry array is frozen afterwards.
-    """
+    """A dense Hermitian generator of the z-evolution, given as a matrix;
+    symmetry is checked exactly at construction and the entries are frozen."""
 
     entries: np.ndarray
 
@@ -181,16 +178,41 @@ class HermitianOperator:
         return self.entries.shape[0]
 
     def swap_block(self, sign: int) -> SwapBlock:
-        """The generator as one sign-1 block whose every site is its own
-        partner; it has no other. Its terms are the diagonal and every entry
-        whose bytes are not those of +0.0, so a -0.0 entry is kept."""
-        if sign != 1:
-            raise InvalidParameterError(f"a generator without a swap has no sign {sign} block")
-        sites = np.arange(self.dim)
+        """The one block (``_unswapped``): the diagonal and every entry whose
+        bytes are not those of +0.0, so a -0.0 entry is kept."""
+        head = _unswapped(sign, self.dim)
         kept = self.entries.view(np.uint8).reshape(self.dim, self.dim, -1).any(axis=-1)
-        kept[sites, sites] = True
+        np.fill_diagonal(kept, True)
         i, j = np.nonzero(kept)
-        return SwapBlock(1, sites, sites, np.ones(self.dim), i, j, self.entries[i, j])
+        return SwapBlock(*head, i, j, self.entries[i, j])
+
+
+def _unswapped(sign: int, dim: int) -> tuple:
+    """(sign, rep, partner, weight) of a generator without a swap: one sign-1
+    block whose every site is its own partner; it has no other."""
+    if sign != 1:
+        raise InvalidParameterError(f"a generator without a swap has no sign {sign} block")
+    sites = np.arange(dim)
+    return 1, sites, sites, np.ones(dim)
+
+
+@dataclass(frozen=True)
+class ChainOperator:
+    """Tilted open chain of ``dim`` sites, H[n][n +- 1] = -hopping and
+    H[n][n] = tilt * (n - N//2). Like ``PairOperator``, its swap block (here
+    its one, ``_unswapped``) is its only representation."""
+
+    dim: int
+    hopping: float
+    tilt: float
+
+    def swap_block(self, sign: int) -> SwapBlock:
+        """Row by row: the left bond, the site, the right bond."""
+        n, head = self.dim, _unswapped(sign, self.dim)
+        i, kind = np.divmod(np.arange(1, 3 * n - 1), 3)  # kind 0, 1, 2; row 0 has no left bond
+        values = np.full(i.size, -self.hopping, dtype=float)
+        values[::3] = self.tilt * (np.arange(n) - n // 2)
+        return SwapBlock(*head, i, i + kind - 1, values)
 
 
 def _require_finite(*terms: tuple[str, float, float]):
@@ -260,20 +282,9 @@ def check_generator(params: ModelParams, model: str, z_max: float | None = None)
         )
 
 
-def _tilted_chain(n_sites: int, hopping: float, tilt_step: float) -> np.ndarray:
-    origin = n_sites // 2
-    h = np.zeros((n_sites, n_sites))
-    sites = np.arange(n_sites)
-    h[sites, sites] = tilt_step * (sites - origin)
-    off = np.arange(n_sites - 1)
-    h[off, off + 1] = -hopping
-    h[off + 1, off] = -hopping
-    return h
-
-
 def build_single_particle_hamiltonian(
     n_sites: int, kappa: float, fd: float, dim_cap: int = DEFAULT_DIM_CAP
-) -> HermitianOperator:
+) -> ChainOperator:
     """Tilted open chain: H[n][n+-1] = -kappa, H[n][n] = fd * (n - N//2).
 
     The excited (central) site carries tilt energy zero; the choice of
@@ -286,7 +297,7 @@ def build_single_particle_hamiltonian(
     if n_sites > dim_cap:
         raise DimensionCapError(n_sites, dim_cap)
     _require_finite(*_single_terms(n_sites, kappa, fd))
-    return HermitianOperator(_tilted_chain(n_sites, kappa, fd))
+    return ChainOperator(n_sites, kappa, fd)
 
 
 class SwapBlock(NamedTuple):
@@ -453,7 +464,7 @@ def kappa_eff(kappa: float, rho: float, u0: float) -> float:
 
 def build_effective_hamiltonian(
     params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP
-) -> HermitianOperator:
+) -> ChainOperator:
     """Bound-pair chain: the single-particle structure with kappa_eff and 2 fd.
 
     The effective hopping may be negative for repulsive interaction with a
@@ -463,9 +474,7 @@ def build_effective_hamiltonian(
         raise DimensionCapError(params.n_sites, dim_cap)
     check_generator(params, "effective")
     hopping = kappa_eff(params.kappa, params.rho, params.u0)
-    return HermitianOperator(
-        _tilted_chain(params.n_sites, hopping, 2.0 * params.fd)
-    )
+    return ChainOperator(params.n_sites, hopping, 2.0 * params.fd)
 
 
 def swap_indices(n_sites: int) -> np.ndarray:

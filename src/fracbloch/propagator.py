@@ -5,7 +5,8 @@ of its terms, the (I, J, value) entries sorted by row (``model.SwapBlock``).
 A pair-lattice operator (``model.PairOperator``) computes them from the
 rates: the symmetric sector, of dimension N(N+1)/2, and the antisymmetric
 sector, of dimension N(N-1)/2, which is built only when a state reaches it.
-Any other generator is one sign-1 block whose every site is its own partner.
+Any other generator, a chain (``model.ChainOperator``, from its rates too) or
+a dense matrix, is one sign-1 block whose every site is its own partner.
 A plan builds and checks its first block up front, hashes its dense rows
 band by band (``generator_id``), and decomposes lazily, per block that a
 state reaches, in one of two ways:
@@ -14,12 +15,12 @@ state reaches, in one of two ways:
   (real-symmetric / Hermitian eigh) once per plan. Every sampled state is
   then synthesized spectrally, so unitarity holds to machine precision and
   revival positions are not integration artifacts.
-* A pair operator's block of at least ``_KRYLOV_BLOCK`` states is reduced
-  to the Krylov space that the state's share explores up to the largest |z|
-  asked for: Lanczos with full reorthogonalization, each product summed
-  from the terms row by row, then the eigenpairs of the small tridiagonal
-  matrix T_m.
-  The tilt localizes the pair, so m stays far below the block size. Lanczos
+* A block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``;
+  every lattice's) is reduced to the Krylov space that the state's share
+  explores up to the largest |z| asked for: Lanczos with full
+  reorthogonalization, each product summed from the terms row by row, then
+  the eigenpairs of the small tridiagonal matrix T_m.
+  The tilt localizes the state, so m stays far below the block size. Lanczos
   stops at the first checked m whose a-posteriori defect bound (Hochbruck &
   Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), evaluated on a grid (see
   ``_defect``), is at most 1e-13 for every |z| up to that reach, split
@@ -69,13 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
-from .model import (
-    DEFAULT_DIM_CAP,
-    HermitianOperator,
-    PairOperator,
-    SwapBlock,
-    flatten_index,
-)
+from .model import DEFAULT_DIM_CAP, HermitianOperator, SwapBlock, flatten_index
 from .observables import return_probability, whole  # noqa: F401  (return_probability re-exported)
 
 _NORM_TOL = 1e-12
@@ -285,11 +280,13 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _reduces(block: int) -> bool:
-    """Whether a swap block of this many states is built from a state's
-    Krylov space rather than diagonalized whole: a rule on its size alone,
-    fixed by measurement (see the README)."""
-    return block >= _KRYLOV_BLOCK
+def _reduces(swap: SwapBlock) -> bool:
+    """Whether a swap block is reduced to a state's Krylov space rather than
+    diagonalized whole: at least _KRYLOV_BLOCK states (see the README), in rows
+    of at most _FIRST_CHECK terms on average, where a product costs less than
+    one step's reorthogonalization. A dense generator keeps its whole eigh."""
+    size = swap.rep.size
+    return size >= _KRYLOV_BLOCK and swap.values.size <= _FIRST_CHECK * size
 
 
 class _Block:
@@ -470,7 +467,7 @@ class SpectralPropagator:
     and its dense rows hashed; a pair operator's antisymmetric block only
     when a state first reaches it. Nothing is diagonalized here.
     ``trajectory`` and ``evolve`` take, per block a state reaches, the eigenpairs of the whole block, or,
-    for a pair operator's block of at least ``_KRYLOV_BLOCK`` states, the
+    for a block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``), the
     Ritz pairs of the Krylov space that the state's share explores up to the
     largest |z| asked for, within 1e-13 by the defect bound (split between
     two sectors). A Krylov space without a certificate after block/2 steps
@@ -486,7 +483,6 @@ class SpectralPropagator:
         if h.dim > dim_cap:
             raise DimensionCapError(h.dim, dim_cap)
         self._h = h
-        self._pair = isinstance(h, PairOperator)  # only a pair operator's blocks take the Krylov path
         self._first = _Block(h.swap_block(1), h.dim)
         self.generator_id = _generator_id(self._first.swap)
         self.dim = h.dim
@@ -505,11 +501,11 @@ class SpectralPropagator:
         if not np.array_equal(psi[self._first.swap.rep], psi[self._first.swap.partner]):
             blocks.append(self._antisymmetric)
         sectors = []
-        reduces = self._pair and reach is not None and math.isfinite(reach)
+        reduces = reach is not None and math.isfinite(reach)
         for block in blocks:
             sector = None
             # a whole block once diagonalized serves every later state
-            if reduces and _reduces(block.swap.rep.size) and "whole" not in block.__dict__:
+            if reduces and _reduces(block.swap) and "whole" not in block.__dict__:
                 share = block.swap.weight * block.fold(psi)
                 sector = block.reduced(share, reach, _KRYLOV_TOL / len(blocks))
             sectors.append(block.whole if sector is None else sector)

@@ -67,10 +67,10 @@ def fig4b_run(tmp_path_factory):
 def dense_entries(h) -> np.ndarray:
     """The generator as a dense matrix: a pair operator's from the bond
     enumerator oracle, which shares no code with the builder, and any other
-    generator's own entries. For propagation and eigenstate checks."""
+    generator's from its one block. For propagation and eigenstate checks."""
     if isinstance(h, PairOperator):
         return operator_from_bonds(h.params.n_sites, *enumerate_fock_bonds(h.params))
-    return h.entries
+    return h.swap_block(1).entries
 
 
 def amplitude_rows(h, psi0, z) -> np.ndarray:
@@ -132,7 +132,7 @@ def wannier_stark_spacing(
         raise InvalidParameterError(
             f"only {keep} interior eigenvalues selected; need at least 3"
         )
-    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
+    eigenvalues = np.sort(np.linalg.eigvalsh(dense_entries(h)))
     start = (dim - keep) // 2
     gaps = np.diff(eigenvalues[start : start + keep])
     return float(np.mean(gaps)), float(np.std(gaps))

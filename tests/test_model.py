@@ -31,17 +31,17 @@ from conftest import FD, KAPPA, N_PAIR, RHO, U0, assembled_pair_terms, dense_ent
 def test_single_particle_pure_hopping():
     h = build_single_particle_hamiltonian(3, 1.0, 0.0)
     expected = np.array([[0, -1, 0], [-1, 0, -1], [0, -1, 0]], dtype=float)
-    assert np.array_equal(h.entries, expected)
+    assert np.array_equal(dense_entries(h), expected)
 
 
 def test_single_particle_pure_tilt_centered():
     h = build_single_particle_hamiltonian(3, 0.0, 1.0)
-    assert np.array_equal(h.entries, np.diag([-1.0, 0.0, 1.0]))
+    assert np.array_equal(dense_entries(h), np.diag([-1.0, 0.0, 1.0]))
 
 
 def test_single_particle_interior_ladder_spacing():
     h = build_single_particle_hamiltonian(41, KAPPA, FD)
-    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
+    eigenvalues = np.sort(np.linalg.eigvalsh(dense_entries(h)))
     keep = round(41 / 3)
     start = (41 - keep) // 2
     gaps = np.diff(eigenvalues[start : start + keep])
@@ -73,7 +73,7 @@ def test_fock_two_site_lattice_by_hand():
 def test_fock_factorizes_without_interaction():
     params = ModelParams(kappa=0.7, rho=0.0, u0=0.0, fd=0.3, n_sites=5)
     h2 = assembled_pair_terms(build_fock_hamiltonian(params))
-    h1 = build_single_particle_hamiltonian(5, 0.7, 0.3).entries
+    h1 = dense_entries(build_single_particle_hamiltonian(5, 0.7, 0.3))
     eye = np.eye(5)
     assert np.array_equal(h2, np.kron(h1, eye) + np.kron(eye, h1))
 
@@ -154,7 +154,7 @@ def test_chain_builders_check_the_cap_before_allocating(monkeypatch, build):
     def no_chain(*args):
         raise AssertionError("a chain was allocated past the dimension cap")
 
-    monkeypatch.setattr(model, "_tilted_chain", no_chain)
+    monkeypatch.setattr(model, "ChainOperator", no_chain)
     with pytest.raises(DimensionCapError) as err:
         build(DEFAULT_DIM_CAP)
     assert "200000" in str(err.value)
@@ -198,7 +198,7 @@ def test_kappa_eff_equal_scales_identity():
 
 
 def test_effective_hamiltonian_structure(pair_params):
-    h = build_effective_hamiltonian(pair_params).entries
+    h = dense_entries(build_effective_hamiltonian(pair_params))
     assert h.shape == (N_PAIR, N_PAIR)
     assert h[7, 8] == pytest.approx(-0.75125, abs=1e-12)
     tilt_steps = np.diff(np.diag(h))
@@ -207,7 +207,7 @@ def test_effective_hamiltonian_structure(pair_params):
 
 def test_effective_hamiltonian_direct_tunneling_only():
     params = ModelParams(kappa=0.0, rho=0.3, u0=-4.0, fd=0.0, n_sites=5)
-    h = build_effective_hamiltonian(params).entries
+    h = dense_entries(build_effective_hamiltonian(params))
     assert h[1, 2] == pytest.approx(-0.3, abs=1e-15)
 
 
@@ -219,7 +219,7 @@ def test_effective_hamiltonian_rejects_zero_interaction():
 
 def test_effective_hamiltonian_accepts_negative_hopping():
     params = ModelParams(kappa=0.5, rho=-0.1, u0=4.0, fd=0.1, n_sites=5)
-    h = build_effective_hamiltonian(params).entries
+    h = dense_entries(build_effective_hamiltonian(params))
     assert h[0, 1] == pytest.approx(0.225, abs=1e-12)
 
 

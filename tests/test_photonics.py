@@ -23,7 +23,7 @@ from fracbloch import (
 )
 from fracbloch.photonics import DEFAULT_FORCE_CALIBRATION, curvature_to_force
 
-from conftest import assembled_pair_terms
+from conftest import assembled_pair_terms, dense_entries
 
 
 def square_spec(bend_radius=math.inf, detuning=-4.0, length=2.5, **kwargs):
@@ -66,7 +66,7 @@ def test_zero_detuning_gives_factorizing_map():
     assert params.u0 == 0.0
     assert params.rho == 0.0
     h2 = assembled_pair_terms(build_fock_hamiltonian(params))
-    h1 = build_single_particle_hamiltonian(15, params.kappa, params.fd).entries
+    h1 = dense_entries(build_single_particle_hamiltonian(15, params.kappa, params.fd))
     eye = np.eye(15)
     assert np.array_equal(h2, np.kron(h1, eye) + np.kron(eye, h1))
 

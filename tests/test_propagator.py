@@ -171,7 +171,8 @@ def test_generator_id_hashes_signed_zeros(build, generator_id):
     # hopping every bond does; the hash reads them, so a block that dropped
     # them as zeros would change the id
     h = build()
-    assert np.any((h.entries == 0) & np.signbit(h.entries.real))
+    entries = dense_entries(h)
+    assert np.any((entries == 0) & np.signbit(entries.real))
     assert SpectralPropagator(h).generator_id == generator_id
 
 
@@ -670,12 +671,80 @@ def whole_blocks():
     return mock.patch.object(propagator, "_reduces", lambda block: False)
 
 
+def _fixture_pair(n):
+    return build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n))
+
+
+def _dense_generator(dim):
+    """A random dense real symmetric generator: dim terms in every row."""
+    m = np.random.default_rng(3).normal(size=(dim, dim))
+    return HermitianOperator((m + m.T) / 2.0)
+
+
 @pytest.mark.parametrize(
-    "block, reduced",
-    [(120, False), (_block(20), False), (_block(27), False), (_block(28), True), (_block(56), True)],
+    "generator, block, reduced",
+    [
+        pytest.param(lambda: _fixture_pair(15), 120, False, id="120-False"),
+        pytest.param(lambda: _fixture_pair(20), _block(20), False, id="210-False"),
+        pytest.param(lambda: _fixture_pair(27), _block(27), False, id="378-False"),
+        pytest.param(lambda: _fixture_pair(28), _block(28), True, id="406-True"),
+        pytest.param(lambda: _fixture_pair(56), _block(56), True, id="1596-True"),
+        pytest.param(lambda: _dense_generator(400), 400, False, id="dense-400-False"),
+        pytest.param(
+            lambda: build_single_particle_hamiltonian(400, KAPPA, FD), 400, True, id="chain-400-True"
+        ),
+    ],
 )
-def test_selection_rule_reads_the_block_size(block, reduced):
-    assert propagator._reduces(block) is reduced
+def test_selection_rule_reads_the_block_size(generator, block, reduced):
+    h = generator()
+    swap = h.swap_block(1)
+    assert swap.rep.size == block
+    assert propagator._reduces(swap) is reduced
+    # a plan follows the rule: Krylov spaces of at most block/2 states, or
+    # the one whole block (a dense generator's too, whatever its size)
+    psi0 = StateVector.delta(h.dim, int(swap.rep[0]))  # (0, 0) on a pair lattice: swap-symmetric
+    with eigh_dims() as dims:
+        plan = SpectralPropagator(h)
+        plan.trajectory(psi0, 1.0, 0.1)
+        plan.evolve(psi0, 1.0)
+    assert max(dims) <= block // 2 if reduced else dims == [block]
+
+
+@pytest.mark.parametrize("fd", [FD, 0.0], ids=["tilted", "untilted"])
+@pytest.mark.parametrize("n", [383, 384, 401])
+@pytest.mark.parametrize("model", ["single", "effective"])
+def test_chain_krylov_path_matches_the_dense_oracle(model, n, fd):
+    if model == "single":
+        h = build_single_particle_hamiltonian(n, KAPPA, fd)
+    else:
+        h = build_effective_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=fd, n_sites=n))
+    psi0, z_max = StateVector.delta(n, n // 2 + 3), 8.5
+    with eigh_dims() as dims:
+        plan = SpectralPropagator(h)
+        traj = plan.trajectory(psi0, z_max, z_max / 300)
+        states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
+    if n < propagator._KRYLOV_BLOCK:
+        assert dims == [n]  # the whole chain, diagonalized once
+    else:
+        assert dims and max(dims) <= n // 2  # Krylov spaces only
+    oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
+    assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
+    assert np.max(np.abs(np.array(states) - oracle[-2:])) <= SECTOR_TOL
+
+
+def test_krylov_space_of_a_weakly_coupled_site_is_not_taken_as_invariant():
+    # Ten sites off the origin the state's energy is 10 and its bonds 1e-7:
+    # the first Lanczos residual (1.4e-7) is small against ||T|| but not
+    # negligible. A space taken as invariant there misses the weight that
+    # leaves the site, about 1e-7 over z = 8.5.
+    h = build_single_particle_hamiltonian(400, 1e-7, 1.0)
+    psi0 = StateVector.delta(400, 210)
+    with eigh_dims() as dims:
+        state = SpectralPropagator(h).evolve(psi0, 8.5)
+    assert max(dims) <= 200
+    with whole_blocks():
+        exact = SpectralPropagator(h).evolve(psi0, 8.5)
+    assert np.max(np.abs(state.amplitudes - exact.amplitudes)) <= SECTOR_TOL
 
 
 @settings(max_examples=12, deadline=None)
@@ -709,9 +778,11 @@ def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
     # each block the rule sends whole is diagonalized; every other eigh is a
     # Krylov space's, of at most block/2 steps
     blocks = [_block(n)] if kind == "doublon" else [_block(n), _block(n - 1)]  # N(N-1)/2
-    if kind == "antisymmetric" and propagator._reduces(_block(n)):
+    reduces = {_block(n): propagator._reduces(h.swap_block(1)),
+               _block(n - 1): propagator._reduces(h.swap_block(-1))}
+    if kind == "antisymmetric" and reduces[_block(n)]:
         blocks = blocks[1:]  # the empty symmetric share never needs its block
-    whole = [b for b in blocks if not propagator._reduces(b)]
+    whole = [b for b in blocks if not reduces[b]]
     assert sorted(d for d in dims if d > _block(n) // 2) == sorted(whole)
     oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
     assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
