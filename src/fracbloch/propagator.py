@@ -81,6 +81,10 @@ _CHUNK_ELEMENTS = 1 << 17
 #: Swap blocks of at least this many states take the Krylov path; below it a
 #: whole-block eigh is the faster.
 _KRYLOV_BLOCK = 384
+#: ... with at most this many terms a row on average; a dense generator is
+#: diagonalized whole. At 150 Lanczos steps the products overtake the eigh near
+#: 200 terms a row at 400 states, past 500 at 2000 (CHANGES.md).
+_KRYLOV_ROW_TERMS = 32
 #: Bound on the amplitude error of a Krylov-built trajectory.
 _KRYLOV_TOL = 1e-13
 #: Lanczos steps before the first certificate check, and the growth of the
@@ -282,11 +286,10 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduces(swap: SwapBlock) -> bool:
     """Whether a swap block is reduced to a state's Krylov space rather than
-    diagonalized whole: at least _KRYLOV_BLOCK states (see the README), in rows
-    of at most _FIRST_CHECK terms on average, where a product costs less than
-    one step's reorthogonalization. A dense generator keeps its whole eigh."""
+    diagonalized whole: at least _KRYLOV_BLOCK states (see the README) and at
+    most _KRYLOV_ROW_TERMS terms a row on average."""
     size = swap.rep.size
-    return size >= _KRYLOV_BLOCK and swap.values.size <= _FIRST_CHECK * size
+    return size >= _KRYLOV_BLOCK and swap.values.size <= _KRYLOV_ROW_TERMS * size
 
 
 class _Block:
@@ -356,7 +359,7 @@ class _Block:
         Krylov synthesis is at most beta0 beta_m int_0^reach |e_m^T exp(-i s T_m) e_1| ds
         (Hochbruck & Lubich 1997), evaluated from the Ritz pairs of T_m (``_defect``).
         """
-        if not np.any(b.imag):  # a real share stays in real arithmetic
+        if np.isrealobj(self.swap.values) and not np.any(b.imag):  # a real block and share stay real
             b = b.real
         size = b.size
         beta0 = float(np.linalg.norm(b))

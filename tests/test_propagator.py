@@ -710,12 +710,24 @@ def test_selection_rule_reads_the_block_size(generator, block, reduced):
     assert max(dims) <= block // 2 if reduced else dims == [block]
 
 
+def _complex_chain(n, fd):
+    """The single chain with its hopping turned complex: a Hermitian,
+    not real symmetric, generator with three terms a row."""
+    m = dense_entries(build_single_particle_hamiltonian(n, KAPPA, fd)).astype(complex)
+    bonds = np.arange(n - 1)
+    m[bonds, bonds + 1] *= np.exp(0.7j)
+    m[bonds + 1, bonds] *= np.exp(-0.7j)
+    return HermitianOperator(m)
+
+
 @pytest.mark.parametrize("fd", [FD, 0.0], ids=["tilted", "untilted"])
 @pytest.mark.parametrize("n", [383, 384, 401])
-@pytest.mark.parametrize("model", ["single", "effective"])
+@pytest.mark.parametrize("model", ["single", "effective", "complex"])
 def test_chain_krylov_path_matches_the_dense_oracle(model, n, fd):
     if model == "single":
         h = build_single_particle_hamiltonian(n, KAPPA, fd)
+    elif model == "complex":  # a real share in a complex block: the Lanczos basis is complex
+        h = _complex_chain(n, fd)
     else:
         h = build_effective_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=fd, n_sites=n))
     psi0, z_max = StateVector.delta(n, n // 2 + 3), 8.5
@@ -832,7 +844,17 @@ def test_uncertified_krylov_space_falls_back_to_the_whole_block(monkeypatch):
     # Without a tilt nothing localizes the pair: over z = 120 its Krylov space
     # is not certified within block/2 = 248 steps.
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=31))
-    psi0 = _pair_state("doublon", 31)
+    _assert_falls_back(monkeypatch, h, _pair_state("doublon", 31))
+
+
+def test_uncertified_chain_krylov_space_falls_back_to_the_whole_block(monkeypatch):
+    # The untilted 400-site chain spreads to its ends by z = 120: no
+    # certificate within block/2 = 200 steps.
+    h = build_single_particle_hamiltonian(400, KAPPA, 0.0)
+    _assert_falls_back(monkeypatch, h, StateVector.delta(400, 200))
+
+
+def _assert_falls_back(monkeypatch, h, psi0):
     reduced = []
     build = propagator._Block.reduced
 
@@ -847,7 +869,7 @@ def test_uncertified_krylov_space_falls_back_to_the_whole_block(monkeypatch):
         far = plan.evolve(psi0, 1e6)
         again = plan.trajectory(psi0, 120.0, 0.5)
     # one failed Lanczos run; later calls take the whole block it left, diagonalized once
-    assert reduced == [None] and dims.count(_block(31)) == 1
+    assert reduced == [None] and dims.count(h.swap_block(1).rep.size) == 1
     assert np.array_equal(again.probabilities, traj.probabilities)
     with whole_blocks():
         whole = SpectralPropagator(h)
