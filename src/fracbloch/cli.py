@@ -21,8 +21,8 @@ from .errors import (
     FracblochError,
     InvalidParameterError,
 )
-from .model import DEFAULT_DIM_CAP
 from .observables import Populations
+from .propagator import DEFAULT_DIM_CAP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -23,15 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionCapError, InvalidParameterError, SingularParameterError
-
-#: Largest operator dimension the builders and the propagator accept by
-#: default. It bounds what grows with the dimension: a swap block's terms, the
-#: dense matrix they scatter into for a whole-block eigh (the small blocks',
-#: and the fall-back of a Krylov space without a certificate), and a
-#: trajectory's populations; override per call (the CLI maps an environment
-#: variable onto it).
-DEFAULT_DIM_CAP = 4096
+from .errors import InvalidParameterError, SingularParameterError
 
 _CONSISTENCY_RTOL = 1e-9
 
@@ -282,9 +274,7 @@ def check_generator(params: ModelParams, model: str, z_max: float | None = None)
         )
 
 
-def build_single_particle_hamiltonian(
-    n_sites: int, kappa: float, fd: float, dim_cap: int = DEFAULT_DIM_CAP
-) -> ChainOperator:
+def build_single_particle_hamiltonian(n_sites: int, kappa: float, fd: float) -> ChainOperator:
     """Tilted open chain: H[n][n+-1] = -kappa, H[n][n] = fd * (n - N//2).
 
     The excited (central) site carries tilt energy zero; the choice of
@@ -294,8 +284,6 @@ def build_single_particle_hamiltonian(
         raise InvalidParameterError(f"n_sites must be >= 2, got {n_sites}")
     if kappa < 0:
         raise InvalidParameterError(f"kappa must be >= 0, got {kappa}")
-    if n_sites > dim_cap:
-        raise DimensionCapError(n_sites, dim_cap)
     _require_finite(*_single_terms(n_sites, kappa, fd))
     return ChainOperator(n_sites, kappa, fd)
 
@@ -310,9 +298,7 @@ class SwapBlock(NamedTuple):
     whose state I is site I. Entry (i[k], j[k]) of the (block, block)
     Hermitian matrix is values[k]: the terms are sorted by row and then
     column, each (I, J) once, every diagonal entry among them, and every entry
-    that is not a term is +0.0. ``rows(start, stop)`` scatters rows start to
-    stop into a dense band, so a caller that streams the block never holds it
-    whole; ``entries`` is all of it.
+    that is not a term is +0.0; ``entries`` scatters the terms into that matrix.
     """
 
     sign: int
@@ -323,15 +309,11 @@ class SwapBlock(NamedTuple):
     j: np.ndarray
     values: np.ndarray
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        lo, hi = np.searchsorted(self.i, (start, stop))
-        band = np.zeros((stop - start, self.rep.size), dtype=self.values.dtype)
-        band[self.i[lo:hi] - start, self.j[lo:hi]] = self.values[lo:hi]
-        return band
-
     @property
     def entries(self) -> np.ndarray:
-        return self.rows(0, self.rep.size)
+        dense = np.zeros((self.rep.size, self.rep.size), dtype=self.values.dtype)
+        dense[self.i, self.j] = self.values
+        return dense
 
 
 def _pair_terms(params: ModelParams):
@@ -430,9 +412,7 @@ class PairOperator:
         return SwapBlock(sign, rep, partner, weight, i, j, values)
 
 
-def build_fock_hamiltonian(
-    params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP
-) -> PairOperator:
+def build_fock_hamiltonian(params: ModelParams) -> PairOperator:
     """Two-boson pair lattice: one particle on an N x N square lattice.
 
     Site (n, m) carries energy fd * ((n - N//2) + (m - N//2)), plus u0 on
@@ -443,9 +423,6 @@ def build_fock_hamiltonian(
     the (n, m) swap exactly. Nothing is allocated here: the operator builds
     its swap blocks when they are asked for, and never the N^2 x N^2 matrix.
     """
-    dim = params.n_sites**2
-    if dim > dim_cap:
-        raise DimensionCapError(dim, dim_cap)
     return PairOperator(params)
 
 
@@ -462,16 +439,12 @@ def kappa_eff(kappa: float, rho: float, u0: float) -> float:
     return -2.0 * kappa * kappa / u0 + rho
 
 
-def build_effective_hamiltonian(
-    params: ModelParams, dim_cap: int = DEFAULT_DIM_CAP
-) -> ChainOperator:
+def build_effective_hamiltonian(params: ModelParams) -> ChainOperator:
     """Bound-pair chain: the single-particle structure with kappa_eff and 2 fd.
 
     The effective hopping may be negative for repulsive interaction with a
     positive cross-coupling; that is a legitimate gauge and is accepted.
     """
-    if params.n_sites > dim_cap:
-        raise DimensionCapError(params.n_sites, dim_cap)
     check_generator(params, "effective")
     hopping = kappa_eff(params.kappa, params.rho, params.u0)
     return ChainOperator(params.n_sites, hopping, 2.0 * params.fd)

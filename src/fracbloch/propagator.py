@@ -7,8 +7,8 @@ rates: the symmetric sector, of dimension N(N+1)/2, and the antisymmetric
 sector, of dimension N(N-1)/2, which is built only when a state reaches it.
 Any other generator, a chain (``model.ChainOperator``, from its rates too) or
 a dense matrix, is one sign-1 block whose every site is its own partner.
-A plan builds and checks its first block up front, hashes its dense rows
-band by band (``generator_id``), and decomposes lazily, per block that a
+A plan checks the dimension cap, builds and checks its first block up front,
+hashes its terms (``generator_id``), and decomposes lazily, per block that a
 state reaches, in one of two ways:
 
 * The terms are scattered into the dense block, which is diagonalized
@@ -70,9 +70,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
-from .model import DEFAULT_DIM_CAP, HermitianOperator, SwapBlock, flatten_index
+from .model import HermitianOperator, SwapBlock, flatten_index
 from .observables import return_probability, whole  # noqa: F401  (return_probability re-exported)
 
+#: Largest generator dimension a plan accepts by default. It bounds what
+#: grows with the dimension: a swap block's terms, the dense block of a
+#: whole-block eigh (a small block's, or the fall-back of a Krylov space
+#: without a certificate), and a trajectory's populations. Override per plan
+#: (the CLI maps an environment variable onto it).
+DEFAULT_DIM_CAP = 4096
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
 #: the product of a chunk each hold block x chunk of them (the summed rows of
@@ -95,8 +101,6 @@ _EPS = np.finfo(float).eps
 #: Most grid intervals a certificate integral is evaluated on; a longer reach
 #: is bounded without the grid.
 _DEFECT_POINTS = 1 << 14
-#: Elements per band of dense rows in which a plan hashes its first block.
-_BAND_ELEMENTS = 1 << 18
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
 #: most dim_cap times this many (2 GiB of them at the default cap).
 _SAMPLES_PER_CAPPED_SITE = 1 << 16
@@ -402,13 +406,13 @@ class _Block:
 
 
 def _generator_id(swap: SwapBlock) -> str:
-    """The first 12 hex digits of the SHA-256 of the block's size and its
-    dense rows, built band by band."""
-    size = swap.rep.size
-    digest = hashlib.sha256(str(size).encode())
-    band = max(1, _BAND_ELEMENTS // size)
-    for start in range(0, size, band):
-        digest.update(swap.rows(start, min(start + band, size)))
+    """The first 12 hex digits of the SHA-256 of "size,sign", then the terms:
+    i and j as little-endian int64 (whatever the platform's intp), then the
+    values as little-endian float64, or complex128 for a complex block."""
+    digest = hashlib.sha256(f"{swap.rep.size},{swap.sign}".encode())
+    value = "<c16" if np.iscomplexobj(swap.values) else "<f8"
+    for terms, dtype in ((swap.i, "<i8"), (swap.j, "<i8"), (swap.values, value)):
+        digest.update(np.ascontiguousarray(terms, dtype=dtype))
     return digest.hexdigest()[:12]
 
 
@@ -465,10 +469,11 @@ class SpectralPropagator:
     """Immutable propagation plan: the swap blocks of a generator, decomposed
     lazily, and many syntheses.
 
-    The first block's terms (a pair operator's symmetric block, or any
-    other generator whole) are built here and checked for non-finite values,
-    and its dense rows hashed; a pair operator's antisymmetric block only
-    when a state first reaches it. Nothing is diagonalized here.
+    The dimension cap is checked here, before any block exists; then the
+    first block's terms (a pair operator's symmetric block, or any other
+    generator whole) are built, checked for non-finite values and hashed; a
+    pair operator's antisymmetric block only when a state first reaches it.
+    Nothing is diagonalized here, and nothing dense is built but for an eigh.
     ``trajectory`` and ``evolve`` take, per block a state reaches, the eigenpairs of the whole block, or,
     for a block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``), the
     Ritz pairs of the Krylov space that the state's share explores up to the
@@ -571,8 +576,10 @@ class SpectralPropagator:
         return out, sectors[0].block.column if stored else None
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
-        """exp(-i H z) applied to psi0."""
+        """exp(-i H z) applied to psi0, for a finite z."""
         self._check_dim(psi0)
+        if not math.isfinite(z):
+            raise InvalidParameterError(f"z must be finite, got {z}", "z")
         amplitudes, _ = self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)
         return StateVector(amplitudes[0])
 
@@ -598,8 +605,8 @@ class SpectralPropagator:
 def _sample_grid(z_max: float, dz: float, dim: int, dim_cap: int) -> tuple[np.ndarray, int]:
     """The samples 0, dz, 2 dz, ..., z_max, and how many lie on the dz grid;
     a grid whose populations the dimension cap does not allow fails first."""
-    if not 0 < dz <= z_max:
-        raise InvalidParameterError(f"need 0 < dz <= z_max, got dz={dz}, z_max={z_max}")
+    if not 0 < dz <= z_max < math.inf:
+        raise InvalidParameterError(f"need 0 < dz <= z_max < inf, got dz={dz}, z_max={z_max}")
     samples = z_max / dz + 2  # at most; inf for a dz far below z_max
     if not samples * dim <= dim_cap * _SAMPLES_PER_CAPPED_SITE:
         raise DimensionCapError(

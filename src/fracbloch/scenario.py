@@ -23,9 +23,8 @@ import numpy as np
 
 from . import heatmap
 from .codec import write_series_csv, write_trajectory_csv
-from .errors import ConfigError, DimensionCapError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .model import (
-    DEFAULT_DIM_CAP,
     ModelParams,
     build_effective_hamiltonian,
     build_fock_hamiltonian,
@@ -41,7 +40,7 @@ from .photonics import (
     project_single_particle_radius,
     waveguide_to_model,
 )
-from .propagator import SpectralPropagator, StateVector
+from .propagator import DEFAULT_DIM_CAP, SpectralPropagator, StateVector
 
 #: Environment variable overriding the operator dimension cap in the CLI.
 DIM_CAP_ENV = "FRACBLOCH_DIM_CAP"
@@ -426,18 +425,13 @@ def parse_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_operator(config: ScenarioConfig, dim_cap: int):
+def _build_operator(config: ScenarioConfig):
     params = config.params
-    dim = params.n_sites**2 if config.model == "fock" else params.n_sites
-    if dim > dim_cap:
-        raise DimensionCapError(dim, dim_cap)
     if config.model == "fock":
-        return build_fock_hamiltonian(params, dim_cap=dim_cap)
+        return build_fock_hamiltonian(params)
     if config.model == "single":
-        return build_single_particle_hamiltonian(
-            params.n_sites, params.kappa, params.fd, dim_cap=dim_cap
-        )
-    return build_effective_hamiltonian(params, dim_cap=dim_cap)
+        return build_single_particle_hamiltonian(params.n_sites, params.kappa, params.fd)
+    return build_effective_hamiltonian(params)
 
 
 def _initial_state(config: ScenarioConfig) -> StateVector:
@@ -458,10 +452,9 @@ def run_scenario(
 
     params, excitation = config.params, config.excitation
     n_sites = params.n_sites
-    operator = _build_operator(config, dim_cap)
-    psi0 = _initial_state(config)
-    plan = SpectralPropagator(operator, dim_cap=dim_cap)
-    traj = plan.trajectory(psi0, config.z_max, config.dz)
+    # the plan checks the cap before the first block or the state is built
+    plan = SpectralPropagator(_build_operator(config), dim_cap=dim_cap)
+    traj = plan.trajectory(_initial_state(config), config.z_max, config.dz)
 
     is_pair = config.model == "fock"
     site = (

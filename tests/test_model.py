@@ -22,7 +22,8 @@ from fracbloch import (
 )
 from fracbloch import model
 from fracbloch.errors import SingularParameterError
-from fracbloch.model import DEFAULT_DIM_CAP, PairOperator
+from fracbloch.model import PairOperator
+from fracbloch.propagator import DEFAULT_DIM_CAP
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 
 from conftest import FD, KAPPA, N_PAIR, RHO, U0, assembled_pair_terms, dense_entries
@@ -125,10 +126,10 @@ def test_fock_tilt_changes_only_the_diagonal(pair_params):
 def test_fock_dimension_cap():
     params = ModelParams(kappa=1.0, rho=0.0, u0=0.0, fd=0.0, n_sites=4)
     with pytest.raises(DimensionCapError) as err:
-        build_fock_hamiltonian(params, dim_cap=10)
+        SpectralPropagator(build_fock_hamiltonian(params), dim_cap=10)
     assert "10" in str(err.value)
     with pytest.raises(DimensionCapError):
-        build_fock_hamiltonian(ModelParams(kappa=1, rho=0, u0=0, fd=0, n_sites=70))
+        SpectralPropagator(build_fock_hamiltonian(ModelParams(kappa=1, rho=0, u0=0, fd=0, n_sites=70)))
 
 
 def test_pair_operator_checks_its_own_rates():
@@ -143,23 +144,24 @@ def test_pair_operator_checks_its_own_rates():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda cap: build_single_particle_hamiltonian(200000, KAPPA, FD, dim_cap=cap),
-        lambda cap: build_effective_hamiltonian(
-            ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=200000), dim_cap=cap
+        lambda: build_single_particle_hamiltonian(200000, KAPPA, FD),
+        lambda: build_effective_hamiltonian(
+            ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=200000)
         ),
     ],
     ids=["single", "effective"],
 )
 def test_chain_builders_check_the_cap_before_allocating(monkeypatch, build):
-    def no_chain(*args):
-        raise AssertionError("a chain was allocated past the dimension cap")
+    # a builder allocates nothing; the plan refuses before it asks for a block
+    def no_block(*args):
+        raise AssertionError("a block was built past the dimension cap")
 
-    monkeypatch.setattr(model, "ChainOperator", no_chain)
+    monkeypatch.setattr(model.ChainOperator, "swap_block", no_block)
     with pytest.raises(DimensionCapError) as err:
-        build(DEFAULT_DIM_CAP)
+        SpectralPropagator(build(), dim_cap=DEFAULT_DIM_CAP)
     assert "200000" in str(err.value)
     with pytest.raises(DimensionCapError):
-        build(10**5)
+        SpectralPropagator(build(), dim_cap=10**5)
 
 
 def test_kappa_eff_values():
@@ -337,9 +339,6 @@ def assert_blocks_match_gather(params: ModelParams):
         assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
         expected_weight = np.where(a == b, 1.0, math.sqrt(0.5))
         assert np.array_equal(swap.weight, expected_weight)
-        # bands of rows are the block's rows, byte for byte, whatever the cut
-        bands = [swap.rows(start, min(start + 3, size)) for start in range(0, size, 3)]
-        assert np.concatenate(bands).tobytes() == swap.entries.tobytes()
         # the terms: keys I * size + J strictly increase, and every diagonal key is there
         keys = swap.i * size + swap.j
         assert np.all(np.diff(keys) > 0)

@@ -32,7 +32,7 @@ from fracbloch import (
     return_probability,
     swap_indices,
 )
-from fracbloch import propagator
+from fracbloch import model, propagator
 from fracbloch.reference import analytic_ws_profile, two_site_coupler
 from fracbloch.scenario import preset_config, run_scenario
 
@@ -154,22 +154,22 @@ def test_propagation_is_deterministic(pair_params):
 @pytest.mark.parametrize(
     "build, generator_id",
     [
-        (lambda: build_single_particle_hamiltonian(7, KAPPA, 0.0), "d1f69e9035f9"),
-        (lambda: build_single_particle_hamiltonian(7, 0.0, 0.95), "80a82d7c5eeb"),
+        (lambda: build_single_particle_hamiltonian(7, KAPPA, 0.0), "8a488420a7e2"),
+        (lambda: build_single_particle_hamiltonian(7, 0.0, 0.95), "16a1739001c5"),
         (
             lambda: build_effective_hamiltonian(
                 ModelParams(kappa=0.0, rho=RHO, u0=U0, fd=0.0, n_sites=7)
             ),
-            "f5766c912bfe",
+            "194543ca3560",
         ),
-        (lambda: HermitianOperator(np.array([[1, -1j], [1j, -0.0]])), "2ff9d4d5055a"),
+        (lambda: HermitianOperator(np.array([[1, -1j], [1j, -0.0]])), "ec6a86e59e9e"),
     ],
     ids=["single", "single-bonds", "effective", "complex"],
 )
 def test_generator_id_hashes_signed_zeros(build, generator_id):
     # with no tilt the sites left of the origin carry -0.0, and with no
-    # hopping every bond does; the hash reads them, so a block that dropped
-    # them as zeros would change the id
+    # hopping every bond does; the hash reads the terms' bytes, so a block
+    # that dropped them as zeros, or wrote them +0.0, would change the id
     h = build()
     entries = dense_entries(h)
     assert np.any((entries == 0) & np.signbit(entries.real))
@@ -184,6 +184,18 @@ def test_dimension_and_grid_validation():
         propagate(h, StateVector.delta(2, 0), 1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         propagate(h, StateVector.delta(2, 0), 1.0, 2.0)
+    # an endless grid is a bad parameter, not a resource the cap refuses
+    with pytest.raises(InvalidParameterError, match="need 0 < dz <= z_max"):
+        propagate(h, StateVector.delta(2, 0), math.inf, 0.1)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_evolve_rejects_a_non_finite_z(z):
+    h = build_single_particle_hamiltonian(400, KAPPA, FD)
+    with eigh_dims() as dims:
+        with pytest.raises(InvalidParameterError, match="z must be finite") as err:
+            SpectralPropagator(h).evolve(StateVector.delta(400, 200), z)
+    assert err.value.field == "z" and dims == []
 
 
 @pytest.mark.parametrize("dz", [1e-7, 1e-300, 5e-324])
@@ -907,3 +919,28 @@ def test_krylov_state_at_short_reach_needs_few_steps():
     assert max(dims) <= propagator._FIRST_CHECK
     assert np.max(np.abs(state.amplitudes - dense_states(h, psi0, [0.1])[0])) <= SECTOR_TOL
     assert np.max(np.abs(same.amplitudes - psi0.amplitudes)) <= 1e-15
+
+
+def test_krylov_plan_allocates_only_its_terms(monkeypatch):
+    # a plan builds the first block's terms and hashes them; it scatters no
+    # dense block (11,998 terms here, 128 MB as dense rows)
+    tracemalloc.start()
+    try:
+        SpectralPropagator(build_single_particle_hamiltonian(4000, KAPPA, 0.4833))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
+
+    def no_dense(self):
+        raise AssertionError("a Krylov-path run built a dense block")
+
+    monkeypatch.setattr(model.SwapBlock, "entries", property(no_dense))
+    chain = SpectralPropagator(build_single_particle_hamiltonian(4000, KAPPA, 0.4833))
+    psi0 = StateVector.delta(4000, 2000)
+    assert chain.trajectory(psi0, 8.5, 0.01).n_samples == 851
+    chain.evolve(psi0, 8.5)
+    doublon = SpectralPropagator(_fixture_pair(31))
+    psi0 = _pair_state("doublon", 31)
+    assert doublon.trajectory(psi0, 8.5, 0.01).n_samples == 851
+    doublon.evolve(psi0, 8.5)

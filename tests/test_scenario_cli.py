@@ -269,15 +269,15 @@ def test_pair_csv_round_trip(tmp_path):
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
 
 
-#: Each preset's generator_id: a hash of its first sector's block, whose bytes
+#: Each preset's generator_id: a hash of its first sector's terms, whose bytes
 #: come from elementwise arithmetic only (no BLAS), so they hold on any platform.
 #: A one-bit change to a block, such as a -0.0 bond turning into +0.0, moves it.
 PRESET_GENERATOR_IDS = {
-    "effective-pair": "5941e567955d",
-    "fig3-delocalization": "938473c5eb38",
-    "fig3c-bh-only": "ebe6c2314031",
-    "fig4a-fractional-bo": "2a8d3a88f73f",
-    "fig4b-single-bo": "7eb456a5b66c",
+    "effective-pair": "004ada319357",
+    "fig3-delocalization": "bcfa5fbdd16f",
+    "fig3c-bh-only": "df6bed92e513",
+    "fig4a-fractional-bo": "7994383ae616",
+    "fig4b-single-bo": "42b8e3a5b00b",
 }
 
 
@@ -750,12 +750,14 @@ def test_cli_sample_count_beyond_the_cap_exits_3(tmp_path, capsys, monkeypatch, 
 def test_cli_dimension_cap_checked_before_build(
     tmp_path, monkeypatch, capsys, model, n_sites
 ):
+    # the builders allocate nothing; the plan refuses before a block or the state exists
     def no_build(*args, **kwargs):
-        raise AssertionError("an operator was built past the dimension cap")
+        raise AssertionError("a block or a state was built past the dimension cap")
 
-    for builder in ("build_fock_hamiltonian", "build_single_particle_hamiltonian",
-                    "build_effective_hamiltonian"):
-        monkeypatch.setattr(scenario, builder, no_build)
+    for owner, name in ((fracbloch.model.PairOperator, "swap_block"),
+                        (fracbloch.model.ChainOperator, "swap_block"),
+                        (StateVector, "delta"), (StateVector, "pair_excitation")):
+        monkeypatch.setattr(owner, name, no_build)
     monkeypatch.setenv("FRACBLOCH_DIM_CAP", "100")
     text = _with(_with(MODEL_CONFIG, "effective", model), "n_sites = 15", f"n_sites = {n_sites}")
     assert main(["run", write_config(tmp_path, text), "--out", str(tmp_path / "x")]) == 3
