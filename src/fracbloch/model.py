@@ -169,42 +169,39 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def swap_block(self, sign: int) -> SwapBlock:
+    def swap_block(self) -> SwapBlock:
         """The one block (``_unswapped``): the diagonal and every entry whose
         bytes are not those of +0.0, so a -0.0 entry is kept."""
-        head = _unswapped(sign, self.dim)
         kept = self.entries.view(np.uint8).reshape(self.dim, self.dim, -1).any(axis=-1)
         np.fill_diagonal(kept, True)
         i, j = np.nonzero(kept)
-        return SwapBlock(*head, i, j, self.entries[i, j])
+        return SwapBlock(*_unswapped(self.dim), i, j, self.entries[i, j])
 
 
-def _unswapped(sign: int, dim: int) -> tuple:
-    """(sign, rep, partner, weight) of a generator without a swap: one sign-1
-    block whose every site is its own partner; it has no other."""
-    if sign != 1:
-        raise InvalidParameterError(f"a generator without a swap has no sign {sign} block")
+def _unswapped(dim: int) -> tuple:
+    """(rep, partner, weight) of a block without a swap: every site is its
+    own partner, and state I is site I."""
     sites = np.arange(dim)
-    return 1, sites, sites, np.ones(dim)
+    return sites, sites, np.ones(dim)
 
 
 @dataclass(frozen=True)
 class ChainOperator:
     """Tilted open chain of ``dim`` sites, H[n][n +- 1] = -hopping and
-    H[n][n] = tilt * (n - N//2). Like ``PairOperator``, its swap block (here
-    its one, ``_unswapped``) is its only representation."""
+    H[n][n] = tilt * (n - N//2). Like ``PairOperator``'s blocks, its one
+    block (``_unswapped``) is its only representation."""
 
     dim: int
     hopping: float
     tilt: float
 
-    def swap_block(self, sign: int) -> SwapBlock:
+    def swap_block(self) -> SwapBlock:
         """Row by row: the left bond, the site, the right bond."""
-        n, head = self.dim, _unswapped(sign, self.dim)
+        n = self.dim
         i, kind = np.divmod(np.arange(1, 3 * n - 1), 3)  # kind 0, 1, 2; row 0 has no left bond
         values = np.full(i.size, -self.hopping, dtype=float)
         values[::3] = self.tilt * (np.arange(n) - n // 2)
-        return SwapBlock(*head, i, i + kind - 1, values)
+        return SwapBlock(*_unswapped(n), i, i + kind - 1, values)
 
 
 def _require_finite(*terms: tuple[str, float, float]):
@@ -289,19 +286,20 @@ def build_single_particle_hamiltonian(n_sites: int, kappa: float, fd: float) -> 
 
 
 class SwapBlock(NamedTuple):
-    """The generator on one sector of the pair lattice's (n, m) swap, as its terms.
+    """The generator on the swap-symmetric sector of the pair lattice's (n, m)
+    swap, as its terms.
 
     Basis state I is |a, a> when rep[I] == partner[I], else
-    (|a, b> + sign |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
+    (|a, b> + |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
     flat indices of (a, b) and (b, a), and weight[I] is the state's amplitude
-    on rep[I] (1 or 1/sqrt 2). A generator without a swap is one sign-1 block
-    whose state I is site I. Entry (i[k], j[k]) of the (block, block)
-    Hermitian matrix is values[k]: the terms are sorted by row and then
-    column, each (I, J) once, every diagonal entry among them, and every entry
-    that is not a term is +0.0; ``entries`` scatters the terms into that matrix.
+    on rep[I] (1 or 1/sqrt 2). A block without a swap (a chain, a dense
+    generator, a pair operator's whole lattice) has state I on site I alone.
+    Entry (i[k], j[k]) of the (block, block) Hermitian matrix is values[k]:
+    the terms are sorted by row and then column, each (I, J) once, every
+    diagonal entry among them, and every entry that is not a term is +0.0;
+    ``entries`` scatters the terms into that matrix.
     """
 
-    sign: int
     rep: np.ndarray
     partner: np.ndarray
     weight: np.ndarray
@@ -350,11 +348,12 @@ def _pair_terms(params: ModelParams):
 class PairOperator:
     """Two-boson pair-lattice generator, built from its rates on demand.
 
-    It has ``dim`` (N^2) and ``swap_block(sign)``, the generator on the
-    swap-symmetric (sign 1, N(N+1)/2 states) or antisymmetric (sign -1,
-    N(N-1)/2 states) sector as its terms, computed straight from the bond
-    rules. The swap blocks are its only representation: no N^2 x N^2 matrix
-    is ever built. Its rates are checked at construction (``check_generator``).
+    It has ``dim`` (N^2), ``swap_block()``, the generator on the
+    swap-symmetric sector (N(N+1)/2 states, where every pair excitation
+    lies), and ``lattice_block()``, the whole lattice without a swap, for any
+    other state. Both are its terms, computed straight from the bond rules;
+    they are its only representation. Its rates are checked at construction
+    (``check_generator``).
     """
 
     params: ModelParams
@@ -366,18 +365,16 @@ class PairOperator:
     def dim(self) -> int:
         return self.params.n_sites**2
 
-    def swap_block(self, sign: int) -> SwapBlock:
-        """The generator on the swap sector of the given sign.
+    def swap_block(self) -> SwapBlock:
+        """The generator on the swap-symmetric sector.
 
-        Block entries are g_I g_J (H[ab, cd] + sign H[ab, dc]) for basis states
+        Block entries are g_I g_J (H[ab, cd] + H[ab, dc]) for basis states
         I ~ (a, b) and J ~ (c, d), with g = 1/sqrt 2 on the main diagonal and
         1 off it: the values, bit for bit, of gathering them from the dense
         matrix that the site energies and bonds of ``_pair_terms`` describe.
         """
-        if sign not in (1, -1):
-            raise InvalidParameterError(f"swap sign must be 1 or -1, got {sign}")
         n = self.params.n_sites
-        a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
+        a, b = np.triu_indices(n)
         rep, partner = a * n + b, b * n + a
         on_diagonal = a == b
         size = rep.size
@@ -388,7 +385,7 @@ class PairOperator:
         energy, rows, cols, rates = _pair_terms(self.params)
         # term (I, J) has the key I * size + J. same[I, J] = H[rep_I, rep_J];
         # the swapped terms H[rep_I, partner_J] are summed in where they lie,
-        # and sign * 0.0 everywhere else, as the dense sum same + sign * swapped would do
+        # and +0.0 everywhere else (a -0.0 there turns +0.0), as the dense sum same + swapped would do
         i, j_same, j_swap = row_of[rows], row_of[cols], col_of[cols]
         same, swap = (i >= 0) & (j_same >= 0), (i >= 0) & (j_swap >= 0)
         own = states * (size + 1)
@@ -400,8 +397,8 @@ class PairOperator:
         values[np.searchsorted(keys, own)] = energy[rep]
         values[np.searchsorted(keys, same_keys)] = rates[same]
         at = np.searchsorted(keys, swap_keys)
-        summed = values[at] + sign * np.r_[energy[rep[on_diagonal]], rates[swap]]
-        values += sign * 0.0
+        summed = values[at] + np.r_[energy[rep[on_diagonal]], rates[swap]]
+        values += 0.0
         values[at] = summed
         i, j = np.divmod(keys, size)
         # the row scale g_I, then the column scale g_J; g = 1 leaves a term as it is
@@ -409,7 +406,17 @@ class PairOperator:
         values *= g[i]
         values *= g[j]
         weight = np.where(on_diagonal, 1.0, math.sqrt(0.5))
-        return SwapBlock(sign, rep, partner, weight, i, j, values)
+        return SwapBlock(rep, partner, weight, i, j, values)
+
+    def lattice_block(self) -> SwapBlock:
+        """The whole N^2 lattice as one block without a swap (``_unswapped``):
+        the site energies and bonds of ``_pair_terms``, sorted by row and
+        then column."""
+        energy, rows, cols, rates = _pair_terms(self.params)
+        sites = np.arange(self.dim)
+        i, j = np.r_[sites, rows], np.r_[sites, cols]
+        order = np.argsort(i * self.dim + j)  # each (i, j) once
+        return SwapBlock(*_unswapped(self.dim), i[order], j[order], np.r_[energy, rates][order])
 
 
 def build_fock_hamiltonian(params: ModelParams) -> PairOperator:
@@ -421,7 +428,8 @@ def build_fock_hamiltonian(params: ModelParams) -> PairOperator:
     each main-diagonal site, which carry -kappa1. Consecutive main-diagonal
     sites are additionally cross-coupled with -rho. The result commutes with
     the (n, m) swap exactly. Nothing is allocated here: the operator builds
-    its swap blocks when they are asked for, and never the N^2 x N^2 matrix.
+    its blocks when they are asked for, and for a swap-symmetric state never
+    the N^2 x N^2 matrix.
     """
     return PairOperator(params)
 

@@ -1,15 +1,18 @@
-"""Unitary z-evolution from the eigenpairs of the generator's swap blocks.
+"""Unitary z-evolution from the eigenpairs of one block of the generator.
 
-A generator supplies its swap blocks (``swap_block(sign)``), each one record
-of its terms, the (I, J, value) entries sorted by row (``model.SwapBlock``).
-A pair-lattice operator (``model.PairOperator``) computes them from the
-rates: the symmetric sector, of dimension N(N+1)/2, and the antisymmetric
-sector, of dimension N(N-1)/2, which is built only when a state reaches it.
-Any other generator, a chain (``model.ChainOperator``, from its rates too) or
-a dense matrix, is one sign-1 block whose every site is its own partner.
-A plan checks the dimension cap, builds and checks its first block up front,
-hashes its terms (``generator_id``), and decomposes lazily, per block that a
-state reaches, in one of two ways:
+A plan propagates each state in exactly one block, a record of its terms,
+the (I, J, value) entries sorted by row (``model.SwapBlock``). A
+swap-symmetric state takes the generator's ``swap_block()``: a pair-lattice
+operator's (``model.PairOperator``) symmetric sector, of dimension
+N(N+1)/2, where every pair excitation lies, or any other generator whole (a
+chain, ``model.ChainOperator``, or a dense matrix), every site its own
+partner. Any other state takes a pair operator's ``lattice_block()``, the
+whole N^2 lattice without a swap, built when a state first needs it.
+
+A plan checks the dimension cap, builds, checks and hashes the swap block's
+terms (``generator_id``), and decomposes a block lazily, once a state's reach
+times the block's largest absolute row sum (a bound on every energy) is
+known to be finite, in one of two ways:
 
 * The terms are scattered into the dense block, which is diagonalized
   (real-symmetric / Hermitian eigh) once per plan. Every sampled state is
@@ -23,35 +26,27 @@ state reaches, in one of two ways:
   The tilt localizes the state, so m stays far below the block size. Lanczos
   stops at the first checked m whose a-posteriori defect bound (Hochbruck &
   Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), evaluated on a grid (see
-  ``_defect``), is at most 1e-13 for every |z| up to that reach, split
-  between two sectors, or where the space is invariant. Without a
-  certificate after block/2 steps the whole block is diagonalized instead,
-  as above, so every input gets a correct result; once a plan holds a whole
-  block it uses it for every later state.
+  ``_defect``), is at most 1e-13 for every |z| up to that reach, or where the
+  space is invariant. Without a certificate after block/2 steps the whole
+  block is diagonalized instead, as above, so every input gets a correct
+  result; once a plan holds a whole block it uses it for every later state.
 
 Either way a sector is eigenpairs with (block, m) vectors, m = block for the
 whole block, and synthesis is one code path for both; a real sector is
-synthesized in real arithmetic. Synthesis stays in the sector basis, and the
-full-basis eigenvectors are never formed.
+synthesized in real arithmetic, in the sector basis.
 
-A trajectory holds populations, not amplitudes: what every observable reads.
-Each chunk of samples is squared right after its product. With only the
-sign-1 sector (every swap-symmetric state) the (block, chunk) part is
-squared and copied, transposed, into the trajectory's (samples, block)
-stored rows: each (n, m)/(m, n) population once, N(N+1)/2 columns where the
-pair lattice has N^2 sites (8501 x 496 x 8 B = 33.7 MB for pair-scan's
-N = 31 fine grid, against 65.4 MB of whole populations), read through the
-block's site -> column map. With the antisymmetric sector too, the chunk's
-amplitudes are summed in a chunk-sized buffer first, and every site is
-stored. So no (samples, dim) complex array is ever held. Amplitudes come
-from ``SpectralPropagator.evolve``, through the same chunk loop.
+A trajectory holds populations, not amplitudes: each chunk of samples is
+squared right after its product and copied, transposed, into the
+trajectory's (samples, block) rows. A swap-symmetric pair state so stores
+each (n, m)/(m, n) population once (N(N+1)/2 columns for N^2 sites: 33.7 MB
+instead of 65.4 MB for pair-scan's N = 31 fine grid), read through the
+block's site -> column map. Amplitudes come from ``SpectralPropagator.evolve``,
+through the same chunk loop.
 
 Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
-samples of the widest block, so its buffers hold O(_CHUNK_ELEMENTS) elements
-whatever the length of the trajectory; only the stored rows are whole. On
-the grid
-z_k = k dz the phases of a chunk starting at sample k0 are one table of
-offsets exp(-i E j dz), computed once per sector, times the chunk's anchor
+samples, so its buffers hold O(_CHUNK_ELEMENTS) elements whatever the length
+of the trajectory. On the grid z_k = k dz the phases of a chunk starting at
+sample k0 are one table of offsets exp(-i E j dz) times the chunk's anchor
 coeffs exp(-i E z_k0), computed directly, so no error accumulates from chunk
 to chunk. A z off the grid (an appended z_max, or ``evolve``'s z) takes its
 phase from exp directly. The first chunk's anchor is the coefficients
@@ -74,17 +69,16 @@ from .model import HermitianOperator, SwapBlock, flatten_index
 from .observables import return_probability, whole  # noqa: F401  (return_probability re-exported)
 
 #: Largest generator dimension a plan accepts by default. It bounds what
-#: grows with the dimension: a swap block's terms, the dense block of a
+#: grows with the dimension: a block's terms, the dense block of a
 #: whole-block eigh (a small block's, or the fall-back of a Krylov space
 #: without a certificate), and a trajectory's populations. Override per plan
 #: (the CLI maps an environment variable onto it).
 DEFAULT_DIM_CAP = 4096
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
-#: the product of a chunk each hold block x chunk of them (the summed rows of
-#: a state in both sectors, dim x chunk).
+#: the product of a chunk each hold block x chunk of them.
 _CHUNK_ELEMENTS = 1 << 17
-#: Swap blocks of at least this many states take the Krylov path; below it a
+#: Blocks of at least this many states take the Krylov path; below it a
 #: whole-block eigh is the faster.
 _KRYLOV_BLOCK = 384
 #: ... with at most this many terms a row on average; a dense generator is
@@ -270,10 +264,9 @@ class _Sector(NamedTuple):
     explores, and the block they belong to.
 
     vectors[I, k] is eigenvector k's amplitude on site rep[I] of the block,
-    and it carries sign times that on site partner[I]; a site that is its own
-    partner carries it once. The vectors are (block, m): m = block for the
-    whole block, and m <= block for the Ritz vectors of a Krylov space, which
-    are orthonormal but do not span the block.
+    and on site partner[I] too where that is another site. The vectors are
+    (block, m): m = block for the whole block, and m <= block for the Ritz
+    vectors of a Krylov space, which are orthonormal but do not span the block.
     """
 
     energies: np.ndarray  # (m,)
@@ -289,7 +282,7 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduces(swap: SwapBlock) -> bool:
-    """Whether a swap block is reduced to a state's Krylov space rather than
+    """Whether a block is reduced to a state's Krylov space rather than
     diagonalized whole: at least _KRYLOV_BLOCK states (see the README) and at
     most _KRYLOV_ROW_TERMS terms a row on average."""
     size = swap.rep.size
@@ -297,13 +290,13 @@ def _reduces(swap: SwapBlock) -> bool:
 
 
 class _Block:
-    """One swap block of a plan, its terms checked for non-finite values:
+    """One block of a plan, its terms checked for non-finite values:
     diagonalized whole at most once, or reduced to the Krylov space of each
     state that reaches it, whose products read the terms directly.
 
-    In a sign-1 block column[s] is the block index I whose rep or partner is
-    site s, and None where that is s itself (every site its own partner); a
-    sign -1 block has no column.
+    column[s] is the block index I whose rep or partner is site s, and None
+    where that is s itself (a block without a swap). row_sum, the largest
+    absolute row sum, bounds every energy (Gershgorin).
     """
 
     def __init__(self, swap: SwapBlock, dim: int):
@@ -313,34 +306,28 @@ class _Block:
             raise NumericError(f"non-finite generator entry at ({swap.i[k]}, {swap.j[k]})")
         self.swap = swap
         size = swap.rep.size
+        column = np.empty(dim, dtype=np.intp)
+        column[swap.partner] = column[swap.rep] = np.arange(size)
         self.column = None
-        if swap.sign > 0:  # a site that is its own partner gets one column
-            column = np.empty(dim, dtype=np.intp)
-            column[swap.partner] = column[swap.rep] = np.arange(size)
-            if not np.array_equal(column, np.arange(dim)):
-                column.setflags(write=False)  # trajectories keep it
-                self.column = column
+        if not np.array_equal(column, np.arange(dim)):
+            column.setflags(write=False)  # trajectories keep it
+            self.column = column
         # row I's terms start here; every row has one, its diagonal
         self.row_starts = np.searchsorted(swap.i, np.arange(size))
+        self.row_sum = float(np.add.reduceat(np.abs(swap.values), self.row_starts).max())
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
-        """The block's share of psi: psi[rep] + sign psi[partner], psi[rep] where they coincide."""
+        """The block's share of psi: psi[rep] + psi[partner], psi[rep] where they coincide."""
         rep, partner = self.swap.rep, self.swap.partner
-        return np.where(rep == partner, psi[rep], psi[rep] + self.swap.sign * psi[partner])
+        return np.where(rep == partner, psi[rep], psi[rep] + psi[partner])
 
     def place(self, states: np.ndarray, part: np.ndarray):
-        """Put a sector's (block, n) amplitudes of n samples into their (n, dim) rows.
-
-        The sign-1 block comes first and writes every site; the antisymmetric
-        block, which has no site that is its own partner, adds.
-        """
-        rows, rep, partner = part.T, self.swap.rep, self.swap.partner
-        if self.swap.sign > 0:  # scattered, with no temporary
-            states[:, partner] = rows
-            states[:, rep] = rows
-        else:
-            states[:, rep] += rows
-            states[:, partner] -= rows
+        """Put the block's (block, n) amplitudes of n samples into their
+        (n, dim) rows, every site written: state I's on rep[I] and partner[I],
+        scattered with no temporary."""
+        rows = part.T
+        states[:, self.swap.partner] = rows
+        states[:, self.swap.rep] = rows
 
     def sector(self, energies: np.ndarray, vectors: np.ndarray) -> _Sector:
         """Eigenpairs in the block's orthonormal basis, placed on the sites."""
@@ -406,10 +393,11 @@ class _Block:
 
 
 def _generator_id(swap: SwapBlock) -> str:
-    """The first 12 hex digits of the SHA-256 of "size,sign", then the terms:
+    """The first 12 hex digits of the SHA-256 of "size,1", then the terms:
     i and j as little-endian int64 (whatever the platform's intp), then the
-    values as little-endian float64, or complex128 for a complex block."""
-    digest = hashlib.sha256(f"{swap.rep.size},{swap.sign}".encode())
+    values as little-endian float64, or complex128 for a complex block. The
+    1 is the sign of the swap-symmetric sector, kept so no id changes."""
+    digest = hashlib.sha256(f"{swap.rep.size},1".encode())
     value = "<c16" if np.iscomplexobj(swap.values) else "<f8"
     for terms, dtype in ((swap.i, "<i8"), (swap.j, "<i8"), (swap.values, value)):
         digest.update(np.ascontiguousarray(terms, dtype=dtype))
@@ -466,22 +454,17 @@ def _apply(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
 
 class SpectralPropagator:
-    """Immutable propagation plan: the swap blocks of a generator, decomposed
+    """Immutable propagation plan: the blocks of a generator, decomposed
     lazily, and many syntheses.
 
     The dimension cap is checked here, before any block exists; then the
-    first block's terms (a pair operator's symmetric block, or any other
-    generator whole) are built, checked for non-finite values and hashed; a
-    pair operator's antisymmetric block only when a state first reaches it.
+    swap block's terms are built, checked for non-finite values and hashed.
     Nothing is diagonalized here, and nothing dense is built but for an eigh.
-    ``trajectory`` and ``evolve`` take, per block a state reaches, the eigenpairs of the whole block, or,
-    for a block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``), the
-    Ritz pairs of the Krylov space that the state's share explores up to the
-    largest |z| asked for, within 1e-13 by the defect bound (split between
-    two sectors). A Krylov space without a certificate after block/2 steps
-    gives way to the whole block. The whole-block eigenpairs are computed
-    once per plan, and from then on serve every state in that block; Krylov
-    spaces are built per call.
+    ``trajectory`` and ``evolve`` propagate each state in one block (see the
+    module): the eigenpairs of the whole block, computed once per plan, or
+    the Ritz pairs of the state's Krylov space, within 1e-13 by the defect
+    bound, built per call. A reach that would overflow the phases is refused
+    first (``InvalidParameterError`` naming ``z_max`` or ``z``).
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching a whole block first at the same time
     may both diagonalize it, with the same result).
@@ -491,95 +474,95 @@ class SpectralPropagator:
         if h.dim > dim_cap:
             raise DimensionCapError(h.dim, dim_cap)
         self._h = h
-        self._first = _Block(h.swap_block(1), h.dim)
+        self._first = _Block(h.swap_block(), h.dim)
         self.generator_id = _generator_id(self._first.swap)
         self.dim = h.dim
         self._dim_cap = dim_cap
 
     @cached_property
-    def _antisymmetric(self) -> _Block:
-        return _Block(self._h.swap_block(-1), self.dim)
+    def _lattice(self) -> _Block:
+        return _Block(self._h.lattice_block(), self.dim)
 
-    def _sectors(self, psi: np.ndarray, reach: float | None = None) -> tuple[_Sector, ...]:
-        """The sectors psi has weight in, the second only if psi is not
-        swap-symmetric: the whole blocks' eigenpairs, or, given the largest |z|
-        to reach, the Krylov spaces that psi's shares explore where ``_reduces``
-        picks them, they are certified and the plan holds no whole block yet."""
-        blocks = [self._first]
-        if not np.array_equal(psi[self._first.swap.rep], psi[self._first.swap.partner]):
-            blocks.append(self._antisymmetric)
-        sectors = []
-        reduces = reach is not None and math.isfinite(reach)
-        for block in blocks:
-            sector = None
-            # a whole block once diagonalized serves every later state
-            if reduces and _reduces(block.swap) and "whole" not in block.__dict__:
-                share = block.swap.weight * block.fold(psi)
-                sector = block.reduced(share, reach, _KRYLOV_TOL / len(blocks))
-            sectors.append(block.whole if sector is None else sector)
-        return tuple(sectors)
+    def _block(self, psi: np.ndarray) -> _Block:
+        """The block psi is propagated in: the swap block if psi is
+        swap-symmetric, else a pair operator's whole lattice."""
+        first = self._first
+        if np.array_equal(psi[first.swap.rep], psi[first.swap.partner]):
+            return first
+        return self._lattice
+
+    def _sector(self, psi: np.ndarray, reach: float | None = None) -> _Sector:
+        """psi's block's whole eigenpairs, or, given the largest |z| to reach,
+        the Krylov space that psi's share explores where ``_reduces`` picks it,
+        it is certified and the plan holds no whole block yet."""
+        block = self._block(psi)
+        # a whole block once diagonalized serves every later state
+        if reach is not None and _reduces(block.swap) and "whole" not in block.__dict__:
+            sector = block.reduced(block.swap.weight * block.fold(psi), reach, _KRYLOV_TOL)
+            if sector is not None:
+                return sector
+        return block.whole
+
+    def _check_reach(self, psi0: StateVector, z: float, name: str):
+        """Fail, naming the argument, where |E z| may overflow for an energy E
+        of psi0's block: before any eigh or Lanczos step."""
+        bound = self._block(psi0.amplitudes).row_sum
+        if not math.isfinite(bound * abs(z)):
+            raise InvalidParameterError(
+                f"{name} = {z!r} overflows the phases exp(-i E z) of energies up to {bound:.6g}", name
+            )
 
     def _synthesize(
         self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
         z in off_grid, as the rows of a C-ordered (samples, width) array and
-        its column map (``Trajectory``): the populations |c|^2 if square, else
-        the complex amplitudes, whose rows are whole (no map). Squares of one
-        sign-1 sector are stored on its block's columns."""
+        its column map (``Trajectory``): the populations |c|^2 on the block's
+        columns if square, else the complex amplitudes, whose rows are whole
+        (no map)."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
         reach = max(dz * (n_grid - 1) if n_grid else 0.0, float(np.abs(off_grid).max(initial=0.0)))
-        sectors = self._sectors(psi, reach)
-        widest = sectors[0].vectors.shape[0]  # the sign-1 block is never the narrower
-        chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // widest))
-        steps = dz * np.arange(min(chunk, n_grid))
-        coeffs = [_apply(s.vectors.conj().T, s.block.fold(psi)) for s in sectors]
-        offsets = [np.exp(-1j * np.outer(s.energies, steps)) for s in sectors]
-        phase_buf = np.empty(widest * chunk, dtype=complex)
+        energies, vectors, block = self._sector(psi, reach)
+        size, m = vectors.shape
+        chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // size))
+        coeffs = _apply(vectors.conj().T, block.fold(psi))
+        offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, n_grid))))
+        phase_buf = np.empty(size * chunk, dtype=complex)
         part_buf = np.empty_like(phase_buf)
-        # one sign-1 sector is squared and stored in its block rows; two sum their amplitudes first
-        stored = square and len(sectors) == 1
-        summed = square and not stored
-        row_buf = np.empty(chunk * self.dim, dtype=complex) if summed else None
         out = None
         for k0 in range(0, n_samples, chunk):
             k1 = min(k0 + chunk, n_samples)
             on_grid = max(0, min(k1, n_grid) - k0)
             z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
-            rows = row_buf[: (k1 - k0) * self.dim].reshape(k1 - k0, -1) if summed else None
-            for i, sector in enumerate(sectors):
-                energies, (block, m) = sector.energies, sector.vectors.shape
-                # flat buffers reshaped, so a short last chunk is contiguous too
-                phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
-                if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
-                    anchor = coeffs[i] if k0 == 0 else coeffs[i] * np.exp(-1j * energies * (dz * k0))
-                    _scale_rows(offsets[i][:, :on_grid], anchor, phases[:, :on_grid])
-                if z.size:
-                    direct = np.exp(-1j * np.outer(energies, z))
-                    np.multiply(direct, coeffs[i][:, None], out=phases[:, on_grid:])
-                part = _apply(sector.vectors, phases, out=part_buf[: block * (k1 - k0)].reshape(block, -1))
-                if k1 == n_samples and i == len(sectors) - 1:
-                    offsets.clear()  # free the phase tables before the last chunk touches the output
-                if out is None:  # late: a one-chunk run never holds its tables beside it
-                    width = widest if stored else self.dim
-                    out = np.empty((n_samples, width), dtype=float if square else complex)
-                if stored:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
-                    squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
-                    np.square(squares, out=squares)
-                    out[k0:k1] = squares.T
-                else:
-                    sector.block.place(out[k0:k1] if rows is None else rows, part)
-            if summed:
-                squares = np.abs(rows, out=out[k0:k1])
+            # flat buffers reshaped, so a short last chunk is contiguous too
+            phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
+            if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
+                anchor = coeffs if k0 == 0 else coeffs * np.exp(-1j * energies * (dz * k0))
+                _scale_rows(offsets[:, :on_grid], anchor, phases[:, :on_grid])
+            if z.size:
+                direct = np.exp(-1j * np.outer(energies, z))
+                np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
+            part = _apply(vectors, phases, out=part_buf[: size * (k1 - k0)].reshape(size, -1))
+            if k1 == n_samples:
+                offsets = None  # free the phase table before the last chunk touches the output
+            if out is None:  # late: a one-chunk run never holds its table beside it
+                width, dtype = (size, float) if square else (self.dim, complex)
+                out = np.empty((n_samples, width), dtype=dtype)
+            if square:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
+                squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
                 np.square(squares, out=squares)
-        return out, sectors[0].block.column if stored else None
+                out[k0:k1] = squares.T
+            else:
+                block.place(out[k0:k1], part)
+        return out, block.column if square else None
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0, for a finite z."""
         self._check_dim(psi0)
         if not math.isfinite(z):
             raise InvalidParameterError(f"z must be finite, got {z}", "z")
+        self._check_reach(psi0, z, "z")
         amplitudes, _ = self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)
         return StateVector(amplitudes[0])
 
@@ -587,6 +570,7 @@ class SpectralPropagator:
         """The populations of exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
         self._check_dim(psi0)
         z, n_grid = _sample_grid(z_max, dz, self.dim, self._dim_cap)
+        self._check_reach(psi0, z_max, "z_max")
         # handed over C-ordered and read-only, so Trajectory needs no copy
         rows, column = self._synthesize(psi0, n_grid, dz, z[n_grid:], True)
         rows.setflags(write=False)

@@ -70,7 +70,7 @@ def dense_entries(h) -> np.ndarray:
     generator's from its one block. For propagation and eigenstate checks."""
     if isinstance(h, PairOperator):
         return operator_from_bonds(h.params.n_sites, *enumerate_fock_bonds(h.params))
-    return h.swap_block(1).entries
+    return h.swap_block().entries
 
 
 def amplitude_rows(h, psi0, z) -> np.ndarray:

@@ -307,16 +307,16 @@ def test_fock_builder_properties(n_sites, kappa, kappa1, rho, u0, fd):
 # ---------------------------------------------------------------------------
 
 
-def gathered_swap_block(entries: np.ndarray, n: int, sign: int) -> np.ndarray:
-    """The swap-sector block gathered by index from dense N^2 x N^2 entries.
+def gathered_swap_block(entries: np.ndarray, n: int) -> np.ndarray:
+    """The swap-symmetric block gathered by index from dense N^2 x N^2 entries.
 
-    Basis state I is |a, a> on the diagonal, else (|a, b> + sign |b, a>) / sqrt 2
+    Basis state I is |a, a> on the diagonal, else (|a, b> + |b, a>) / sqrt 2
     with a < b. For swap-invariant entries <I|H|J> = g_I g_J (H[ab, cd] +
-    sign H[ab, dc]), with g = 1/sqrt 2 on the diagonal and 1 off it.
+    H[ab, dc]), with g = 1/sqrt 2 on the diagonal and 1 off it.
     """
-    a, b = np.triu_indices(n, k=0 if sign > 0 else 1)
+    a, b = np.triu_indices(n)
     rep, partner = a * n + b, b * n + a
-    block = entries[np.ix_(rep, rep)] + sign * entries[np.ix_(rep, partner)]
+    block = entries[np.ix_(rep, rep)] + entries[np.ix_(rep, partner)]
     g = np.where(a == b, math.sqrt(0.5), 1.0)
     block *= g[:, None]
     block *= g
@@ -329,18 +329,24 @@ def assert_blocks_match_gather(params: ModelParams):
     # bytes against the builder's own terms; values against the oracle, which
     # omits zero bonds and so holds +0.0 where a -0.0 rate puts -0.0
     assembled, oracle = assembled_pair_terms(h), dense_entries(h)
-    for sign, size in ((1, n * (n + 1) // 2), (-1, n * (n - 1) // 2)):
-        swap = h.swap_block(sign)
-        assert swap.entries.shape == (size, size)
-        assert swap.entries.tobytes() == gathered_swap_block(assembled, n, sign).tobytes()
-        assert np.array_equal(swap.entries, gathered_swap_block(oracle, n, sign))
-        assert np.array_equal(swap.entries, swap.entries.T)
-        a, b = np.divmod(swap.rep, n)
-        assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
-        expected_weight = np.where(a == b, 1.0, math.sqrt(0.5))
-        assert np.array_equal(swap.weight, expected_weight)
+    swap, size = h.swap_block(), n * (n + 1) // 2
+    assert swap.entries.shape == (size, size)
+    assert swap.entries.tobytes() == gathered_swap_block(assembled, n).tobytes()
+    assert np.array_equal(swap.entries, gathered_swap_block(oracle, n))
+    assert np.array_equal(swap.entries, swap.entries.T)
+    a, b = np.divmod(swap.rep, n)
+    assert np.all(a <= b) and np.array_equal(swap.partner, b * n + a)
+    assert np.array_equal(swap.weight, np.where(a == b, 1.0, math.sqrt(0.5)))
+    # the whole lattice without a swap: the builder's own terms, byte for byte
+    lattice, sites = h.lattice_block(), np.arange(n * n)
+    assert lattice.entries.tobytes() == assembled.tobytes()
+    assert np.array_equal(lattice.entries, oracle)
+    assert np.array_equal(lattice.rep, sites) and np.array_equal(lattice.partner, sites)
+    assert np.array_equal(lattice.weight, np.ones(n * n))
+    for block in (swap, lattice):
         # the terms: keys I * size + J strictly increase, and every diagonal key is there
-        keys = swap.i * size + swap.j
+        size = block.rep.size
+        keys = block.i * size + block.j
         assert np.all(np.diff(keys) > 0)
         assert np.isin(np.arange(size) * (size + 1), keys).all()
 

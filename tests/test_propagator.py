@@ -448,14 +448,17 @@ def test_chain_of_square_length_stays_one_block(n):
 
 
 @pytest.mark.parametrize("kind", ["doublon", "unsymmetrized"])
-def test_pair_propagation_never_builds_the_dense_matrix(pair_params, kind):
-    h = build_fock_hamiltonian(pair_params)
-    assert not hasattr(h, "entries")  # the swap blocks are its only representation
+def test_pair_propagation_never_builds_the_dense_matrix(kind):
+    # a doublon takes its N(N+1)/2 sector; a state that is not swap-symmetric
+    # takes the whole lattice, from its Krylov space from N = 20 (400 sites) on
+    n = N_PAIR if kind == "doublon" else 20
+    h = _fixture_pair(n)
+    assert not hasattr(h, "entries")  # its blocks are its only representation
     with eigh_dims() as dims:
         plan = SpectralPropagator(h)
-        traj = plan.trajectory(_pair_state(kind, N_PAIR), 2.0, 0.1)
-    assert traj.dim == N_PAIR**2
-    assert max(dims) < N_PAIR**2
+        traj = plan.trajectory(_pair_state(kind, n), 2.0, 0.1)
+    assert traj.dim == n**2
+    assert max(dims) < n**2
 
 
 def test_pair_scenario_never_builds_the_dense_matrix(tmp_path):
@@ -477,7 +480,7 @@ def test_sector_work_count(pair_params):
         plan.trajectory(_pair_state("unsymmetrized", n), 2.0, 0.1)
         plan.evolve(_pair_state("unsymmetrized", n), 1.0)
         plan.trajectory(_pair_state("doublon", n), 2.0, 0.1)
-    assert dims == [n * (n - 1) // 2]
+    assert dims == [n * n]  # one block per state: the whole lattice, without a swap
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +492,7 @@ def _complex_case():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     amp = rng.normal(size=7) + 1j * rng.normal(size=7)
-    return HermitianOperator((m + m.conj().T) / 2.0), StateVector(amp / np.linalg.norm(amp)), 3.0
+    return HermitianOperator((m + m.conj().T) / 2.0), StateVector(amp / np.linalg.norm(amp)), 3.5
 
 
 def _pair_case(kind, params=None, z_max=3.0):
@@ -498,8 +501,9 @@ def _pair_case(kind, params=None, z_max=3.0):
 
 
 #: name -> (generator, initial state, z_max), sampled with dz = 0.05. z_max = 3
-#: gives 61 samples, a prime, so any chunk of 1 < C < 61 samples leaves a
-#: shorter last chunk; z_max = 3.02 adds a sample off the grid.
+#: gives 61 samples and 3.5 gives 71, both primes, so any chunk of 1 < C < 61
+#: (71) samples leaves a shorter last chunk; z_max = 3.02 adds a sample off
+#: the grid.
 CHUNK_CASES = {
     "doublon": lambda: _pair_case("doublon"),
     "unsymmetrized": lambda: _pair_case("unsymmetrized"),
@@ -512,9 +516,9 @@ CHUNK_CASES = {
     ),
 }
 
-#: _CHUNK_ELEMENTS for chunks of one sample, and for chunks of 3 to 57 samples
-#: (400 // block for the widest blocks of the cases above: 120, 66, 9 and 7).
-CHUNK_BUDGETS = {"one-sample": 1, "ragged": 400}
+#: _CHUNK_ELEMENTS for chunks of one sample, and for chunks of 2 to 64 samples
+#: (450 // block for the blocks of the cases above: 225, 120, 66, 9 and 7).
+CHUNK_BUDGETS = {"one-sample": 1, "ragged": 450}
 
 
 @pytest.fixture
@@ -548,21 +552,17 @@ def test_chunked_synthesis_matches_dense_eigh(monkeypatch, chunk_widths, case, b
 
 
 def unchunked_states(plan, psi0, z):
-    """The synthesis without chunks: every phase from exp, one product per sector."""
+    """The synthesis without chunks: every phase from exp, one product."""
     psi = psi0.amplitudes
     states = np.empty((z.size, plan.dim), dtype=complex)
-    for sector in plan._sectors(psi):
-        swap = sector.block.swap
-        coeffs = propagator._apply(sector.vectors.conj().T, sector.block.fold(psi))
-        phases = np.exp(-1j * np.outer(sector.energies, z))
-        phases *= coeffs[:, None]
-        rows = propagator._apply(sector.vectors, phases).T
-        if swap.sign > 0:
-            states[:, swap.partner] = rows
-            states[:, swap.rep] = rows
-        else:
-            states[:, swap.rep] += rows
-            states[:, swap.partner] -= rows
+    sector = plan._sector(psi)
+    swap = sector.block.swap
+    coeffs = propagator._apply(sector.vectors.conj().T, sector.block.fold(psi))
+    phases = np.exp(-1j * np.outer(sector.energies, z))
+    phases *= coeffs[:, None]
+    rows = propagator._apply(sector.vectors, phases).T
+    states[:, swap.partner] = rows
+    states[:, swap.rep] = rows
     return states
 
 
@@ -575,8 +575,7 @@ def test_one_chunk_is_bit_identical_to_unchunked_synthesis(case):
         (h, psi0, z_max), dz = CHUNK_CASES[case](), 0.05
     plan = SpectralPropagator(h)
     traj = plan.trajectory(psi0, z_max, dz)
-    for sector in plan._sectors(psi0.amplitudes):
-        assert traj.n_samples <= propagator._CHUNK_ELEMENTS // sector.energies.size
+    assert traj.n_samples <= propagator._CHUNK_ELEMENTS // plan._sector(psi0.amplitudes).energies.size
     squares = np.abs(unchunked_states(plan, psi0, traj.z_samples)) ** 2
     assert np.array_equal(traj.probabilities, squares)
 
@@ -612,7 +611,7 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
     monkeypatch.setattr(SpectralPropagator, "_synthesize", measured)
     h, psi0, _ = _pair_case(kind)
     plan = SpectralPropagator(h)
-    plan.evolve(psi0, 1.0)  # builds the antisymmetric sector outside the measurement
+    plan.evolve(psi0, 1.0)  # diagonalizes the state's block outside the measurement
     tracemalloc.start()
     try:
         traj = plan.trajectory(psi0, 20.0, 0.01)
@@ -620,7 +619,7 @@ def test_synthesis_memory_is_bounded_by_the_chunk(monkeypatch, kind):
     finally:
         tracemalloc.stop()
     assert traj.n_samples == 2001
-    # a doublon stores the N(N+1)/2 symmetric columns, a state in both sectors every site
+    # a doublon stores the N(N+1)/2 symmetric columns, any other state every site
     stored = N_PAIR * (N_PAIR + 1) // 2 if kind == "doublon" else N_PAIR**2
     assert traj.rows.shape == (2001, stored) and traj.dim == N_PAIR**2
     transient = 8 * budget * 16  # a few chunk buffers of `budget` complex elements
@@ -709,7 +708,7 @@ def _dense_generator(dim):
 )
 def test_selection_rule_reads_the_block_size(generator, block, reduced):
     h = generator()
-    swap = h.swap_block(1)
+    swap = h.swap_block()
     assert swap.rep.size == block
     assert propagator._reduces(swap) is reduced
     # a plan follows the rule: Krylov spaces of at most block/2 states, or
@@ -773,7 +772,7 @@ def test_krylov_space_of_a_weakly_coupled_site_is_not_taken_as_invariant():
 
 @settings(max_examples=12, deadline=None)
 @given(
-    n=st.sampled_from([20, 28, 29]),  # both blocks below, across and above the rule's size
+    n=st.sampled_from([20, 28, 29]),  # the swap block below, across and above the rule's size
     ebh=st.booleans(),
     kind=st.sampled_from(["doublon", "unsymmetrized", "complex", "antisymmetric"]),
     u0=st.floats(-10.0, -4.0),
@@ -787,10 +786,10 @@ def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
     else:
         params = ModelParams(kappa=KAPPA, rho=rho, u0=u0, fd=fd, n_sites=n)
     h = build_fock_hamiltonian(params)
-    if kind == "complex":  # complex shares in both sectors: Lanczos in complex arithmetic
+    if kind == "complex":  # a complex state: Lanczos in complex arithmetic
         amp = _pair_state("doublon", n).amplitudes + 1j * _pair_state("unsymmetrized", n).amplitudes
         psi0 = StateVector(amp / np.linalg.norm(amp))
-    elif kind == "antisymmetric":  # no share in the symmetric sector: an empty Krylov space
+    elif kind == "antisymmetric":  # odd under the swap
         amp = _pair_state("unsymmetrized", n).amplitudes
         psi0 = StateVector((amp - amp[swap_indices(n)]) / np.sqrt(2.0))
     else:
@@ -799,15 +798,12 @@ def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
     with eigh_dims() as dims:
         traj = plan.trajectory(psi0, z_max, z_max / 300)  # 301 samples
         states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
-    # each block the rule sends whole is diagonalized; every other eigh is a
-    # Krylov space's, of at most block/2 steps
-    blocks = [_block(n)] if kind == "doublon" else [_block(n), _block(n - 1)]  # N(N-1)/2
-    reduces = {_block(n): propagator._reduces(h.swap_block(1)),
-               _block(n - 1): propagator._reduces(h.swap_block(-1))}
-    if kind == "antisymmetric" and reduces[_block(n)]:
-        blocks = blocks[1:]  # the empty symmetric share never needs its block
-    whole = [b for b in blocks if not reduces[b]]
-    assert sorted(d for d in dims if d > _block(n) // 2) == sorted(whole)
+    # a doublon takes the swap block, every other kind the whole lattice (400 sites
+    # or more here): diagonalized once if the rule sends it whole, else every eigh
+    # is a Krylov space's, of at most block/2 steps
+    swap = h.swap_block() if kind == "doublon" else h.lattice_block()
+    block = swap.rep.size
+    assert [d for d in dims if d > block // 2] == ([] if propagator._reduces(swap) else [block])
     oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
     assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
     assert np.max(np.abs(np.array(states) - oracle[-2:])) <= SECTOR_TOL
@@ -881,7 +877,7 @@ def _assert_falls_back(monkeypatch, h, psi0):
         far = plan.evolve(psi0, 1e6)
         again = plan.trajectory(psi0, 120.0, 0.5)
     # one failed Lanczos run; later calls take the whole block it left, diagonalized once
-    assert reduced == [None] and dims.count(h.swap_block(1).rep.size) == 1
+    assert reduced == [None] and dims.count(h.swap_block().rep.size) == 1
     assert np.array_equal(again.probabilities, traj.probabilities)
     with whole_blocks():
         whole = SpectralPropagator(h)
@@ -890,9 +886,10 @@ def _assert_falls_back(monkeypatch, h, psi0):
 
 
 def test_far_evolve_falls_back_without_overflowing_the_defect():
-    # At z = 1e300 the defect's grid would need about 1e300 intervals, and at
-    # 1e308 its size overflows to inf: neither is certified, both fall back to
-    # the whole block, as if the Krylov path were off.
+    # At z = 1e300 the defect's grid would need about 1e300 intervals: not
+    # certified, it falls back to the whole block, as if the Krylov path were
+    # off. At 1e308 the phases E z would overflow: the plan refuses that z
+    # before any eigh or Lanczos step, on either path.
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=28))
     psi0 = _pair_state("doublon", 28)
     plan = SpectralPropagator(h)
@@ -900,16 +897,33 @@ def test_far_evolve_falls_back_without_overflowing_the_defect():
         whole = SpectralPropagator(h)
         assert np.array_equal(plan.evolve(psi0, 1e300).amplitudes, whole.evolve(psi0, 1e300).amplitudes)
     plan = SpectralPropagator(h)  # a fresh plan, holding no whole block yet
-    with np.errstate(over="ignore", invalid="ignore"):  # E z overflows in the synthesis
-        for z in (1e308, -1e308):  # as on the whole-block path: the phases, and so the norm, are NaN
-            with pytest.raises(InvalidParameterError, match="norm"):
-                plan.evolve(psi0, z)
-            with pytest.raises(InvalidParameterError, match="norm"):
-                whole.evolve(psi0, z)
+    for z in (1e308, -1e308):
+        for each in (plan, whole):
+            with eigh_dims() as dims, pytest.raises(InvalidParameterError, match="overflows") as err:
+                each.evolve(psi0, z)
+            assert err.value.field == "z" and dims == []
+
+
+def test_reach_that_overflows_the_phases_fails_closed():
+    # the 7-site chain's energies lie within its largest row sum, 2.87: at
+    # |z| = 1e308 the phases E z would overflow, so the plan refuses the reach,
+    # naming the argument, before any eigh
+    plan = SpectralPropagator(build_single_particle_hamiltonian(7, KAPPA, FD))
+    psi0 = StateVector.delta(7, 3)
+    calls = [(lambda: plan.evolve(psi0, 1e308), "z"), (lambda: plan.evolve(psi0, -1e308), "z"),
+             (lambda: plan.trajectory(psi0, 1e308, 1e307), "z_max")]
+    with eigh_dims() as dims:
+        for call, name in calls:
+            with pytest.raises(InvalidParameterError, match=f"^{name} = .* overflows the phases") as err:
+                call()
+            assert err.value.field == name
+    assert dims == []
+    far = plan.evolve(psi0, 1e300)  # far, but its phases are finite
+    assert abs(np.sum(far.probabilities) - 1.0) <= 1e-12
 
 
 def test_krylov_state_at_short_reach_needs_few_steps():
-    # both blocks (435 and 406 states) take the Krylov path
+    # the state is not swap-symmetric: the whole lattice (841 sites) takes its Krylov path
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=29))
     psi0 = _pair_state("unsymmetrized", 29)
     plan = SpectralPropagator(h)

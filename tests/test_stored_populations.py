@@ -43,7 +43,7 @@ def doublon(request):
     ))
     psi0 = StateVector.pair_excitation(n, n // 2, n // 2)
     traj = plan.trajectory(psi0, DOUBLONS[n], 0.01)
-    (sector,) = plan._sectors(psi0.amplitudes, DOUBLONS[n])
+    sector = plan._sector(psi0.amplitudes, DOUBLONS[n])
     whole = sector.energies.size == sector.vectors.shape[0]
     assert whole == (n == 15)
     return n, traj
@@ -101,7 +101,7 @@ def test_other_trajectories_store_every_site():
     chain = propagate(build_single_particle_hamiltonian(n, KAPPA, FD), StateVector.delta(n, 3), 2.0, 0.05)
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n))
     amplitudes = np.zeros(n * n)
-    amplitudes[2 * n + 4] = 1.0  # (2, 4) alone reaches the antisymmetric sector
+    amplitudes[2 * n + 4] = 1.0  # (2, 4) alone is not swap-symmetric: the whole lattice
     pair = propagate(h, StateVector(amplitudes), 2.0, 0.05)
     for traj in (chain, pair):
         assert traj.column is None and traj.rows.shape[1] == traj.dim

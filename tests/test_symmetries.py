@@ -28,8 +28,8 @@ RATE = st.floats(-3.0, 3.0, allow_nan=False)
 POSITIVE = st.floats(0.0, 2.0, allow_nan=False)
 
 
-#: A lattice whose blocks (435 and 406 states) both take the Krylov path
-#: (``propagator._reduces``).
+#: A lattice whose blocks (the 435-state swap block and the 841-site lattice)
+#: both take the Krylov path (``propagator._reduces``).
 KRYLOV_SITES = 29
 
 
@@ -65,7 +65,7 @@ def mirror_state(psi: np.ndarray, n_sites: int) -> np.ndarray:
 
 @st.composite
 def real_start(draw, n_sites):
-    """A pair excitation, or any real state, which may reach the antisymmetric sector."""
+    """A pair excitation, or any real state, which need not be swap-symmetric."""
     if draw(st.booleans()):
         a, b = draw(st.integers(0, n_sites - 1)), draw(st.integers(0, n_sites - 1))
         return StateVector.pair_excitation(n_sites, a, b).amplitudes.real
@@ -90,8 +90,8 @@ def krylov_params(draw):
 
 @st.composite
 def local_start(draw, n_sites):
-    """A pair excitation, or one site off the diagonal, which reaches the
-    antisymmetric sector: starts whose Krylov spaces the tilt keeps small."""
+    """A pair excitation, or one site off the diagonal, which takes the whole
+    lattice: starts whose Krylov spaces the tilt keeps small."""
     a, b = draw(st.integers(0, n_sites - 1)), draw(st.integers(0, n_sites - 1))
     if a == b or draw(st.booleans()):
         return StateVector.pair_excitation(n_sites, a, b).amplitudes.real
