@@ -39,7 +39,7 @@ def _dim_cap() -> int:
         if cap < 1:
             raise ValueError
     except ValueError:
-        raise ConfigError(
+        raise InvalidParameterError(
             f"{scenario.DIM_CAP_ENV} must be a positive integer, got {raw!r}"
         ) from None
     return cap

@@ -159,6 +159,10 @@ class HermitianOperator:
             raise InvalidParameterError(
                 f"entries must be a square matrix, got shape {entries.shape}"
             )
+        if not np.isfinite(entries).all():  # first, as NaN != NaN fails the symmetry check
+            row, col = np.argwhere(~np.isfinite(entries))[0]
+            message = f"entries must be finite, got {entries[row, col]} at ({row}, {col})"
+            raise InvalidParameterError(message, "entries")
         if not np.array_equal(entries, entries.conj().T):
             raise InvalidParameterError("entries must be Hermitian")
         entries = entries.copy()
@@ -189,11 +193,16 @@ def _unswapped(dim: int) -> tuple:
 class ChainOperator:
     """Tilted open chain of ``dim`` sites, H[n][n +- 1] = -hopping and
     H[n][n] = tilt * (n - N//2). Like ``PairOperator``'s blocks, its one
-    block (``_unswapped``) is its only representation."""
+    block (``_unswapped``) is its only representation; a ``hopping`` or
+    ``tilt * (dim // 2)`` that is not finite fails at construction."""
 
     dim: int
     hopping: float
     tilt: float
+
+    def __post_init__(self):
+        _require_finite(("tilt", self.tilt, self.tilt * (self.dim // 2)),
+                        ("hopping", self.hopping, -self.hopping))
 
     def swap_block(self) -> SwapBlock:
         """Row by row: the left bond, the site, the right bond."""
@@ -286,8 +295,8 @@ def build_single_particle_hamiltonian(n_sites: int, kappa: float, fd: float) -> 
 
 
 class SwapBlock(NamedTuple):
-    """The generator on the swap-symmetric sector of the pair lattice's (n, m)
-    swap, as its terms.
+    """One block of a generator, as its terms: the swap-symmetric sector of
+    the pair lattice's (n, m) swap, or a block without a swap.
 
     Basis state I is |a, a> when rep[I] == partner[I], else
     (|a, b> + |b, a>) / sqrt 2 with a < b; rep[I] and partner[I] are the
@@ -348,12 +357,11 @@ def _pair_terms(params: ModelParams):
 class PairOperator:
     """Two-boson pair-lattice generator, built from its rates on demand.
 
-    It has ``dim`` (N^2), ``swap_block()``, the generator on the
-    swap-symmetric sector (N(N+1)/2 states, where every pair excitation
-    lies), and ``lattice_block()``, the whole lattice without a swap, for any
-    other state. Both are its terms, computed straight from the bond rules;
-    they are its only representation. Its rates are checked at construction
-    (``check_generator``).
+    It has ``dim`` (N^2) and one term list, ``lattice_block()``: the whole
+    lattice without a swap, for a state that is not swap-symmetric.
+    ``swap_block()``, the generator on the swap-symmetric sector (N(N+1)/2
+    states, where every pair excitation lies), is read from those terms.
+    Its rates are checked at construction (``check_generator``).
     """
 
     params: ModelParams
@@ -366,46 +374,35 @@ class PairOperator:
         return self.params.n_sites**2
 
     def swap_block(self) -> SwapBlock:
-        """The generator on the swap-symmetric sector.
-
-        Block entries are g_I g_J (H[ab, cd] + H[ab, dc]) for basis states
-        I ~ (a, b) and J ~ (c, d), with g = 1/sqrt 2 on the main diagonal and
-        1 off it: the values, bit for bit, of gathering them from the dense
-        matrix that the site energies and bonds of ``_pair_terms`` describe.
+        """The generator on the swap-symmetric sector, read from the terms of
+        ``lattice_block()``: entry (I, J) is g_I g_J (H[rep_I, rep_J] +
+        H[rep_I, partner_J]), with H = +0.0 where it has no term and g =
+        1/sqrt 2 on the main diagonal, 1 off it.
         """
         n = self.params.n_sites
         a, b = np.triu_indices(n)
         rep, partner = a * n + b, b * n + a
-        on_diagonal = a == b
         size = rep.size
-        states = np.arange(size)
-        row_of, col_of = np.full((2, n * n), -1)
-        row_of[rep] = states
-        col_of[partner] = states
-        energy, rows, cols, rates = _pair_terms(self.params)
-        # term (I, J) has the key I * size + J. same[I, J] = H[rep_I, rep_J];
-        # the swapped terms H[rep_I, partner_J] are summed in where they lie,
-        # and +0.0 everywhere else (a -0.0 there turns +0.0), as the dense sum same + swapped would do
-        i, j_same, j_swap = row_of[rows], row_of[cols], col_of[cols]
-        same, swap = (i >= 0) & (j_same >= 0), (i >= 0) & (j_swap >= 0)
-        own = states * (size + 1)
-        same_keys = i[same] * size + j_same[same]
-        swap_keys = np.r_[own[on_diagonal], i[swap] * size + j_swap[swap]]
-        keys = np.sort(np.r_[own, same_keys, swap_keys])  # not np.unique, which imports numpy.ma
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        values = np.zeros(keys.size)
-        values[np.searchsorted(keys, own)] = energy[rep]
-        values[np.searchsorted(keys, same_keys)] = rates[same]
-        at = np.searchsorted(keys, swap_keys)
-        summed = values[at] + np.r_[energy[rep[on_diagonal]], rates[swap]]
-        values += 0.0
-        values[at] = summed
+        lattice = self.lattice_block()
+        state = np.empty(n * n, dtype=np.intp)
+        state[rep] = state[partner] = np.arange(size)
+        # (I, J) is a term where a term's row is rep_I and its column rep_J or partner_J
+        from_rep = lattice.i // n <= lattice.i % n
+        keys = np.sort(state[lattice.i[from_rep]] * size + state[lattice.j[from_rep]])
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # not np.unique, which imports numpy.ma
         i, j = np.divmod(keys, size)
+        # H[rep_I, rep_J] and H[rep_I, partner_J], +0.0 where the lattice has no
+        # term; its last key is the last site's own, so no lookup runs past it
+        lattice_keys = lattice.i * n * n + lattice.j
+        wanted = rep[i] * n * n + np.stack((rep[j], partner[j]))
+        at = np.searchsorted(lattice_keys, wanted)
+        same, swapped = np.where(lattice_keys[at] == wanted, lattice.values[at], 0.0)
+        values = same + swapped
         # the row scale g_I, then the column scale g_J; g = 1 leaves a term as it is
-        g = np.where(on_diagonal, math.sqrt(0.5), 1.0)
+        g = np.where(a == b, math.sqrt(0.5), 1.0)
         values *= g[i]
         values *= g[j]
-        weight = np.where(on_diagonal, 1.0, math.sqrt(0.5))
+        weight = np.where(a == b, 1.0, math.sqrt(0.5))
         return SwapBlock(rep, partner, weight, i, j, values)
 
     def lattice_block(self) -> SwapBlock:

@@ -163,13 +163,21 @@ def test_propagation_is_deterministic(pair_params):
             "194543ca3560",
         ),
         (lambda: HermitianOperator(np.array([[1, -1j], [1j, -0.0]])), "ec6a86e59e9e"),
+        (
+            lambda: build_fock_hamiltonian(
+                ModelParams(kappa=0.0, rho=0.0, u0=0.0, fd=0.0, n_sites=6)
+            ),
+            "700b470599e5",
+        ),
     ],
-    ids=["single", "single-bonds", "effective", "complex"],
+    ids=["single", "single-bonds", "effective", "complex", "fock"],
 )
 def test_generator_id_hashes_signed_zeros(build, generator_id):
     # with no tilt the sites left of the origin carry -0.0, and with no
     # hopping every bond does; the hash reads the terms' bytes, so a block
-    # that dropped them as zeros, or wrote them +0.0, would change the id
+    # that dropped them as zeros, or wrote them +0.0, would change the id.
+    # In the pair block a lone -0.0 bond sums to +0.0 and two -0.0 kappa1
+    # bonds sum to -0.0, as in the dense sum
     h = build()
     entries = dense_entries(h)
     assert np.any((entries == 0) & np.signbit(entries.real))
@@ -216,10 +224,29 @@ def test_sample_bound_scales_with_the_cap():
 
 
 def test_non_finite_entries_reported_with_index():
-    h = HermitianOperator(np.array([[0.0, math.inf], [math.inf, 0.0]]))
-    with pytest.raises(NumericError) as err:
+    with pytest.raises(InvalidParameterError) as err:
+        HermitianOperator(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    assert "(0, 1)" in str(err.value) and err.value.field == "entries"
+    # NaN != NaN, so the symmetry check alone would call it not Hermitian
+    with pytest.raises(InvalidParameterError, match=r"finite, got nan at \(0, 0\)"):
+        HermitianOperator(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_chain_whose_entries_overflow_is_refused_when_made():
+    # 1e308 * (5 // 2) overflows; the block would warn before the plan's scan
+    with pytest.raises(InvalidParameterError, match="not finite") as err:
+        model.ChainOperator(5, KAPPA, 1e308)
+    assert err.value.field == "tilt"
+    with pytest.raises(InvalidParameterError) as err:
+        model.ChainOperator(5, math.inf, FD)
+    assert err.value.field == "hopping"
+
+
+def test_plan_scans_any_generator_for_non_finite_terms():
+    block = HermitianOperator(np.eye(2)).swap_block()._replace(values=np.array([0.0, math.inf]))
+    h = mock.Mock(dim=2, swap_block=lambda: block)
+    with pytest.raises(NumericError, match=r"at \(1, 1\)"):
         SpectralPropagator(h)
-    assert "(0, 1)" in str(err.value)
 
 
 def test_dimension_cap_guard(pair_params):

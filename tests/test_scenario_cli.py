@@ -769,6 +769,10 @@ def test_cli_exit_code_bad_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FRACBLOCH_DIM_CAP", "many")
     config_path = write_config(tmp_path, MODEL_CONFIG)
     assert main(["run", config_path, "--out", str(tmp_path / "x")]) == 2
+    # an environment variable has no config file or line to name
+    err = "config error: FRACBLOCH_DIM_CAP must be a positive integer, got 'many'\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_exit_code_io_error(tmp_path, capsys):
