@@ -87,10 +87,13 @@ class ModelParams:
     near_diag_defect: float | None = None
 
     def __post_init__(self):
-        for name in ("kappa", "kappa1", "rho", "u0", "fd", "j_hop", "near_diag_defect"):
+        for name in ("kappa", "kappa1", "rho", "u0", "fd", "j_hop", "near_diag_defect", "eps"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))  # an int rate too: equal records, equal terms
         if self.kappa < 0:
             raise InvalidParameterError(f"kappa must be >= 0, got {self.kappa}")
         if self.fd < 0:

@@ -19,21 +19,25 @@ known to be finite, in one of two ways:
   then synthesized spectrally, so unitarity holds to machine precision and
   revival positions are not integration artifacts.
 * A block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``;
-  every lattice's) is reduced to the Krylov space that the state's share
-  explores up to the largest |z| asked for: Lanczos with full
-  reorthogonalization, each product summed from the terms row by row, then
-  the eigenpairs of the small tridiagonal matrix T_m.
-  The tilt localizes the state, so m stays far below the block size. Lanczos
-  stops at the first checked m whose a-posteriori defect bound (Hochbruck &
-  Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), evaluated on a grid (see
-  ``_defect``), is at most 1e-13 for every |z| up to that reach, or where the
-  space is invariant. Without a certificate after block/2 steps the whole
-  block is diagonalized instead, as above, so every input gets a correct
-  result; once a plan holds a whole block it uses it for every later state.
+  every lattice's) carries the state's share in short Krylov steps (Park &
+  Light, J. Chem. Phys. 85, 5870 (1986)): Lanczos with full
+  reorthogonalization from the current state, each product summed from the
+  terms row by row. After m iterations a step's error at |z - start| <= h is
+  at most the strict bound beta0 beta1 ... beta_m h^m / m! (Saad, SIAM J.
+  Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34,
+  1911 (1997)). With Expokit's step control (Sidje, ACM TOMS 24, 130 (1998))
+  each step takes the m <= _STEP_M whose longest h certifying 1e-13 h / reach
+  costs the least per unit of reach, so the errors sum to at most 1e-13; only
+  its small tridiagonal T_m is diagonalized. After each step the rest of the
+  reach, at that step's cost, is weighed against the whole block's eigh;
+  where that is the cheaper (no tilt over a long z, a huge z in ``evolve``),
+  the whole block serves the samples past the last step. No Lanczos run
+  fails, and a plan that holds a whole block uses it for every later state.
 
-Either way a sector is eigenpairs with (block, m) vectors, m = block for the
-whole block, and synthesis is one code path for both; a real sector is
-synthesized in real arithmetic, in the sector basis.
+Either way a step is eigenpairs with (block, m) vectors, m = block for the
+whole block, and the state's coefficients on them at the step's start;
+synthesis is one code path for both, in real arithmetic for a real block and
+share (every Krylov step after the first holds a complex state).
 
 A trajectory holds populations, not amplitudes: each chunk of samples is
 squared right after its product and copied, transposed, into the
@@ -60,7 +64,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,31 +74,33 @@ from .observables import return_probability, whole  # noqa: F401  (return_probab
 
 #: Largest generator dimension a plan accepts by default. It bounds what
 #: grows with the dimension: a block's terms, the dense block of a
-#: whole-block eigh (a small block's, or the fall-back of a Krylov space
-#: without a certificate), and a trajectory's populations. Override per plan
-#: (the CLI maps an environment variable onto it).
+#: whole-block eigh (a small block's, or one the cost rule finds cheaper than
+#: Krylov steps), and a trajectory's populations. Override per plan (the CLI
+#: maps an environment variable onto it).
 DEFAULT_DIM_CAP = 4096
 _NORM_TOL = 1e-12
 #: Complex elements per synthesis buffer: the phase offsets, the phases and
 #: the product of a chunk each hold block x chunk of them.
 _CHUNK_ELEMENTS = 1 << 17
-#: Blocks of at least this many states take the Krylov path; below it a
+#: Blocks of at least this many states may take Krylov steps; below it a
 #: whole-block eigh is the faster.
 _KRYLOV_BLOCK = 384
 #: ... with at most this many terms a row on average; a dense generator is
 #: diagonalized whole. At 150 Lanczos steps the products overtake the eigh near
 #: 200 terms a row at 400 states, past 500 at 2000 (CHANGES.md).
 _KRYLOV_ROW_TERMS = 32
-#: Bound on the amplitude error of a Krylov-built trajectory.
+#: Bound on the amplitude error of Krylov steps over the whole reach.
 _KRYLOV_TOL = 1e-13
-#: Lanczos steps before the first certificate check, and the growth of the
-#: step count from one check to the next.
-_FIRST_CHECK = 32
-_CHECK_GROWTH = 1.25
+#: Most Lanczos iterations in one Krylov step: its basis holds at most
+#: _STEP_M + 1 vectors of the block.
+_STEP_M = 48
+#: Costs are estimated in complex multiply-adds at the synthesis's speed. A
+#: Lanczos iteration's passes over the terms and the vectors run at memory
+#: speed: about this many of them a term and a block state (50 and 130 us an
+#: iteration on the N = 31 and N = 56 pair blocks, against 0.1 ns a
+#: multiply-add of the synthesis and about 0.1 ns x block^3 an eigh).
+_PASS_COST = 128
 _EPS = np.finfo(float).eps
-#: Most grid intervals a certificate integral is evaluated on; a longer reach
-#: is bounded without the grid.
-_DEFECT_POINTS = 1 << 14
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
 #: most dim_cap times this many (2 GiB of them at the default cap).
 _SAMPLES_PER_CAPPED_SITE = 1 << 16
@@ -260,18 +266,32 @@ class _AmplitudeRows:
 
 
 class _Sector(NamedTuple):
-    """Eigenpairs of one invariant block, or of the part of it that a state
-    explores, and the block they belong to.
+    """Eigenpairs of one invariant block, or of a Krylov space in it, and the
+    block they belong to.
 
     vectors[I, k] is eigenvector k's amplitude on site rep[I] of the block,
     and on site partner[I] too where that is another site. The vectors are
-    (block, m): m = block for the whole block, and m <= block for the Ritz
+    (block, m): m = block for the whole block, and m <= _STEP_M for the Ritz
     vectors of a Krylov space, which are orthonormal but do not span the block.
     """
 
     energies: np.ndarray  # (m,)
     vectors: np.ndarray  # (block, m)
     block: _Block
+
+
+class _Step(NamedTuple):
+    """A state carried by one sector: its coefficients on the sector's
+    eigenvectors at z = start (signed), for the samples whose |z| is at most
+    end (and past the previous step's end). bound bounds the amplitude error
+    that the step adds at any of them: beta0 beta1 ... beta_m h^m / m! for a
+    Krylov step of length h, 0 for the whole block's one step."""
+
+    sector: _Sector
+    coeffs: np.ndarray  # (m,)
+    start: float
+    end: float
+    bound: float
 
 
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,17 +302,27 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduces(swap: SwapBlock) -> bool:
-    """Whether a block is reduced to a state's Krylov space rather than
+    """Whether a block may be reduced to a state's Krylov spaces rather than
     diagonalized whole: at least _KRYLOV_BLOCK states (see the README) and at
     most _KRYLOV_ROW_TERMS terms a row on average."""
     size = swap.rep.size
     return size >= _KRYLOV_BLOCK and swap.values.size <= _KRYLOV_ROW_TERMS * size
 
 
+def _step_length(m: int, log_product: float, rate: float, left: float) -> float:
+    """The longest h <= left at which the strict bound
+    beta0 beta1 ... beta_m h^m / m! is at most rate h, given
+    log_product = log(beta0 beta1 ... beta_m); 0 if none is."""
+    if m == 1:  # the bound and rate h both grow linearly in h
+        return left if log_product <= math.log(rate) else 0.0
+    log_h = (math.log(rate) - log_product + math.lgamma(m + 1)) / (m - 1)
+    return left if log_h >= math.log(left) else math.exp(log_h)
+
+
 class _Block:
     """One block of a plan, its terms checked for non-finite values:
-    diagonalized whole at most once, or reduced to the Krylov space of each
-    state that reaches it, whose products read the terms directly.
+    diagonalized whole at most once, or carrying each state that reaches it
+    in short Krylov steps, whose products read the terms directly.
 
     column[s] is the block index I whose rep or partner is site s, and None
     where that is s itself (a block without a swap). row_sum, the largest
@@ -338,58 +368,98 @@ class _Block:
     def whole(self) -> _Sector:
         return self.sector(*_eigh(self.swap.entries))
 
+    def steps(self, psi: np.ndarray, far: float, samples: int) -> Iterator[_Step]:
+        """psi's share carried out to z = far (signed), for the given number of
+        samples: short Krylov steps (``reduced``) where ``_reduces`` allows
+        them and the plan holds no whole block yet, then, for the samples
+        past the last step if it stopped short, one step of the whole
+        block's eigenpairs from z = 0."""
+        share = self.fold(psi)
+        if _reduces(self.swap) and "whole" not in self.__dict__:
+            for step in self.reduced(self.swap.weight * share, far, samples, _KRYLOV_TOL):
+                yield step
+            if step.end == math.inf:
+                return
+        sector = self.whole  # a whole block once diagonalized serves every later state
+        yield _Step(sector, _apply(sector.vectors.conj().T, share), 0.0, math.inf, 0.0)
+
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         """The block times x, from its terms."""
         return np.add.reduceat(self.swap.values * x[self.swap.j], self.row_starts)
 
-    def reduced(self, b: np.ndarray, reach: float, tol: float) -> _Sector | None:
-        """The Ritz pairs of b's Krylov space, with exp(-i H z) b within tol
-        for |z| <= reach; None without a certificate by block/2 steps.
+    def reduced(self, b: np.ndarray, far: float, samples: int, tol: float) -> Iterator[_Step]:
+        """exp(-i H z) b for z from 0 towards far (signed), in short steps
+        whose errors sum to at most tol, for the given number of samples.
 
-        Lanczos with full reorthogonalization. After m steps the error of the
-        Krylov synthesis is at most beta0 beta_m int_0^reach |e_m^T exp(-i s T_m) e_1| ds
-        (Hochbruck & Lubich 1997), evaluated from the Ritz pairs of T_m (``_defect``).
+        A step's Lanczos run keeps log(beta0 beta1 ... beta_m) and stops at
+        the first m past the one whose longest certified h (``_step_length``,
+        tol h / |far|) costs the least per unit of reach, where h covers the
+        rest of the reach, or where the space is invariant (and exact); only
+        then is T_m diagonalized. Its Ritz pairs are the step's sector, and
+        one (block, m) product of the basis gives the next step's state.
+        After each step the rest of the reach at the step's cost is weighed
+        against a whole-block eigh and synthesis (block^3 + block^2 x
+        samples); where that is the cheaper, the steps end short of far.
         """
+        size, passes = b.size, _PASS_COST * (self.swap.values.size + b.size)
+        reach, direction = abs(far), math.copysign(1.0, far)
+        allowed = tol / reach if reach else math.inf  # bound per unit of reach
+        density = samples / reach if reach else 0.0
         if np.isrealobj(self.swap.values) and not np.any(b.imag):  # a real block and share stay real
             b = b.real
-        size = b.size
-        beta0 = float(np.linalg.norm(b))
-        if beta0 == 0.0:  # no weight here: an empty sector is exact
-            return self.sector(np.empty(0), np.zeros((size, 0), dtype=b.dtype))
-        limit = size // 2
-        basis = np.empty((min(limit, _FIRST_CHECK) + 1, size), dtype=b.dtype)  # grown as needed
-        alpha, beta = np.empty(limit), np.empty(limit)
-        basis[0] = b / beta0
-        check = _FIRST_CHECK
-        for j in range(limit):
-            if j + 1 == len(basis):
-                basis = np.concatenate([basis, np.empty((min(j, limit - j), size), basis.dtype)])
-            w = self._matvec(basis[j])
-            alpha[j] = np.vdot(basis[j], w).real
-            w -= alpha[j] * basis[j]
-            if j:
-                w -= beta[j - 1] * basis[j - 1]
-            known = basis[: j + 1]
-            norm = np.linalg.norm(w)
-            for _ in range(2):  # a second pass only if the first cancelled much (twice is enough)
-                w -= (known @ w.conj()).conj() @ known
-                norm, before = np.linalg.norm(w), norm
-                if norm > 0.5 * before:
+        start = 0.0
+        while True:
+            left = reach - start
+            beta0 = float(np.linalg.norm(b))
+            basis = np.empty((_STEP_M + 1, size), dtype=b.dtype)
+            alpha, beta = np.empty(_STEP_M), np.empty(_STEP_M)
+            basis[0] = b / beta0
+            log_product = math.log(beta0)
+            best = (math.inf, 0, 0.0, 0.0)  # cost per unit of reach, m, h, log_product
+            top_alpha = top_beta = 0.0  # the largest |alpha| and beta so far: T_m's scale
+            for j in range(_STEP_M):
+                w = self._matvec(basis[j])
+                alpha[j] = a = np.vdot(basis[j], w).real
+                w -= a * basis[j]
+                if j:
+                    w -= beta[j - 1] * basis[j - 1]
+                known = basis[: j + 1]
+                norm = math.sqrt(np.vdot(w, w).real)
+                for _ in range(2):  # a second pass only if the first cancelled much (twice is enough)
+                    w -= (known @ w.conj()).conj() @ known
+                    norm, before = math.sqrt(np.vdot(w, w).real), norm
+                    if norm > 0.5 * before:
+                        break
+                beta[j] = norm
+                m = j + 1
+                top_alpha, top_beta = max(top_alpha, abs(a)), max(top_beta, norm)
+                log_product += math.log(norm) if norm else -math.inf
+                if norm <= _EPS * (top_alpha + 2.0 * top_beta):
+                    best = (0.0, m, left, log_product)  # an invariant space is exact
                     break
-            beta[j] = norm = float(norm)
-            m = j + 1
-            scale = np.abs(alpha[:m]).max() + 2.0 * beta[:m].max()
-            # an invariant space is exact; beta_m reach bounds the defect outright
-            # (Python floats, so a far reach overflows to inf without a warning)
-            done = norm <= _EPS * scale or beta0 * norm * reach <= tol
-            if done or m >= check or m == limit:
-                check = max(m + 1, int(m * _CHECK_GROWTH))
-                t = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
-                energies, s = _eigh(t)
-                if done or _defect(energies, s, beta0 * norm, reach) <= tol:
-                    return self.sector(energies, known.T @ s)
-            basis[m] = w / beta[j]
-        return None
+                h = _step_length(m, log_product, allowed, left)
+                # per unit of reach: the products and vector passes, the
+                # reorthogonalization, and the synthesis of the samples in h
+                cost = m * (passes + m * size + size * density * h) / h if h else math.inf
+                if cost > best[0]:  # past the cheapest m
+                    break
+                best = (cost, m, h, log_product)
+                if h >= left:
+                    break
+                np.multiply(w, 1.0 / norm, out=basis[m])
+            cost, m, h, log_product = best
+            energies, s = _eigh(np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1))
+            coeffs = beta0 * s[0]
+            last = h >= left
+            ritz = basis[:m].T @ s if np.isrealobj(basis) else _apply(s.T, basis[:m]).T
+            bound = math.exp(min(log_product + m * math.log(h) - math.lgamma(m + 1), 700.0)) if h else 0.0
+            end = math.inf if last else start + h
+            yield _Step(self.sector(energies, ritz), coeffs, direction * start, end, bound)
+            start += h
+            # the rest of the reach at this step's cost per unit, against the whole block
+            if last or cost * (reach - start) > size * size * (size + density * (reach - start)):
+                return
+            b = _apply(basis[:m].T, s @ (np.exp(-1j * direction * h * energies) * coeffs))
 
 
 def _generator_id(swap: SwapBlock) -> str:
@@ -402,36 +472,6 @@ def _generator_id(swap: SwapBlock) -> str:
     for terms, dtype in ((swap.i, "<i8"), (swap.j, "<i8"), (swap.values, value)):
         digest.update(np.ascontiguousarray(terms, dtype=dtype))
     return digest.hexdigest()[:12]
-
-
-def _defect(energies: np.ndarray, s: np.ndarray, scale: float, reach: float) -> float:
-    """scale * int_0^reach |f(z)| dz with f(z) = sum_k s[-1, k] s[0, k] exp(-i E_k z).
-
-    Bounded first by scale * reach * sum_k |s[-1, k] s[0, k]|, then, if at
-    most _DEFECT_POINTS intervals reach that far, on a grid of eight points
-    per period of the widest Ritz frequency difference dE, each interval
-    taken at its larger end and the sum divided by 1 - pi/16. f's frequencies
-    lie within dE/2 of their centre, so by Bernstein's inequality |f| rises
-    above the larger end of an interval by at most pi/16 of its supremum.
-    The division covers that rise where |f| is near its supremum; elsewhere
-    the grid sum is an estimate with that margin, not a strict bound. The
-    grid's phases are a table of r steps times r anchors, so f on r^2 points
-    costs one (r, m) x (m, r) product.
-    """
-    c = s[-1] * s[0]
-    bound = scale * reach * float(np.abs(c).sum())
-    span = reach * float(energies[-1] - energies[0]) * 4.0 / math.pi
-    if not span <= _DEFECT_POINTS:  # a span that overflowed to inf too
-        return bound
-    intervals = max(1, math.ceil(span))
-    step = reach / intervals
-    r = math.isqrt(intervals) + 1  # r^2 > intervals
-    centred = energies - 0.5 * (energies[0] + energies[-1])
-    table = np.exp(-1j * np.outer(centred, step * np.arange(r)))
-    anchors = np.exp(-1j * np.outer(step * r * np.arange(r), centred)) * c
-    f = np.abs(anchors @ table).ravel()[: intervals + 1]
-    grid = scale * step * float(np.maximum(f[1:], f[:-1]).sum()) / (1.0 - math.pi / 16.0)
-    return min(bound, grid)
 
 
 def _scale_rows(table: np.ndarray, scale: np.ndarray, out: np.ndarray):
@@ -462,8 +502,8 @@ class SpectralPropagator:
     Nothing is diagonalized here, and nothing dense is built but for an eigh.
     ``trajectory`` and ``evolve`` propagate each state in one block (see the
     module): the eigenpairs of the whole block, computed once per plan, or
-    the Ritz pairs of the state's Krylov space, within 1e-13 by the defect
-    bound, built per call. A reach that would overflow the phases is refused
+    the Ritz pairs of short Krylov steps, within 1e-13 together by their
+    strict bounds, built per call. A reach that would overflow the phases is refused
     first (``InvalidParameterError`` naming ``z_max`` or ``z``).
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching a whole block first at the same time
@@ -491,18 +531,6 @@ class SpectralPropagator:
             return first
         return self._lattice
 
-    def _sector(self, psi: np.ndarray, reach: float | None = None) -> _Sector:
-        """psi's block's whole eigenpairs, or, given the largest |z| to reach,
-        the Krylov space that psi's share explores where ``_reduces`` picks it,
-        it is certified and the plan holds no whole block yet."""
-        block = self._block(psi)
-        # a whole block once diagonalized serves every later state
-        if reach is not None and _reduces(block.swap) and "whole" not in block.__dict__:
-            sector = block.reduced(block.swap.weight * block.fold(psi), reach, _KRYLOV_TOL)
-            if sector is not None:
-                return sector
-        return block.whole
-
     def _check_reach(self, psi0: StateVector, z: float, name: str):
         """Fail, naming the argument, where |E z| may overflow for an energy E
         of psi0's block: before any eigh or Lanczos step."""
@@ -522,39 +550,50 @@ class SpectralPropagator:
         (no map)."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
-        reach = max(dz * (n_grid - 1) if n_grid else 0.0, float(np.abs(off_grid).max(initial=0.0)))
-        energies, vectors, block = self._sector(psi, reach)
-        size, m = vectors.shape
+        far = float(off_grid[-1]) if off_grid.size else dz * (n_grid - 1)  # |z| grows sample by sample
+        block = self._block(psi)
+        size = block.swap.rep.size
         chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // size))
-        coeffs = _apply(vectors.conj().T, block.fold(psi))
-        offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, n_grid))))
-        phase_buf = np.empty(size * chunk, dtype=complex)
-        part_buf = np.empty_like(phase_buf)
-        out = None
-        for k0 in range(0, n_samples, chunk):
-            k1 = min(k0 + chunk, n_samples)
-            on_grid = max(0, min(k1, n_grid) - k0)
-            z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
-            # flat buffers reshaped, so a short last chunk is contiguous too
-            phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
-            if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
-                anchor = coeffs if k0 == 0 else coeffs * np.exp(-1j * energies * (dz * k0))
-                _scale_rows(offsets[:, :on_grid], anchor, phases[:, :on_grid])
-            if z.size:
-                direct = np.exp(-1j * np.outer(energies, z))
-                np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
-            part = _apply(vectors, phases, out=part_buf[: size * (k1 - k0)].reshape(size, -1))
-            if k1 == n_samples:
-                offsets = None  # free the phase table before the last chunk touches the output
-            if out is None:  # late: a one-chunk run never holds its table beside it
-                width, dtype = (size, float) if square else (self.dim, complex)
-                out = np.empty((n_samples, width), dtype=dtype)
-            if square:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
-                squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
-                np.square(squares, out=squares)
-                out[k0:k1] = squares.T
-            else:
-                block.place(out[k0:k1], part)
+        phase_buf = part_buf = out = None
+        ka = 0
+        for (energies, vectors, _), coeffs, start, end, _ in block.steps(psi, far, n_samples):
+            kb = n_samples  # past the step's last sample: on the grid up to end, then off it
+            if end < math.inf:
+                kb = min(n_grid, math.floor(end / dz) + 1) if n_grid else 0
+                if kb == n_grid:
+                    kb += int(np.count_nonzero(np.abs(off_grid) <= end))
+            m = energies.size
+            on_step = max(0, min(kb, n_grid) - ka)  # the step's samples on the grid
+            offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, on_step))))
+            if phase_buf is None:  # after the table, whose exp holds two of its size
+                phase_buf = np.empty(size * chunk, dtype=complex)
+                part_buf = np.empty_like(phase_buf)
+            for k0 in range(ka, kb, chunk):
+                k1 = min(k0 + chunk, kb)
+                on_grid = max(0, min(k1, n_grid) - k0)
+                z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
+                # flat buffers reshaped, so a short last chunk is contiguous too
+                phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
+                if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
+                    shift = dz * k0 - start
+                    anchor = coeffs if shift == 0.0 else coeffs * np.exp(-1j * energies * shift)
+                    _scale_rows(offsets[:, :on_grid], anchor, phases[:, :on_grid])
+                if z.size:
+                    direct = np.exp(-1j * np.outer(energies, z - start))
+                    np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
+                part = _apply(vectors, phases, out=part_buf[: size * (k1 - k0)].reshape(size, -1))
+                if k1 == n_samples:
+                    offsets = None  # free the phase table before the last chunk touches the output
+                if out is None:  # late: a one-chunk run never holds its table beside it
+                    width, dtype = (size, float) if square else (self.dim, complex)
+                    out = np.empty((n_samples, width), dtype=dtype)
+                if square:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
+                    squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
+                    np.square(squares, out=squares)
+                    out[k0:k1] = squares.T
+                else:
+                    block.place(out[k0:k1], part)
+            ka = kb
         return out, block.column if square else None
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:

@@ -241,6 +241,32 @@ def test_model_params_validation():
                 ModelParams(**{**base, name: bad})
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    n_sites=st.integers(2, 6),
+)
+def test_equal_records_give_equal_generator_ids(rates, n_sites):
+    # an int rate is stored as its float: the records compare equal, and
+    # their terms, whose bytes the hash reads, are the same (an int 0 negated
+    # is +0, a float 0.0 negated -0.0)
+    kappa, kappa1, rho, u0, defect = rates
+    ints = dict(kappa=abs(kappa), kappa1=kappa1, rho=rho, u0=u0, fd=abs(kappa1),
+                near_diag_defect=defect, n_sites=n_sites)
+    floats = {k: v if k == "n_sites" else float(v) for k, v in ints.items()}
+    a, b = ModelParams(**ints), ModelParams(**floats)
+    assert a == b and all(isinstance(getattr(a, k), float) for k in floats if k != "n_sites")
+    builds = [build_fock_hamiltonian] + ([build_effective_hamiltonian] if u0 else [])
+    for build in builds:
+        assert SpectralPropagator(build(a)).generator_id == SpectralPropagator(build(b)).generator_id
+
+
+def test_int_rates_hash_as_their_floats():
+    # the record whose int rates used to give acf68fef72f2
+    ints = ModelParams(kappa=0, rho=0, u0=0, fd=0, n_sites=6)
+    assert SpectralPropagator(build_fock_hamiltonian(ints)).generator_id == "700b470599e5"
+
+
 def test_model_params_ebh_consistency_checks():
     params = ModelParams.from_ebh(j_hop=9.81, eps=0.1936, u0=-4.0, fd=FD, n_sites=15)
     assert params.kappa == pytest.approx(0.9498, abs=1e-3)

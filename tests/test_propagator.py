@@ -582,7 +582,7 @@ def unchunked_states(plan, psi0, z):
     """The synthesis without chunks: every phase from exp, one product."""
     psi = psi0.amplitudes
     states = np.empty((z.size, plan.dim), dtype=complex)
-    sector = plan._sector(psi)
+    sector = plan._block(psi).whole
     swap = sector.block.swap
     coeffs = propagator._apply(sector.vectors.conj().T, sector.block.fold(psi))
     phases = np.exp(-1j * np.outer(sector.energies, z))
@@ -602,7 +602,7 @@ def test_one_chunk_is_bit_identical_to_unchunked_synthesis(case):
         (h, psi0, z_max), dz = CHUNK_CASES[case](), 0.05
     plan = SpectralPropagator(h)
     traj = plan.trajectory(psi0, z_max, dz)
-    assert traj.n_samples <= propagator._CHUNK_ELEMENTS // plan._sector(psi0.amplitudes).energies.size
+    assert traj.n_samples <= propagator._CHUNK_ELEMENTS // plan._block(psi0.amplitudes).whole.energies.size
     squares = np.abs(unchunked_states(plan, psi0, traj.z_samples)) ** 2
     assert np.array_equal(traj.probabilities, squares)
 
@@ -695,8 +695,8 @@ def test_trajectory_column_map_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# Krylov sectors: against the bond enumerator's dense matrix and the whole
-# blocks, the selection rule, and the fall-back to the whole block
+# Krylov steps: against the bond enumerator's dense matrix and the whole
+# blocks, the selection rule, the strict bound, and the cost rule
 # ---------------------------------------------------------------------------
 
 
@@ -738,14 +738,14 @@ def test_selection_rule_reads_the_block_size(generator, block, reduced):
     swap = h.swap_block()
     assert swap.rep.size == block
     assert propagator._reduces(swap) is reduced
-    # a plan follows the rule: Krylov spaces of at most block/2 states, or
+    # a plan follows the rule: Krylov steps of at most _STEP_M iterations, or
     # the one whole block (a dense generator's too, whatever its size)
     psi0 = StateVector.delta(h.dim, int(swap.rep[0]))  # (0, 0) on a pair lattice: swap-symmetric
     with eigh_dims() as dims:
         plan = SpectralPropagator(h)
         plan.trajectory(psi0, 1.0, 0.1)
         plan.evolve(psi0, 1.0)
-    assert max(dims) <= block // 2 if reduced else dims == [block]
+    assert max(dims) <= propagator._STEP_M if reduced else dims == [block]
 
 
 def _complex_chain(n, fd):
@@ -775,8 +775,11 @@ def test_chain_krylov_path_matches_the_dense_oracle(model, n, fd):
         states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
     if n < propagator._KRYLOV_BLOCK:
         assert dims == [n]  # the whole chain, diagonalized once
-    else:
-        assert dims and max(dims) <= n // 2  # Krylov spaces only
+    else:  # Krylov steps, then the whole chain at most once where the cost rule finds it cheaper
+        steps = [d for d in dims if d != n]
+        assert steps and max(steps) <= propagator._STEP_M and dims.count(n) <= 1
+        if model != "effective":  # the effective chain's doubled tilt shortens its steps
+            assert n not in dims
     oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
     assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
     assert np.max(np.abs(np.array(states) - oracle[-2:])) <= SECTOR_TOL
@@ -827,10 +830,10 @@ def test_krylov_path_matches_the_bond_oracle(n, ebh, kind, u0, rho, fd, z_max):
         states = [plan.evolve(psi0, z).amplitudes for z in (z_max, -z_max)]
     # a doublon takes the swap block, every other kind the whole lattice (400 sites
     # or more here): diagonalized once if the rule sends it whole, else every eigh
-    # is a Krylov space's, of at most block/2 steps
+    # is a Krylov step's, of at most _STEP_M iterations
     swap = h.swap_block() if kind == "doublon" else h.lattice_block()
     block = swap.rep.size
-    assert [d for d in dims if d > block // 2] == ([] if propagator._reduces(swap) else [block])
+    assert [d for d in dims if d > propagator._STEP_M] == ([] if propagator._reduces(swap) else [block])
     oracle = dense_states(h, psi0, np.r_[traj.z_samples, -z_max])
     assert np.max(np.abs(traj.probabilities - np.abs(oracle[:-1]) ** 2)) <= SECTOR_TOL
     assert np.max(np.abs(np.array(states) - oracle[-2:])) <= SECTOR_TOL
@@ -875,48 +878,146 @@ def test_pair_scan_state_matches_the_bond_oracle():
     assert np.max(np.abs(state.amplitudes - dense_states(h, psi0, [10 * dz])[0])) <= SECTOR_TOL
 
 
-def test_uncertified_krylov_space_falls_back_to_the_whole_block(monkeypatch):
-    # Without a tilt nothing localizes the pair: over z = 120 its Krylov space
-    # is not certified within block/2 = 248 steps.
-    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=31))
-    _assert_falls_back(monkeypatch, h, _pair_state("doublon", 31))
+def test_untilted_doublon_to_z_120_matches_the_whole_block():
+    # Untilted, the N = 56 doublon spreads over the whole block by z = 120:
+    # about thirty Krylov steps, each certified to its share of 1e-13, and
+    # still cheaper than the 1596-state block's eigh
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=56))
+    psi0 = _pair_state("doublon", 56)
+    with eigh_dims() as dims:
+        traj = SpectralPropagator(h).trajectory(psi0, 120.0, 0.5)
+    assert len(dims) > 10 and max(dims) <= propagator._STEP_M  # Krylov steps only
+    with whole_blocks():
+        exact = SpectralPropagator(h).trajectory(psi0, 120.0, 0.5).probabilities
+    assert np.max(np.abs(traj.probabilities - exact)) <= SECTOR_TOL
 
 
-def test_uncertified_chain_krylov_space_falls_back_to_the_whole_block(monkeypatch):
-    # The untilted 400-site chain spreads to its ends by z = 120: no
-    # certificate within block/2 = 200 steps.
-    h = build_single_particle_hamiltonian(400, KAPPA, 0.0)
-    _assert_falls_back(monkeypatch, h, StateVector.delta(400, 200))
-
-
-def _assert_falls_back(monkeypatch, h, psi0):
-    reduced = []
-    build = propagator._Block.reduced
+def _recorded_steps():
+    """Record the steps of every Krylov run, as the synthesis consumes them."""
+    runs = []
+    reduced = propagator._Block.reduced
 
     def recording(self, *args):
-        reduced.append(build(self, *args))
-        return reduced[-1]
+        runs.append([])
+        for step in reduced(self, *args):
+            runs[-1].append(step)
+            yield step
 
-    monkeypatch.setattr(propagator._Block, "reduced", recording)
+    return runs, mock.patch.object(propagator._Block, "reduced", recording)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["doublon", "unsymmetrized", "chain"]),
+    tilted=st.booleans(),
+    seed=st.integers(0, 2**16),
+    z=st.floats(2.0, 16.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_krylov_error_is_within_the_sum_of_its_step_bounds(kind, tilted, seed, z, sign):
+    # evolve over several Krylov steps against the whole block: the error is
+    # at most the sum of the steps' strict bounds, and that sum at most 1e-13
+    fd = FD if tilted else 0.0
+    if kind == "chain":  # a complex state on ten sites of a 450-site chain
+        rng = np.random.default_rng(seed)
+        h = build_single_particle_hamiltonian(450, KAPPA, fd)
+        amp = np.zeros(450, dtype=complex)
+        amp[220:230] = rng.normal(size=10) + 1j * rng.normal(size=10)
+        psi0 = StateVector(amp / np.linalg.norm(amp))
+    else:
+        h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=fd, n_sites=31))
+        psi0 = _pair_state(kind, 31)
+    runs, recording = _recorded_steps()
+    with recording:
+        state = SpectralPropagator(h).evolve(psi0, sign * z).amplitudes
+    (steps,) = runs
+    assume(len(steps) >= 2 and steps[-1].end == math.inf)  # Krylov steps to the end
+    with whole_blocks():
+        exact = SpectralPropagator(h).evolve(psi0, sign * z).amplitudes
+    total = sum(step.bound for step in steps)
+    assert np.max(np.abs(state - exact)) <= total <= propagator._KRYLOV_TOL
+
+
+def _lanczos_betas(h, b, m):
+    """beta0 = |b|, beta1, ..., beta_m of Lanczos on the dense matrix h from b,
+    two Gram-Schmidt passes against every earlier vector a step."""
+    vectors, betas = [b / np.linalg.norm(b)], [np.linalg.norm(b)]
+    for _ in range(m):
+        w = h @ vectors[-1]
+        for _ in range(2):
+            basis = np.array(vectors)
+            w = w - basis.T @ (basis.conj() @ w)
+        betas.append(np.linalg.norm(w))
+        vectors.append(w / betas[-1])
+    return np.array(betas)
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e3])
+def test_each_step_certifies_the_strict_bound(norm):
+    # A complex state of norm 1e-3 or 1e3 on an untilted 400-site chain,
+    # carried to z = 60 with tolerance 1e-13: each step's bound is
+    # beta0 beta1 ... beta_m h^m / m! from Lanczos run here from the step's
+    # start, and every step that ends before the reach is as long as that
+    # bound allows, tol h / reach. (A tilt makes the late betas sensitive to
+    # rounding in the start state, so an independent run would not agree.)
+    n, far, tol = 400, 60.0, propagator._KRYLOV_TOL
+    h = build_single_particle_hamiltonian(n, KAPPA, 0.0)
+    block = propagator._Block(h.swap_block(), n)
+    rng = np.random.default_rng(5)
+    b = np.zeros(n, dtype=complex)
+    b[195:206] = rng.normal(size=11) + 1j * rng.normal(size=11)
+    b *= norm / np.linalg.norm(b)
+    steps = [step for step in block.reduced(b, far, 100, tol) if step.end < math.inf]
+    assert len(steps) >= 2
+    dense = block.swap.entries
+    for (energies, vectors, _), coeffs, start, end, bound in steps:
+        m, length = energies.size, end - start
+        betas = _lanczos_betas(dense, vectors @ coeffs, m)  # a chain's states are its sites
+        assert betas[0] == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert bound == pytest.approx(np.prod(betas) * length**m / math.factorial(m), rel=1e-9, abs=0.0)
+        assert bound == pytest.approx(tol * length / far, rel=1e-9, abs=0.0)
+
+
+def test_untilted_doublon_takes_the_cheaper_path_and_throws_no_run_away():
+    # Without a tilt nothing localizes the pair: over z = 120 its Krylov steps
+    # would cost more than the 496-state block's eigh, so after the first step
+    # the rule diagonalizes the block for the rest of the samples.
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=0.0, n_sites=31))
+    _assert_takes_the_cheaper_path(h, _pair_state("doublon", 31))
+
+
+def test_untilted_chain_takes_the_cheaper_path_and_throws_no_run_away():
+    # The untilted 400-site chain spreads to its ends by z = 120.
+    h = build_single_particle_hamiltonian(400, KAPPA, 0.0)
+    _assert_takes_the_cheaper_path(h, StateVector.delta(400, 200))
+
+
+def _assert_takes_the_cheaper_path(h, psi0):
+    runs, recording = _recorded_steps()
     plan = SpectralPropagator(h)
-    with eigh_dims() as dims:
+    block = h.swap_block().rep.size
+    with recording, eigh_dims() as dims:
         traj = plan.trajectory(psi0, 120.0, 0.5)
         far = plan.evolve(psi0, 1e6)
         again = plan.trajectory(psi0, 120.0, 0.5)
-    # one failed Lanczos run; later calls take the whole block it left, diagonalized once
-    assert reduced == [None] and dims.count(h.swap_block().rep.size) == 1
-    assert np.array_equal(again.probabilities, traj.probabilities)
+    # one Krylov run, whose every step served samples; later calls take the
+    # whole block it left, diagonalized once
+    (steps,) = runs
+    assert steps and all(0.5 <= step.end < 120.0 for step in steps)
+    assert dims.count(block) == 1 and max(d for d in dims if d != block) <= propagator._STEP_M
     with whole_blocks():
         whole = SpectralPropagator(h)
-        assert np.array_equal(traj.probabilities, whole.trajectory(psi0, 120.0, 0.5).probabilities)
+        exact = whole.trajectory(psi0, 120.0, 0.5).probabilities
         assert np.array_equal(far.amplitudes, whole.evolve(psi0, 1e6).amplitudes)
+    assert np.array_equal(again.probabilities, exact)
+    assert np.max(np.abs(traj.probabilities - exact)) <= SECTOR_TOL
 
 
-def test_far_evolve_falls_back_without_overflowing_the_defect():
-    # At z = 1e300 the defect's grid would need about 1e300 intervals: not
-    # certified, it falls back to the whole block, as if the Krylov path were
-    # off. At 1e308 the phases E z would overflow: the plan refuses that z
-    # before any eigh or Lanczos step, on either path.
+def test_far_evolve_takes_the_whole_block_without_overflowing_the_cost():
+    # At z = 1e300 Krylov steps of any length could not reach: after the first
+    # step the cost rule takes the whole block, whose phases start from z = 0
+    # as if the Krylov path were off. At 1e308 the phases E z would overflow:
+    # the plan refuses that z before any eigh or Lanczos step, on either path.
     h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=28))
     psi0 = _pair_state("doublon", 28)
     plan = SpectralPropagator(h)
@@ -957,7 +1058,7 @@ def test_krylov_state_at_short_reach_needs_few_steps():
     with eigh_dims() as dims:
         state = plan.evolve(psi0, 0.1)
         same = plan.evolve(psi0, 0.0)
-    assert max(dims) <= propagator._FIRST_CHECK
+    assert len(dims) == 2 and max(dims) <= propagator._STEP_M  # one short step each
     assert np.max(np.abs(state.amplitudes - dense_states(h, psi0, [0.1])[0])) <= SECTOR_TOL
     assert np.max(np.abs(same.amplitudes - psi0.amplitudes)) <= 1e-15
 

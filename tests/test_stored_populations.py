@@ -31,7 +31,7 @@ from fracbloch.scenario import preset_config, run_scenario, write_trajectory_csv
 from conftest import FD, KAPPA, RHO, U0
 
 #: N -> z_max: N = 15's 120-state block is diagonalized whole, N = 31's
-#: 496-state block is reduced to a Krylov space.
+#: 496-state block carries the doublon in Krylov steps.
 DOUBLONS = {15: 8.5, 31: 2.0}
 
 
@@ -43,8 +43,7 @@ def doublon(request):
     ))
     psi0 = StateVector.pair_excitation(n, n // 2, n // 2)
     traj = plan.trajectory(psi0, DOUBLONS[n], 0.01)
-    sector = plan._sector(psi0.amplitudes, DOUBLONS[n])
-    whole = sector.energies.size == sector.vectors.shape[0]
+    whole = "whole" in plan._block(psi0.amplitudes).__dict__  # else its Krylov steps
     assert whole == (n == 15)
     return n, traj
 

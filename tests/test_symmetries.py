@@ -78,8 +78,8 @@ def real_start(draw, n_sites):
 @st.composite
 def krylov_params(draw):
     """The KRYLOV_SITES lattice at rates around the paper's arrays, whose tilt
-    keeps a local start's Krylov space well below block/2, for either sign of
-    the interaction."""
+    keeps a local start in short Krylov steps, for either sign of the
+    interaction."""
     return ModelParams(
         kappa=draw(st.floats(0.5, 1.0)), kappa1=draw(st.floats(0.5, 1.5)),
         rho=draw(st.floats(-0.3, 0.3)), u0=draw(st.floats(-10.0, 10.0)),
