@@ -19,7 +19,6 @@ from .model import (
     swap_indices,
 )
 from .observables import (
-    Populations,
     boundary_population,
     breathing_width,
     diagonal_confinement,
@@ -43,7 +42,7 @@ __all__ = [
     "WaveguideArraySpec", "CouplingCalibration", "ForceCalibration",
     "waveguide_to_model", "project_single_particle_radius",
     "StateVector", "SpectralPropagator", "Trajectory", "propagate",
-    "Populations", "return_probability", "diagonal_confinement", "breathing_width",
+    "return_probability", "diagonal_confinement", "breathing_width",
     "participation_ratio", "boundary_population", "find_refocus",
 ]
 

@@ -21,8 +21,7 @@ from .errors import (
     FracblochError,
     InvalidParameterError,
 )
-from .observables import Populations
-from .propagator import DEFAULT_DIM_CAP
+from .propagator import DEFAULT_DIM_CAP, Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,26 +73,35 @@ def _cmd_presets(args) -> int:
     return EXIT_OK
 
 
+def _read_trajectory(path: str) -> tuple[Trajectory, str]:
+    """A trajectory CSV as (Trajectory, kind): the reader's arrays, checked
+    as every trajectory is, with the path before a failed check."""
+    z, probs, kind = heatmap.load_trajectory_csv(path)
+    try:
+        return Trajectory(z, probs), kind
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
+
+
 def _cmd_render(args) -> int:
-    z, probs, kind = heatmap.load_trajectory_csv(args.trajectory)
+    traj, kind = _read_trajectory(args.trajectory)
     axis = args.axis
     if axis is None:
         axis = "diagonal-vs-z" if kind == "pair" else "1d-vs-z"
     elif axis != "1d-vs-z" and kind != "pair":
         raise InvalidParameterError(f"{args.trajectory}: axis {axis} needs the square lattice "
-                                    f"of a pair trajectory, not a {probs.shape[1]}-site chain")
+                                    f"of a pair trajectory, not a {traj.dim}-site chain")
     out = args.out
     if out is None:
         stem, _ = os.path.splitext(args.trajectory)
         out = f"{stem}.pgm"
-    heatmap.render_heatmap(Populations(z, probs), axis, args.norm, out, z=args.z)
+    heatmap.render_heatmap(traj, axis, args.norm, out, z=args.z)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    z, probs, kind = heatmap.load_trajectory_csv(args.trajectory)
-    result = scenario.analyze_probabilities(z, probs, kind)
+    result = scenario.analyze_probabilities(*_read_trajectory(args.trajectory))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -573,7 +573,11 @@ class _Rows:
                 f"{self.path}: trajectory CSV holds one sample; the writer writes at least two"
             )
         self.p.resize((self.count, self.p.shape[1]), refcheck=False)
-        return np.concatenate(self.z), self.p.reshape(samples, -1), self.kind
+        self.p.shape = (samples, -1)
+        z = np.concatenate(self.z)
+        for array in (z, self.p):
+            array.setflags(write=False)
+        return z, self.p, self.kind
 
 
 class _LongRows(_Rows):
@@ -629,6 +633,9 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     fault is named. Line ends are read as universal newlines. The file is
     read once: the writer's own rows by the template and its exact parser,
     everything else by np.loadtxt, with the same values and diagnostics.
+    The arrays are read-only and own their memory, so a
+    :class:`~fracbloch.propagator.Trajectory` keeps them without a copy and
+    adds its own checks: z starts at 0, and each sample sums to 1.
     """
     with open(path, "rb") as fh:
         first = fh.readline()

@@ -4,7 +4,9 @@ Rows are site indices, columns z samples (or an N x N frame for a 2D slice).
 Per-column normalization emulates loss-compensated imaging of the light
 propagation; global normalization keeps intensities quantitatively
 comparable. Output is bit-exact across reruns; color-mapping is left to
-external tools. A pixmap is scaled, quantized and written a block of rows at
+external tools. Every image is read from a
+:class:`~fracbloch.propagator.Trajectory`, from a run or from a trajectory
+CSV read back. A pixmap is scaled, quantized and written a block of rows at
 a time from the stored populations, so rendering holds no full-size copy of
 them. The trajectory CSV reader lives in `codec`.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from .codec import load_trajectory_csv  # noqa: F401  (the CLI reads through here)
 from .errors import InvalidParameterError
 from .model import diagonal_indices, square_side
-from .observables import Populations, site_populations
+from .observables import site_populations
 
 AXES = ("1d-vs-z", "diagonal-vs-z", "full-2d-slice")
 NORMALIZATIONS = ("per-column", "global")
@@ -72,44 +74,38 @@ def write_pgm(path: str, image: np.ndarray):
     _write_p5(path, image, 1.0)
 
 
-def probability_image(
-    probs: np.ndarray,
-    axis: str,
-    z_samples: np.ndarray | None = None,
-    z: float | None = None,
-) -> np.ndarray:
-    """Assemble the raw (unnormalized) image for one axis choice.
+def probability_image(traj, axis: str, z: float | None = None) -> np.ndarray:
+    """Assemble the raw (unnormalized) image of a trajectory for one axis choice.
 
-    probs has one row per z sample. For "full-2d-slice" the frame nearest to
-    the requested z is used (the last sample when z is None); no other axis
-    takes a z. The image is a read-through view of probs where one exists
+    For "full-2d-slice" the frame nearest to the requested z is used (the
+    last sample when z is None); no other axis takes a z. Without a column
+    map the image is a read-through view of the rows where one exists
     (1d-vs-z and the slice), so it costs no copy of the populations.
     """
-    return _image(Populations(z_samples, probs), axis, z)[0]
+    image, order = _image(traj, axis, z)
+    return image if order is None else image[order]
 
 
-def _image(pops, axis: str, z: float | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The raw image of a populations record as (matrix, order): image row i
+def _image(traj, axis: str, z: float | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The raw image of a trajectory as (matrix, order): image row i
     is matrix[order[i]], or matrix[i] without an order. 1d-vs-z reads the
     stored rows through the column map, so it is a view of them."""
     if z is not None and axis != "full-2d-slice":
         raise InvalidParameterError(f"a slice z needs the full-2d-slice axis, got {axis!r}")
     if axis == "1d-vs-z":
-        return pops.rows.T, pops.column
+        return traj.rows.T, traj.column
     if axis == "diagonal-vs-z":
-        n = square_side(pops.dim)
-        return site_populations(pops, diagonal_indices(n)).T, None
+        n = square_side(traj.dim)
+        return site_populations(traj, diagonal_indices(n)).T, None
     if axis == "full-2d-slice":
         if z is None:
-            k = pops.rows.shape[0] - 1
+            k = traj.rows.shape[0] - 1
+        elif not math.isfinite(z):
+            raise InvalidParameterError(f"slice z must be finite, got {z}")
         else:
-            if pops.z_samples is None:
-                raise InvalidParameterError("z selection needs the z samples")
-            if not math.isfinite(z):
-                raise InvalidParameterError(f"slice z must be finite, got {z}")
-            k = int(np.argmin(np.abs(pops.z_samples - z)))
-        n, frame = square_side(pops.dim), pops.rows[k]
-        return (frame if pops.column is None else frame[pops.column]).reshape(n, n), None
+            k = int(np.argmin(np.abs(traj.z_samples - z)))
+        n, frame = square_side(traj.dim), traj.rows[k]
+        return (frame if traj.column is None else frame[traj.column]).reshape(n, n), None
     raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
 
 
@@ -120,8 +116,7 @@ def render_heatmap(
     path: str,
     z: float | None = None,
 ) -> str:
-    """Render a trajectory (or any populations record) to a P5 pixmap file;
-    returns the path.
+    """Render a trajectory to a P5 pixmap file; returns the path.
 
     The bytes equal write_pgm(path, normalize(probability_image(...))) of the
     whole populations, but only a block of the image is scaled at a time.

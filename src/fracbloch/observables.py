@@ -2,16 +2,17 @@
 
 Covers the quantities the experiments are judged by: population confined to
 the pair-lattice main diagonal, breathing width of the light distribution,
-and refocusing positions with the oscillation frequency they imply.
-:func:`summarize_populations` turns populations into every summary field, with
-the period policy, for both a run and the analysis of a trajectory CSV.
+and refocusing positions with the oscillation frequency they imply. Each
+reads a :class:`~fracbloch.propagator.Trajectory`, from a run or from a
+trajectory CSV read back, through its stored rows and column map.
+:func:`summarize_populations` turns one into every summary field, with the
+period policy, for both a run and the analysis of a trajectory CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,37 +32,6 @@ PEAK_PERIOD_MIN_RETURN = 0.5
 
 #: Float elements of whole population rows expanded from stored columns at a time.
 _EXPANDED_ELEMENTS = 1 << 17
-
-
-class Populations(NamedTuple):
-    """Site populations |c|^2, one row per z sample: what every observable reads.
-
-    Site s's population at z_samples[k] is rows[k, column[s]]. A swap-symmetric
-    pair trajectory stores each (n, m)/(m, n) population once, so the map sends
-    both sites to one column; without a map (None) each site is its own
-    column. A :class:`~fracbloch.propagator.Trajectory` offers the same three
-    fields; this record carries populations that come without phases, such as
-    a trajectory CSV read back from disk.
-    """
-
-    z_samples: np.ndarray
-    rows: np.ndarray
-    column: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1] if self.column is None else self.column.size
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The (samples, dim) populations, built on each read (``whole``)."""
-        return whole(self)
-
-
-def whole(pops) -> np.ndarray:
-    """The (samples, dim) populations: the stored rows themselves without a
-    column map, else a new array built from them."""
-    return pops.rows if pops.column is None else np.take(pops.rows, pops.column, axis=1)
 
 
 def site_populations(pops, sites) -> np.ndarray:
@@ -137,7 +107,7 @@ class RefocusReport:
 
 
 def return_probability(traj, site: int) -> ObservableSeries:
-    """Population of one site along a trajectory (or any populations record)."""
+    """Population of one site along a trajectory."""
     if not 0 <= site < traj.dim:
         raise InvalidParameterError(f"site {site} outside [0, {traj.dim})")
     return ObservableSeries(
@@ -165,7 +135,7 @@ def breathing_width(traj, geometry: str = "1d") -> ObservableSeries:
     confinement; samples with no diagonal population are flagged NaN.
     """
     if geometry == "1d":  # whole rows at once: BLAS rounds a row's product by the row count
-        populations = whole(traj)
+        populations = traj.rows if traj.column is None else np.take(traj.rows, traj.column, axis=1)
         coords = np.arange(traj.dim)
     elif geometry == "2d-diagonal":
         n = square_side(traj.dim)
@@ -335,26 +305,26 @@ def _refocus_summary(return_series, width_series) -> dict:
 
 
 def summarize_populations(
-    pops, pair: bool, site: int
+    traj, pair: bool, site: int
 ) -> tuple[dict, dict[str, ObservableSeries]]:
-    """Summary fields computed from site populations, with their series.
+    """Summary fields computed from a trajectory's populations, with their series.
 
-    pops carries ``z_samples``, ``rows`` and ``column`` (a Trajectory, or a
-    :class:`Populations` read back from CSV); pair selects the pair-lattice
-    geometry; site is the excitation site whose return probability drives
-    the refocus report. Both ``run`` and ``analyze`` go through here.
+    traj is a :class:`~fracbloch.propagator.Trajectory`, from a run or read
+    back from a trajectory CSV; pair selects the pair-lattice geometry; site
+    is the excitation site whose return probability drives the refocus
+    report. Both ``run`` and ``analyze`` go through here.
     """
     series: dict[str, ObservableSeries] = {
-        "return_probability": return_probability(pops, site),
-        "boundary_population": boundary_population(pops, "2d" if pair else "1d"),
-        "breathing_width": breathing_width(pops, "2d-diagonal" if pair else "1d"),
+        "return_probability": return_probability(traj, site),
+        "boundary_population": boundary_population(traj, "2d" if pair else "1d"),
+        "breathing_width": breathing_width(traj, "2d-diagonal" if pair else "1d"),
     }
     over_edge = series["boundary_population"].values > EDGE_TRUNCATION_TOL
     truncated = bool(np.any(over_edge))
     fields: dict = {  # truncation_z: the first z past the edge tolerance, if any
-        "truncation_z": float(pops.z_samples[np.argmax(over_edge)]) if truncated else None,
+        "truncation_z": float(traj.z_samples[np.argmax(over_edge)]) if truncated else None,
         "norm_max_deviation": float(
-            np.max(np.abs(per_sample(pops, lambda populations: populations.sum(axis=1)) - 1.0))
+            np.max(np.abs(per_sample(traj, lambda populations: populations.sum(axis=1)) - 1.0))
         ),
         "truncated": truncated,
         "refocus": _refocus_summary(
@@ -366,10 +336,10 @@ def summarize_populations(
         k = int(np.nanargmax(width))
         fields["breathing_width"] = {
             "max": float(width[k]),
-            "z_at_max": float(pops.z_samples[k]),
+            "z_at_max": float(traj.z_samples[k]),
         }
     if pair:
-        conf = diagonal_confinement(pops, square_side(pops.dim))
+        conf = diagonal_confinement(traj, square_side(traj.dim))
         series["diagonal_confinement"] = conf
         fields["diagonal_confinement"] = {
             "min": float(conf.values.min()),

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
 from .model import HermitianOperator, SwapBlock, flatten_index
-from .observables import return_probability, whole  # noqa: F401  (return_probability re-exported)
+from .observables import return_probability  # noqa: F401  (re-exported)
 
 #: Largest generator dimension a plan accepts by default. It bounds what
 #: grows with the dimension: a block's terms, the dense block of a
@@ -160,31 +160,34 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: the site populations |c|^2 at each of z_samples,
-    each sample's summing to 1 within 1e-12.
+    """Site populations |c|^2 sampled along z: the one record that every
+    observable, writer and renderer reads, from a run or from a trajectory
+    CSV read back. The z samples strictly increase from 0, and each sample's
+    populations are non-negative and sum to 1 within 1e-12.
 
     Site s's population at z_samples[k] is rows[k, column[s]]. A
     swap-symmetric pair state keeps the N(N+1)/2 columns of the symmetric
     block, each (n, m)/(m, n) population once; every other trajectory has no
     column map (None), and each site is its own column. ``probabilities`` is
-    the whole (samples, dim) array, built on first read.
+    the whole (samples, dim) array, built on first read. generator_id names
+    the generator of a run; populations read back from a file have none.
 
     A trajectory holds no amplitudes; ``SpectralPropagator.evolve`` gives
-    them. The rows and the map are copied unless they come as C-ordered,
-    read-only arrays that own their memory, which the trajectory then keeps
-    as they are.
+    them. The z samples, rows and map are copied unless they come as
+    C-ordered, read-only arrays that own their memory, which the trajectory
+    then keeps as they are.
     """
 
     z_samples: np.ndarray
     rows: np.ndarray
-    generator_id: str
+    generator_id: str | None = None
     column: np.ndarray | None = None
     _evolve: Callable[[float], StateVector] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        z = np.asarray(self.z_samples, dtype=float)
+        z = _kept(np.asarray(self.z_samples, dtype=float))
         if np.iscomplexobj(self.rows):
             raise InvalidParameterError("probabilities must be real populations, not amplitudes")
         rows = _kept(np.asarray(self.rows, dtype=float))
@@ -194,7 +197,6 @@ class Trajectory:
             raise InvalidParameterError(
                 "z samples must strictly increase starting at 0"
             )
-        z = z.copy()
         column = self.column
         if column is not None:
             column = _kept(np.asarray(column))
@@ -211,7 +213,6 @@ class Trajectory:
             raise InvalidParameterError(
                 f"trajectory population sum deviates from 1 by {worst:.3e}"
             )
-        z.setflags(write=False)
         object.__setattr__(self, "z_samples", z)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column", column)
@@ -220,7 +221,9 @@ class Trajectory:
     def probabilities(self) -> np.ndarray:
         """The (samples, dim) populations, read-only: the rows themselves
         without a column map, else built from them on first read."""
-        probs = whole(self)
+        if self.column is None:
+            return self.rows
+        probs = np.take(self.rows, self.column, axis=1)
         probs.setflags(write=False)
         return probs
 

@@ -32,7 +32,7 @@ from .model import (
     check_generator,
     flatten_index,
 )
-from .observables import Populations, participation_ratio, summarize_populations
+from .observables import participation_ratio, summarize_populations
 from .photonics import (
     CouplingCalibration,
     ForceCalibration,
@@ -513,16 +513,17 @@ def write_summary_json(path: str, summary: dict):
 
 
 # ---------------------------------------------------------------------------
-# Probability-matrix analysis (for `analyze` on a trajectory CSV)
+# Trajectory analysis (for `analyze` on a trajectory CSV)
 # ---------------------------------------------------------------------------
 
 
-def analyze_probabilities(z: np.ndarray, probs: np.ndarray, kind: str) -> dict:
-    """Observable summary from a (z, populations) matrix alone.
+def analyze_probabilities(traj, kind: str) -> dict:
+    """Observable summary of a trajectory's populations alone.
 
     Works on probabilities (no phases), which is all the diagnostics need;
     the excitation site is taken as the brightest site of the first sample.
     """
-    site = int(np.argmax(probs[0]))
-    fields, _ = summarize_populations(Populations(z, probs), kind == "pair", site)
+    first = traj.rows[0] if traj.column is None else traj.rows[0, traj.column]
+    site = int(np.argmax(first))
+    fields, _ = summarize_populations(traj, kind == "pair", site)
     return {"kind": kind, "excitation_site": site, **fields}

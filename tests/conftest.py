@@ -2,6 +2,8 @@
 dense pair matrices, the amplitudes that trajectories do not keep, and the
 spectral helpers that only tests use."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from fracbloch import (
     ModelParams,
     SpectralPropagator,
     StateVector,
+    Trajectory,
     build_fock_hamiltonian,
     build_single_particle_hamiltonian,
     propagate,
 )
 from fracbloch import model
 from fracbloch.model import PairOperator
-from fracbloch.observables import Populations, RefocusReport
+from fracbloch.observables import RefocusReport
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 from fracbloch.scenario import preset_config, run_scenario
 
@@ -80,7 +83,7 @@ def amplitude_rows(h, psi0, z) -> np.ndarray:
     return np.array([plan.evolve(psi0, zk).amplitudes for zk in z])
 
 
-def stored_pair_rows(z, probs, n_sites) -> Populations:
+def stored_pair_rows(z, probs, n_sites) -> Trajectory:
     """Swap-symmetric pair-lattice populations (samples, N^2) as stored rows:
     one column per site (a, b) with a <= b, read by (a, b) and by (b, a)."""
     a, b = np.triu_indices(n_sites)
@@ -88,7 +91,15 @@ def stored_pair_rows(z, probs, n_sites) -> Populations:
     column[a * n_sites + b] = column[b * n_sites + a] = np.arange(a.size)
     rows = np.asarray(probs, dtype=float)[:, a * n_sites + b]
     assert np.array_equal(rows[:, column], probs)  # symmetric under the swap
-    return Populations(z, rows, column)
+    return Trajectory(z, rows, column=column)
+
+
+def unchecked_rows(z, probs) -> SimpleNamespace:
+    """What the trajectory writer and its oracle read of a trajectory
+    (z_samples, rows, column, probabilities), without a Trajectory's checks:
+    the writer prints any doubles, so its tests feed it NaN, inf, negative and
+    unnormalized populations and any z."""
+    return SimpleNamespace(z_samples=z, rows=probs, column=None, probabilities=probs)
 
 
 def assembled_pair_terms(h: PairOperator) -> np.ndarray:

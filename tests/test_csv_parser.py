@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from fracbloch import codec
 from fracbloch.errors import InvalidParameterError
 from fracbloch.heatmap import load_trajectory_csv
-from fracbloch.observables import Populations
 from fracbloch.scenario import write_trajectory_csv
+
+from conftest import unchecked_rows
 
 
 def field(m: int, e: int) -> str:
@@ -193,8 +194,8 @@ def writer_files(tmp_path_factory) -> dict[str, bytes]:
     out = tmp_path_factory.mktemp("writer")
     files = {}
     for name, traj, model, n in (
-        ("pair", Populations(np.arange(6) * 0.25, probs), "fock", 3),
-        ("chain", Populations(np.arange(12) * 0.1, chain), "single", 4),
+        ("pair", unchecked_rows(np.arange(6) * 0.25, probs), "fock", 3),
+        ("chain", unchecked_rows(np.arange(12) * 0.1, chain), "single", 4),
     ):
         path = out / f"{name}.csv"
         write_trajectory_csv(str(path), traj, model, n)
@@ -272,12 +273,12 @@ def test_damaged_writer_output_reads_like_loadtxt(writer_files, scratch, name, c
 def _pair_file(path, z, n=3):
     """A pair file as the writer prints it, from a z column of any order."""
     probs = np.random.default_rng(n).random((len(z), n * n)) * 10.0 ** -np.arange(n * n)
-    write_trajectory_csv(str(path), Populations(np.asarray(z, float), probs), "fock", n)
+    write_trajectory_csv(str(path), unchecked_rows(np.asarray(z, float), probs), "fock", n)
 
 
 def _chain_file(path, z, n=4):
     probs = np.random.default_rng(n).random((len(z), n)) * 10.0 ** -np.arange(n)
-    write_trajectory_csv(str(path), Populations(np.asarray(z, float), probs), "single", n)
+    write_trajectory_csv(str(path), unchecked_rows(np.asarray(z, float), probs), "single", n)
 
 
 #: Three units to a chunk: the first read holds units 0-2 and finds the

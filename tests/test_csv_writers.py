@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracbloch import codec
-from fracbloch.observables import ObservableSeries, Populations
+from fracbloch.observables import ObservableSeries
 from fracbloch.scenario import write_series_csv, write_trajectory_csv
+
+from conftest import unchecked_rows
 
 _ORACLE_FMT = "{:.12e}"
 
@@ -81,7 +83,7 @@ def test_edge_values_bytes_match_oracle(tmp_path, model, n_sites):
     dim = n_sites * n_sites if model == "fock" else n_sites
     probs = np.resize(np.array(EDGE_VALUES), (4, dim))
     z = np.array([-0.0, 5e-324, 0.99999999999995, 8.5])
-    assert_trajectory_bytes_match(tmp_path, Populations(z, probs), model, n_sites)
+    assert_trajectory_bytes_match(tmp_path, unchecked_rows(z, probs), model, n_sites)
     text = (tmp_path / "new.csv").read_text(encoding="utf-8")
     assert "-0.000000000000e+00" in text and "4.940656458412e-324" in text
     assert "1.000000000000e+00" in text and "9.99999999999" not in text
@@ -109,7 +111,7 @@ def test_random_arrays_bytes_match_oracle(tmp_path_factory, model, n_sites, samp
     probs = data.draw(arrays(np.float64, (samples, dim), elements=finite_or_not))
     z = data.draw(arrays(np.float64, samples, elements=finite_or_not))
     tmp_path = tmp_path_factory.mktemp("random")
-    assert_trajectory_bytes_match(tmp_path, Populations(z, probs), model, n_sites)
+    assert_trajectory_bytes_match(tmp_path, unchecked_rows(z, probs), model, n_sites)
     series = ObservableSeries(np.arange(samples) * 0.1, probs[:, 0], "random")
     assert_series_bytes_match(tmp_path, series)
 
@@ -196,7 +198,7 @@ def test_block_edges_bytes_match_oracle(tmp_path, monkeypatch, model, n_sites, s
     dim = n_sites * n_sites if model == "fock" else n_sites
     rng = np.random.default_rng(samples * dim)
     probs = rng.random((samples, dim)) ** 8
-    pops = Populations(np.arange(samples) * 0.01, probs)
+    pops = unchecked_rows(np.arange(samples) * 0.01, probs)
     assert_trajectory_bytes_match(tmp_path, pops, model, n_sites)
     assert_series_bytes_match(tmp_path, ObservableSeries(pops.z_samples, probs[:, 0], "p"))
 
@@ -205,7 +207,7 @@ def test_fock_sample_wider_than_the_default_block_bytes_match_oracle(tmp_path):
     n_sites = 65
     assert n_sites * n_sites > codec._BLOCK  # one sample per block
     probs = np.random.default_rng(65).random((3, n_sites * n_sites)) ** 4
-    pops = Populations(np.array([0.0, 0.01, 0.02]), probs)
+    pops = unchecked_rows(np.array([0.0, 0.01, 0.02]), probs)
     assert_trajectory_bytes_match(tmp_path, pops, "fock", n_sites)
 
 
@@ -215,7 +217,7 @@ def test_mixed_exponents_and_fallbacks_in_one_block(tmp_path, model, n_sites):
               -1e-300, 9.9999999999995e-10, 5e-324, 0.123, 1e-100, 1e100, 0.99, 2.0]
     probs = np.array([values, values[::-1]])
     assert probs.size <= codec._BLOCK
-    pops = Populations(np.array([0.0, 1e-120]), probs)
+    pops = unchecked_rows(np.array([0.0, 1e-120]), probs)
     assert_trajectory_bytes_match(tmp_path, pops, model, n_sites)
     text = (tmp_path / "new.csv").read_text(encoding="ascii")
     for part in ("1.500000000000e-05", "3.000000000000e-150", "2.000000000000e+200",
@@ -229,7 +231,7 @@ def test_writer_peak_memory_does_not_grow_with_samples():
     rng = np.random.default_rng(31)
     peaks = []
     for samples in (851, 8501):
-        pops = Populations(np.arange(samples) * 0.001, rng.random((samples, 961)))
+        pops = unchecked_rows(np.arange(samples) * 0.001, rng.random((samples, 961)))
         tracemalloc.start()
         try:
             write_trajectory_csv(os.devnull, pops, "fock", 31)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracbloch import codec, heatmap
+from fracbloch import Trajectory, cli, codec, heatmap
 from fracbloch.cli import main
 from fracbloch.errors import InvalidParameterError
 from fracbloch.heatmap import (
@@ -18,7 +18,6 @@ from fracbloch.heatmap import (
     render_heatmap,
     write_pgm,
 )
-from fracbloch.observables import Populations
 from fracbloch.scenario import PRESETS
 
 from conftest import run_preset
@@ -65,11 +64,12 @@ def test_render_matches_the_whole_image_oracle(
 ):
     _, out = request.getfixturevalue(f"{run}_run")
     z_samples, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
-    image = probability_image(probs, axis, z_samples=z_samples, z=z)
+    traj = Trajectory(z_samples, probs)
+    image = probability_image(traj, axis, z=z)
     if block_rows is not None:  # every image here has an odd height: the last block is short
         monkeypatch.setattr(heatmap, "_BLOCK_ELEMENTS", block_rows * image.shape[1])
     rendered, composed = tmp_path / "rendered.pgm", tmp_path / "composed.pgm"
-    render_heatmap(Populations(z_samples, probs), axis, normalization, str(rendered), z=z)
+    render_heatmap(traj, axis, normalization, str(rendered), z=z)
     write_pgm(str(composed), normalize(image, normalization))
     want = whole_image_pgm(probs, z_samples, axis, normalization, z)
     assert rendered.read_bytes() == want
@@ -98,13 +98,32 @@ def test_reader_memory_is_bounded_by_the_populations(fig4a_run, monkeypatch):
     assert peak <= 2.5 * probs.nbytes
 
 
+@pytest.mark.parametrize("run", ["fig4a", "fig4b"])
+def test_cli_keeps_the_reader_arrays_without_a_copy(request, monkeypatch, run):
+    _, out = request.getfixturevalue(f"{run}_run")
+    read = []
+
+    def spy(path):
+        read.append(load_trajectory_csv(path))
+        return read[-1]
+
+    monkeypatch.setattr(heatmap, "load_trajectory_csv", spy)
+    traj, kind = cli._read_trajectory(str(out / "trajectory.csv"))
+    ((z, probs, read_kind),) = read
+    assert kind == read_kind and traj.column is None
+    assert traj.rows is probs and traj.z_samples is z
+    for array in (z, probs):
+        assert array.flags.owndata and array.flags.c_contiguous and not array.flags.writeable
+
+
 @pytest.mark.parametrize("normalization", heatmap.NORMALIZATIONS)
 def test_render_memory_beside_the_populations(fig4a_run, tmp_path, normalization):
     _, out = fig4a_run
     z, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    traj = Trajectory(z, probs)
     tracemalloc.start()  # traces only what the render allocates beside the populations
     try:
-        render_heatmap(Populations(z, probs), "1d-vs-z", normalization, str(tmp_path / "a.pgm"))
+        render_heatmap(traj, "1d-vs-z", normalization, str(tmp_path / "a.pgm"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,6 +11,7 @@ from fracbloch import (
     InvalidParameterError,
     ModelParams,
     StateVector,
+    Trajectory,
     boundary_population,
     breathing_width,
     build_effective_hamiltonian,
@@ -25,7 +26,6 @@ from fracbloch import (
 from fracbloch import observables, propagator
 from fracbloch.observables import (
     ObservableSeries,
-    Populations,
     RefocusReport,
     _parabolic_vertex,
     period_from_width_maximum,
@@ -146,7 +146,7 @@ def test_diagonal_width_is_defined_down_to_a_tiny_diagonal_weight(stored):
     probs[1, 0], probs[1, [1, 3]] = 1e-6, (1.0 - 1e-6) / 2
     probs[2, [2, 6]] = 0.5
     z = np.array([0.0, 0.5, 1.0])
-    pops = stored_pair_rows(z, probs, 3) if stored else Populations(z, probs)
+    pops = stored_pair_rows(z, probs, 3) if stored else Trajectory(z, probs)
     assert pops.rows.shape[1] == (6 if stored else 9)
     width = breathing_width(pops, "2d-diagonal").values
     # renormalized, the second sample's diagonal is all on (0, 0): one site from (1, 1)

@@ -372,7 +372,7 @@ def test_pgm_format_and_values(tmp_path):
 def test_uniform_state_renders_constant_image(tmp_path):
     dim = 16
     traj = Trajectory(np.array([0.0, 1.0]), np.full((2, dim), 1.0 / dim), "uniform")
-    image = normalize(probability_image(traj.probabilities, "1d-vs-z"), "global")
+    image = normalize(probability_image(traj, "1d-vs-z"), "global")
     assert np.all(image == 1.0)
 
 
@@ -380,7 +380,7 @@ def test_delta_state_single_bright_pixel():
     n = 5
     h = build_single_particle_hamiltonian(n, 0.0, 0.3)  # kappa = 0: nothing moves
     traj = propagate(h, StateVector.delta(n, 2), 1.0, 0.5)
-    image = normalize(probability_image(traj.probabilities, "1d-vs-z"), "per-column")
+    image = normalize(probability_image(traj, "1d-vs-z"), "per-column")
     first = np.rint(image[:, 0] * 65535)
     assert first[2] == 65535
     assert np.count_nonzero(first) == 1
@@ -389,7 +389,7 @@ def test_delta_state_single_bright_pixel():
 def test_full_2d_slice_brightest_at_excitation(fig4a_run, tmp_path):
     _, out = fig4a_run
     z, probs, kind = load_trajectory_csv(str(out / "trajectory.csv"))
-    image = probability_image(probs, "full-2d-slice", z_samples=z, z=6.5)
+    image = probability_image(Trajectory(z, probs), "full-2d-slice", z=6.5)
     n, m = np.unravel_index(np.argmax(image), image.shape)
     assert (n, m) == (7, 7)
 
@@ -818,6 +818,11 @@ MALFORMED_CSVS = [
     ("padded-separator", "z_cm,p0,p1\n0,\x1c1,0\n0.1,1,0\n", "could not convert"),
     ("padded-nbsp", "z_cm,p0,p1\n0,\xa01,0\n0.1,1,0\n", "could not convert"),
     ("padded-header", "z_cm,p0,p1  \n0,1,0\n0.1,1,0\n", "unrecognized trajectory CSV header"),
+    # the reader takes these; the trajectory's own checks refuse them
+    ("z-not-from-zero", "z_cm,p0,p1\n0.1,1,0\n0.2,0.5,0.5\n", "strictly increase starting at 0"),
+    ("sum-off-one", "z_cm,p0,p1\n0,1,0\n0.1,0.5,0.500000000002\n", "sum deviates from 1 by 2.0"),
+    ("sum-off-one-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
+     "0.5,0,0,0.5\n0.5,0,1,0.25\n0.5,1,0,0.25\n0.5,1,1,1e-9\n", "sum deviates from 1 by 1.0"),
 ]
 
 
@@ -1039,7 +1044,7 @@ def test_analyze_matches_summary(name, tmp_path, capsys):
 
     # the same populations give the same fields, bit for bit
     traj = _preset_trajectory(config)
-    in_memory = analyze_probabilities(traj.z_samples, traj.probabilities, kind)
+    in_memory = analyze_probabilities(traj, kind)
     assert {key: in_memory[key] for key in shared} == shared
 
     # the CSV round trip keeps 12 significant digits

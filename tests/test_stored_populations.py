@@ -24,8 +24,8 @@ from fracbloch import (
     return_probability,
 )
 from fracbloch import cli
-from fracbloch.heatmap import render_heatmap
-from fracbloch.observables import Populations, summarize_populations
+from fracbloch.heatmap import probability_image, render_heatmap
+from fracbloch.observables import summarize_populations
 from fracbloch.scenario import preset_config, run_scenario, write_trajectory_csv
 
 from conftest import FD, KAPPA, RHO, U0
@@ -49,8 +49,8 @@ def doublon(request):
 
 
 def read_everything(pops, n, out_dir) -> dict:
-    """Every series, summary field, pixmap and trajectory CSV of a pair
-    lattice's populations, as bytes."""
+    """Every series, summary field, raw image, pixmap and trajectory CSV of a
+    pair lattice's populations, as bytes."""
     out_dir.mkdir()
     site = (n // 2) * n + n // 2
     series = {
@@ -67,6 +67,7 @@ def read_everything(pops, n, out_dir) -> dict:
     read["fields"] = json.dumps(fields, sort_keys=True)
     read.update({f"summary-{k}": s.values.tobytes() for k, s in summary_series.items()})
     for axis in ("1d-vs-z", "diagonal-vs-z", "full-2d-slice"):
+        read[f"image-{axis}"] = probability_image(pops, axis).tobytes()
         for norm in ("per-column", "global"):
             path = out_dir / f"{axis}-{norm}.pgm"
             render_heatmap(pops, axis, norm, str(path))
@@ -85,7 +86,7 @@ def test_stored_rows_read_as_the_whole_populations(tmp_path, doublon):
     assert traj.rows.shape == (traj.n_samples, n * (n + 1) // 2) and traj.dim == n * n
     stored = read_everything(traj, n, tmp_path / "stored")
     assert "probabilities" not in vars(traj)  # no reader built the whole array
-    whole = read_everything(Populations(traj.z_samples, traj.probabilities), n, tmp_path / "whole")
+    whole = read_everything(Trajectory(traj.z_samples, traj.probabilities), n, tmp_path / "whole")
     assert stored.keys() == whole.keys()
     assert [key for key in stored if stored[key] != whole[key]] == []
     # each site reads its column: (a, b) and (b, a) hold one population
@@ -112,7 +113,6 @@ def test_run_analyze_and_render_never_build_the_whole_populations(tmp_path, monk
         raise AssertionError("the whole (samples, dim) populations were built")
 
     monkeypatch.setattr(Trajectory, "probabilities", property(unread))
-    monkeypatch.setattr(Populations, "probabilities", property(unread))
     made = []
     trajectory = SpectralPropagator.trajectory
 
