@@ -74,13 +74,17 @@ def _cmd_presets(args) -> int:
 
 
 def _read_trajectory(path: str) -> tuple[Trajectory, str]:
-    """A trajectory CSV as (Trajectory, kind): the reader's arrays, checked
-    as every trajectory is, with the path before a failed check."""
-    z, probs, kind = heatmap.load_trajectory_csv(path)
+    """A trajectory CSV as (Trajectory, kind): the reader's arrays, folded
+    or not, checked as every trajectory is, with the path and the first
+    line of the sample at fault before a failed check."""
+    z, rows, column, kind = heatmap.load_trajectory_csv(path)
     try:
-        return Trajectory(z, probs), kind
+        return Trajectory(z, rows, column=column), kind
     except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{path}: {exc}") from None
+        if exc.sample is None:
+            raise InvalidParameterError(f"{path}: {exc}") from None
+        lines = 1 if kind == "chain" else rows.shape[1] if column is None else column.size
+        raise InvalidParameterError(f"{path}: line {2 + exc.sample * lines}: {exc}") from None
 
 
 def _cmd_render(args) -> int:

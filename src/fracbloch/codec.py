@@ -4,11 +4,19 @@ written and read back from one `Layout` record (form, N, header, field width).
 The reader makes one pass over the file's bytes. A chunk of whole units (long-
 form samples or wide rows) that matches the layout's template holds, by the
 match, (n, m) in writer order, one z per sample and only digits in its fields,
-so its values are finite and non-negative. Its `%.12e` fields are decoded to
-the correctly rounded double (Clinger, PLDI 1990; a double-double product with
-a guard about the rounding midpoint), its populations go straight into the
-result, and only the rise of z is left to check. Other text is parsed by
-np.loadtxt and checked row by row, with the same values and diagnostics.
+so its values are finite and non-negative. A wide file's layout comes from its
+header; a long one's N from the first chunk, whose whole samples the template
+of that N then decodes. Its `%.12e` fields are decoded to the correctly
+rounded double (Clinger, PLDI 1990; a double-double product with a guard about
+the rounding midpoint), its populations go straight into the result, and only
+the rise of z is left to check. Other text is parsed by np.loadtxt and checked
+row by row, with the same values and diagnostics.
+
+A pair file's populations are kept folded, each (n, m)/(m, n) pair once in the
+swap block's order, exactly while every pair holds equal bits: the template
+decodes only the stored fields where each mirrored field holds the same text,
+and other text must decode to the same bits. At the first sample where a pair
+differs, the samples kept are unfolded and the rest are kept whole.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
+from .model import swap_sites
 
 #: A float "d.dddddddddddde-dd" as the writer prints a non-negative value
 #: below 1e100: the width of every field of the reader's templates.
@@ -45,9 +54,11 @@ class Layout(NamedTuple):
 
     def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray | None = None):
         """Write the rows of samples z, a block at a time, with site s's
-        population probs[:, column[s]] (probs[:, s] without a column map)."""
+        population probs[:, column[s]] (probs[:, s] without a column map).
+        A pair lattice's stored columns are printed once each; a chain keeps
+        no map but from a caller, and is written from the expanded columns."""
         if self.form == "wide":
-            _write_rows(fh, z, probs, column)
+            _write_rows(fh, z, probs if column is None else probs[:, column])
         else:
             labels = [f",{a},{b}," for a in range(self.n) for b in range(self.n)]
             _write_pair_rows(fh, z, probs, labels, column)
@@ -189,10 +200,10 @@ def _write_words(fh, words: np.ndarray):
     fh.write(raw[raw != 0])
 
 
-def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, column=None):
-    """Print each sample's z and columns (columns[:, column] given a column
-    map), each value followed by its code in seps, `rows` samples at a time:
-    yields each block's words, (samples, len(seps), _WORDS)."""
+def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
+    """Print each sample's z and columns, each value followed by its code in
+    seps, `rows` samples at a time: yields each block's words, (samples,
+    len(seps), _WORDS)."""
     width = len(seps)
     values = np.empty((rows, width))
     seps = np.tile(seps, rows)
@@ -201,33 +212,33 @@ def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, col
     for start in range(0, len(z), rows):
         block = values[: min(rows, len(z) - start)]
         block[:, 0] = z[start : start + len(block)]
-        block[:, 1:] = columns[start : start + len(block)] if column is None else (
-            columns[start : start + len(block), column]
-        )
+        block[:, 1:] = columns[start : start + len(block)]
         text.write(block.ravel(), seps[: block.size], words[: len(block)].reshape(-1, _WORDS))
         yield words[: len(block)]
 
 
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray, column=None):
+def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
     """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
-    seps = [_COMMA] * (columns.shape[1] if column is None else column.size) + [_NEWLINE]
+    seps = [_COMMA] * columns.shape[1] + [_NEWLINE]
     rows = max(1, min(_BLOCK // len(seps), len(z)))
-    for words in _printed(z, columns, seps, rows, column):
+    for words in _printed(z, columns, seps, rows):
         _write_words(fh, words)
 
 
 def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], column=None):
     """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a
-    time: each sample's z words are copied to its rows."""
+    time: each sample's z words are copied to its rows, and site s's words are
+    those of probs[:, column[s]], each stored column printed once."""
     dim = len(labels)
     samples = max(1, min(_BLOCK // (dim + 1), len(z)))
     labels = _words(labels, -(-len(labels[-1]) // 4))
     rows = np.empty((samples, dim, 2 * _WORDS + labels.shape[1]), np.uint32)
     rows[:, :, _WORDS:-_WORDS] = labels
-    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * dim, samples, column):
+    sites = slice(1, None) if column is None else 1 + column  # of each row's words
+    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * probs.shape[1], samples):
         block = rows[: len(words)]
         block[:, :, :_WORDS] = words[:, :1]
-        block[:, :, -_WORDS:] = words[:, 1:]
+        block[:, :, -_WORDS:] = words[:, sites]
         _write_words(fh, block)
 
 
@@ -362,12 +373,18 @@ def _decode(records: np.ndarray) -> np.ndarray | None:
 
 
 class _Template:
-    """A layout's unit of rows, tiled for the most whole units a chunk holds.
+    """A layout's unit of rows, and how many whole units a chunk holds.
 
     `decode` takes whole units and returns each unit's fields, or None unless
-    every byte outside the fields equals the template (one masked compare of
-    uint64 words), each z copy repeats its unit's z, and every field is the
-    writer's form, exactly decoded.
+    every byte outside the fields equals the template (one masked compare
+    over the units), each z copy repeats its unit's z, and every field is
+    the writer's form, exactly decoded. A pair lattice's fields are z and
+    the stored sites (a, b), a <= b, in the swap block's order; the mirror
+    (b, a) of each off-diagonal one is compared with its stored field's
+    record and decoded only where it differs. While `folding`, units whose
+    every mirror holds its stored field's bits come back folded, z and the
+    stored fields; other units come back whole, z and every site's field in
+    writer order.
     """
 
     def __init__(self, layout: Layout):
@@ -375,27 +392,31 @@ class _Template:
         unit = np.frombuffer(text, np.uint8)
         self.size, self.units = unit.size, _READ_CHUNK // unit.size
         # the bytes of each field's and each copy's record within a unit
-        self.fields, self.copies = (
-            np.add.outer(np.array(at, int), _RECORD).ravel() for at in (fields, copies)
-        )
-        fixed = np.full(self.size, 0xFF, np.uint8)
-        fixed[np.concatenate([self.fields, self.copies])] = 0
-        pad = np.zeros(8 + -(self.units * self.size) % 8, np.uint8)
-        self.mask = np.concatenate([np.tile(fixed, self.units), pad]).view(_U)
-        self.fixed = np.concatenate([np.tile(unit, self.units), pad]).view(_U) & self.mask
-        self.scratch = np.empty_like(self.mask)  # a fresh one per chunk costs more than the compare
+        records = np.add.outer(np.array(fields, int), _RECORD)
+        self.copies = np.add.outer(np.array(copies, int), _RECORD).ravel()
+        self.mask = np.full(self.size, 0xFF, np.uint8)
+        self.mask[records] = self.mask[self.copies] = 0
+        self.fixed = unit & self.mask
+        self.folding, self.mirrors = layout.form == "long", None
+        if self.folding:
+            rep, partner = swap_sites(layout.n)
+            mirrored = rep != partner
+            self.rep, self.mirror = rep, partner[mirrored]
+            self.pairs = 1 + np.flatnonzero(mirrored)  # the stored fields with a mirror
+            self.mirrors = records[1 + self.mirror].ravel()
+            records = records[np.r_[0, 1 + rep]]
+        self.fields = records.ravel()
 
     def decode(self, buf: np.ndarray, n: int) -> np.ndarray | None:
         """(units, fields) floats of buf[:n], or None where a byte or a value is not proved."""
         units, rest = divmod(n, self.size)
         if rest:
             return None
-        words = -(-n // 8)
-        buf[n : 8 * words] = self.fixed.view(np.uint8)[n : 8 * words]  # pad the last word to match
-        masked = np.bitwise_and(buf[: 8 * words].view(_U), self.mask[:words], self.scratch[:words])
-        if not np.array_equal(masked, self.fixed[:words]):
-            return None
         unit = buf[:n].reshape(units, -1)
+        other = unit & self.mask
+        other ^= self.fixed
+        if other.max():
+            return None
         fields, copies = (  # in range; "wrap" is the fastest mode
             np.take(unit, at, axis=1, mode="wrap").view(_U).reshape(units, -1, 2)
             for at in (self.fields, self.copies)
@@ -403,7 +424,28 @@ class _Template:
         if not (copies == fields[:, :1]).all():
             return None
         values = _decode(fields.reshape(-1, 2))
-        return None if values is None else values.reshape(units, -1)
+        if values is None:
+            return None
+        values = values.reshape(units, -1)
+        return values if self.mirrors is None else self._mirrored(unit, fields, values)
+
+    def _mirrored(self, unit: np.ndarray, fields: np.ndarray, values: np.ndarray):
+        """Pair-lattice units' values, folded or whole, from their stored
+        fields' records and values and the mirrors' bytes in unit."""
+        mirrors = np.take(unit, self.mirrors, axis=1, mode="wrap").view(_U).reshape(len(unit), -1, 2)
+        stored = fields[:, self.pairs]
+        at, k = np.nonzero((mirrors[..., 0] != stored[..., 0]) | (mirrors[..., 1] != stored[..., 1]))
+        other = _decode(mirrors[at, k]) if at.size else values[:0, 0]
+        if other is None:
+            return None
+        if self.folding and np.array_equal(other.view(_U), values[at, self.pairs[k]].view(_U)):
+            return values
+        whole = np.empty((len(values), 1 + self.rep.size + self.mirror.size))
+        whole[:, 0] = values[:, 0]
+        whole[:, 1 + self.rep] = values[:, 1:]
+        whole[:, 1 + self.mirror] = values[:, self.pairs]
+        whole[at, 1 + self.mirror[k]] = other
+        return whole
 
 
 def _is_number(field: str) -> bool:
@@ -433,9 +475,9 @@ def _first_fault(lines: list[str], width: int) -> tuple[int, str] | None:
 
 class _Rows:
     """The data rows of an open trajectory CSV, read and checked in file order
-    (a row per sample unless a subclass says otherwise). Keeps only each
-    sample's z and the population columns; z stays the same within a sample
-    and strictly increases at each sample's first row.
+    (a row per sample unless a subclass says otherwise). Keeps each sample's
+    z and its populations; z stays the same within a sample and strictly
+    increases at each sample's first row.
     """
 
     #: Index of the first population column, and the kind of trajectory.
@@ -443,6 +485,8 @@ class _Rows:
     #: The template of the rows ahead once the layout is known, and a unit's rows.
     template: _Template | None = None
     unit_rows = 1
+    #: The site -> stored column map of the samples kept, if they are folded.
+    column: np.ndarray | None = None
 
     def __init__(self, path: str, fh, width: int):
         self.path, self.fh, self.width = path, fh, width
@@ -450,32 +494,39 @@ class _Rows:
         self.count = 0  # rows accepted so far
         self.last = -np.inf  # z of the last accepted row
         self.z: list[np.ndarray] = []
-        self.p = np.empty((0, width - self.populations))
+        self.p = np.empty((0, width - self.populations))  # the samples kept, in p[:kept]
+        self.kept = 0
 
     def _layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows that start a sample, rows out of writer order) of a chunk."""
         return np.ones(len(rows), bool), np.zeros(len(rows), bool)
 
-    def known(self, layout: Layout, rows: int):
-        """Take the layout's template where a unit fits in a chunk, and size the
-        populations for `rows` rows and whole units from there to the end of
-        the file: exact for the writer's text, where other text grows them."""
-        if not (template := _Template(layout)).units:
+    def known(self, template: _Template, rows: int, at: int):
+        """Take the template where a unit fits in a chunk, and size the samples
+        for `rows` rows and the whole units from file offset `at`, where row
+        `rows` starts, to the end of the file: exact for the writer's text,
+        where other text grows them."""
+        if not template.units:
             return
         self.template = template
         done, site = divmod(rows, self.unit_rows)
-        ahead = (self.bytes - self.fh.tell() + template.starts[site]) // template.size
-        self.p.resize((max(rows, (done + ahead) * self.unit_rows), self.p.shape[1]), refcheck=False)
+        ahead = (self.bytes - at + template.starts[site]) // template.size
+        self.p.resize((max(self.kept, done + ahead), self.p.shape[1]), refcheck=False)
 
     def next_read(self) -> tuple[int, _Template | None]:
-        """Bytes to read next, and the template to decode them with or None:
-        whole units, or the rows up to the next unit's start on their own."""
+        """Bytes to hold next, the carried ones included, and the template to
+        decode them with or None: whole units, or the rows up to the next
+        unit's start on their own."""
         template = self.template
         if template is None:
             return _READ_CHUNK, None
         if site := self.count % self.unit_rows:
             return template.size - template.starts[site], None
         return template.units * template.size, template
+
+    def opening(self, buf: np.ndarray, n: int) -> int:
+        """Bytes of the first chunk decoded before its layout is known: none here."""
+        return 0
 
     def read(self):
         """Read the data rows after the header, a chunk into one buffer at a time.
@@ -486,11 +537,17 @@ class _Rows:
         is an error at its line, like any line that does not parse. It is
         raised after the rows before it were added, so the first fault is named.
         """
-        buf = np.empty(_READ_CHUNK + 8, np.uint8)
+        buf = np.empty(_READ_CHUNK, np.uint8)
+        carry = 0  # bytes of the next unit already at the start of the buffer
         while True:
             size, template = self.next_read()
-            if not (n := self.fh.readinto(buf[:size])):
+            n, carry = carry + self.fh.readinto(buf[carry:size]), 0
+            if not n:
                 return
+            if template is None and not self.count and (done := self.opening(buf, n)):
+                carry = n - done
+                buf[:carry] = buf[done:n]
+                continue
             values = None if template is None else template.decode(buf, n)
             if values is not None:
                 self._accept(values)
@@ -537,6 +594,11 @@ class _Rows:
             raise self._error(row, faults[k][1])
         self._keep(rows[:, self.populations:], z[starts], z[-1])
 
+    def _keep(self, populations: np.ndarray, z: np.ndarray, last: float):
+        """Keep rows that passed the row-wise checks."""
+        self._store(populations)
+        self._advance(len(populations), z, last)
+
     def _accept(self, values: np.ndarray):
         """Keep whole units that the template decoded. The match proved all that
         the row-wise checks check but the rise of z at each unit's first row."""
@@ -545,15 +607,20 @@ class _Rows:
         if not rises.all():
             row = int(np.argmin(rises)) * self.unit_rows
             raise self._error(row, "z_cm does not strictly increase")
-        self._keep(values[:, 1:], z.copy(), z[-1])
+        self._store(values[:, 1:])
+        self._advance(len(values) * self.unit_rows, z.copy(), z[-1])
 
-    def _keep(self, populations: np.ndarray, z: np.ndarray, last: float):
-        end = self.count + populations.size // self.p.shape[1]
+    def _advance(self, rows: int, z: np.ndarray, last: float):
+        self.count, self.last = self.count + rows, last
+        self.z.append(z)
+
+    def _store(self, samples: np.ndarray):
+        """Keep whole samples."""
+        end = self.kept + len(samples)
         if end > len(self.p):  # no template yet, or text shorter than the template's
             self.p.resize((2 * end, self.p.shape[1]), refcheck=False)
-        self.p[self.count:end].reshape(populations.shape)[...] = populations
-        self.count, self.last = end, last
-        self.z.append(z)
+        self.p[self.kept : end] = samples
+        self.kept = end
 
     def _error(self, row: int, reason: str) -> InvalidParameterError:
         """The error at a row of the current chunk; the header is line 1."""
@@ -563,8 +630,8 @@ class _Rows:
         """How many samples the accepted rows hold."""
         return self.count
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, str]:
-        """(z, probabilities, kind) of a file whose rows have all been read."""
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str]:
+        """(z, populations, column, kind) of a file whose rows have all been read."""
         samples = self._samples()
         if samples == 0:
             raise InvalidParameterError(f"{self.path}: trajectory CSV holds no samples")
@@ -572,24 +639,61 @@ class _Rows:
             raise InvalidParameterError(
                 f"{self.path}: trajectory CSV holds one sample; the writer writes at least two"
             )
-        self.p.resize((self.count, self.p.shape[1]), refcheck=False)
-        self.p.shape = (samples, -1)
+        self.p.resize((samples, self.p.shape[1]), refcheck=False)
         z = np.concatenate(self.z)
         for array in (z, self.p):
             array.setflags(write=False)
-        return z, self.p, self.kind
+        return z, self.p, self.column, self.kind
+
+
+def _fits(n: int) -> bool:
+    """Whether an N x N sample fits in a chunk: a row holds two fields and at
+    least 6 bytes."""
+    return (2 * len(_FIELD) + 6) * n * n <= _READ_CHUNK
 
 
 class _LongRows(_Rows):
     """Long form z_cm,n,m,probability: whole N x N samples in writer order.
-    N is the row where n first leaves 0; the rows before it are checked
-    without N (n = 0 and m = row)."""
+    N is the row of the first ",1,0," label in the first chunk, if the
+    template of that N decodes the chunk's whole samples; else it is the row
+    where n first leaves 0, and the rows before it are checked without N
+    (n = 0 and m = row). Samples are kept folded, each (a, b)/(b, a) pair's
+    population once, while every pair holds equal bits; at the first sample
+    where one does not, those kept are unfolded and the rest kept whole."""
 
     populations, kind = 3, "pair"
 
     def __init__(self, path: str, fh):
         super().__init__(path, fh, 4)
         self.n: int | None = None
+        self.pending: list[np.ndarray] = []  # row-wise populations of no whole sample yet
+
+    def _take(self, n: int):
+        """Take N, and the stored columns of the samples kept from now on."""
+        self.n, self.unit_rows = n, n * n
+        self.rep, self.partner = swap_sites(n)
+        self.column = np.empty(n * n, dtype=np.intp)
+        self.column[self.rep] = self.column[self.partner] = np.arange(self.rep.size)
+        self.column.setflags(write=False)
+        self.p = np.empty((0, self.rep.size))
+
+    def opening(self, buf, n):
+        """Decode the whole samples that start the first chunk by the template
+        of the N that its first ",1,0," label gives; returns their bytes, or 0
+        where there is no such N or the template refuses them."""
+        label = buf[:n].tobytes().find(b",1,0,")
+        first = int(np.count_nonzero(buf[: max(label, 0)] == ord("\n")))
+        if label < 0 or first < 2 or not _fits(first):
+            return 0
+        template = _Template(Layout.of("long", first))
+        whole = n - n % template.size
+        values = template.decode(buf, whole) if whole else None
+        if values is None:
+            return 0
+        self._take(first)
+        self.known(template, 0, self.fh.tell() - n)
+        self._accept(values)
+        return whole
 
     def _layout(self, rows):
         index = self.count + np.arange(rows.shape[0])
@@ -597,16 +701,46 @@ class _LongRows(_Rows):
             moved = rows[:, 1] != 0
             first = self.count + int(np.argmax(moved))
             if moved.any() and first >= 2:  # else that row is out of order
-                self.n, self.unit_rows = first, first * first
-                layout = Layout.of("long", first)  # a row holds two fields and at least 6 bytes
-                if (2 * layout.width + 6) * self.unit_rows <= _READ_CHUNK:  # a sample fits a chunk
-                    self.known(layout, self.count + len(rows))
+                self._take(first)
+                if _fits(first):
+                    template = _Template(Layout.of("long", first))
+                    self.known(template, self.count + len(rows), self.fh.tell())
         if self.n is None:
             n_want, m_want, starts = 0, index, index == 0
         else:
             site = index % self.unit_rows
             (n_want, m_want), starts = np.divmod(site, self.n), site == 0
         return starts, (rows[:, 1] != n_want) | (rows[:, 2] != m_want)
+
+    def _keep(self, populations, z, last):
+        """Hold row-wise rows until they complete samples."""
+        self._advance(len(populations), z, last)
+        self.pending.append(populations.ravel())
+        if self.n is not None:
+            rows = np.concatenate(self.pending)
+            whole = len(rows) - len(rows) % self.unit_rows
+            self.pending = [rows[whole:].copy()]
+            if whole:
+                self._store(rows[:whole].reshape(-1, self.unit_rows))
+
+    def _store(self, samples):
+        """Keep samples, folded or whole: whole ones fold while every (a, b)
+        population holds the bits of its (b, a) one."""
+        if self.column is not None and samples.shape[1] == self.unit_rows:
+            bits = samples.view(_U)
+            if np.array_equal(bits[:, self.rep], bits[:, self.partner]):
+                samples = samples[:, self.rep]
+            else:
+                self._unfold()
+        super()._store(samples)
+
+    def _unfold(self):
+        """Expand the samples kept so far, and keep whole samples from here on."""
+        whole = np.empty((len(self.p), self.unit_rows))
+        np.take(self.p[: self.kept], self.column, axis=1, out=whole[: self.kept])
+        self.p, self.column = whole, None
+        if self.template is not None:
+            self.template.folding = False
 
     def _samples(self):
         if self.count and (self.n is None or self.count % self.unit_rows):
@@ -616,8 +750,10 @@ class _LongRows(_Rows):
         return self.count // self.unit_rows
 
 
-def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
-    """Read a trajectory CSV back as (z, probabilities, kind).
+def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str]:
+    """Read a trajectory CSV back as (z, rows, column, kind): site s's
+    population at z[k] is rows[k, column[s]], or rows[k, s] where column is
+    None.
 
     Accepts both writer layouts: long form "z_cm,n,m,probability" (pair
     lattice, kind "pair") and wide form "z_cm,p0,...,p{N-1}" (chain, kind
@@ -633,7 +769,13 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     fault is named. Line ends are read as universal newlines. The file is
     read once: the writer's own rows by the template and its exact parser,
     everything else by np.loadtxt, with the same values and diagnostics.
-    The arrays are read-only and own their memory, so a
+
+    A pair file is folded exactly when every (n, m) population holds the
+    bits of its (m, n) one: rows then keeps each pair once, the N(N+1)/2
+    columns of the swap block in its order, and column is the site -> column
+    map of a run of a swap-symmetric state. Otherwise, and for a chain,
+    rows holds every site's population and column is None. The arrays are
+    read-only and own their memory, so a
     :class:`~fracbloch.propagator.Trajectory` keeps them without a copy and
     adds its own checks: z starts at 0, and each sample sums to 1.
     """
@@ -651,7 +793,7 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, str]:
         elif len(columns) > 2 and header == (wide := Layout.of("wide", len(columns) - 1)).header:
             rows = _Rows(path, fh, len(columns))
             if (wide.width + 1) * len(columns) <= _READ_CHUNK:  # else a row is longer than a chunk
-                rows.known(wide, 0)
+                rows.known(_Template(wide), 0, fh.tell())
         else:
             raise InvalidParameterError(
                 f"{path}: line 1: unrecognized trajectory CSV header {header!r}"

@@ -8,12 +8,14 @@ class FracblochError(Exception):
 class InvalidParameterError(FracblochError, ValueError):
     """A physical or structural parameter violates its contract.
 
-    field names the one record field at fault, when a single field is.
+    field names the one record field at fault, when a single field is, and
+    sample the index of the z sample at fault, when one is.
     """
 
-    def __init__(self, message: str, field: str | None = None):
+    def __init__(self, message: str, field: str | None = None, sample: int | None = None):
         super().__init__(message)
         self.field = field
+        self.sample = sample
 
 
 class SingularParameterError(InvalidParameterError):

@@ -383,8 +383,7 @@ class PairOperator:
         1/sqrt 2 on the main diagonal, 1 off it.
         """
         n = self.params.n_sites
-        a, b = np.triu_indices(n)
-        rep, partner = a * n + b, b * n + a
+        rep, partner = swap_sites(n)
         size = rep.size
         lattice = self.lattice_block()
         state = np.empty(n * n, dtype=np.intp)
@@ -402,10 +401,10 @@ class PairOperator:
         same, swapped = np.where(lattice_keys[at] == wanted, lattice.values[at], 0.0)
         values = same + swapped
         # the row scale g_I, then the column scale g_J; g = 1 leaves a term as it is
-        g = np.where(a == b, math.sqrt(0.5), 1.0)
+        g = np.where(rep == partner, math.sqrt(0.5), 1.0)
         values *= g[i]
         values *= g[j]
-        weight = np.where(a == b, 1.0, math.sqrt(0.5))
+        weight = np.where(rep == partner, 1.0, math.sqrt(0.5))
         return SwapBlock(rep, partner, weight, i, j, values)
 
     def lattice_block(self) -> SwapBlock:
@@ -456,6 +455,13 @@ def build_effective_hamiltonian(params: ModelParams) -> ChainOperator:
     check_generator(params, "effective")
     hopping = kappa_eff(params.kappa, params.rho, params.u0)
     return ChainOperator(params.n_sites, hopping, 2.0 * params.fd)
+
+
+def swap_sites(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rep, partner) of the swap-symmetric block's states in their order:
+    state I is the pair of sites (a, b) and (b, a), a <= b, by np.triu_indices."""
+    a, b = np.triu_indices(n_sites)
+    return a * n_sites + b, b * n_sites + a
 
 
 def swap_indices(n_sites: int) -> np.ndarray:

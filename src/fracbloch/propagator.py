@@ -193,9 +193,11 @@ class Trajectory:
         rows = _kept(np.asarray(self.rows, dtype=float))
         if z.ndim != 1 or rows.ndim != 2 or rows.shape[0] != z.size:
             raise InvalidParameterError("need one population row per z sample")
-        if z.size == 0 or z[0] != 0.0 or np.any(np.diff(z) <= 0):
+        rises = np.r_[z[:1] == 0.0, np.diff(z) > 0]  # from 0, each z above the one before
+        if not (z.size and rises.all()):
             raise InvalidParameterError(
-                "z samples must strictly increase starting at 0"
+                "z samples must strictly increase starting at 0",
+                sample=int(np.argmin(rises)) if z.size else None,
             )
         column = self.column
         if column is not None:
@@ -208,10 +210,12 @@ class Trajectory:
             raise InvalidParameterError(f"populations must be non-negative, found {lowest}")
         # a stored column counts once for each site that reads it
         sums = rows.sum(axis=1) if column is None else rows @ np.bincount(column, minlength=rows.shape[1])
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if not worst <= _NORM_TOL:  # an infinite population fails here
+        deviation = np.abs(sums - 1.0)
+        worst = int(np.argmax(deviation))
+        if not deviation[worst] <= _NORM_TOL:  # an infinite population fails here
             raise InvalidParameterError(
-                f"trajectory population sum deviates from 1 by {worst:.3e}"
+                f"trajectory population sum deviates from 1 by {deviation[worst]:.3e}",
+                sample=worst,
             )
         object.__setattr__(self, "z_samples", z)
         object.__setattr__(self, "rows", rows)

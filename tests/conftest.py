@@ -19,6 +19,7 @@ from fracbloch import (
     propagate,
 )
 from fracbloch import model
+from fracbloch.codec import load_trajectory_csv
 from fracbloch.model import PairOperator
 from fracbloch.observables import RefocusReport
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
@@ -92,6 +93,13 @@ def stored_pair_rows(z, probs, n_sites) -> Trajectory:
     rows = np.asarray(probs, dtype=float)[:, a * n_sites + b]
     assert np.array_equal(rows[:, column], probs)  # symmetric under the swap
     return Trajectory(z, rows, column=column)
+
+
+def read_whole(path) -> tuple[np.ndarray, np.ndarray, str]:
+    """A trajectory CSV read back as (z, the whole (samples, dim) populations,
+    kind), folded rows expanded through their column map."""
+    z, rows, column, kind = load_trajectory_csv(str(path))
+    return z, rows if column is None else rows[:, column], kind
 
 
 def unchecked_rows(z, probs) -> SimpleNamespace:

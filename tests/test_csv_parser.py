@@ -4,13 +4,16 @@ against the reader without it (np.loadtxt only) on damaged writer output, and
 what a template match spares: the row-wise checks and a second read."""
 
 import contextlib
+import functools
 import io
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbloch import codec
+from fracbloch import ModelParams, StateVector, build_fock_hamiltonian, codec, propagate
 from fracbloch.errors import InvalidParameterError
 from fracbloch.heatmap import load_trajectory_csv
 from fracbloch.scenario import write_trajectory_csv
@@ -174,8 +177,8 @@ def test_reader_returns_strtod_values_through_the_parser_and_its_fallback(tmp_pa
     body = "".join(f"{r:.12e},{','.join(row)}\n" for r, row in enumerate(rows))
     csv.write_text(f"{header}\n{body}", encoding="ascii")
     with decoded_chunks() as accepted:
-        z, probs, kind = load_trajectory_csv(str(csv))
-    assert kind == "chain" and np.array_equal(z, np.arange(len(rows)))
+        z, probs, column, kind = load_trajectory_csv(str(csv))
+    assert kind == "chain" and column is None and np.array_equal(z, np.arange(len(rows)))
     assert np.array_equal(bits(probs.ravel()), bits([float(t) for t in texts]))
     assert any(accepted) and not all(accepted)
 
@@ -210,10 +213,10 @@ def scratch(tmp_path_factory):
 
 def _outcome(path):
     try:
-        z, probs, kind = load_trajectory_csv(str(path))
+        z, rows, column, kind = load_trajectory_csv(str(path))
     except InvalidParameterError as exc:
         return str(exc)
-    return z.tobytes(), probs.tobytes(), probs.shape, kind
+    return z.tobytes(), rows.tobytes(), rows.shape, column if column is None else column.tobytes(), kind
 
 
 def _outcomes(path, chunk):
@@ -236,10 +239,9 @@ def test_parser_reads_the_writer_output_like_loadtxt(writer_files, scratch, name
     with decoded_chunks() as accepted:
         with_parser, loadtxt_only = _outcomes(scratch, chunk)
     assert not isinstance(with_parser, str) and with_parser == loadtxt_only
-    # a pair file's first chunk finds N; a chunk of 1 << 18 holds the whole file
+    # every chunk that holds a unit is decoded, a pair file's first one too
     unit = {"pair": 9 * 42, "chain": 5 * 19}[name]  # bytes of a sample, a row
-    parsed = chunk >= unit and (name == "chain" or chunk < len(writer_files[name]))
-    assert all(accepted) and (len(accepted) > 0) == parsed
+    assert all(accepted) and (len(accepted) > 0) == (chunk >= unit)
 
 
 BYTES = st.one_of(st.sampled_from(b"0123456789.e+-,\n\r \t#x\xff"), st.integers(0, 255))
@@ -281,17 +283,16 @@ def _chain_file(path, z, n=4):
     write_trajectory_csv(str(path), unchecked_rows(np.asarray(z, float), probs), "single", n)
 
 
-#: Three units to a chunk: the first read holds units 0-2 and finds the
-#: layout, then the template takes units 3-5, 6-8 and 9-11.
+#: Three units to a chunk: the template takes units 0-2 (a pair file's N from
+#: its first ",1,0," label), then 3-5, 6-8 and 9-11.
 UNITS_PER_CHUNK = 3
 #: (rows, bytes, writer) of a unit of each form.
 UNITS = {"pair": (9, 378, _pair_file), "chain": (1, 95, _chain_file)}
 
 
 @pytest.mark.parametrize("kind", sorted(UNITS))
-# the first unit after the row-wise chunk, the first unit of a chunk after a
-# proved chunk (its z is compared across the chunk edge), and a unit in the
-# middle of a proved chunk
+# the first unit of the second chunk, the first unit of a later chunk (its z
+# is compared across the chunk edge), and a unit in the middle of a chunk
 @pytest.mark.parametrize("fault", [3, 6, 7], ids=["first-proved", "chunk-edge", "middle"])
 @pytest.mark.parametrize("repeat", [True, False], ids=["equal", "lower"])
 def test_z_fault_in_a_proved_chunk_reads_like_loadtxt(scratch, kind, fault, repeat):
@@ -326,21 +327,22 @@ def test_proved_chunks_skip_the_row_wise_checks(scratch, monkeypatch, kind):
     monkeypatch.setattr(codec, "_READ_CHUNK", UNITS_PER_CHUNK * unit_bytes)
     calls = _row_wise_rows(monkeypatch)
     with decoded_chunks() as accepted:
-        z, probs, _ = load_trajectory_csv(str(scratch))
+        z, probs, _, _ = load_trajectory_csv(str(scratch))
     assert np.array_equal(z, np.arange(12) * 0.25) and len(probs) == 12
-    # a chain file's template comes from its header; a pair file's from its first chunk
-    assert calls == ([] if kind == "chain" else [UNITS_PER_CHUNK * unit_rows])
-    assert accepted == [True] * (4 if kind == "chain" else 3)
+    # a chain file's template comes from its header; a pair file's from the
+    # first ",1,0," label of its first chunk, which the template decodes too
+    assert calls == []
+    assert accepted == [True] * 4
 
 
-def test_preset_takes_the_row_wise_checks_only_before_its_template(fig4a_run, monkeypatch):
+def test_preset_is_decoded_by_its_template_from_the_first_byte(fig4a_run, monkeypatch):
     _, out = fig4a_run
     calls = _row_wise_rows(monkeypatch)
     with decoded_chunks() as accepted:
-        _, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
-    # the first read finds N = 15; the rest of its sample is read on its own
-    assert len(calls) == 2 and sum(calls) % 225 == 0 and sum(calls) < probs.size
-    assert len(accepted) > 0 and all(accepted)
+        z, rows, column, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    assert calls == [] and len(accepted) > 0 and all(accepted)
+    # the swap-symmetric run reads back folded: 120 stored columns for 225 sites
+    assert rows.shape == (z.size, 120) and column.shape == (225,)
 
 
 class _CountingFile(io.FileIO):
@@ -390,4 +392,121 @@ def test_sample_longer_than_a_chunk_is_read_whole(scratch, monkeypatch, chunk):
     with decoded_chunks() as accepted:
         got = load_trajectory_csv(str(scratch))
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and got[1].shape == (5, 121)
-    assert len(accepted) == (4 if chunk == 5104 else 0)  # the samples after the first read
+    assert len(accepted) == (5 if chunk == 5104 else 0)  # every sample, or none
+
+
+# --- a pair file read back folded -------------------------------------------
+
+
+@functools.cache
+def run_column(n: int) -> np.ndarray:
+    """The site -> column map of a run of a swap-symmetric pair state."""
+    params = ModelParams(kappa=0.95, rho=0.3, u0=-4.0, fd=0.4833, n_sites=n)
+    psi0 = StateVector.pair_excitation(n, n // 2, n // 2)
+    return propagate(build_fock_hamiltonian(params), psi0, 0.1, 0.1).column
+
+
+def _symmetric_populations(rng, samples: int, n: int) -> np.ndarray:
+    """(samples, N^2) populations over many exponents, each (a, b) equal to (b, a)."""
+    upper = np.triu(rng.random((samples, n, n)) ** 4 * 10.0 ** -rng.integers(0, 40, (samples, n, n)))
+    return (upper + np.triu(upper, 1).transpose(0, 2, 1)).reshape(samples, n * n)
+
+
+def _edit_end(path, line: int, old: str, new: str):
+    """Replace the end `old` of a file line (0 is the header) by `new`."""
+    lines = path.read_bytes().split(b"\n")
+    assert lines[line].endswith(old.encode()), lines[line]
+    lines[line] = lines[line][: -len(old)] + new.encode()
+    path.write_bytes(b"\n".join(lines))
+
+
+#: How a pair file is made: mirrored populations that are equal, differ in the
+#: first sample or only in the last one, differ in text but not in bits
+#: (e+00 against e-00), differ in the sign of a zero, or printed by repr, so
+#: that the template matches no chunk.
+FOLD_CASES = ["symmetric", "first", "late", "exponent-zero", "signed-zero", "row-wise"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(FOLD_CASES),
+    n=st.integers(2, 6),
+    samples=st.integers(2, 8),
+    units=st.integers(1, 3),
+    offset=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pair_file_folds_exactly_when_every_mirror_holds_equal_bits(
+    scratch, case, n, samples, units, offset, seed, data
+):
+    rng = np.random.default_rng(seed)
+    if case == "late":
+        samples = max(samples, units + 1)  # the last sample starts a later chunk
+    probs = _symmetric_populations(rng, samples, n)
+    a = data.draw(st.integers(0, n - 2))
+    b = data.draw(st.integers(a + 1, n - 1))
+    k = {"first": 0, "late": samples - 1}.get(case, data.draw(st.integers(0, samples - 1)))
+    site, mirror = a * n + b, b * n + a
+    if case in ("first", "late"):  # the same digits a decade off: only the exponent differs
+        probs[k, mirror] = probs[k, site] * (10.0 if probs[k, site] < 0.1 else 0.1)
+    elif case in ("exponent-zero", "signed-zero"):
+        probs[k, site] = 0.0
+        probs[k, mirror] = -0.0 if case == "signed-zero" else 0.0
+    z = np.arange(samples) * 0.25
+    symmetric = case != "row-wise" or data.draw(st.booleans())
+    if not symmetric:
+        probs[k, mirror] = probs[k, site] / 3 + 0.5
+    if case == "row-wise":
+        zs, ps = z.tolist(), probs.tolist()
+        text = "".join(
+            f"{zs[s]!r},{i // n},{i % n},{ps[s][i]!r}\n" for s in range(samples) for i in range(n * n)
+        )
+        scratch.write_text("z_cm,n,m,probability\n" + text, encoding="ascii")
+    else:
+        write_trajectory_csv(str(scratch), unchecked_rows(z, probs), "fock", n)
+    if case == "exponent-zero":
+        _edit_end(scratch, 1 + k * n * n + mirror, "e+00", "e-00")
+    table = np.loadtxt(str(scratch), delimiter=",", skiprows=1, ndmin=2)  # the parent reader's arrays
+    want_z, want = table[:: n * n, 0], table[:, 3].reshape(samples, n * n)
+    unit = len(codec.Layout.of("long", n).unit()[0])
+    with mock.patch.object(codec, "_READ_CHUNK", int((units + offset) * unit)):
+        with decoded_chunks() as accepted:
+            got_z, rows, column, kind = load_trajectory_csv(str(scratch))
+    whole = rows if column is None else rows[:, column]
+    assert kind == "pair" and np.array_equal(bits(got_z), bits(want_z))
+    assert np.array_equal(bits(whole), bits(want))
+    low, high = np.triu_indices(n)
+    folds = np.array_equal(bits(want)[:, low * n + high], bits(want)[:, high * n + low])
+    assert folds == (case in ("symmetric", "exponent-zero") or (case == "row-wise" and symmetric))
+    if folds:
+        assert column.dtype == run_column(n).dtype and np.array_equal(column, run_column(n))
+        assert rows.shape == (samples, n * (n + 1) // 2)
+    else:
+        assert column is None and rows.shape == (samples, n * n)
+    if case == "row-wise":
+        assert not any(accepted)
+    elif case != "signed-zero":  # "-0.0" misses the template; every other chunk is decoded
+        assert accepted and all(accepted)
+
+
+def test_folded_pair_file_is_read_beside_its_rows_in_two_mb(tmp_path):
+    # a pair file of the size of the benchmark's reload input: N = 31, 851 samples
+    n, samples = 31, 851
+    a, b = np.triu_indices(n)
+    column = np.empty(n * n, dtype=np.intp)
+    column[a * n + b] = column[b * n + a] = np.arange(a.size)
+    rng = np.random.default_rng(31)
+    rows = rng.random((samples, a.size)) * 10.0 ** -rng.integers(0, 40, (samples, a.size))
+    csv = tmp_path / "trajectory.csv"
+    run = SimpleNamespace(z_samples=np.arange(samples) * 0.01, rows=rows, column=column)
+    write_trajectory_csv(str(csv), run, "fock", n)
+    tracemalloc.start()
+    try:
+        _, read, read_column, _ = load_trajectory_csv(str(csv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read_column, column) and np.allclose(read, rows, rtol=1e-12, atol=0.0)
+    # the whole populations alone take 6.5 MB
+    assert peak <= read.nbytes + 2 * 2**20, (peak, read.nbytes)

@@ -63,15 +63,15 @@ def test_render_matches_the_whole_image_oracle(
     request, tmp_path, monkeypatch, run, axis, z, normalization, block_rows
 ):
     _, out = request.getfixturevalue(f"{run}_run")
-    z_samples, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
-    traj = Trajectory(z_samples, probs)
+    z_samples, rows, column, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    traj = Trajectory(z_samples, rows, column=column)
     image = probability_image(traj, axis, z=z)
     if block_rows is not None:  # every image here has an odd height: the last block is short
         monkeypatch.setattr(heatmap, "_BLOCK_ELEMENTS", block_rows * image.shape[1])
     rendered, composed = tmp_path / "rendered.pgm", tmp_path / "composed.pgm"
     render_heatmap(traj, axis, normalization, str(rendered), z=z)
     write_pgm(str(composed), normalize(image, normalization))
-    want = whole_image_pgm(probs, z_samples, axis, normalization, z)
+    want = whole_image_pgm(traj.probabilities, z_samples, axis, normalization, z)
     assert rendered.read_bytes() == want
     assert composed.read_bytes() == want
 
@@ -90,12 +90,13 @@ def test_reader_memory_is_bounded_by_the_populations(fig4a_run, monkeypatch):
     _, out = fig4a_run
     tracemalloc.start()
     try:
-        _, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+        _, rows, column, _ = load_trajectory_csv(str(out / "trajectory.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the whole (rows, 4) parse and loadtxt's growth buffer took 5.3x
-    assert peak <= 2.5 * probs.nbytes
+    # the whole (rows, 4) parse and loadtxt's growth buffer took 5.3x; the
+    # bound is on the folded rows the reader keeps
+    assert column is not None and peak <= 2.5 * rows.nbytes
 
 
 @pytest.mark.parametrize("run", ["fig4a", "fig4b"])
@@ -109,18 +110,18 @@ def test_cli_keeps_the_reader_arrays_without_a_copy(request, monkeypatch, run):
 
     monkeypatch.setattr(heatmap, "load_trajectory_csv", spy)
     traj, kind = cli._read_trajectory(str(out / "trajectory.csv"))
-    ((z, probs, read_kind),) = read
-    assert kind == read_kind and traj.column is None
-    assert traj.rows is probs and traj.z_samples is z
-    for array in (z, probs):
+    ((z, rows, column, read_kind),) = read
+    assert kind == read_kind and (column is None) == (run == "fig4b")
+    assert traj.rows is rows and traj.z_samples is z and traj.column is column
+    for array in (z, rows) if column is None else (z, rows, column):
         assert array.flags.owndata and array.flags.c_contiguous and not array.flags.writeable
 
 
 @pytest.mark.parametrize("normalization", heatmap.NORMALIZATIONS)
 def test_render_memory_beside_the_populations(fig4a_run, tmp_path, normalization):
     _, out = fig4a_run
-    z, probs, _ = load_trajectory_csv(str(out / "trajectory.csv"))
-    traj = Trajectory(z, probs)
+    z, rows, column, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    traj = Trajectory(z, rows, column=column)
     tracemalloc.start()  # traces only what the render allocates beside the populations
     try:
         render_heatmap(traj, "1d-vs-z", normalization, str(tmp_path / "a.pgm"))
@@ -128,7 +129,8 @@ def test_render_memory_beside_the_populations(fig4a_run, tmp_path, normalization
     finally:
         tracemalloc.stop()
     # the chain of full-size copies (transpose, normalize, clip, scale, rint) took 4x
-    assert peak <= 2 * probs.nbytes
+    # the whole populations
+    assert peak <= 2 * traj.n_samples * traj.dim * 8
 
 
 LONG_HEADER = "z_cm,n,m,probability"
@@ -159,7 +161,7 @@ def test_long_form_chunk_edges(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(codec._LongRows, "_layout", spy)
     monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     got = load_trajectory_csv(str(csv))
-    assert got[2] == want[2] == "pair"
+    assert got[3] == want[3] == "pair" and got[2] is want[2] is None
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[1].shape == (3, 25) and np.array_equal(got[0], [0.0, 0.25, 0.5])
     if chunk < len(rows[0]):  # a line per chunk: N = 5 is found by the sixth chunk

@@ -301,6 +301,29 @@ def test_bad_trajectory_fails_closed(case):
         Trajectory(z, probs, "tag")
 
 
+#: The z sample a failed check names: the first z out of order, the sample
+#: whose sum strays furthest, and none for a fault of no one sample.
+FAULT_SAMPLES = {
+    "z-start": 0, "z-repeat": 1, "z-falls": 2, "row-sum": 0, "inf": 0,
+    "nan": None, "negative": None, "shape": None, "amplitudes": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_SAMPLES))
+def test_bad_trajectory_names_the_sample_at_fault(case):
+    z, probs, _ = BAD_TRAJECTORIES[case]
+    with pytest.raises(InvalidParameterError) as info:
+        Trajectory(z, probs, "tag")
+    assert info.value.sample == FAULT_SAMPLES[case]
+
+
+def test_worst_sum_names_its_sample():
+    rows = np.array([[1.0, 5e-13], [1.0, 0.0], [0.5, 0.5 + 3e-12], [1.0, 2e-12]])
+    with pytest.raises(InvalidParameterError, match="by 3.0") as info:
+        Trajectory(np.arange(4.0), rows, "tag")
+    assert info.value.sample == 2
+
+
 def test_trajectory_probabilities_computed_once_and_read_only(pair_params, pair_trajectory):
     probs = pair_trajectory.probabilities
     assert probs is pair_trajectory.probabilities

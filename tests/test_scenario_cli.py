@@ -46,7 +46,7 @@ from fracbloch.scenario import (
     run_scenario,
 )
 
-from conftest import N_PAIR, frequency_ratio
+from conftest import N_PAIR, frequency_ratio, read_whole
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -254,8 +254,8 @@ def test_run_requires_out_dir():
 
 def test_csv_columns_sum_to_one(tmp_path, fig4b_run):
     _, out = fig4b_run
-    z, probs, kind = load_trajectory_csv(str(out / "trajectory.csv"))
-    assert kind == "chain"
+    z, probs, column, kind = load_trajectory_csv(str(out / "trajectory.csv"))
+    assert kind == "chain" and column is None
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
     assert np.all((probs >= 0.0) & (probs <= 1.0))
 
@@ -263,7 +263,7 @@ def test_csv_columns_sum_to_one(tmp_path, fig4b_run):
 def test_pair_csv_round_trip(tmp_path):
     config = preset_config("fig3c-bh-only")
     run_scenario(config, out_dir=str(tmp_path / "a"))
-    z, probs, kind = load_trajectory_csv(str(tmp_path / "a" / "trajectory.csv"))
+    z, probs, kind = read_whole(tmp_path / "a" / "trajectory.csv")
     assert kind == "pair"
     assert probs.shape == (z.size, N_PAIR * N_PAIR)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
@@ -349,7 +349,7 @@ def test_run_scenario_off_center_excitation_and_extras(tmp_path):
     assert (tmp_path / "off" / "participation_ratio.csv").exists()
     # symmetrized two-site excitation: half the weight on the injected site
     assert summary["refocus"]["positions"] == []
-    z, probs, _ = load_trajectory_csv(str(tmp_path / "off" / "trajectory.csv"))
+    z, probs, _ = read_whole(tmp_path / "off" / "trajectory.csv")
     assert probs[0, 4 * N_PAIR + 6] == pytest.approx(0.5, abs=1e-12)
     assert probs[0, 6 * N_PAIR + 4] == pytest.approx(0.5, abs=1e-12)
 
@@ -388,8 +388,8 @@ def test_delta_state_single_bright_pixel():
 
 def test_full_2d_slice_brightest_at_excitation(fig4a_run, tmp_path):
     _, out = fig4a_run
-    z, probs, kind = load_trajectory_csv(str(out / "trajectory.csv"))
-    image = probability_image(Trajectory(z, probs), "full-2d-slice", z=6.5)
+    z, rows, column, _ = load_trajectory_csv(str(out / "trajectory.csv"))
+    image = probability_image(Trajectory(z, rows, column=column), "full-2d-slice", z=6.5)
     n, m = np.unravel_index(np.argmax(image), image.shape)
     assert (n, m) == (7, 7)
 
@@ -818,11 +818,18 @@ MALFORMED_CSVS = [
     ("padded-separator", "z_cm,p0,p1\n0,\x1c1,0\n0.1,1,0\n", "could not convert"),
     ("padded-nbsp", "z_cm,p0,p1\n0,\xa01,0\n0.1,1,0\n", "could not convert"),
     ("padded-header", "z_cm,p0,p1  \n0,1,0\n0.1,1,0\n", "unrecognized trajectory CSV header"),
-    # the reader takes these; the trajectory's own checks refuse them
-    ("z-not-from-zero", "z_cm,p0,p1\n0.1,1,0\n0.2,0.5,0.5\n", "strictly increase starting at 0"),
-    ("sum-off-one", "z_cm,p0,p1\n0,1,0\n0.1,0.5,0.500000000002\n", "sum deviates from 1 by 2.0"),
+    # the reader takes these; the trajectory's own checks refuse them, at the
+    # first line of the first sample or of the worst sample
+    ("z-not-from-zero", "z_cm,p0,p1\n0.1,1,0\n0.2,0.5,0.5\n",
+     ": line 2: z samples must strictly increase starting at 0"),
+    ("sum-off-one", "z_cm,p0,p1\n0,1,0\n0.1,0.5,0.500000000002\n",
+     ": line 3: trajectory population sum deviates from 1 by 2.0"),
     ("sum-off-one-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
-     "0.5,0,0,0.5\n0.5,0,1,0.25\n0.5,1,0,0.25\n0.5,1,1,1e-9\n", "sum deviates from 1 by 1.0"),
+     "0.5,0,0,0.5\n0.5,0,1,0.25\n0.5,1,0,0.25\n0.5,1,1,1e-9\n",
+     ": line 6: trajectory population sum deviates from 1 by 1.0"),
+    ("sum-off-one-unfolded-pair", "z_cm,n,m,probability\n0,0,0,1\n0,0,1,0\n0,1,0,0\n0,1,1,0\n"
+     "0.5,0,0,0.5\n0.5,0,1,0.25\n0.5,1,0,0.2\n0.5,1,1,0\n",
+     ": line 6: trajectory population sum deviates from 1 by 5.0"),
 ]
 
 
@@ -930,8 +937,8 @@ def test_trajectory_csv_chunk_edges(tmp_path, monkeypatch, chunk):
 def test_trajectory_csv_accepts_negative_zero(tmp_path):
     csv = tmp_path / "trajectory.csv"
     csv.write_text("z_cm,p0,p1\n0,1,-0.0\n0.1,-0.0,1\n", encoding="utf-8")
-    z, probs, kind = load_trajectory_csv(str(csv))
-    assert kind == "chain" and np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
+    z, probs, column, kind = load_trajectory_csv(str(csv))
+    assert kind == "chain" and column is None and np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_crlf_trajectory_csv_reads_like_lf(tmp_path):

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracbloch import ModelParams, SpectralPropagator, StateVector, build_fock_hamiltonian
-from fracbloch.heatmap import load_trajectory_csv
 from fracbloch.scenario import ScenarioConfig, run_scenario
+
+from conftest import read_whole
 
 RATE = st.floats(-3.0, 3.0, allow_nan=False)
 POSITIVE = st.floats(0.0, 2.0, allow_nan=False)
@@ -154,7 +155,7 @@ def test_interaction_mirror_through_krylov_sectors(data, p, z):
 def _run_csv(tmp, name, p, excitation):
     config = ScenarioConfig("fock", 2.0, p, dz=0.1, excitation=excitation)
     run_scenario(config, out_dir=str(tmp / name))
-    return load_trajectory_csv(str(tmp / name / "trajectory.csv"))
+    return read_whole(tmp / name / "trajectory.csv")
 
 
 @settings(max_examples=15, deadline=None)
