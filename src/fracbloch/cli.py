@@ -83,7 +83,7 @@ def _read_trajectory(path: str) -> tuple[Trajectory, str]:
     except InvalidParameterError as exc:
         if exc.sample is None:
             raise InvalidParameterError(f"{path}: {exc}") from None
-        lines = 1 if kind == "chain" else rows.shape[1] if column is None else column.size
+        lines = 1 if kind == "chain" else column.size
         raise InvalidParameterError(f"{path}: line {2 + exc.sample * lines}: {exc}") from None
 
 

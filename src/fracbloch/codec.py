@@ -1,5 +1,5 @@
 """The CSV artifacts' text: `%.12e` for whole arrays, and the trajectory CSV
-written and read back from one `Layout` record (form, N, header, field width).
+written and read back from one `Layout` record (form, N, header).
 
 The reader makes one pass over the file's bytes. A chunk of whole units (long-
 form samples or wide rows) that matches the layout's template holds, by the
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import swap_sites
+from .model import site_columns, swap_sites
 
 #: A float "d.dddddddddddde-dd" as the writer prints a non-negative value
 #: below 1e100: the width of every field of the reader's templates.
@@ -44,7 +44,6 @@ class Layout(NamedTuple):
     form: str  # "long" or "wide"
     n: int
     header: str
-    width: int = len(_FIELD)  # of the reader's template fields
 
     @classmethod
     def of(cls, form: str, n: int) -> Layout:
@@ -52,23 +51,22 @@ class Layout(NamedTuple):
             return cls(form, n, "z_cm,n,m,probability")
         return cls(form, n, ",".join(["z_cm", *(f"p{i}" for i in range(n))]))
 
-    def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray | None = None):
+    def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray):
         """Write the rows of samples z, a block at a time, with site s's
-        population probs[:, column[s]] (probs[:, s] without a column map).
-        A pair lattice's stored columns are printed once each; a chain keeps
-        no map but from a caller, and is written from the expanded columns."""
+        population probs[:, column[s]]. A pair lattice's stored columns are
+        printed once each; a chain's are gathered a block at a time."""
         if self.form == "wide":
-            _write_rows(fh, z, probs if column is None else probs[:, column])
+            _write_rows(fh, z, probs, column)
         else:
             labels = [f",{a},{b}," for a in range(self.n) for b in range(self.n)]
             _write_pair_rows(fh, z, probs, labels, column)
 
     def unit(self) -> tuple[bytes, list[int], list[int], list[int]]:
-        """The rows the writer prints for one sample of zeros, whose every float
-        is a `_FIELD`: their bytes, the offsets of the unit's fields (z first)
-        and of the z copies, and the offsets where its rows start."""
+        """The rows the writer prints for one sample of zeros, one stored zero
+        that every site reads, each float a `_FIELD`: their bytes, the offsets
+        of the unit's fields (z first) and z copies, and where its rows start."""
         out, dim = io.BytesIO(), self.n * self.n if self.form == "long" else self.n
-        self.rows(out, np.zeros(1), np.zeros((1, dim)))
+        self.rows(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
         at = [m.start() for m in re.finditer(re.escape(_FIELD.encode()), out.getvalue())]
         if self.form == "wide":
             return out.getvalue(), at, [], [0]
@@ -200,10 +198,10 @@ def _write_words(fh, words: np.ndarray):
     fh.write(raw[raw != 0])
 
 
-def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
-    """Print each sample's z and columns, each value followed by its code in
-    seps, `rows` samples at a time: yields each block's words, (samples,
-    len(seps), _WORDS)."""
+def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, column=slice(None)):
+    """Print each sample's z and columns[:, column], each value followed by its
+    code in seps, `rows` samples at a time: yields each block's words,
+    (samples, len(seps), _WORDS)."""
     width = len(seps)
     values = np.empty((rows, width))
     seps = np.tile(seps, rows)
@@ -212,20 +210,20 @@ def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int):
     for start in range(0, len(z), rows):
         block = values[: min(rows, len(z) - start)]
         block[:, 0] = z[start : start + len(block)]
-        block[:, 1:] = columns[start : start + len(block)]
+        block[:, 1:] = columns[start : start + len(block), column]
         text.write(block.ravel(), seps[: block.size], words[: len(block)].reshape(-1, _WORDS))
         yield words[: len(block)]
 
 
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray):
-    """Rows "z,c0,c1,...\\n", a block of whole rows at a time."""
-    seps = [_COMMA] * columns.shape[1] + [_NEWLINE]
+def _write_rows(fh, z: np.ndarray, columns: np.ndarray, column):
+    """Rows "z,c0,c1,...\\n" of columns[:, column], a block of whole rows at a time."""
+    seps = [_COMMA] * len(column) + [_NEWLINE]
     rows = max(1, min(_BLOCK // len(seps), len(z)))
-    for words in _printed(z, columns, seps, rows):
+    for words in _printed(z, columns, seps, rows, column):
         _write_words(fh, words)
 
 
-def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], column=None):
+def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], column: np.ndarray):
     """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a
     time: each sample's z words are copied to its rows, and site s's words are
     those of probs[:, column[s]], each stored column printed once."""
@@ -234,18 +232,17 @@ def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], co
     labels = _words(labels, -(-len(labels[-1]) // 4))
     rows = np.empty((samples, dim, 2 * _WORDS + labels.shape[1]), np.uint32)
     rows[:, :, _WORDS:-_WORDS] = labels
-    sites = slice(1, None) if column is None else 1 + column  # of each row's words
     for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * probs.shape[1], samples):
         block = rows[: len(words)]
         block[:, :, :_WORDS] = words[:, :1]
-        block[:, :, -_WORDS:] = words[:, sites]
+        block[:, :, -_WORDS:] = words[:, 1 + column]
         _write_words(fh, block)
 
 
 def write_series_csv(path: str, series):
     with open(path, "wb") as fh:
         fh.write(b"z_cm,value\n")
-        _write_rows(fh, series.z_samples, series.values[:, None])
+        _write_rows(fh, series.z_samples, series.values[:, None], [0])
 
 
 def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
@@ -485,8 +482,6 @@ class _Rows:
     #: The template of the rows ahead once the layout is known, and a unit's rows.
     template: _Template | None = None
     unit_rows = 1
-    #: The site -> stored column map of the samples kept, if they are folded.
-    column: np.ndarray | None = None
 
     def __init__(self, path: str, fh, width: int):
         self.path, self.fh, self.width = path, fh, width
@@ -495,6 +490,8 @@ class _Rows:
         self.last = -np.inf  # z of the last accepted row
         self.z: list[np.ndarray] = []
         self.p = np.empty((0, width - self.populations))  # the samples kept, in p[:kept]
+        sites = np.arange(self.p.shape[1])  # site s's population is p[:, column[s]]
+        self.column = site_columns(sites, sites, sites.size)
         self.kept = 0
 
     def _layout(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -630,7 +627,7 @@ class _Rows:
         """How many samples the accepted rows hold."""
         return self.count
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str]:
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
         """(z, populations, column, kind) of a file whose rows have all been read."""
         samples = self._samples()
         if samples == 0:
@@ -672,9 +669,7 @@ class _LongRows(_Rows):
         """Take N, and the stored columns of the samples kept from now on."""
         self.n, self.unit_rows = n, n * n
         self.rep, self.partner = swap_sites(n)
-        self.column = np.empty(n * n, dtype=np.intp)
-        self.column[self.rep] = self.column[self.partner] = np.arange(self.rep.size)
-        self.column.setflags(write=False)
+        self.column = site_columns(self.rep, self.partner, n * n)
         self.p = np.empty((0, self.rep.size))
 
     def opening(self, buf, n):
@@ -724,9 +719,9 @@ class _LongRows(_Rows):
                 self._store(rows[:whole].reshape(-1, self.unit_rows))
 
     def _store(self, samples):
-        """Keep samples, folded or whole: whole ones fold while every (a, b)
-        population holds the bits of its (b, a) one."""
-        if self.column is not None and samples.shape[1] == self.unit_rows:
+        """Keep samples, folded or whole: while those kept are folded, whole
+        ones fold if every (a, b) population holds the bits of its (b, a) one."""
+        if samples.shape[1] > self.p.shape[1]:  # whole samples, folded ones kept
             bits = samples.view(_U)
             if np.array_equal(bits[:, self.rep], bits[:, self.partner]):
                 samples = samples[:, self.rep]
@@ -736,9 +731,9 @@ class _LongRows(_Rows):
 
     def _unfold(self):
         """Expand the samples kept so far, and keep whole samples from here on."""
-        whole = np.empty((len(self.p), self.unit_rows))
+        whole, sites = np.empty((len(self.p), self.unit_rows)), np.arange(self.unit_rows)
         np.take(self.p[: self.kept], self.column, axis=1, out=whole[: self.kept])
-        self.p, self.column = whole, None
+        self.p, self.column = whole, site_columns(sites, sites, sites.size)
         if self.template is not None:
             self.template.folding = False
 
@@ -750,10 +745,9 @@ class _LongRows(_Rows):
         return self.count // self.unit_rows
 
 
-def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, str]:
+def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     """Read a trajectory CSV back as (z, rows, column, kind): site s's
-    population at z[k] is rows[k, column[s]], or rows[k, s] where column is
-    None.
+    population at z[k] is rows[k, column[s]].
 
     Accepts both writer layouts: long form "z_cm,n,m,probability" (pair
     lattice, kind "pair") and wide form "z_cm,p0,...,p{N-1}" (chain, kind
@@ -774,7 +768,8 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     bits of its (m, n) one: rows then keeps each pair once, the N(N+1)/2
     columns of the swap block in its order, and column is the site -> column
     map of a run of a swap-symmetric state. Otherwise, and for a chain,
-    rows holds every site's population and column is None. The arrays are
+    rows holds every site's population and column is the identity; so a
+    file is folded exactly when rows.shape[1] < column.size. The arrays are
     read-only and own their memory, so a
     :class:`~fracbloch.propagator.Trajectory` keeps them without a copy and
     adds its own checks: z starts at 0, and each sample sums to 1.
@@ -792,7 +787,7 @@ def load_trajectory_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray |
             rows = _LongRows(path, fh)
         elif len(columns) > 2 and header == (wide := Layout.of("wide", len(columns) - 1)).header:
             rows = _Rows(path, fh, len(columns))
-            if (wide.width + 1) * len(columns) <= _READ_CHUNK:  # else a row is longer than a chunk
+            if (len(_FIELD) + 1) * len(columns) <= _READ_CHUNK:  # else a row is longer than a chunk
                 rows.known(_Template(wide), 0, fh.tell())
         else:
             raise InvalidParameterError(

@@ -78,9 +78,8 @@ def probability_image(traj, axis: str, z: float | None = None) -> np.ndarray:
     """Assemble the raw (unnormalized) image of a trajectory for one axis choice.
 
     For "full-2d-slice" the frame nearest to the requested z is used (the
-    last sample when z is None); no other axis takes a z. Without a column
-    map the image is a read-through view of the rows where one exists
-    (1d-vs-z and the slice), so it costs no copy of the populations.
+    last sample when z is None); no other axis takes a z. Every axis reads
+    the stored rows through the column map.
     """
     image, order = _image(traj, axis, z)
     return image if order is None else image[order]
@@ -105,7 +104,7 @@ def _image(traj, axis: str, z: float | None) -> tuple[np.ndarray, np.ndarray | N
         else:
             k = int(np.argmin(np.abs(traj.z_samples - z)))
         n, frame = square_side(traj.dim), traj.rows[k]
-        return (frame if traj.column is None else frame[traj.column]).reshape(n, n), None
+        return frame[traj.column].reshape(n, n), None
     raise InvalidParameterError(f"axis must be one of {AXES}, got {axis!r}")
 
 

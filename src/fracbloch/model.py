@@ -186,10 +186,19 @@ class HermitianOperator:
 
 
 def _unswapped(dim: int) -> tuple:
-    """(rep, partner, weight) of a block without a swap: every site is its
-    own partner, and state I is site I."""
+    """(rep, partner) of a block without a swap: every site is its own
+    partner, and state I is site I."""
     sites = np.arange(dim)
-    return sites, sites, np.ones(dim)
+    return sites, sites
+
+
+def site_columns(rep: np.ndarray, partner: np.ndarray, dim: int) -> np.ndarray:
+    """The read-only site -> column map of a block's states over dim sites: the
+    state I whose rep or partner is site s, so the identity without a swap."""
+    column = np.empty(dim, dtype=np.intp)
+    column[partner] = column[rep] = np.arange(rep.size)
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(frozen=True)
@@ -314,10 +323,13 @@ class SwapBlock(NamedTuple):
 
     rep: np.ndarray
     partner: np.ndarray
-    weight: np.ndarray
     i: np.ndarray
     j: np.ndarray
     values: np.ndarray
+
+    @property
+    def weight(self) -> np.ndarray:
+        return np.where(self.rep == self.partner, 1.0, math.sqrt(0.5))
 
     @property
     def entries(self) -> np.ndarray:
@@ -386,8 +398,7 @@ class PairOperator:
         rep, partner = swap_sites(n)
         size = rep.size
         lattice = self.lattice_block()
-        state = np.empty(n * n, dtype=np.intp)
-        state[rep] = state[partner] = np.arange(size)
+        state = site_columns(rep, partner, n * n)
         # (I, J) is a term where a term's row is rep_I and its column rep_J or partner_J
         from_rep = lattice.i // n <= lattice.i % n
         keys = np.sort(state[lattice.i[from_rep]] * size + state[lattice.j[from_rep]])
@@ -404,8 +415,7 @@ class PairOperator:
         g = np.where(rep == partner, math.sqrt(0.5), 1.0)
         values *= g[i]
         values *= g[j]
-        weight = np.where(rep == partner, 1.0, math.sqrt(0.5))
-        return SwapBlock(rep, partner, weight, i, j, values)
+        return SwapBlock(rep, partner, i, j, values)
 
     def lattice_block(self) -> SwapBlock:
         """The whole N^2 lattice as one block without a swap (``_unswapped``):

@@ -37,20 +37,14 @@ _EXPANDED_ELEMENTS = 1 << 17
 def site_populations(pops, sites) -> np.ndarray:
     """The populations of one site or an index array of sites, one row per
     sample: rows[:, column[sites]]."""
-    return pops.rows[:, sites if pops.column is None else pops.column[sites]]
+    return pops.rows[:, pops.column[sites]]
 
 
 def per_sample(pops, reduce) -> np.ndarray:
     """reduce, a map from (samples, dim) whole population rows to one value
-    per sample, over every sample.
-
-    Without a column map it reads the stored rows whole, with no copy; else it
-    expands rows[:, column] one block of samples at a time. Each sample's row
-    holds the same values in the same order either way.
-    """
+    per sample, over every sample: rows[:, column], expanded one block of
+    samples at a time."""
     rows, column = pops.rows, pops.column
-    if column is None:
-        return reduce(rows)
     step = max(1, _EXPANDED_ELEMENTS // column.size)
     return np.concatenate([
         reduce(np.take(rows[k : k + step], column, axis=1)) for k in range(0, len(rows), step)
@@ -135,7 +129,7 @@ def breathing_width(traj, geometry: str = "1d") -> ObservableSeries:
     confinement; samples with no diagonal population are flagged NaN.
     """
     if geometry == "1d":  # whole rows at once: BLAS rounds a row's product by the row count
-        populations = traj.rows if traj.column is None else np.take(traj.rows, traj.column, axis=1)
+        populations = np.take(traj.rows, traj.column, axis=1)
         coords = np.arange(traj.dim)
     elif geometry == "2d-diagonal":
         n = square_side(traj.dim)

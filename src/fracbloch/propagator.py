@@ -69,7 +69,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DimensionCapError, InvalidParameterError, NumericError
-from .model import HermitianOperator, SwapBlock, flatten_index
+from .model import HermitianOperator, SwapBlock, flatten_index, site_columns
 from .observables import return_probability  # noqa: F401  (re-exported)
 
 #: Largest generator dimension a plan accepts by default. It bounds what
@@ -167,9 +167,9 @@ class Trajectory:
 
     Site s's population at z_samples[k] is rows[k, column[s]]. A
     swap-symmetric pair state keeps the N(N+1)/2 columns of the symmetric
-    block, each (n, m)/(m, n) population once; every other trajectory has no
-    column map (None), and each site is its own column. ``probabilities`` is
-    the whole (samples, dim) array, built on first read. generator_id names
+    block, each (n, m)/(m, n) population once; every other trajectory keeps
+    every site, and its map, by default, is the identity. ``probabilities``
+    is the whole (samples, dim) array, built on first read. generator_id names
     the generator of a run; populations read back from a file have none.
 
     A trajectory holds no amplitudes; ``SpectralPropagator.evolve`` gives
@@ -200,16 +200,18 @@ class Trajectory:
                 sample=int(np.argmin(rises)) if z.size else None,
             )
         column = self.column
-        if column is not None:
-            column = _kept(np.asarray(column))
-            if not (column.ndim == 1 and column.dtype.kind in "iu" and column.size
-                    and 0 <= column.min() and column.max() < rows.shape[1]):
-                raise InvalidParameterError("column must map each site to a stored column")
+        if column is None:  # every site its own column
+            sites = np.arange(rows.shape[1])
+            column = site_columns(sites, sites, sites.size)
+        column = _kept(np.asarray(column))
+        if not (column.ndim == 1 and column.dtype.kind in "iu" and column.size
+                and 0 <= column.min() and column.max() < rows.shape[1]):
+            raise InvalidParameterError("column must map each site to a stored column")
         lowest = float(rows.min()) if rows.size else 0.0
         if not lowest >= 0.0:  # NaN fails too
             raise InvalidParameterError(f"populations must be non-negative, found {lowest}")
         # a stored column counts once for each site that reads it
-        sums = rows.sum(axis=1) if column is None else rows @ np.bincount(column, minlength=rows.shape[1])
+        sums = rows @ np.bincount(column, minlength=rows.shape[1])
         deviation = np.abs(sums - 1.0)
         worst = int(np.argmax(deviation))
         if not deviation[worst] <= _NORM_TOL:  # an infinite population fails here
@@ -223,17 +225,15 @@ class Trajectory:
 
     @cached_property
     def probabilities(self) -> np.ndarray:
-        """The (samples, dim) populations, read-only: the rows themselves
-        without a column map, else built from them on first read."""
-        if self.column is None:
-            return self.rows
+        """The (samples, dim) populations, read-only, built from the rows
+        through the column map on first read."""
         probs = np.take(self.rows, self.column, axis=1)
         probs.setflags(write=False)
         return probs
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[1] if self.column is None else self.column.size
+        return self.column.size
 
     @property
     def n_samples(self) -> int:
@@ -331,8 +331,8 @@ class _Block:
     diagonalized whole at most once, or carrying each state that reaches it
     in short Krylov steps, whose products read the terms directly.
 
-    column[s] is the block index I whose rep or partner is site s, and None
-    where that is s itself (a block without a swap). row_sum, the largest
+    column[s] is the block index I whose rep or partner is site s
+    (``model.site_columns``), which a trajectory keeps. row_sum, the largest
     absolute row sum, bounds every energy (Gershgorin).
     """
 
@@ -342,15 +342,9 @@ class _Block:
             k = np.argmin(finite)
             raise NumericError(f"non-finite generator entry at ({swap.i[k]}, {swap.j[k]})")
         self.swap = swap
-        size = swap.rep.size
-        column = np.empty(dim, dtype=np.intp)
-        column[swap.partner] = column[swap.rep] = np.arange(size)
-        self.column = None
-        if not np.array_equal(column, np.arange(dim)):
-            column.setflags(write=False)  # trajectories keep it
-            self.column = column
+        self.column = site_columns(swap.rep, swap.partner, dim)
         # row I's terms start here; every row has one, its diagonal
-        self.row_starts = np.searchsorted(swap.i, np.arange(size))
+        self.row_starts = np.searchsorted(swap.i, np.arange(swap.rep.size))
         self.row_sum = float(np.add.reduceat(np.abs(swap.values), self.row_starts).max())
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
@@ -549,12 +543,12 @@ class SpectralPropagator:
 
     def _synthesize(
         self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
-        z in off_grid, as the rows of a C-ordered (samples, width) array and
-        its column map (``Trajectory``): the populations |c|^2 on the block's
-        columns if square, else the complex amplitudes, whose rows are whole
-        (no map)."""
+        z in off_grid, as the rows of a C-ordered (samples, width) array, and
+        the block's site -> column map: the populations |c|^2 on the block's
+        columns, read through the map (``Trajectory``), if square, else the
+        complex amplitudes of every site."""
         psi = psi0.amplitudes
         n_samples = n_grid + off_grid.size
         far = float(off_grid[-1]) if off_grid.size else dz * (n_grid - 1)  # |z| grows sample by sample
@@ -601,7 +595,7 @@ class SpectralPropagator:
                 else:
                     block.place(out[k0:k1], part)
             ka = kb
-        return out, block.column if square else None
+        return out, block.column
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0, for a finite z."""

@@ -523,7 +523,7 @@ def analyze_probabilities(traj, kind: str) -> dict:
     Works on probabilities (no phases), which is all the diagnostics need;
     the excitation site is taken as the brightest site of the first sample.
     """
-    first = traj.rows[0] if traj.column is None else traj.rows[0, traj.column]
+    first = traj.rows[0, traj.column]
     site = int(np.argmax(first))
     fields, _ = summarize_populations(traj, kind == "pair", site)
     return {"kind": kind, "excitation_site": site, **fields}

@@ -97,17 +97,18 @@ def stored_pair_rows(z, probs, n_sites) -> Trajectory:
 
 def read_whole(path) -> tuple[np.ndarray, np.ndarray, str]:
     """A trajectory CSV read back as (z, the whole (samples, dim) populations,
-    kind), folded rows expanded through their column map."""
+    kind), the rows expanded through their column map."""
     z, rows, column, kind = load_trajectory_csv(str(path))
-    return z, rows if column is None else rows[:, column], kind
+    return z, rows[:, column], kind
 
 
 def unchecked_rows(z, probs) -> SimpleNamespace:
     """What the trajectory writer and its oracle read of a trajectory
     (z_samples, rows, column, probabilities), without a Trajectory's checks:
-    the writer prints any doubles, so its tests feed it NaN, inf, negative and
-    unnormalized populations and any z."""
-    return SimpleNamespace(z_samples=z, rows=probs, column=None, probabilities=probs)
+    every site its own column. The writer prints any doubles, so its tests
+    feed it NaN, inf, negative and unnormalized populations and any z."""
+    column = np.arange(np.shape(probs)[1])
+    return SimpleNamespace(z_samples=z, rows=probs, column=column, probabilities=probs)
 
 
 def assembled_pair_terms(h: PairOperator) -> np.ndarray:

@@ -178,7 +178,8 @@ def test_reader_returns_strtod_values_through_the_parser_and_its_fallback(tmp_pa
     csv.write_text(f"{header}\n{body}", encoding="ascii")
     with decoded_chunks() as accepted:
         z, probs, column, kind = load_trajectory_csv(str(csv))
-    assert kind == "chain" and column is None and np.array_equal(z, np.arange(len(rows)))
+    assert kind == "chain" and np.array_equal(column, np.arange(width))  # every site its own column
+    assert np.array_equal(z, np.arange(len(rows)))
     assert np.array_equal(bits(probs.ravel()), bits([float(t) for t in texts]))
     assert any(accepted) and not all(accepted)
 
@@ -216,7 +217,7 @@ def _outcome(path):
         z, rows, column, kind = load_trajectory_csv(str(path))
     except InvalidParameterError as exc:
         return str(exc)
-    return z.tobytes(), rows.tobytes(), rows.shape, column if column is None else column.tobytes(), kind
+    return z.tobytes(), rows.tobytes(), rows.shape, column.tobytes(), kind
 
 
 def _outcomes(path, chunk):
@@ -473,17 +474,18 @@ def test_pair_file_folds_exactly_when_every_mirror_holds_equal_bits(
     with mock.patch.object(codec, "_READ_CHUNK", int((units + offset) * unit)):
         with decoded_chunks() as accepted:
             got_z, rows, column, kind = load_trajectory_csv(str(scratch))
-    whole = rows if column is None else rows[:, column]
+    whole = rows[:, column]
     assert kind == "pair" and np.array_equal(bits(got_z), bits(want_z))
     assert np.array_equal(bits(whole), bits(want))
     low, high = np.triu_indices(n)
     folds = np.array_equal(bits(want)[:, low * n + high], bits(want)[:, high * n + low])
     assert folds == (case in ("symmetric", "exponent-zero") or (case == "row-wise" and symmetric))
+    assert folds == (rows.shape[1] < column.size)
     if folds:
         assert column.dtype == run_column(n).dtype and np.array_equal(column, run_column(n))
         assert rows.shape == (samples, n * (n + 1) // 2)
     else:
-        assert column is None and rows.shape == (samples, n * n)
+        assert np.array_equal(column, np.arange(n * n)) and rows.shape == (samples, n * n)
     if case == "row-wise":
         assert not any(accepted)
     elif case != "signed-zero":  # "-0.0" misses the template; every other chunk is decoded

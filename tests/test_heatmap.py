@@ -96,7 +96,7 @@ def test_reader_memory_is_bounded_by_the_populations(fig4a_run, monkeypatch):
         tracemalloc.stop()
     # the whole (rows, 4) parse and loadtxt's growth buffer took 5.3x; the
     # bound is on the folded rows the reader keeps
-    assert column is not None and peak <= 2.5 * rows.nbytes
+    assert rows.shape[1] < column.size and peak <= 2.5 * rows.nbytes
 
 
 @pytest.mark.parametrize("run", ["fig4a", "fig4b"])
@@ -111,9 +111,9 @@ def test_cli_keeps_the_reader_arrays_without_a_copy(request, monkeypatch, run):
     monkeypatch.setattr(heatmap, "load_trajectory_csv", spy)
     traj, kind = cli._read_trajectory(str(out / "trajectory.csv"))
     ((z, rows, column, read_kind),) = read
-    assert kind == read_kind and (column is None) == (run == "fig4b")
+    assert kind == read_kind and (rows.shape[1] < column.size) == (run == "fig4a")  # folded
     assert traj.rows is rows and traj.z_samples is z and traj.column is column
-    for array in (z, rows) if column is None else (z, rows, column):
+    for array in (z, rows, column):
         assert array.flags.owndata and array.flags.c_contiguous and not array.flags.writeable
 
 
@@ -161,7 +161,8 @@ def test_long_form_chunk_edges(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(codec._LongRows, "_layout", spy)
     monkeypatch.setattr(codec, "_READ_CHUNK", chunk)
     got = load_trajectory_csv(str(csv))
-    assert got[3] == want[3] == "pair" and got[2] is want[2] is None
+    assert got[3] == want[3] == "pair"  # not folded: every site its own column
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[2], np.arange(25))
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[1].shape == (3, 25) and np.array_equal(got[0], [0.0, 0.25, 0.5])
     if chunk < len(rows[0]):  # a line per chunk: N = 5 is found by the sixth chunk

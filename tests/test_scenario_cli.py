@@ -255,7 +255,7 @@ def test_run_requires_out_dir():
 def test_csv_columns_sum_to_one(tmp_path, fig4b_run):
     _, out = fig4b_run
     z, probs, column, kind = load_trajectory_csv(str(out / "trajectory.csv"))
-    assert kind == "chain" and column is None
+    assert kind == "chain" and np.array_equal(column, np.arange(probs.shape[1]))
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
     assert np.all((probs >= 0.0) & (probs <= 1.0))
 
@@ -938,7 +938,8 @@ def test_trajectory_csv_accepts_negative_zero(tmp_path):
     csv = tmp_path / "trajectory.csv"
     csv.write_text("z_cm,p0,p1\n0,1,-0.0\n0.1,-0.0,1\n", encoding="utf-8")
     z, probs, column, kind = load_trajectory_csv(str(csv))
-    assert kind == "chain" and column is None and np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
+    assert kind == "chain" and np.array_equal(column, [0, 1])
+    assert np.array_equal(probs, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_crlf_trajectory_csv_reads_like_lf(tmp_path):

@@ -23,7 +23,7 @@ from fracbloch import (
     propagate,
     return_probability,
 )
-from fracbloch import cli
+from fracbloch import cli, propagator
 from fracbloch.heatmap import probability_image, render_heatmap
 from fracbloch.observables import summarize_populations
 from fracbloch.scenario import preset_config, run_scenario, write_trajectory_csv
@@ -104,8 +104,54 @@ def test_other_trajectories_store_every_site():
     amplitudes[2 * n + 4] = 1.0  # (2, 4) alone is not swap-symmetric: the whole lattice
     pair = propagate(h, StateVector(amplitudes), 2.0, 0.05)
     for traj in (chain, pair):
-        assert traj.column is None and traj.rows.shape[1] == traj.dim
-        assert traj.probabilities is traj.rows  # no copy
+        assert traj.rows.shape[1] == traj.dim and np.array_equal(traj.column, np.arange(traj.dim))
+        assert np.array_equal(traj.probabilities, traj.rows)  # each site reads its own column
+
+
+#: Every kind of trajectory: a chain (the fig4b preset), a folded doublon, and
+#: the (2, 4) guide at N = 7, which is not swap-symmetric and so unfolded.
+SOURCES = ("fig4b", "doublon", "guide")
+
+
+def _source(name):
+    """(generator, initial state, z_max, dz, model, n_sites) of a source."""
+    if name == "fig4b":
+        config = preset_config("fig4b-single-bo")
+        p = config.params
+        h = build_single_particle_hamiltonian(p.n_sites, p.kappa, p.fd)
+        psi0 = StateVector.delta(p.n_sites, *config.excitation)
+        return h, psi0, config.z_max, config.dz, "single", p.n_sites
+    n = 7
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=FD, n_sites=n))
+    if name == "doublon":
+        return h, StateVector.pair_excitation(n, 3, 3), 2.0, 0.05, "fock", n
+    amplitudes = np.zeros(n * n)
+    amplitudes[2 * n + 4] = 1.0
+    return h, StateVector(amplitudes), 2.0, 0.05, "fock", n
+
+
+@pytest.mark.parametrize("form", ["run", "csv"])
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_trajectory_reads_site_s_at_its_column(tmp_path, source, form):
+    h, psi0, z_max, dz, model, n_sites = _source(source)
+    plan = SpectralPropagator(h)
+    traj = plan.trajectory(psi0, z_max, dz)
+    if form == "run":
+        # the amplitudes that the same chunks and products place on every
+        # site, squared as the trajectory squares its block's
+        z, n_grid = propagator._sample_grid(z_max, dz, plan.dim, propagator.DEFAULT_DIM_CAP)
+        amplitudes, _ = plan._synthesize(psi0, n_grid, dz, z[n_grid:], False)
+        oracle = np.square(np.abs(amplitudes))
+    else:  # np.loadtxt of the written file, every site's row
+        csv = tmp_path / "trajectory.csv"
+        write_trajectory_csv(str(csv), traj, model, n_sites)
+        table = np.loadtxt(str(csv), delimiter=",", skiprows=1, ndmin=2)
+        oracle = table[:, 1:] if model == "single" else table[:, 3].reshape(-1, n_sites**2)
+        traj, _ = cli._read_trajectory(str(csv))
+    column = traj.column
+    assert column.dtype == np.intp and column.shape == (traj.dim,) and not column.flags.writeable
+    assert traj.rows[:, column].tobytes() == oracle.tobytes()  # bit for bit
+    assert (traj.rows.shape[1] < column.size) == (source == "doublon")
 
 
 def test_run_analyze_and_render_never_build_the_whole_populations(tmp_path, monkeypatch):
