@@ -20,19 +20,23 @@ known to be finite, in one of two ways:
   revival positions are not integration artifacts.
 * A block of at least ``_KRYLOV_BLOCK`` states in sparse rows (``_reduces``;
   every lattice's) carries the state's share in short Krylov steps (Park &
-  Light, J. Chem. Phys. 85, 5870 (1986)): Lanczos with full
-  reorthogonalization from the current state, each product summed from the
-  terms row by row. After m iterations a step's error at |z - start| <= h is
-  at most the strict bound beta0 beta1 ... beta_m h^m / m! (Saad, SIAM J.
-  Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J. Numer. Anal. 34,
-  1911 (1997)). With Expokit's step control (Sidje, ACM TOMS 24, 130 (1998))
-  each step takes the m <= _STEP_M whose longest h certifying 1e-13 h / reach
-  costs the least per unit of reach, so the errors sum to at most 1e-13; only
-  its small tridiagonal T_m is diagonalized. After each step the rest of the
-  reach, at that step's cost, is weighed against the whole block's eigh;
-  where that is the cheaper (no tilt over a long z, a huge z in ``evolve``),
-  the whole block serves the samples past the last step. No Lanczos run
-  fails, and a plan that holds a whole block uses it for every later state.
+  Light, J. Chem. Phys. 85, 5870 (1986)): the plain three-term Lanczos
+  recurrence from the current state, each product summed from the terms row
+  by row. After m iterations the computed recurrence's truncation at
+  |z - start| <= h is at most the strict bound beta0 beta1 ... beta_m h^m / m!
+  (Saad, SIAM J. Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, SIAM J.
+  Numer. Anal. 34, 1911 (1997)). With Expokit's step control (Sidje, ACM TOMS
+  24, 130 (1998)) each step takes the m <= _STEP_M whose longest h certifying
+  1e-13 h / reach costs the least per unit of reach, so the truncations sum to
+  at most 1e-13; only its small tridiagonal T_m is diagonalized. Rounding adds
+  a term outside the 1e-13, of order eps (row sum x |z| + the steps' m): the
+  phases' and the products' (Paige, IMA J. Appl. Math. 18, 341 (1976); no
+  reorthogonalization is needed, Druskin, Greenbaum & Knizhnerman, SIAM J.
+  Sci. Comput. 19, 38 (1998)). After each step the rest of the reach, at that
+  step's cost, is weighed against the whole block's eigh; where that is the
+  cheaper (no tilt over a long z, a huge z in ``evolve``), the whole block
+  serves the samples past the last step. No Lanczos run fails, and a plan
+  that holds a whole block uses it for every later state.
 
 Either way a step is eigenpairs with (block, m) vectors, m = block for the
 whole block, and the state's coefficients on them at the step's start;
@@ -96,9 +100,9 @@ _KRYLOV_TOL = 1e-13
 _STEP_M = 48
 #: Costs are estimated in complex multiply-adds at the synthesis's speed. A
 #: Lanczos iteration's passes over the terms and the vectors run at memory
-#: speed: about this many of them a term and a block state (50 and 130 us an
-#: iteration on the N = 31 and N = 56 pair blocks, against 0.1 ns a
-#: multiply-add of the synthesis and about 0.1 ns x block^3 an eigh).
+#: speed: about this many of them a term and a block state (15-30 and 50-70 us
+#: an iteration on the N = 31 and N = 56 pair blocks, 5-11 ns a term and state,
+#: against 0.06 ns a multiply-add of the synthesis and 0.1-0.2 ns x block^3 an eigh).
 _PASS_COST = 128
 _EPS = np.finfo(float).eps
 #: The dimension cap also bounds a trajectory: samples x dim populations are at
@@ -290,7 +294,7 @@ class _Sector(NamedTuple):
 class _Step(NamedTuple):
     """A state carried by one sector: its coefficients on the sector's
     eigenvectors at z = start (signed), for the samples whose |z| is at most
-    end (and past the previous step's end). bound bounds the amplitude error
+    end (and past the previous step's end). bound bounds the truncation error
     that the step adds at any of them: beta0 beta1 ... beta_m h^m / m! for a
     Krylov step of length h, 0 for the whole block's one step."""
 
@@ -390,17 +394,19 @@ class _Block:
 
     def reduced(self, b: np.ndarray, far: float, samples: int, tol: float) -> Iterator[_Step]:
         """exp(-i H z) b for z from 0 towards far (signed), in short steps
-        whose errors sum to at most tol, for the given number of samples.
+        whose truncations sum to at most tol, for the given number of samples.
 
-        A step's Lanczos run keeps log(beta0 beta1 ... beta_m) and stops at
-        the first m past the one whose longest certified h (``_step_length``,
-        tol h / |far|) costs the least per unit of reach, where h covers the
-        rest of the reach, or where the space is invariant (and exact); only
-        then is T_m diagonalized. Its Ritz pairs are the step's sector, and
-        one (block, m) product of the basis gives the next step's state.
-        After each step the rest of the reach at the step's cost is weighed
-        against a whole-block eigh and synthesis (block^3 + block^2 x
-        samples); where that is the cheaper, the steps end short of far.
+        A step's plain three-term Lanczos recurrence keeps log(beta0 beta1
+        ... beta_m): the bound on its truncation (rounding adds its own term;
+        see the module). It stops at the first m past the one whose longest
+        certified h (``_step_length``, tol h / |far|) costs the least per unit
+        of reach, where h covers the rest of the reach, or where the space is
+        invariant (and exact); only then is T_m diagonalized. Its Ritz pairs
+        are the step's sector, and one (block, m) product of the basis gives
+        the next step's state. After each step the rest of the reach at the
+        step's cost is weighed against a whole-block eigh and synthesis
+        (block^3 + block^2 x samples); where that is the cheaper, the steps
+        end short of far.
         """
         size, passes = b.size, _PASS_COST * (self.swap.values.size + b.size)
         reach, direction = abs(far), math.copysign(1.0, far)
@@ -424,14 +430,7 @@ class _Block:
                 w -= a * basis[j]
                 if j:
                     w -= beta[j - 1] * basis[j - 1]
-                known = basis[: j + 1]
-                norm = math.sqrt(np.vdot(w, w).real)
-                for _ in range(2):  # a second pass only if the first cancelled much (twice is enough)
-                    w -= (known @ w.conj()).conj() @ known
-                    norm, before = math.sqrt(np.vdot(w, w).real), norm
-                    if norm > 0.5 * before:
-                        break
-                beta[j] = norm
+                beta[j] = norm = math.sqrt(np.vdot(w, w).real)
                 m = j + 1
                 top_alpha, top_beta = max(top_alpha, abs(a)), max(top_beta, norm)
                 log_product += math.log(norm) if norm else -math.inf
@@ -439,9 +438,8 @@ class _Block:
                     best = (0.0, m, left, log_product)  # an invariant space is exact
                     break
                 h = _step_length(m, log_product, allowed, left)
-                # per unit of reach: the products and vector passes, the
-                # reorthogonalization, and the synthesis of the samples in h
-                cost = m * (passes + m * size + size * density * h) / h if h else math.inf
+                # per unit of reach: the products and vector passes, and the samples' synthesis
+                cost = m * (passes + size * density * h) / h if h else math.inf
                 if cost > best[0]:  # past the cheapest m
                     break
                 best = (cost, m, h, log_product)
@@ -503,9 +501,10 @@ class SpectralPropagator:
     Nothing is diagonalized here, and nothing dense is built but for an eigh.
     ``trajectory`` and ``evolve`` propagate each state in one block (see the
     module): the eigenpairs of the whole block, computed once per plan, or
-    the Ritz pairs of short Krylov steps, within 1e-13 together by their
-    strict bounds, built per call. A reach that would overflow the phases is refused
-    first (``InvalidParameterError`` naming ``z_max`` or ``z``).
+    the Ritz pairs of short Krylov steps, built per call, whose truncations
+    sum to at most 1e-13 by their strict bounds, rounding apart. A reach that
+    would overflow the phases is refused first (``InvalidParameterError``
+    naming ``z_max`` or ``z``).
     Safe to share across threads; independent trajectories need no
     coordination (two threads reaching a whole block first at the same time
     may both diagonalize it, with the same result).
@@ -623,7 +622,6 @@ class SpectralPropagator:
             raise InvalidParameterError(
                 f"state dimension {psi0.dim} does not match generator {self.dim}"
             )
-
 
 
 def _sample_grid(z_max: float, dz: float, dim: int, dim_cap: int) -> tuple[np.ndarray, int]:

@@ -1,11 +1,16 @@
 """Shared fixtures: the measured array parameters, cached preset runs, the
 dense pair matrices, the amplitudes that trajectories do not keep, and the
-spectral helpers that only tests use."""
+spectral helpers that only tests use.
+
+Hypothesis runs derandomized by default, so every run of the suite draws the
+same examples. ``--hypothesis-profile random`` runs the random search instead
+(the CI runs it as a step of its own)."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fracbloch import (
     HermitianOperator,
@@ -24,6 +29,10 @@ from fracbloch.model import PairOperator
 from fracbloch.observables import RefocusReport
 from fracbloch.reference import enumerate_fock_bonds, operator_from_bonds
 from fracbloch.scenario import preset_config, run_scenario
+
+settings.register_profile("derandomized", derandomize=True)  # and so no example database
+settings.register_profile("random", derandomize=False)
+settings.load_profile("derandomized")  # --hypothesis-profile loads another after this
 
 KAPPA = 0.95
 RHO = 0.3

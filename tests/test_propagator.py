@@ -969,6 +969,78 @@ def test_krylov_error_is_within_the_sum_of_its_step_bounds(kind, tilted, seed, z
     assert np.max(np.abs(state - exact)) <= total <= propagator._KRYLOV_TOL
 
 
+def _krylov_case(kind, tilted, seed):
+    """A generator and a state of test_krylov_error_is_within_the_sum_of_its_step_bounds."""
+    fd = FD if tilted else 0.0
+    if kind == "chain":  # a complex state on ten sites of a 450-site chain
+        rng = np.random.default_rng(seed)
+        amp = np.zeros(450, dtype=complex)
+        amp[220:230] = rng.normal(size=10) + 1j * rng.normal(size=10)
+        return build_single_particle_hamiltonian(450, KAPPA, fd), StateVector(amp / np.linalg.norm(amp))
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=U0, fd=fd, n_sites=31))
+    return h, _pair_state(kind, 31)
+
+
+def _rounding(steps, z):
+    """The rounding that the steps' strict bounds leave out, eps (row sum x |z|
+    + the steps' m) (see the module), allowed twice: once for the steps, and
+    once for the whole block's phases that a test checks them against."""
+    iterations = sum(step.sector.energies.size for step in steps)
+    return 2.0 * propagator._EPS * (steps[0].sector.block.row_sum * abs(z) + iterations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["doublon", "unsymmetrized", "chain"]),
+    tilted=st.booleans(),
+    seed=st.integers(0, 2**16),
+    z=st.floats(16.0, 60.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_krylov_error_at_long_reach_is_within_its_step_bounds_and_rounding(kind, tilted, seed, z, sign):
+    # the property above past z = 16, where rounding is no longer small
+    # against the truncation: the error is at most the sum of the steps'
+    # strict bounds plus the rounding term, and that sum at most 1e-13
+    h, psi0 = _krylov_case(kind, tilted, seed)
+    runs, recording = _recorded_steps()
+    with recording:
+        state = SpectralPropagator(h).evolve(psi0, sign * z).amplitudes
+    (steps,) = runs
+    assume(len(steps) >= 2 and steps[-1].end == math.inf)  # Krylov steps to the end
+    with whole_blocks():
+        exact = SpectralPropagator(h).evolve(psi0, sign * z).amplitudes
+    total = sum(step.bound for step in steps)
+    assert total <= propagator._KRYLOV_TOL
+    assert np.max(np.abs(state - exact)) <= total + _rounding(steps, z)
+
+
+def test_untilted_bound_pair_to_z_120_is_within_its_step_bounds_and_rounding():
+    # At u0 = -20 the untilted N = 56 doublon is an isolated bound pair, whose
+    # Ritz values converge early, so the plain recurrence's basis loses its
+    # orthogonality here first. Its phases reach |E| z of about 2400, so by
+    # z = 120 rounding, not truncation, holds most of the error.
+    h = build_fock_hamiltonian(ModelParams(kappa=KAPPA, rho=RHO, u0=-20.0, fd=0.0, n_sites=56))
+    psi0 = _pair_state("doublon", 56)
+    runs, recording = _recorded_steps()
+    plan = SpectralPropagator(h)
+    with recording:
+        traj = plan.trajectory(psi0, 120.0, 0.5)
+        state = plan.evolve(psi0, 120.0).amplitudes
+    with whole_blocks():
+        whole = SpectralPropagator(h)
+        exact = whole.trajectory(psi0, 120.0, 0.5).probabilities
+        exact_state = whole.evolve(psi0, 120.0).amplitudes
+    allowed = []
+    for steps in runs:  # the trajectory's steps, then the evolve's: Krylov steps to the end
+        total = sum(step.bound for step in steps)
+        assert len(steps) > 10 and steps[-1].end == math.inf and total <= propagator._KRYLOV_TOL
+        allowed.append(total + _rounding(steps, 120.0))
+    traj_allowed, state_allowed = allowed
+    # a population |a|^2 moves by at most (|a| + |b|) |a - b| <= 2 |a - b|
+    assert np.max(np.abs(traj.probabilities - exact)) <= 2.0 * traj_allowed
+    assert np.max(np.abs(state - exact_state)) <= state_allowed
+
+
 def _lanczos_betas(h, b, m):
     """beta0 = |b|, beta1, ..., beta_m of Lanczos on the dense matrix h from b,
     two Gram-Schmidt passes against every earlier vector a step."""
