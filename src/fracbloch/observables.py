@@ -36,8 +36,23 @@ _EXPANDED_ELEMENTS = 1 << 17
 
 def site_populations(pops, sites) -> np.ndarray:
     """The populations of one site or an index array of sites, one row per
-    sample: rows[:, column[sites]]."""
-    return pops.rows[:, pops.column[sites]]
+    sample: rows[:, column[sites]]. A run's trajectory whose rows are not
+    built yet synthesizes only the distinct stored columns asked for."""
+    return pops._columns(pops.column[sites])
+
+
+def _summed(pops, sites) -> np.ndarray:
+    """The populations of the sites summed, one value per sample, site after
+    site: the arithmetic of np.sum(rows[:, column[sites]], axis=1), whose
+    fancy-indexed array numpy lays out site by site and adds in that order,
+    without building that (samples, sites) array."""
+    stored = pops.column[sites]
+    _, first, inverse = np.unique(stored, return_index=True, return_inverse=True)
+    populations = site_populations(pops, sites[first])  # each distinct column once
+    total = populations[:, inverse[0]].copy()
+    for k in inverse[1:].tolist():
+        total += populations[:, k]
+    return total
 
 
 def per_sample(pops, reduce) -> np.ndarray:
@@ -115,7 +130,7 @@ def diagonal_confinement(traj, n_sites: int) -> ObservableSeries:
     """Total population on the pair-lattice main diagonal, sum_n |c_nn|^2."""
     if traj.dim != n_sites * n_sites:
         raise InvalidParameterError(f"trajectory dimension {traj.dim} is not {n_sites}^2")
-    values = np.sum(site_populations(traj, diagonal_indices(n_sites)), axis=1)
+    values = _summed(traj, diagonal_indices(n_sites))
     return ObservableSeries(traj.z_samples, values, "diagonal_confinement")
 
 
@@ -165,7 +180,7 @@ def boundary_population(traj, geometry: str) -> ObservableSeries:
         edges = np.flatnonzero(on_edge)
     else:
         raise InvalidParameterError(f"unknown geometry {geometry!r}")
-    values = np.sum(site_populations(traj, edges), axis=1)
+    values = _summed(traj, edges)
     return ObservableSeries(traj.z_samples, values, "boundary_population")
 
 

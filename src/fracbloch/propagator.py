@@ -43,13 +43,20 @@ whole block, and the state's coefficients on them at the step's start;
 synthesis is one code path for both, in real arithmetic for a real block and
 share (every Krylov step after the first holds a complex state).
 
-A trajectory holds populations, not amplitudes: each chunk of samples is
-squared right after its product and copied, transposed, into the
-trajectory's (samples, block) rows. A swap-symmetric pair state so stores
-each (n, m)/(m, n) population once (N(N+1)/2 columns for N^2 sites: 33.7 MB
-instead of 65.4 MB for pair-scan's N = 31 fine grid), read through the
-block's site -> column map. Amplitudes come from ``SpectralPropagator.evolve``,
-through the same chunk loop.
+A run's trajectory keeps its steps and synthesizes populations only as they
+are read (``Trajectory``). Each step is kept with the samples it serves, its
+vectors cut to the rows between the first and the last that are not zero (a
+localized state's Krylov space is zero away from it: 2.7 MB instead of
+26.5 MB for the 4000-site chain to z = 8.5). Its population sums are checked
+on the steps before the trajectory is returned. A read of some columns
+multiplies only the matching rows of each step's vectors; a read of the rows
+multiplies them all, squares each chunk of samples right after its product
+and copies it, transposed, into the (samples, block) rows, dropping each step
+once its samples are written. A swap-symmetric pair state so stores each
+(n, m)/(m, n) population once (N(N+1)/2 columns for N^2 sites: 33.7 MB
+instead of 65.4 MB for pair-scan's N = 31 fine grid, against 2.7 MB of kept
+steps), read through the block's site -> column map. Amplitudes come from
+``SpectralPropagator.evolve``, through the same chunk loop.
 
 Synthesis walks the samples in chunks of max(1, _CHUNK_ELEMENTS // block)
 samples, so its buffers hold O(_CHUNK_ELEMENTS) elements whatever the length
@@ -66,7 +73,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple
 
@@ -89,9 +97,10 @@ _CHUNK_ELEMENTS = 1 << 17
 #: Blocks of at least this many states may take Krylov steps; below it a
 #: whole-block eigh is the faster.
 _KRYLOV_BLOCK = 384
-#: ... with at most this many terms a row on average; a dense generator is
-#: diagonalized whole. At 150 Lanczos steps the products overtake the eigh near
-#: 200 terms a row at 400 states, past 500 at 2000 (CHANGES.md).
+#: ... with at most this many terms in the widest row, which sets the width of
+#: the products' padded table; a dense generator is diagonalized whole. At 150
+#: Lanczos steps the products overtake the eigh near 200 terms a row at 400
+#: states, past 500 at 2000 (CHANGES.md).
 _KRYLOV_ROW_TERMS = 32
 #: Bound on the amplitude error of Krylov steps over the whole reach.
 _KRYLOV_TOL = 1e-13
@@ -162,7 +171,6 @@ class StateVector:
         return cls(amp)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """Site populations |c|^2 sampled along z: the one record that every
     observable, writer and renderer reads, from a run or from a trajectory
@@ -173,28 +181,38 @@ class Trajectory:
     swap-symmetric pair state keeps the N(N+1)/2 columns of the symmetric
     block, each (n, m)/(m, n) population once; every other trajectory keeps
     every site, and its map, by default, is the identity. ``probabilities``
-    is the whole (samples, dim) array, built on first read. generator_id names
-    the generator of a run; populations read back from a file have none.
+    is the whole (samples, dim) array, built from the rows on first read.
+    generator_id names the generator of a run; populations read back from a
+    file have none.
 
-    A trajectory holds no amplitudes; ``SpectralPropagator.evolve`` gives
-    them. The z samples, rows and map are copied unless they come as
-    C-ordered, read-only arrays that own their memory, which the trajectory
-    then keeps as they are.
+    A trajectory built from rows (a file read back, a test) holds them as
+    given: the z samples, rows and map are copied unless they come as
+    C-ordered, read-only arrays that own their memory. A run's trajectory
+    (``SpectralPropagator.trajectory``) holds no rows at first but the record
+    it synthesizes from: each step's sector (energies and vectors), its
+    coefficients and the samples it serves. ``observables.site_populations``
+    synthesizes only the distinct columns it reads, from the matching rows
+    of each step's vectors, and keeps nothing. The first read of ``rows``
+    (the writer, ``observables.per_sample``, the 1d width and heatmap,
+    ``probabilities``) builds every column once, caches them read-only and
+    drops each step once its samples are written; later reads, of rows or
+    columns, read the cached rows. A column read before the rows exist
+    agrees with them to rounding, not bit for bit: a one-column product goes
+    through gemv, and the whole block's product rounds apart from every
+    narrower one. Two threads reading the rows at once build them once; the
+    second waits for the first, which has dropped the steps.
+
+    A run's population sums are checked on its steps (``_check_steps``),
+    exactly: a sample's sum is Re(c^H G c), for its phased coefficients c and
+    the Gram matrix G of its step's vectors. A trajectory holds no
+    amplitudes; ``SpectralPropagator.evolve`` gives them.
     """
 
-    z_samples: np.ndarray
-    rows: np.ndarray
-    generator_id: str | None = None
-    column: np.ndarray | None = None
-    _evolve: Callable[[float], StateVector] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        z = _kept(np.asarray(self.z_samples, dtype=float))
-        if np.iscomplexobj(self.rows):
+    def __init__(self, z_samples, rows, generator_id: str | None = None, column=None):
+        z = _kept(np.asarray(z_samples, dtype=float))
+        if np.iscomplexobj(rows):
             raise InvalidParameterError("probabilities must be real populations, not amplitudes")
-        rows = _kept(np.asarray(self.rows, dtype=float))
+        rows = _kept(np.asarray(rows, dtype=float))
         if z.ndim != 1 or rows.ndim != 2 or rows.shape[0] != z.size:
             raise InvalidParameterError("need one population row per z sample")
         rises = np.r_[z[:1] == 0.0, np.diff(z) > 0]  # from 0, each z above the one before
@@ -203,7 +221,6 @@ class Trajectory:
                 "z samples must strictly increase starting at 0",
                 sample=int(np.argmin(rises)) if z.size else None,
             )
-        column = self.column
         if column is None:  # every site its own column
             sites = np.arange(rows.shape[1])
             column = site_columns(sites, sites, sites.size)
@@ -215,17 +232,54 @@ class Trajectory:
         if not lowest >= 0.0:  # NaN fails too
             raise InvalidParameterError(f"populations must be non-negative, found {lowest}")
         # a stored column counts once for each site that reads it
-        sums = rows @ np.bincount(column, minlength=rows.shape[1])
-        deviation = np.abs(sums - 1.0)
-        worst = int(np.argmax(deviation))
-        if not deviation[worst] <= _NORM_TOL:  # an infinite population fails here
-            raise InvalidParameterError(
-                f"trajectory population sum deviates from 1 by {deviation[worst]:.3e}",
-                sample=worst,
-            )
-        object.__setattr__(self, "z_samples", z)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "column", column)
+        _check_sums(rows @ np.bincount(column, minlength=rows.shape[1]))
+        self._set(z, generator_id, column, rows=rows)
+
+    @classmethod
+    def _of_steps(cls, z: np.ndarray, n_grid: int, dz: float, steps: list[_Span],
+                  generator_id: str, column: np.ndarray, evolve: Callable[[float], StateVector]):
+        """A run's trajectory at the samples z (n_grid of them on the dz grid),
+        synthesized from its kept steps, checked on them (``_check_steps``)."""
+        z.setflags(write=False)
+        _check_steps(steps, n_grid, dz, z[n_grid:])
+        traj = cls.__new__(cls)
+        traj._set(z, generator_id, column, steps=tuple(steps), grid=(n_grid, dz), evolve=evolve)
+        return traj
+
+    def _set(self, z, generator_id, column, rows=None, steps=None, grid=None, evolve=None):
+        for name, value in (("z_samples", z), ("generator_id", generator_id), ("column", column),
+                            ("_rows", rows), ("_steps", steps), ("_grid", grid), ("_evolve", evolve),
+                            ("_building", threading.Lock())):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Trajectory is read-only; cannot set {name}")
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (samples, stored columns) populations, read-only; a run's are
+        synthesized on first read (see the class)."""
+        rows = self._rows
+        if rows is None:
+            with self._building:
+                rows = self._rows
+                if rows is None:
+                    steps = list(self._steps)
+                    object.__setattr__(self, "_steps", None)  # each step freed once written
+                    rows = _synthesize(steps, *self._grid, self.z_samples[self._grid[0]:])
+                    rows.setflags(write=False)
+                    object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def _columns(self, stored) -> np.ndarray:
+        """rows[:, stored] (``observables.site_populations``): while the rows
+        are not built, only the distinct stored columns are synthesized."""
+        steps = self._steps
+        if steps is None:
+            return self.rows[:, stored]
+        distinct, inverse = np.unique(stored, return_inverse=True)
+        populations = _synthesize(list(steps), *self._grid, self.z_samples[self._grid[0]:], distinct)
+        return populations if np.array_equal(distinct, stored) else populations[:, inverse]
 
     @cached_property
     def probabilities(self) -> np.ndarray:
@@ -254,6 +308,18 @@ class Trajectory:
         if self._evolve is None:
             raise InvalidParameterError("a trajectory built from populations has no amplitudes")
         return _AmplitudeRows(self._evolve, self.z_samples)
+
+
+def _check_sums(sums: np.ndarray):
+    """Fail closed, naming the sample, unless every sample's population sum
+    is within _NORM_TOL of 1."""
+    deviation = np.abs(sums - 1.0)
+    worst = int(np.argmax(deviation))
+    if not deviation[worst] <= _NORM_TOL:  # NaN, or an infinite population, fails here
+        raise InvalidParameterError(
+            f"trajectory population sum deviates from 1 by {deviation[worst]:.3e}",
+            sample=worst,
+        )
 
 
 def _kept(array: np.ndarray) -> np.ndarray:
@@ -305,6 +371,21 @@ class _Step(NamedTuple):
     bound: float
 
 
+class _Span(NamedTuple):
+    """A step that a synthesis reads: its sector and its coefficients at
+    z = start, for samples first, first + 1, ..., stop - 1 of a trajectory
+    (or of ``evolve``'s one z). The sector's vectors hold rows low, low + 1,
+    ... of the step's (block, m) vectors, every other row of which is zero:
+    a localized state's Krylov space is zero away from it."""
+
+    sector: _Sector
+    coeffs: np.ndarray  # (m,)
+    start: float
+    first: int
+    stop: int
+    low: int = 0
+
+
 def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(block)
@@ -315,9 +396,8 @@ def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reduces(swap: SwapBlock) -> bool:
     """Whether a block may be reduced to a state's Krylov spaces rather than
     diagonalized whole: at least _KRYLOV_BLOCK states (see the README) and at
-    most _KRYLOV_ROW_TERMS terms a row on average."""
-    size = swap.rep.size
-    return size >= _KRYLOV_BLOCK and swap.values.size <= _KRYLOV_ROW_TERMS * size
+    most _KRYLOV_ROW_TERMS terms in its widest row."""
+    return bool(swap.rep.size >= _KRYLOV_BLOCK and np.bincount(swap.i).max() <= _KRYLOV_ROW_TERMS)
 
 
 def _step_length(m: int, log_product: float, rate: float, left: float) -> float:
@@ -347,9 +427,7 @@ class _Block:
             raise NumericError(f"non-finite generator entry at ({swap.i[k]}, {swap.j[k]})")
         self.swap = swap
         self.column = site_columns(swap.rep, swap.partner, dim)
-        # row I's terms start here; every row has one, its diagonal
-        self.row_starts = np.searchsorted(swap.i, np.arange(swap.rep.size))
-        self.row_sum = float(np.add.reduceat(np.abs(swap.values), self.row_starts).max())
+        self.row_sum = float(np.bincount(swap.i, np.abs(swap.values)).max())
 
     def fold(self, psi: np.ndarray) -> np.ndarray:
         """The block's share of psi: psi[rep] + psi[partner], psi[rep] where they coincide."""
@@ -373,6 +451,16 @@ class _Block:
     def whole(self) -> _Sector:
         return self.sector(*_eigh(self.swap.entries))
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The sites that read each state, 1 / weight^2: 1 or 2, exactly."""
+        return np.where(self.swap.rep == self.swap.partner, 1.0, 2.0)
+
+    @cached_property
+    def whole_gap(self) -> float:
+        """``_gram_gap`` of the whole block's eigenvectors, once per plan."""
+        return _gram_gap(self.whole.vectors, self.counts)
+
     def steps(self, psi: np.ndarray, far: float, samples: int) -> Iterator[_Step]:
         """psi's share carried out to z = far (signed), for the given number of
         samples: short Krylov steps (``reduced``) where ``_reduces`` allows
@@ -388,9 +476,23 @@ class _Block:
         sector = self.whole  # a whole block once diagonalized serves every later state
         yield _Step(sector, _apply(sector.vectors.conj().T, share), 0.0, math.inf, 0.0)
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as (widest row, block) tables of columns and values:
+        row I's k-th term at [k, I], padded with I and 0.0."""
+        i, size = self.swap.i, self.swap.rep.size
+        slot = np.arange(i.size) - np.searchsorted(i, i)  # a term's place in its row
+        columns = np.tile(np.arange(size), (int(slot.max()) + 1, 1))
+        values = np.zeros(columns.shape, dtype=self.swap.values.dtype)
+        columns[slot, i] = self.swap.j
+        values[slot, i] = self.swap.values
+        return columns, values
+
     def _matvec(self, x: np.ndarray) -> np.ndarray:
-        """The block times x, from its terms."""
-        return np.add.reduceat(self.swap.values * x[self.swap.j], self.row_starts)
+        """The block times x, from its terms: the padded table's products
+        summed over its short axis."""
+        columns, values = self._table
+        return (values * x[columns]).sum(axis=0)
 
     def reduced(self, b: np.ndarray, far: float, samples: int, tol: float) -> Iterator[_Step]:
         """exp(-i H z) b for z from 0 towards far (signed), in short steps
@@ -540,61 +642,27 @@ class SpectralPropagator:
                 f"{name} = {z!r} overflows the phases exp(-i E z) of energies up to {bound:.6g}", name
             )
 
-    def _synthesize(
-        self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray, square: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each
-        z in off_grid, as the rows of a C-ordered (samples, width) array, and
-        the block's site -> column map: the populations |c|^2 on the block's
-        columns, read through the map (``Trajectory``), if square, else the
-        complex amplitudes of every site."""
-        psi = psi0.amplitudes
+    def _steps(self, psi0: StateVector, n_grid: int, dz: float, off_grid: np.ndarray) -> list[_Span]:
+        """psi0's steps (``_Block.steps``) for the samples 0, dz, ...,
+        (n_grid - 1) dz and then each z in off_grid, with the samples each
+        serves; a step that serves none is dropped."""
         n_samples = n_grid + off_grid.size
         far = float(off_grid[-1]) if off_grid.size else dz * (n_grid - 1)  # |z| grows sample by sample
-        block = self._block(psi)
-        size = block.swap.rep.size
-        chunk = min(n_samples, max(1, _CHUNK_ELEMENTS // size))
-        phase_buf = part_buf = out = None
-        ka = 0
-        for (energies, vectors, _), coeffs, start, end, _ in block.steps(psi, far, n_samples):
+        kept, ka = [], 0
+        for sector, coeffs, start, end, _ in self._block(psi0.amplitudes).steps(psi0.amplitudes, far, n_samples):
             kb = n_samples  # past the step's last sample: on the grid up to end, then off it
             if end < math.inf:
                 kb = min(n_grid, math.floor(end / dz) + 1) if n_grid else 0
                 if kb == n_grid:
                     kb += int(np.count_nonzero(np.abs(off_grid) <= end))
-            m = energies.size
-            on_step = max(0, min(kb, n_grid) - ka)  # the step's samples on the grid
-            offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, on_step))))
-            if phase_buf is None:  # after the table, whose exp holds two of its size
-                phase_buf = np.empty(size * chunk, dtype=complex)
-                part_buf = np.empty_like(phase_buf)
-            for k0 in range(ka, kb, chunk):
-                k1 = min(k0 + chunk, kb)
-                on_grid = max(0, min(k1, n_grid) - k0)
-                z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
-                # flat buffers reshaped, so a short last chunk is contiguous too
-                phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
-                if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
-                    shift = dz * k0 - start
-                    anchor = coeffs if shift == 0.0 else coeffs * np.exp(-1j * energies * shift)
-                    _scale_rows(offsets[:, :on_grid], anchor, phases[:, :on_grid])
-                if z.size:
-                    direct = np.exp(-1j * np.outer(energies, z - start))
-                    np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
-                part = _apply(vectors, phases, out=part_buf[: size * (k1 - k0)].reshape(size, -1))
-                if k1 == n_samples:
-                    offsets = None  # free the phase table before the last chunk touches the output
-                if out is None:  # late: a one-chunk run never holds its table beside it
-                    width, dtype = (size, float) if square else (self.dim, complex)
-                    out = np.empty((n_samples, width), dtype=dtype)
-                if square:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
-                    squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
-                    np.square(squares, out=squares)
-                    out[k0:k1] = squares.T
-                else:
-                    block.place(out[k0:k1], part)
+            if kb > ka:
+                nonzero = np.flatnonzero(np.any(sector.vectors, axis=1))
+                low, high = int(nonzero[0]), int(nonzero[-1]) + 1
+                if high - low < sector.vectors.shape[0]:  # a copy, so the zero rows are freed
+                    sector = sector._replace(vectors=sector.vectors[low:high].copy())
+                kept.append(_Span(sector, coeffs, start, ka, kb, low))
             ka = kb
-        return out, block.column
+        return kept
 
     def evolve(self, psi0: StateVector, z: float) -> StateVector:
         """exp(-i H z) applied to psi0, for a finite z."""
@@ -602,26 +670,112 @@ class SpectralPropagator:
         if not math.isfinite(z):
             raise InvalidParameterError(f"z must be finite, got {z}", "z")
         self._check_reach(psi0, z, "z")
-        amplitudes, _ = self._synthesize(psi0, 0, 0.0, np.array([z], dtype=float), False)
-        return StateVector(amplitudes[0])
+        off_grid = np.array([z], dtype=float)
+        return StateVector(_synthesize(self._steps(psi0, 0, 0.0, off_grid), 0, 0.0, off_grid, square=False)[0])
 
     def trajectory(self, psi0: StateVector, z_max: float, dz: float) -> Trajectory:
-        """The populations of exp(-i H z) psi0 on the grid 0, dz, 2 dz, ..., z_max."""
+        """The populations of exp(-i H z) psi0 on the grid 0, dz, 2 dz, ...,
+        z_max, synthesized as they are read (``Trajectory``)."""
         self._check_dim(psi0)
         z, n_grid = _sample_grid(z_max, dz, self.dim, self._dim_cap)
         self._check_reach(psi0, z_max, "z_max")
-        # handed over C-ordered and read-only, so Trajectory needs no copy
-        rows, column = self._synthesize(psi0, n_grid, dz, z[n_grid:], True)
-        rows.setflags(write=False)
-        traj = Trajectory(z, rows, self.generator_id, column)
-        object.__setattr__(traj, "_evolve", partial(self.evolve, psi0))
-        return traj
+        steps = self._steps(psi0, n_grid, dz, z[n_grid:])
+        column = self._block(psi0.amplitudes).column
+        return Trajectory._of_steps(z, n_grid, dz, steps, self.generator_id, column, partial(self.evolve, psi0))
 
     def _check_dim(self, psi0: StateVector):
         if psi0.dim != self.dim:
             raise InvalidParameterError(
                 f"state dimension {psi0.dim} does not match generator {self.dim}"
             )
+
+
+def _synthesize(
+    steps: list[_Span], n_grid: int, dz: float, off_grid: np.ndarray,
+    columns: np.ndarray | None = None, square: bool = True,
+) -> np.ndarray:
+    """The samples that the kept steps serve, first to last, of
+    exp(-i H z) psi0 at z = 0, dz, ..., (n_grid - 1) dz and then at each z in
+    off_grid, as the rows of a C-ordered array: the populations |c|^2 on the
+    given block columns (every column by default) if square, else the
+    complex amplitudes of every site. Each list entry is dropped once its
+    samples are written, so a step that no caller holds is freed then."""
+    base, last = steps[0].first, steps[-1].stop
+    size = steps[0].sector.block.swap.rep.size
+    chunk = min(n_grid + off_grid.size, max(1, _CHUNK_ELEMENTS // size))
+    width = size if columns is None else columns.size
+    height = max(width, max(step.sector.energies.size for step in steps))  # of the phase buffer
+    phase_buf = part_buf = out = None
+    for index in range(len(steps)):
+        (energies, vectors, block), coeffs, start, ka, kb, low = steps[index]
+        steps[index] = None
+        if columns is not None or vectors.shape[0] != size:  # the rows read, zero outside the kept ones
+            read = np.arange(size) if columns is None else columns
+            held = (low <= read) & (read < low + vectors.shape[0])
+            vectors, kept = np.zeros((read.size, energies.size), vectors.dtype), vectors
+            vectors[held] = kept[read[held] - low]
+        m = energies.size
+        on_step = max(0, min(kb, n_grid) - ka)  # the step's samples on the grid
+        offsets = np.exp(-1j * np.outer(energies, dz * np.arange(min(chunk, on_step))))
+        if phase_buf is None:  # after the table, whose exp holds two of its size
+            phase_buf = np.empty(height * chunk, dtype=complex)
+            part_buf = np.empty(width * chunk, dtype=complex)
+        for k0 in range(ka, kb, chunk):
+            k1 = min(k0 + chunk, kb)
+            on_grid = max(0, min(k1, n_grid) - k0)
+            z = off_grid[k0 + on_grid - n_grid : k1 - n_grid]  # an appended z_max, or evolve's z
+            # flat buffers reshaped, so a short last chunk is contiguous too
+            phases = phase_buf[: m * (k1 - k0)].reshape(m, k1 - k0)
+            if on_grid:  # the first anchor is coeffs: one chunk is unchunked arithmetic
+                shift = dz * k0 - start
+                anchor = coeffs if shift == 0.0 else coeffs * np.exp(-1j * energies * shift)
+                _scale_rows(offsets[:, :on_grid], anchor, phases[:, :on_grid])
+            if z.size:
+                direct = np.exp(-1j * np.outer(energies, z - start))
+                np.multiply(direct, coeffs[:, None], out=phases[:, on_grid:])
+            part = _apply(vectors, phases, out=part_buf[: width * (k1 - k0)].reshape(width, -1))
+            if k1 == last:
+                offsets = None  # free the phase table before the last chunk touches the output
+            if out is None:  # late: a one-chunk run never holds its table beside it
+                shape = (last - base, width) if square else (last - base, block.column.size)
+                out = np.empty(shape, dtype=float if square else complex)
+            if square:  # |c|^2 on the block's rows, in the spent phases, then copied transposed
+                squares = np.abs(part, out=phase_buf.view(float)[: part.size].reshape(part.shape))
+                np.square(squares, out=squares)
+                out[k0 - base : k1 - base] = squares.T
+            else:
+                block.place(out[k0 - base : k1 - base], part)
+    return out
+
+
+def _gram_gap(vectors: np.ndarray, counts: np.ndarray) -> float:
+    """||G - I||_F for G = V^H diag(counts) V, the Gram matrix of the vectors
+    V in their block's orthonormal basis (counts: the sites that read each
+    state): a sample's populations sum to c^H G c."""
+    gram = vectors.conj().T @ (vectors * counts[:, None])
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
+def _check_steps(steps: list[_Span], n_grid: int, dz: float, off_grid: np.ndarray):
+    """Fail closed, as a trajectory's row check does, unless every sample's
+    populations sum to 1 within _NORM_TOL, read from the steps: a sample's
+    sum is c^H G c, for its phased coefficients c and the Gram matrix G of
+    the step's vectors (``_gram_gap``). The step's bound
+    |c^H c - 1| + ||G - I||_F c^H c settles a step where it is within
+    _NORM_TOL; elsewhere each sample's |R c|^2, R^H R = G, is synthesized."""
+    sums = np.ones(steps[-1].stop)
+    for step in steps:
+        sector, coeffs = step.sector, step.coeffs
+        block, vectors = sector.block, sector.vectors
+        counts = block.counts[step.low : step.low + vectors.shape[0]]
+        gap = block.whole_gap if sector is block.__dict__.get("whole") else _gram_gap(vectors, counts)
+        norm = float(np.vdot(coeffs, coeffs).real)
+        if not abs(norm - 1.0) + gap * norm <= _NORM_TOL:
+            root = np.linalg.qr(vectors * np.sqrt(counts)[:, None], mode="r")
+            span = _Span(sector._replace(vectors=root), coeffs, step.start, step.first, step.stop)
+            sums[step.first : step.stop] = _synthesize([span], n_grid, dz, off_grid, np.arange(root.shape[0])).sum(axis=1)
+    _check_sums(sums)
 
 
 def _sample_grid(z_max: float, dz: float, dim: int, dim_cap: int) -> tuple[np.ndarray, int]:

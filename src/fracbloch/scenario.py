@@ -455,6 +455,7 @@ def run_scenario(
     # the plan checks the cap before the first block or the state is built
     plan = SpectralPropagator(_build_operator(config), dim_cap=dim_cap)
     traj = plan.trajectory(_initial_state(config), config.z_max, config.dz)
+    traj.rows  # the writer reads every row: build them before any observable reads a column
 
     is_pair = config.model == "fock"
     site = (

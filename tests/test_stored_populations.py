@@ -140,7 +140,8 @@ def test_every_trajectory_reads_site_s_at_its_column(tmp_path, source, form):
         # the amplitudes that the same chunks and products place on every
         # site, squared as the trajectory squares its block's
         z, n_grid = propagator._sample_grid(z_max, dz, plan.dim, propagator.DEFAULT_DIM_CAP)
-        amplitudes, _ = plan._synthesize(psi0, n_grid, dz, z[n_grid:], False)
+        steps = plan._steps(psi0, n_grid, dz, z[n_grid:])
+        amplitudes = propagator._synthesize(steps, n_grid, dz, z[n_grid:], square=False)
         oracle = np.square(np.abs(amplitudes))
     else:  # np.loadtxt of the written file, every site's row
         csv = tmp_path / "trajectory.csv"
