@@ -1,5 +1,13 @@
 """The CSV artifacts' text: `%.12e` for whole arrays, and the trajectory CSV
-written and read back from one `Layout` record (form, N, header).
+written and read back from one `Layout` record (form, N, header), whose unit
+template (the rows of one long-form sample or wide row, with the offsets of
+their fields) serves both.
+
+The writer prints each block of whole units' z and stored columns once. Where
+every text is a `_FIELD` (a finite, non-negative value whose exponent has two
+digits), the block is copies of the unit template with each text placed at its
+fields; any other block is written from each float's words, as is the template
+itself.
 
 The reader makes one pass over the file's bytes. A chunk of whole units (long-
 form samples or wide rows) that matches the layout's template holds, by the
@@ -32,7 +40,7 @@ from .errors import InvalidParameterError
 from .model import site_columns, swap_sites
 
 #: A float "d.dddddddddddde-dd" as the writer prints a non-negative value
-#: below 1e100: the width of every field of the reader's templates.
+#: below 1e100: the width of every field of the unit templates.
 _FIELD = "0.000000000000e+00"
 
 
@@ -52,9 +60,21 @@ class Layout(NamedTuple):
         return cls(form, n, ",".join(["z_cm", *(f"p{i}" for i in range(n))]))
 
     def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray):
-        """Write the rows of samples z, a block at a time, with site s's
-        population probs[:, column[s]]. A pair lattice's stored columns are
-        printed once each; a chain's are gathered a block at a time."""
+        """Write the rows of samples z, with site s's population
+        probs[:, column[s]], a block of whole units (about _BLOCK floats) at a
+        time. A block whose z and stored columns all print as a `_FIELD` is
+        written from the unit template (`_Units`); any other, from its words."""
+        units = max(1, min(_BLOCK // (column.size + 1), len(z)))
+        template = _Units(self, column, probs.shape[1], units)
+        for start in range(0, len(z), units):
+            block = slice(start, start + units)
+            if not template.write(fh, z[block], probs[block]):
+                self.words(fh, z[block], probs[block], column)
+
+    def words(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray):
+        """Write the rows from each float's words, a block at a time. A pair
+        lattice's stored columns are printed once each; a chain's are gathered
+        a block at a time."""
         if self.form == "wide":
             _write_rows(fh, z, probs, column)
         else:
@@ -66,7 +86,7 @@ class Layout(NamedTuple):
         that every site reads, each float a `_FIELD`: their bytes, the offsets
         of the unit's fields (z first) and z copies, and where its rows start."""
         out, dim = io.BytesIO(), self.n * self.n if self.form == "long" else self.n
-        self.rows(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
+        self.words(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
         at = [m.start() for m in re.finditer(re.escape(_FIELD.encode()), out.getvalue())]
         if self.form == "wide":
             return out.getvalue(), at, [], [0]
@@ -194,8 +214,7 @@ class _FloatText:
 
 def _write_words(fh, words: np.ndarray):
     """Write the bytes of C-contiguous words without their NUL padding."""
-    raw = words.reshape(-1).view(np.uint8)
-    fh.write(raw[raw != 0])
+    fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, column=slice(None)):
@@ -239,10 +258,54 @@ def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], co
         _write_words(fh, block)
 
 
+class _Units:
+    """Blocks of up to `units` whole units of a layout, written from its unit
+    template. z and the stored columns print once each, with no separator;
+    where every text is a `_FIELD`, each is copied through a one-byte-stride
+    V18 view of the block to its fields: z to the z field and every z copy,
+    stored column c to every site s with column[s] == c."""
+
+    def __init__(self, layout: Layout, column: np.ndarray, stored: int, units: int):
+        unit, fields, copies, _ = layout.unit()
+        # a unit's fields, and the text each takes: z, or stored column c at 1 + c
+        self.at = np.array([fields[0], *copies, *fields[1:]])
+        self.text = np.concatenate([np.zeros(1 + len(copies), np.intp), 1 + column])
+        self.block = np.tile(np.frombuffer(unit, np.uint8), (units, 1))
+        field = np.dtype(f"V{len(_FIELD)}")
+        self.fields = np.ndarray((units, len(unit) - field.itemsize + 1), field, self.block,
+                                 strides=(len(unit), 1))
+        self.values = np.empty((units, 1 + stored))
+        self.words = np.empty((*self.values.shape, _WORDS), np.uint32)
+        self.texts = np.ndarray(self.values.shape, field, self.words,
+                                strides=self.words.strides[:2])
+        self.printer = _FloatText(self.values.size)
+
+    def write(self, fh, z: np.ndarray, columns: np.ndarray) -> bool:
+        """Write the units of samples z with stored columns `columns`, or
+        nothing, returning False, if a text is not a `_FIELD`."""
+        n = len(z)
+        values = self.values[:n]
+        values[:, 0] = z
+        values[:, 1:] = columns
+        # refused unprinted, since the word path prints the block again: a
+        # value below 9.9e-100 but 0 prints a sign, nan or a three-digit exponent
+        if not ((values >= 9.9e-100) | (values == 0)).all():
+            return False
+        words = self.words[:n].reshape(-1, _WORDS)
+        self.printer.write(values.ravel(), _NO_SEP, words)
+        raw = words.view(np.uint8)  # each text, NUL-padded to 24 bytes
+        if not raw[:, len(_FIELD) - 1].all() or raw[:, len(_FIELD)].any():
+            return False
+        self.fields[:n, self.at] = self.texts[:n, self.text]
+        fh.write(self.block[:n])
+        return True
+
+
 def write_series_csv(path: str, series):
     with open(path, "wb") as fh:
         fh.write(b"z_cm,value\n")
-        _write_rows(fh, series.z_samples, series.values[:, None], [0])
+        z, values = series.z_samples, series.values[:, None]
+        Layout.of("wide", 1).rows(fh, z, values, np.zeros(1, np.intp))
 
 
 def write_trajectory_csv(path: str, traj, model: str, n_sites: int):

@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fracbloch import codec
 from fracbloch.observables import ObservableSeries
 from fracbloch.scenario import write_series_csv, write_trajectory_csv
 
-from conftest import unchecked_rows
+from conftest import run_preset, unchecked_rows
 
 _ORACLE_FMT = "{:.12e}"
 
@@ -115,6 +116,71 @@ def test_random_arrays_bytes_match_oracle(tmp_path_factory, model, n_sites, samp
     series = ObservableSeries(np.arange(samples) * 0.1, probs[:, 0], "random")
     assert_series_bytes_match(tmp_path, series)
 
+
+#: Floats whose text has the width of the unit template's fields
+#: (`codec._FIELD`): non-negative, with a two-digit exponent. None below
+#: 9.9e99 rounds up to 1e+100.
+template_floats = st.floats(1e-99, 9.9e99)
+#: Floats whose text does not: three-digit exponents, a sign, nan and inf.
+other_floats = st.one_of(
+    st.floats(5e-324, 9e-100), st.floats(1e100, 1e300), st.floats(-1.0, -1e-300),
+    st.sampled_from([-0.0, np.nan, np.inf]),
+)
+
+
+def template_values(data, shape) -> np.ndarray:
+    """Floats of the template's form, with one or two other texts among them."""
+    values = data.draw(arrays(np.float64, shape, elements=template_floats))
+    for at in data.draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=2)):
+        values.flat[at] = data.draw(other_floats)
+    return values
+
+
+def spy_on_template(taken: list):
+    """Patch the template writer to append, for each block, whether it wrote it."""
+    write = codec._Units.write
+
+    def spy(self, fh, z, columns):
+        taken.append(write(self, fh, z, columns))
+        return taken[-1]
+
+    return mock.patch.object(codec._Units, "write", spy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(["fock", "single"]),
+    n_sites=st.integers(1, 3),
+    samples=st.integers(9, 12),
+    data=st.data(),
+)
+def test_template_and_word_blocks_in_one_file_bytes_match_oracle(
+    tmp_path_factory, model, n_sites, samples, data
+):
+    """Blocks of 8 floats hold at most 4 units, so each file holds at least
+    three blocks: those with another text are written from their words, the
+    rest from the template, and the bytes are the oracle's."""
+    dim = n_sites * n_sites if model == "fock" else n_sites
+    values = template_values(data, (samples, 1 + dim))
+    traj = unchecked_rows(values[:, 0], values[:, 1:])
+    series = ObservableSeries(np.arange(samples) * 0.1, template_values(data, samples), "p")
+    tmp_path = tmp_path_factory.mktemp("template")
+    with mock.patch.object(codec, "_BLOCK", 8):
+        for check, args in ((assert_trajectory_bytes_match, (traj, model, n_sites)),
+                            (assert_series_bytes_match, (series,))):
+            taken = []
+            with spy_on_template(taken):
+                check(tmp_path, *args)
+            assert True in taken and False in taken, taken
+
+
+def test_fig4a_preset_writes_every_block_from_the_template(tmp_path):
+    """Every float of the fig4a preset's CSVs prints as a template field, so
+    a silent fall-back to the word path (the same bytes, slower) fails here."""
+    taken = []
+    with spy_on_template(taken):
+        run_preset("fig4a-fractional-bo", tmp_path)
+    assert taken and all(taken), taken
 
 # ---------------------------------------------------------------------------
 # The %.12e kernel on its own, and the writers at their block edges
