@@ -6,30 +6,30 @@ their fields) serves both.
 The writer prints each block of whole units' z and stored columns once. Where
 every text is a `_FIELD` (a finite, non-negative value whose exponent has two
 digits), the block is copies of the unit template with each text placed at its
-fields; any other block is written from each float's words, as is the template
-itself.
+fields; any other block is written from each float's words.
 
 The reader makes one pass over the file's bytes. A chunk of whole units (long-
-form samples or wide rows) that matches the layout's template holds, by the
-match, (n, m) in writer order, one z per sample and only digits in its fields,
-so its values are finite and non-negative. A wide file's layout comes from its
-header; a long one's N from the first chunk, whose whole samples the template
-of that N then decodes. Its `%.12e` fields are decoded to the correctly
-rounded double (Clinger, PLDI 1990; a double-double product with a guard about
-the rounding midpoint), its populations go straight into the result, and only
-the rise of z is left to check. Other text is parsed by np.loadtxt and checked
-row by row, with the same values and diagnostics.
+form samples or wide rows) is proved by rebuilding it: copies of the unit
+template, filled as the writer fills them from the texts of z and of the sites
+that the column map stores, must equal the chunk. So (n, m) run in writer
+order, each sample holds one z and each mirror its stored field's text. The
+texts are decoded to the correctly rounded double (Clinger, PLDI 1990; a
+double-double product with a guard about the rounding midpoint), which checks
+their digits, "." and "e": the values are finite and non-negative, and only the
+rise of z is left to check. A wide file's layout comes from its header; a long
+one's N from the first chunk, whose whole samples the template of that N then
+decodes. Other text is parsed by np.loadtxt and checked row by row, with the
+same values and diagnostics.
 
 A pair file's populations are kept folded, each (n, m)/(m, n) pair once in the
-swap block's order, exactly while every pair holds equal bits: the template
-decodes only the stored fields where each mirrored field holds the same text,
-and other text must decode to the same bits. At the first sample where a pair
-differs, the samples kept are unfolded and the rest are kept whole.
+swap block's order, exactly while every pair holds equal bits. A chunk that
+does not rebuild folded is rebuilt whole once and folded by bits; at the first
+sample where a pair differs, the samples kept are unfolded and the rest are
+rebuilt and kept whole.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from typing import NamedTuple
@@ -78,19 +78,27 @@ class Layout(NamedTuple):
         if self.form == "wide":
             _write_rows(fh, z, probs, column)
         else:
-            labels = [f",{a},{b}," for a in range(self.n) for b in range(self.n)]
-            _write_pair_rows(fh, z, probs, labels, column)
+            _write_pair_rows(fh, z, probs, self.labels(), column)
 
-    def unit(self) -> tuple[bytes, list[int], list[int], list[int]]:
+    def labels(self) -> list[str]:
+        """A long-form unit's ",n,m," site labels, in writer order."""
+        digits = [str(i) for i in range(self.n)]
+        return [f",{a},{b}," for a in digits for b in digits]
+
+    def unit(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
         """The rows the writer prints for one sample of zeros, one stored zero
         that every site reads, each float a `_FIELD`: their bytes, the offsets
         of the unit's fields (z first) and z copies, and where its rows start."""
-        out, dim = io.BytesIO(), self.n * self.n if self.form == "long" else self.n
-        self.words(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
-        at = [m.start() for m in re.finditer(re.escape(_FIELD.encode()), out.getvalue())]
+        width = len(_FIELD)
         if self.form == "wide":
-            return out.getvalue(), at, [], [0]
-        return out.getvalue(), [at[0], *at[1::2]], at[2::2], at[0::2]
+            fields = np.arange(self.n + 1) * (width + 1)
+            return (",".join([_FIELD] * (self.n + 1)) + "\n").encode(), fields, fields[:0], fields[:1]
+        labels = self.labels()
+        text = _FIELD + f"{_FIELD}\n{_FIELD}".join(labels) + f"{_FIELD}\n"
+        digits = np.array([len(str(i)) for i in range(self.n)])
+        label = (3 + digits[:, None] + digits).ravel()  # each row's ",n,m," length
+        starts = np.concatenate(([0], np.cumsum(2 * width + 1 + label[:-1])))
+        return text.encode(), np.r_[0, starts + width + label], starts[1:], starts
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +266,49 @@ def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], co
         _write_words(fh, block)
 
 
-class _Units:
+def _texts(block: np.ndarray) -> np.ndarray:
+    """The 18-byte texts that start at each byte of each unit of a C-contiguous
+    (units, size) uint8 block: a one-byte-stride V18 view of it."""
+    field = np.dtype(f"V{len(_FIELD)}")
+    units, size = block.shape
+    return np.ndarray((units, size - field.itemsize + 1), field, block, strides=(size, 1))
+
+
+class _Block:
+    """`units` copies of a layout's unit template, whose fields are filled
+    from 18-byte texts: z's to the z field and every z copy, stored column
+    c's to every site s with column[s] == c (`fill`)."""
+
+    def __init__(self, unit: tuple, units: int):
+        text, self.sites, copies, self.starts = unit  # sites: z's field, then each site's
+        self.size = len(text)
+        self.at = np.concatenate([self.sites[:1], copies, self.sites[1:]])
+        self.block = np.tile(np.frombuffer(text, np.uint8), (units, 1))
+        self.fields = _texts(self.block)
+
+    def text_of(self, column: np.ndarray) -> np.ndarray:
+        """The text each of `at` takes: z at 0, stored column c at 1 + c."""
+        return np.concatenate([np.zeros(len(self.at) - column.size, np.intp), 1 + column])
+
+    def fill(self, texts: np.ndarray, text: np.ndarray) -> np.ndarray:
+        """The first len(texts) units, with each field holding texts[:, text]."""
+        n = len(texts)
+        self.fields[:n, self.at] = texts[:, text]
+        return self.block[:n]
+
+
+class _Units(_Block):
     """Blocks of up to `units` whole units of a layout, written from its unit
     template. z and the stored columns print once each, with no separator;
     where every text is a `_FIELD`, each is copied through a one-byte-stride
-    V18 view of the block to its fields: z to the z field and every z copy,
-    stored column c to every site s with column[s] == c."""
+    V18 view of the block to its fields."""
 
     def __init__(self, layout: Layout, column: np.ndarray, stored: int, units: int):
-        unit, fields, copies, _ = layout.unit()
-        # a unit's fields, and the text each takes: z, or stored column c at 1 + c
-        self.at = np.array([fields[0], *copies, *fields[1:]])
-        self.text = np.concatenate([np.zeros(1 + len(copies), np.intp), 1 + column])
-        self.block = np.tile(np.frombuffer(unit, np.uint8), (units, 1))
-        field = np.dtype(f"V{len(_FIELD)}")
-        self.fields = np.ndarray((units, len(unit) - field.itemsize + 1), field, self.block,
-                                 strides=(len(unit), 1))
+        super().__init__(layout.unit(), units)
+        self.text = self.text_of(column)
         self.values = np.empty((units, 1 + stored))
         self.words = np.empty((*self.values.shape, _WORDS), np.uint32)
-        self.texts = np.ndarray(self.values.shape, field, self.words,
+        self.texts = np.ndarray(self.values.shape, self.fields.dtype, self.words,
                                 strides=self.words.strides[:2])
         self.printer = _FloatText(self.values.size)
 
@@ -296,8 +328,7 @@ class _Units:
         raw = words.view(np.uint8)  # each text, NUL-padded to 24 bytes
         if not raw[:, len(_FIELD) - 1].all() or raw[:, len(_FIELD)].any():
             return False
-        self.fields[:n, self.at] = self.texts[:n, self.text]
-        fh.write(self.block[:n])
+        fh.write(self.fill(self.texts[:n], self.text))
         return True
 
 
@@ -321,7 +352,7 @@ def write_trajectory_csv(path: str, traj, model: str, n_sites: int):
 
 
 # ---------------------------------------------------------------------------
-# Reading: the template match and the exact parser of its fields
+# Reading: the chunk rebuilt from the template, and the exact parser of its fields
 # ---------------------------------------------------------------------------
 
 #: Bytes of a trajectory CSV read per chunk: topped up to a whole line, or,
@@ -331,13 +362,15 @@ _READ_CHUNK = 1 << 18
 _ESCAPED = re.compile("[\udc80-\udcff]")
 #: The ASCII whitespace np.loadtxt strips from a field; the writer writes none.
 _PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-#: The bytes of a `_FIELD` that the parser decodes: 13 digits, the exponent's
-#: sign and its two digits. The others are "." and "e".
-_RECORD = np.array([0, *range(2, 14), 15, 16, 17])
 _U = np.uint64
-_ZEROS = _U(0x3030303030303030)  # "0" in every byte
-_HIGH = _U(0xF0F0F0F0F0F0F0F0)
-_SIGN = _U(0xFF) << _U(40)  # the exponent's sign in a record's second word
+#: The zero `_FIELD`'s bytes 0-7 and 8-15 as words, and 16-17: XORed with
+#: them, a field's bytes hold each digit's value, 0 for "." and "e" and for
+#: the exponent's sign "+", and 6 for "-".
+_ZERO_HEAD, _ZERO_BODY = np.frombuffer(_FIELD[:16].encode(), _U)
+_ZERO_EXPONENT = np.frombuffer(_FIELD[16:].encode(), np.uint16)[0]
+#: 0x80 less each byte's limit: ten for a digit, one for "." and "e" (and for
+#: the sign, cleared before the check).
+_HEAD_LIMITS, _BODY_LIMITS, _EXPONENT_LIMITS = 0x7676767676767F76, 0x7F7F767676767676, 0x7676
 #: 10**k, exact in binary64, so m / 10**k is correctly rounded for k <= 22.
 _TEN = np.array([float(10**k) for k in range(23)])
 
@@ -361,18 +394,20 @@ def _tenths() -> np.ndarray:
 
 
 _TENTHS = _tenths()
+#: Its columns hi, hi1, hi2 and lo, each contiguous, for one take each.
+_TENTH_COLUMNS = tuple(np.ascontiguousarray(column) for column in _TENTHS.T)
 
 
-def _all_digits(words: np.ndarray) -> bool:
-    """Whether every byte of every word is an ASCII digit."""
-    mixed = (words & _HIGH) | (((words + _U(0x0606060606060606)) & _HIGH) >> _U(4))
-    return bool((mixed == _U(0x3333333333333333)).all())
+def _below(words: np.ndarray, limits: int) -> bool:
+    """Whether each byte of every word is below its limit, where `limits`
+    holds 0x80 less the limit in that byte: no byte or sum reaches 0x80."""
+    high = words.dtype.type(int("80" * words.itemsize, 16))
+    return not (((words + limits) | words) & high).any()
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
-    """The number each word's eight ASCII digits spell, its low byte first."""
-    v = words - _ZEROS
-    v = v * _U(10) + (v >> _U(8))
+    """The number each word's eight digit values spell, its low byte first."""
+    v = words * _U(10) + (words >> _U(8))
     pairs = (v & _U(0x000000FF000000FF)) * _U(100 + (1000000 << 32))
     quads = ((v >> _U(16)) & _U(0x000000FF000000FF)) * _U(1 + (10000 << 32))
     return ((pairs + quads) >> _U(32)) & _U(0xFFFFFFFF)
@@ -386,7 +421,7 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> np.ndarray | None:
     rest of p + t lies within 2**-90 r of half an ulp of r. That and r a power
     of two, where the ulp below is half the ulp above, are refused.
     """
-    hi, hi1, hi2, lo = _TENTHS[k].T
+    hi, hi1, hi2, lo = (np.take(column, k) for column in _TENTH_COLUMNS)
     p = m * hi
     c = 134217729.0 * m
     m1 = c - (c - m)
@@ -400,25 +435,23 @@ def _scaled(m: np.ndarray, k: np.ndarray) -> np.ndarray | None:
     return r if proved.all() else None
 
 
-def _decode(records: np.ndarray) -> np.ndarray | None:
-    """The floats of (n, 2) uint64 records, or None if any is not provably exact.
-
-    A record holds a field's 13 digits, then the exponent's sign and digits:
-    m * 10**(e - 12), exact when the field is the writer's.
-    """
-    first, second = records[:, 0], records[:, 1]
-    sign = (second & _SIGN) >> _U(40)
-    if not (
-        _all_digits(first)
-        and _all_digits((second & ~_SIGN) | (_U(0x30) << _U(40)))
-        and ((sign == 43) | (sign == 45)).all()
-    ):
+def _decode(texts: np.ndarray) -> np.ndarray | None:
+    """The floats of contiguous 18-byte texts, in their shape, or None unless
+    each is a `_FIELD`, "d.dddddddddddde±dd", provably decoded exactly:
+    m * 10**(e - 12) for its 13 digits m and exponent e."""
+    n, raw = texts.size, texts.reshape(-1).view(np.uint8)
+    head = np.ndarray(n, _U, raw, 0, (len(_FIELD),)) ^ _ZERO_HEAD  # d.dddddd
+    body = np.ndarray(n, _U, raw, 8, (len(_FIELD),)) ^ _ZERO_BODY  # dddddde±
+    exponent = np.ndarray(n, np.uint16, raw, 16, (len(_FIELD),)) ^ _ZERO_EXPONENT
+    sign, body = body >> _U(56), body & _U(2**56 - 1)
+    digits = _below(head, _HEAD_LIMITS) and _below(body, _BODY_LIMITS)
+    if not (digits and _below(exponent, _EXPONENT_LIMITS) and ((sign == 0) | (sign == 6)).all()):
         return None
-    # first: digits 1-8; the last five sit in second's low bytes, shifted up behind "000"
-    m = _eight_digits(first) * _U(100000) + _eight_digits((second << _U(24)) | _U(0x303030))
-    tens, ones = (second >> _U(48)) & _U(0xFF), second >> _U(56)
-    e = (tens * _U(10) + ones).astype(np.int64) - 528  # the ASCII "0" is 48: 528 = 11 * 48
-    k = np.where(sign == 45, 12 + e, 12 - e)  # the value is m / 10**k
+    # the first digit moves to the "." byte: seven digits, and six behind two zeros
+    head += (head & _U(0xFF)) * _U(0xFF)
+    m = _eight_digits(head) * _U(10**6) + _eight_digits(body << _U(16))
+    e = ((exponent & 0xFF) * 10 + (exponent >> 8)).astype(np.int64)
+    k = np.where(sign == 6, 12 + e, 12 - e)  # the value is m / 10**k
     if k.min() < 0:
         return None
     m = m.astype(float)
@@ -429,83 +462,44 @@ def _decode(records: np.ndarray) -> np.ndarray | None:
         if scaled is None:
             return None
         values[deep] = scaled
-    return values
+    return values.reshape(texts.shape)
 
 
-class _Template:
-    """A layout's unit of rows, and how many whole units a chunk holds.
-
-    `decode` takes whole units and returns each unit's fields, or None unless
-    every byte outside the fields equals the template (one masked compare
-    over the units), each z copy repeats its unit's z, and every field is
-    the writer's form, exactly decoded. A pair lattice's fields are z and
-    the stored sites (a, b), a <= b, in the swap block's order; the mirror
-    (b, a) of each off-diagonal one is compared with its stored field's
-    record and decoded only where it differs. While `folding`, units whose
-    every mirror holds its stored field's bits come back folded, z and the
-    stored fields; other units come back whole, z and every site's field in
-    writer order.
-    """
+class _Template(_Block):
+    """A layout's unit of rows, how many whole units a chunk holds, and the
+    map by which `decode` rebuilds them: the fields it gathers and the text
+    each of `at` takes. A pair lattice's map starts folded, z and the sites
+    (a, b), a <= b, in the swap block's order; units that do not rebuild
+    folded are rebuilt once by the `whole` map, z and every site in writer
+    order, the only map of a chain."""
 
     def __init__(self, layout: Layout):
-        text, fields, copies, self.starts = layout.unit()
-        unit = np.frombuffer(text, np.uint8)
-        self.size, self.units = unit.size, _READ_CHUNK // unit.size
-        # the bytes of each field's and each copy's record within a unit
-        records = np.add.outer(np.array(fields, int), _RECORD)
-        self.copies = np.add.outer(np.array(copies, int), _RECORD).ravel()
-        self.mask = np.full(self.size, 0xFF, np.uint8)
-        self.mask[records] = self.mask[self.copies] = 0
-        self.fixed = unit & self.mask
-        self.folding, self.mirrors = layout.form == "long", None
-        if self.folding:
+        unit = layout.unit()
+        self.units = _READ_CHUNK // len(unit[0])
+        super().__init__(unit, self.units)
+        self.map = self.whole = self.sites, self.text_of(np.arange(self.sites.size - 1))
+        if layout.form == "long":
             rep, partner = swap_sites(layout.n)
-            mirrored = rep != partner
-            self.rep, self.mirror = rep, partner[mirrored]
-            self.pairs = 1 + np.flatnonzero(mirrored)  # the stored fields with a mirror
-            self.mirrors = records[1 + self.mirror].ravel()
-            records = records[np.r_[0, 1 + rep]]
-        self.fields = records.ravel()
+            column = site_columns(rep, partner, layout.n**2)
+            self.map = self.sites[np.r_[0, 1 + rep]], self.text_of(column)
 
     def decode(self, buf: np.ndarray, n: int) -> np.ndarray | None:
         """(units, fields) floats of buf[:n], or None where a byte or a value is not proved."""
         units, rest = divmod(n, self.size)
         if rest:
             return None
-        unit = buf[:n].reshape(units, -1)
-        other = unit & self.mask
-        other ^= self.fixed
-        if other.max():
-            return None
-        fields, copies = (  # in range; "wrap" is the fastest mode
-            np.take(unit, at, axis=1, mode="wrap").view(_U).reshape(units, -1, 2)
-            for at in (self.fields, self.copies)
-        )
-        if not (copies == fields[:, :1]).all():
-            return None
-        values = _decode(fields.reshape(-1, 2))
-        if values is None:
-            return None
-        values = values.reshape(units, -1)
-        return values if self.mirrors is None else self._mirrored(unit, fields, values)
+        chunk = buf[:n].reshape(units, self.size)
+        values = self.rebuild(chunk, *self.map)
+        if values is None and self.map is not self.whole:
+            values = self.rebuild(chunk, *self.whole)
+        return values
 
-    def _mirrored(self, unit: np.ndarray, fields: np.ndarray, values: np.ndarray):
-        """Pair-lattice units' values, folded or whole, from their stored
-        fields' records and values and the mirrors' bytes in unit."""
-        mirrors = np.take(unit, self.mirrors, axis=1, mode="wrap").view(_U).reshape(len(unit), -1, 2)
-        stored = fields[:, self.pairs]
-        at, k = np.nonzero((mirrors[..., 0] != stored[..., 0]) | (mirrors[..., 1] != stored[..., 1]))
-        other = _decode(mirrors[at, k]) if at.size else values[:0, 0]
-        if other is None:
-            return None
-        if self.folding and np.array_equal(other.view(_U), values[at, self.pairs[k]].view(_U)):
-            return values
-        whole = np.empty((len(values), 1 + self.rep.size + self.mirror.size))
-        whole[:, 0] = values[:, 0]
-        whole[:, 1 + self.rep] = values[:, 1:]
-        whole[:, 1 + self.mirror] = values[:, self.pairs]
-        whole[at, 1 + self.mirror[k]] = other
-        return whole
+    def rebuild(self, chunk: np.ndarray, read: np.ndarray, text: np.ndarray) -> np.ndarray | None:
+        """The values of the chunk's fields at `read`, or None unless the
+        units filled from their texts equal the chunk (which proves every
+        byte but the gathered ones) and each text decodes."""
+        texts = _texts(chunk)[:, read]
+        return _decode(texts) if np.array_equal(self.fill(texts, text), chunk) else None
 
 
 def _is_number(field: str) -> bool:
@@ -660,8 +654,8 @@ class _Rows:
         self._advance(len(populations), z, last)
 
     def _accept(self, values: np.ndarray):
-        """Keep whole units that the template decoded. The match proved all that
-        the row-wise checks check but the rise of z at each unit's first row."""
+        """Keep whole units that the template decoded. The rebuild proved all
+        that the row-wise checks check but the rise of z at each unit's first row."""
         z = values[:, 0]
         rises = z > np.concatenate(([self.last], z[:-1]))
         if not rises.all():
@@ -793,12 +787,13 @@ class _LongRows(_Rows):
         super()._store(samples)
 
     def _unfold(self):
-        """Expand the samples kept so far, and keep whole samples from here on."""
+        """Expand the samples kept so far, and keep (and rebuild) whole samples
+        from here on."""
         whole, sites = np.empty((len(self.p), self.unit_rows)), np.arange(self.unit_rows)
         np.take(self.p[: self.kept], self.column, axis=1, out=whole[: self.kept])
         self.p, self.column = whole, site_columns(sites, sites, sites.size)
         if self.template is not None:
-            self.template.folding = False
+            self.template.map = self.template.whole
 
     def _samples(self):
         if self.count and (self.n is None or self.count % self.unit_rows):

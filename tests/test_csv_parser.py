@@ -48,9 +48,8 @@ def nearest_decimal(x: Fraction) -> tuple[int, int]:
 
 
 def records(texts: list[str]) -> np.ndarray:
-    """The parser's (n, 2) uint64 records of 18-character fields."""
-    raw = np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(-1, 18)
-    return np.ascontiguousarray(raw[:, codec._RECORD]).view(np.uint64)
+    """The parser's input: 18-character fields as contiguous V18 texts."""
+    return np.frombuffer("".join(texts).encode("ascii"), "V18")
 
 
 @contextlib.contextmanager
@@ -266,6 +265,49 @@ def test_damaged_writer_output_reads_like_loadtxt(writer_files, scratch, name, c
     else:
         del data[at]
     scratch.write_bytes(bytes(data))
+    with_parser, loadtxt_only = _outcomes(scratch, chunk)
+    assert with_parser == loadtxt_only
+
+
+def _folded_file(path, samples=6, n=3):
+    """A swap-symmetric pair file as the writer prints it: every mirror
+    holds its stored field's text."""
+    probs = _symmetric_populations(np.random.default_rng(n), samples, n)
+    write_trajectory_csv(str(path), unchecked_rows(np.arange(samples) * 0.25, probs), "fock", n)
+
+
+#: Fields of a unit that lose their "." (byte 1) or "e" (byte 14): (the unit's
+#: row, the field of that row), in the pair files (N = 3) and the chain file.
+#: A stored field is (0, 1)'s population, a mirror (1, 0)'s.
+DAMAGED_FIELDS = {
+    "pair": {"z": (0, 0), "z-copy": (4, 0), "stored": (1, 3), "mirror": (3, 3)},
+    "chain": {"z": (0, 0), "stored": (0, 2)},
+}
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("byte", [1, 14], ids=["dot", "e"])
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, field) for name in ("pair", "folded", "chain")
+     for field in DAMAGED_FIELDS["chain" if name == "chain" else "pair"]],
+)
+def test_field_without_its_dot_or_e_reads_like_loadtxt(writer_files, scratch, name, field, byte, chunk):
+    # the template's compare takes a gathered field's "." and "e" from the
+    # chunk itself, so only the parser's own checks see them replaced
+    if name == "folded":
+        _folded_file(scratch)
+        data = scratch.read_bytes()
+    else:
+        data = writer_files[name]
+    row, index = DAMAGED_FIELDS["chain" if name == "chain" else "pair"][field]
+    lines = data.split(b"\n")
+    line = 1 + 2 * (9 if name != "chain" else 1) + row  # in the third unit
+    fields = lines[line].split(b",")
+    assert fields[index][byte:byte + 1] == (b"." if byte == 1 else b"e"), fields[index]
+    fields[index] = fields[index][:byte] + b"7" + fields[index][byte + 1:]
+    lines[line] = b",".join(fields)
+    scratch.write_bytes(b"\n".join(lines))
     with_parser, loadtxt_only = _outcomes(scratch, chunk)
     assert with_parser == loadtxt_only
 
@@ -490,6 +532,55 @@ def test_pair_file_folds_exactly_when_every_mirror_holds_equal_bits(
         assert not any(accepted)
     elif case != "signed-zero":  # "-0.0" misses the template; every other chunk is decoded
         assert accepted and all(accepted)
+
+
+@contextlib.contextmanager
+def rebuilds():
+    """Record, per rebuild of a chunk by the template, how many fields it gathers."""
+    gathered = []
+    rebuild = codec._Template.rebuild
+
+    def spy(self, chunk, read, text):
+        gathered.append(len(read))
+        return rebuild(self, chunk, read, text)
+
+    with mock.patch.object(codec._Template, "rebuild", spy):
+        yield gathered
+
+
+#: Fields a rebuild of an N = 3 sample gathers: z and the six stored sites, or
+#: z and all nine.
+FOLDED, WHOLE = 7, 10
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("symmetric", [FOLDED] * 4),
+        # the first chunk is rebuilt folded, then whole, and later ones whole at once
+        ("first", [FOLDED, WHOLE] + [WHOLE] * 3),
+        # the chunk of the e-00 mirror is rebuilt whole; its bits fold, the map stays
+        ("exponent-zero", [FOLDED, FOLDED, WHOLE, FOLDED, FOLDED]),
+    ],
+)
+def test_each_chunk_is_rebuilt_once_unless_its_folded_rebuild_fails(scratch, monkeypatch, case, want):
+    n, samples = 3, 12
+    probs = _symmetric_populations(np.random.default_rng(5), samples, n)
+    site, mirror = 0 * n + 1, 1 * n + 0
+    if case == "first":
+        probs[0, mirror] = probs[0, site] / 3 + 0.5
+    elif case == "exponent-zero":
+        probs[4, site] = probs[4, mirror] = 0.0
+    write_trajectory_csv(str(scratch), unchecked_rows(np.arange(samples) * 0.25, probs), "fock", n)
+    if case == "exponent-zero":
+        _edit_end(scratch, 1 + 4 * n * n + mirror, "e+00", "e-00")
+    monkeypatch.setattr(codec, "_READ_CHUNK", UNITS_PER_CHUNK * UNITS["pair"][1])
+    with rebuilds() as gathered, decoded_chunks() as accepted:
+        _, rows, column, _ = load_trajectory_csv(str(scratch))
+    assert accepted == [True] * 4 and gathered == want
+    assert (rows.shape[1] < column.size) == (case != "first")
+    printed = [float(f"{v:.12e}") for v in probs.ravel().tolist()]
+    assert np.array_equal(bits(rows[:, column].ravel()), bits(printed))
 
 
 def test_folded_pair_file_is_read_beside_its_rows_in_two_mb(tmp_path):

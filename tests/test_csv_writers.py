@@ -1,5 +1,6 @@
 """The CSV writers against a row-by-row oracle: the same bytes, edge values included."""
 
+import io
 import os
 import re
 import tracemalloc
@@ -181,6 +182,27 @@ def test_fig4a_preset_writes_every_block_from_the_template(tmp_path):
     with spy_on_template(taken):
         run_preset("fig4a-fractional-bo", tmp_path)
     assert taken and all(taken), taken
+
+
+@pytest.mark.parametrize("form, n", [("long", 1), ("long", 3), ("long", 11), ("long", 31),
+                                     ("long", 101), ("wide", 1), ("wide", 2), ("wide", 23)])
+def test_unit_template_is_the_word_path_print_of_a_zero_unit(form, n):
+    """The unit template, joined from its labels with offsets computed, holds
+    the bytes the word path prints for one sample of zeros, and its fields,
+    z copies and row starts sit where that print holds a `_FIELD`."""
+    layout = codec.Layout.of(form, n)
+    out = io.BytesIO()
+    dim = n * n if form == "long" else n
+    layout.words(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
+    at = [m.start() for m in re.finditer(re.escape(codec._FIELD.encode()), out.getvalue())]
+    text, fields, copies, starts = layout.unit()
+    assert text == out.getvalue()
+    if form == "wide":
+        want = at, [], [0]
+    else:
+        want = [at[0], *at[1::2]], at[2::2], at[0::2]
+    assert [list(fields), list(copies), list(starts)] == list(want)
+
 
 # ---------------------------------------------------------------------------
 # The %.12e kernel on its own, and the writers at their block edges
