@@ -1,12 +1,13 @@
 """The CSV artifacts' text: `%.12e` for whole arrays, and the trajectory CSV
-written and read back from one `Layout` record (form, N, header), whose unit
-template (the rows of one long-form sample or wide row, with the offsets of
-their fields) serves both.
+written and read back from one `Layout` record (form, N, header). Its unit
+template, the rows of one long-form sample or wide row with the offsets of
+their fields, holds every label and separator of both directions.
 
-The writer prints each block of whole units' z and stored columns once. Where
-every text is a `_FIELD` (a finite, non-negative value whose exponent has two
-digits), the block is copies of the unit template with each text placed at its
-fields; any other block is written from each float's words.
+The writer prints each block of whole units' z and stored columns once, as
+bare texts. Where every text is a `_FIELD` (a finite, non-negative value
+whose exponent has two digits), the block is copies of the unit template
+with each text placed at its fields; any other block is joined in file
+order, each field's text followed by the unit's bytes up to the next field.
 
 The reader makes one pass over the file's bytes. A chunk of whole units (long-
 form samples or wide rows) is proved by rebuilding it: copies of the unit
@@ -62,23 +63,11 @@ class Layout(NamedTuple):
     def rows(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray):
         """Write the rows of samples z, with site s's population
         probs[:, column[s]], a block of whole units (about _BLOCK floats) at a
-        time. A block whose z and stored columns all print as a `_FIELD` is
-        written from the unit template (`_Units`); any other, from its words."""
+        time (`_Units`)."""
         units = max(1, min(_BLOCK // (column.size + 1), len(z)))
-        template = _Units(self, column, probs.shape[1], units)
+        block = _Units(self, column, probs.shape[1], units)
         for start in range(0, len(z), units):
-            block = slice(start, start + units)
-            if not template.write(fh, z[block], probs[block]):
-                self.words(fh, z[block], probs[block], column)
-
-    def words(self, fh, z: np.ndarray, probs: np.ndarray, column: np.ndarray):
-        """Write the rows from each float's words, a block at a time. A pair
-        lattice's stored columns are printed once each; a chain's are gathered
-        a block at a time."""
-        if self.form == "wide":
-            _write_rows(fh, z, probs, column)
-        else:
-            _write_pair_rows(fh, z, probs, self.labels(), column)
+            block.write(fh, z[start : start + units], probs[start : start + units])
 
     def labels(self) -> list[str]:
         """A long-form unit's ",n,m," site labels, in writer order."""
@@ -114,14 +103,9 @@ class Layout(NamedTuple):
 # printed by `%`, one by one.
 # ---------------------------------------------------------------------------
 
-#: Separators that may follow a float, by code.
-_SEPS = ("", ",", "\n")
-_NO_SEP, _COMMA, _NEWLINE = range(3)
-#: Decimal exponents a double can print with (5e-324 prints as e-324).
-_EXPONENTS = 325
 #: uint32 words per printed float: the longest text, "-d.dddddddddddde-ddd",
-#: and its separator take 21 bytes. Shorter texts end in NUL padding.
-_WORDS = 6
+#: takes 20 bytes. Shorter texts end in NUL padding.
+_WORDS = 5
 #: Floats per block of the writers (whole rows or samples, at least one).
 _BLOCK = 2**12
 #: A y this close to a half-integer prints by `%` (see above).
@@ -132,25 +116,23 @@ _TINY = 1e-280
 _POWERS = np.array([float(f"1e{k}") for k in range(-300, 301)])
 
 
-def _words(texts: list[str], width: int) -> np.ndarray:
+def _words(texts: list, width: int) -> np.ndarray:
     """ASCII texts as rows of `width` uint32 words, NUL-padded."""
     packed = np.array(texts, dtype=f"S{4 * width}")
     return packed.view(np.uint32).reshape(len(texts), width)
 
 
-#: Tables of the first five words of a printed m * 10^(e-12); the sixth is
-#: NUL. They hold "d.dd" of m's first three digits; its next four digits;
-#: four more; its last two with "e" and the sign of e (100 on for e < 0);
-#: |e| and the separator (at 3 * |e| + the separator's code). The four-digit
-#: table is built from digit pairs: 10^4 short strings would leave their
-#: memory resident after the import.
+#: Tables of the words of a printed m * 10^(e-12). They hold "d.dd" of m's
+#: first three digits; its next four digits; four more; its last two with
+#: "e" and the sign of e (100 on for e < 0); |e| (5e-324 prints e-324). The
+#: four-digit table is built from digit pairs: 10^4 short strings would
+#: leave their memory resident after the import.
 _LEAD = _words([f"{i // 100}.{i % 100:02d}" for i in range(1000)], 1).ravel()
 _PAIRS = np.array([f"{i:02d}" for i in range(100)], "S2").view(np.uint8).reshape(100, 2)
 _QUADS = np.hstack([_PAIRS.repeat(100, axis=0), np.tile(_PAIRS, (100, 1))])
 _QUADS = _QUADS.view(np.uint32).ravel()
 _TAIL = _words([f"{i % 100:02d}e{'+-'[i // 100]}" for i in range(200)], 1).ravel()
-_EXPONENT = _words([f"{e:02d}{s}" for e in range(_EXPONENTS) for s in _SEPS], 1).ravel()
-_FALLBACK = tuple("%.12e" + s for s in _SEPS)  # the format of every float
+_EXPONENT = _words([f"{e:02d}" for e in range(325)], 1).ravel()
 
 
 class _FloatText:
@@ -167,9 +149,8 @@ class _FloatText:
         np.floor_divide(a, d, out=q)
         a -= np.multiply(q, d, out=self.k[: a.size])
 
-    def write(self, values: np.ndarray, sep, out: np.ndarray):
-        """Print each value as ``%.12e`` followed by its separator (a code of
-        _SEPS, or one code per value) into the rows of out, (n, _WORDS)."""
+    def write(self, values: np.ndarray, out: np.ndarray):
+        """Print each value as ``%.12e`` into the rows of out, (n, _WORDS)."""
         n = values.size
         x, y, f = self.x[:n], self.y[:n], self.f[:n]
         e, i, j = self.e[:n], self.i[:n], self.j[:n]
@@ -208,62 +189,11 @@ class _FloatText:
         self.split(j, 10**4, i)
         np.take(_QUADS, i, out=out[:, 1])
         np.take(_QUADS, j, out=out[:, 2])
-        np.multiply(np.abs(e, out=e), len(_SEPS), out=e)
-        e += sep
-        np.take(_EXPONENT, e, out=out[:, 4])
-        out[:, 5:] = 0
+        np.take(_EXPONENT, np.abs(e, out=e), out=out[:, 4])
 
         redo = np.flatnonzero(bad)
         if redo.size:
-            codes = sep[redo].tolist() if np.ndim(sep) else [sep] * redo.size
-            texts = [_FALLBACK[c] % v for c, v in zip(codes, values[redo].tolist())]
-            out[redo] = _words(texts, _WORDS)
-
-
-def _write_words(fh, words: np.ndarray):
-    """Write the bytes of C-contiguous words without their NUL padding."""
-    fh.write(words.tobytes().translate(None, b"\0"))
-
-
-def _printed(z: np.ndarray, columns: np.ndarray, seps: list[int], rows: int, column=slice(None)):
-    """Print each sample's z and columns[:, column], each value followed by its
-    code in seps, `rows` samples at a time: yields each block's words,
-    (samples, len(seps), _WORDS)."""
-    width = len(seps)
-    values = np.empty((rows, width))
-    seps = np.tile(seps, rows)
-    words = np.empty((rows, width, _WORDS), np.uint32)
-    text = _FloatText(values.size)
-    for start in range(0, len(z), rows):
-        block = values[: min(rows, len(z) - start)]
-        block[:, 0] = z[start : start + len(block)]
-        block[:, 1:] = columns[start : start + len(block), column]
-        text.write(block.ravel(), seps[: block.size], words[: len(block)].reshape(-1, _WORDS))
-        yield words[: len(block)]
-
-
-def _write_rows(fh, z: np.ndarray, columns: np.ndarray, column):
-    """Rows "z,c0,c1,...\\n" of columns[:, column], a block of whole rows at a time."""
-    seps = [_COMMA] * len(column) + [_NEWLINE]
-    rows = max(1, min(_BLOCK // len(seps), len(z)))
-    for words in _printed(z, columns, seps, rows, column):
-        _write_words(fh, words)
-
-
-def _write_pair_rows(fh, z: np.ndarray, probs: np.ndarray, labels: list[str], column: np.ndarray):
-    """Rows "z,n,m,p\\n" with the given site labels, a block of whole samples at a
-    time: each sample's z words are copied to its rows, and site s's words are
-    those of probs[:, column[s]], each stored column printed once."""
-    dim = len(labels)
-    samples = max(1, min(_BLOCK // (dim + 1), len(z)))
-    labels = _words(labels, -(-len(labels[-1]) // 4))
-    rows = np.empty((samples, dim, 2 * _WORDS + labels.shape[1]), np.uint32)
-    rows[:, :, _WORDS:-_WORDS] = labels
-    for words in _printed(z, probs, [_NO_SEP] + [_NEWLINE] * probs.shape[1], samples):
-        block = rows[: len(words)]
-        block[:, :, :_WORDS] = words[:, :1]
-        block[:, :, -_WORDS:] = words[:, 1 + column]
-        _write_words(fh, block)
+            out[redo] = _words(["%.12e" % v for v in values[redo].tolist()], _WORDS)
 
 
 def _texts(block: np.ndarray) -> np.ndarray:
@@ -298,10 +228,11 @@ class _Block:
 
 
 class _Units(_Block):
-    """Blocks of up to `units` whole units of a layout, written from its unit
-    template. z and the stored columns print once each, with no separator;
-    where every text is a `_FIELD`, each is copied through a one-byte-stride
-    V18 view of the block to its fields."""
+    """Blocks of up to `units` whole units of a layout. z and the stored
+    columns print once each, as bare texts. Where every text is a `_FIELD`,
+    each is copied through a one-byte-stride V18 view of the block to its
+    fields; any other block is joined in file order, each field's text
+    followed by the unit's bytes up to the next field."""
 
     def __init__(self, layout: Layout, column: np.ndarray, stored: int, units: int):
         super().__init__(layout.unit(), units)
@@ -311,25 +242,38 @@ class _Units(_Block):
         self.texts = np.ndarray(self.values.shape, self.fields.dtype, self.words,
                                 strides=self.words.strides[:2])
         self.printer = _FloatText(self.values.size)
+        self.joined = None  # the joined blocks' words, built for the first of them
 
     def write(self, fh, z: np.ndarray, columns: np.ndarray) -> bool:
-        """Write the units of samples z with stored columns `columns`, or
-        nothing, returning False, if a text is not a `_FIELD`."""
+        """Write the units of samples z with stored columns `columns`,
+        returning whether they were written from the unit template."""
         n = len(z)
-        values = self.values[:n]
+        values, words = self.values[:n], self.words[:n]
         values[:, 0] = z
         values[:, 1:] = columns
-        # refused unprinted, since the word path prints the block again: a
-        # value below 9.9e-100 but 0 prints a sign, nan or a three-digit exponent
-        if not ((values >= 9.9e-100) | (values == 0)).all():
-            return False
-        words = self.words[:n].reshape(-1, _WORDS)
-        self.printer.write(values.ravel(), _NO_SEP, words)
-        raw = words.view(np.uint8)  # each text, NUL-padded to 24 bytes
-        if not raw[:, len(_FIELD) - 1].all() or raw[:, len(_FIELD)].any():
-            return False
-        fh.write(self.fill(self.texts[:n], self.text))
-        return True
+        self.printer.write(values.ravel(), words.reshape(-1, _WORDS))
+        raw = words.view(np.uint8)  # each text, NUL-padded to 20 bytes
+        if raw[..., len(_FIELD) - 1].all() and not raw[..., len(_FIELD)].any():
+            fh.write(self.fill(self.texts[:n], self.text))
+            return True
+        if self.joined is None:
+            self.join()
+        joined = self.joined[:n]
+        joined[:, :, :_WORDS] = words[:, self.order]
+        fh.write(joined.tobytes().translate(None, b"\0"))
+        return False
+
+    def join(self):
+        """Set `joined`, a block's fields in file order, each its text's words
+        and then the unit's bytes up to the next field as words, and `order`,
+        the text each field takes."""
+        order = np.argsort(self.at)
+        at, unit = self.at[order].tolist(), self.block[0].tobytes()  # fill writes only fields
+        literals = [unit[a + len(_FIELD) : b] for a, b in zip(at, [*at[1:], self.size])]
+        words = _words(literals, -(-max(map(len, literals)) // 4))
+        self.order = self.text[order]
+        self.joined = np.empty((len(self.block), len(at), _WORDS + words.shape[1]), np.uint32)
+        self.joined[:, :, _WORDS:] = words
 
 
 def write_series_csv(path: str, series):

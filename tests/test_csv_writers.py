@@ -1,6 +1,5 @@
 """The CSV writers against a row-by-row oracle: the same bytes, edge values included."""
 
-import io
 import os
 import re
 import tracemalloc
@@ -186,22 +185,64 @@ def test_fig4a_preset_writes_every_block_from_the_template(tmp_path):
 
 @pytest.mark.parametrize("form, n", [("long", 1), ("long", 3), ("long", 11), ("long", 31),
                                      ("long", 101), ("wide", 1), ("wide", 2), ("wide", 23)])
-def test_unit_template_is_the_word_path_print_of_a_zero_unit(form, n):
+def test_unit_template_is_the_word_path_print_of_a_zero_unit(tmp_path, form, n):
     """The unit template, joined from its labels with offsets computed, holds
-    the bytes the word path prints for one sample of zeros, and its fields,
-    z copies and row starts sit where that print holds a `_FIELD`."""
+    the bytes the row-by-row writer prints for one sample of zeros, and its
+    fields, z copies and row starts sit where that print holds a `_FIELD`."""
     layout = codec.Layout.of(form, n)
-    out = io.BytesIO()
     dim = n * n if form == "long" else n
-    layout.words(out, np.zeros(1), np.zeros((1, 1)), np.zeros(dim, np.intp))
-    at = [m.start() for m in re.finditer(re.escape(codec._FIELD.encode()), out.getvalue())]
+    path = tmp_path / "zero.csv"
+    zero = unchecked_rows(np.zeros(1), np.zeros((1, dim)))
+    oracle_write_trajectory_csv(path, zero, "fock" if form == "long" else "single", n)
+    printed = path.read_bytes().split(b"\n", 1)[1]  # the rows after the header
+    at = [m.start() for m in re.finditer(re.escape(codec._FIELD.encode()), printed)]
     text, fields, copies, starts = layout.unit()
-    assert text == out.getvalue()
+    assert text == printed
     if form == "wide":
         want = at, [], [0]
     else:
         want = [at[0], *at[1::2]], at[2::2], at[0::2]
     assert [list(fields), list(copies), list(starts)] == list(want)
+
+
+@pytest.mark.parametrize("model, n_sites", [("fock", 2), ("single", 3)])
+def test_each_block_is_printed_once(tmp_path, monkeypatch, model, n_sites):
+    """With blocks of 8 floats, a trajectory file and a series file mix
+    template blocks with blocks holding 2e200, 3e-150 or nan. The kernel
+    prints each block's z and stored columns in one call, whichever way the
+    block is then written, and the bytes are the oracle's."""
+    monkeypatch.setattr(codec, "_BLOCK", 8)
+    dim = n_sites * n_sites if model == "fock" else n_sites
+    units = 8 // (dim + 1)  # samples a trajectory block holds; a series block holds 4
+    rng = np.random.default_rng(dim)
+    probs, values = 0.1 + rng.random((16, dim)), 0.1 + rng.random(16)
+    for at, other in zip((4, 8, 12), (2e200, 3e-150, np.nan)):  # three blocks of each file
+        probs[at, dim - 1] = values[at] = other
+    pops = unchecked_rows(np.arange(16) * 0.01, probs)
+    series = ObservableSeries(pops.z_samples, values, "p")
+
+    printed, blocks = [], []  # kernel calls; per block, its calls and whether it took the template
+    print_text, write_units = codec._FloatText.write, codec._Units.write
+
+    def spy_print(self, *args):
+        printed.append(args[0].size)
+        return print_text(self, *args)
+
+    def spy_units(self, fh, z, columns):
+        before = len(printed)
+        taken = write_units(self, fh, z, columns)
+        blocks.append((len(printed) - before, taken))
+        return taken
+
+    monkeypatch.setattr(codec._FloatText, "write", spy_print)
+    monkeypatch.setattr(codec._Units, "write", spy_units)
+    for check, args, count in ((assert_trajectory_bytes_match, (pops, model, n_sites), 16 // units),
+                               (assert_series_bytes_match, (series,), 4)):
+        printed.clear(), blocks.clear()
+        check(tmp_path, *args)
+        assert len(printed) == len(blocks) == count, (printed, blocks)
+        assert [calls for calls, _ in blocks] == [1] * count, blocks
+        assert [taken for _, taken in blocks].count(False) == 3, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +253,11 @@ def test_unit_template_is_the_word_path_print_of_a_zero_unit(form, n):
 WRITER_PEAK_BOUND = 2 * 2**20
 
 
-def kernel_fields(values, codes):
-    """(text, separator) of each value as the kernel prints it."""
+def kernel_texts(values) -> list[str]:
+    """The text of each value as the kernel prints it, its NUL padding dropped."""
     words = np.empty((values.size, codec._WORDS), np.uint32)
-    codec._FloatText(values.size).write(values, codes, words)
-    raw = words.reshape(-1).view(np.uint8)
-    return re.findall(r"([^,\n]+)([,\n])", raw[raw != 0].tobytes().decode("ascii"))
+    codec._FloatText(values.size).write(values, words)
+    return [t.decode("ascii") for t in words.view(f"S{4 * codec._WORDS}").ravel().tolist()]
 
 
 def power_rounding_error(e: int) -> Fraction:
@@ -264,9 +304,8 @@ def test_kernel_matches_percent_format_on_hard_doubles():
     rng = np.random.default_rng(20130308)
     values = hard_doubles(rng)
     assert values.size >= 100_000
-    codes = rng.integers(codec._COMMA, codec._NEWLINE + 1, values.size)
-    got = kernel_fields(values, codes)
-    want = [("%.12e" % v, codec._SEPS[c]) for v, c in zip(values.tolist(), codes.tolist())]
+    got = kernel_texts(values)
+    want = ["%.12e" % v for v in values.tolist()]
     assert len(got) == len(want)
     wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not wrong[:5]

@@ -77,6 +77,24 @@ def test_matches_bessel_oracle_over_full_period():
     assert worst <= 1e-6
 
 
+def test_bessel_reach_stays_within_the_rounding_term():
+    """The tilted 81-site chain (kappa = 1, F = 0.5) on its whole block's eigh
+    stays within the stated rounding term eps * row sum * |z| of the Bessel
+    closed form out to z = 1e5. The amplitude error grows linearly in z
+    (1.7e-13 at 1e3, 9.2e-13 at 1e4, 1.4e-11 at 1e5), so past z ~ 1e4 a
+    correct run misses 1e-12."""
+    n, kappa, fd = 81, 1.0, 0.5
+    assert n < propagator._KRYLOV_BLOCK  # the whole block, not Krylov steps
+    h = build_single_particle_hamiltonian(n, kappa, fd)
+    block = h.swap_block()
+    row_sum = np.bincount(block.i, np.abs(block.values)).max()
+    plan = SpectralPropagator(h)
+    for z in (1e3, 1e4, 1e5):
+        amplitudes = plan.evolve(StateVector.delta(n, n // 2), z).amplitudes
+        error = np.max(np.abs(np.abs(amplitudes) - analytic_ws_profile(kappa, fd, z, n // 2)))
+        assert error <= np.finfo(float).eps * row_sum * z, (z, error)
+
+
 def test_return_probability_examples():
     kappa = 0.6
     traj = propagate(
